@@ -36,7 +36,7 @@ print("drawing 2,000 logged triples under the behavior policy...")
 logged = sample_logged(2000, child_rng(SEED, 0), env)
 
 params = PacParams(epsilon=0.2, delta=0.1, gamma=0.5)
-qcfg = QuantileTrainConfig(learning_rate=0.1, epochs=1500)
+qcfg = QuantileTrainConfig()  # affine: an exact LP fit
 predictor = pacopp_known(logged, pb, pe, params, qcfg, child_rng(SEED, 1))
 
 d = predictor.diagnostics

@@ -48,15 +48,19 @@ print(f"mean absolute weight error (vs truth): {report.delta_w_hat:.4f}")
 print("-> nominal miscoverage 0.2 is guaranteed with slack of that size\n")
 
 params = PacParams(0.2, 0.1, 0.5)
-qcfg = QuantileTrainConfig(learning_rate=0.1, epochs=1500)
+qcfg = QuantileTrainConfig()  # affine: an exact LP fit
 pred = pacopp_unknown(logged, pe, params, PolicyFitConfig(), qcfg, child_rng(SEED, 2))
 test = sample_target(10000, child_rng(SEED, 3), env)
 lo, hi = pred.interval_batch(test.contexts)
 miss = float(np.mean((test.rewards < lo) | (test.rewards > hi)))
 print(f"estimated-policy pipeline: accepted {pred.diagnostics.n_rs} samples, "
       f"threshold {pred.threshold:+.4f}, empirical miscoverage {miss:.4f}")
-print(f"(on this seed the miscoverage may exceed 0.2 but stays within the "
-      f"degraded level 0.2 + {report.delta_w_hat:.4f} = {0.2 + report.delta_w_hat:.4f})")
+degraded = 0.2 + report.delta_w_hat
+standard_error = math.sqrt(miss * (1.0 - miss) / len(test))
+print(f"(degraded level 0.2 + {report.delta_w_hat:.4f} = {degraded:.4f}; this seed is "
+      f"{'within' if miss <= degraded else 'above'} it. The bound holds with probability "
+      f">= 1 - delta = 0.9 over the logged data, and the miscoverage estimate from "
+      f"{len(test):,} test draws has standard error {standard_error:.4f})")
 
 pclass = default_finite_class(env)
 picked = mle_policy(pclass, d1)

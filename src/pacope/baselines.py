@@ -165,8 +165,9 @@ def _copp_weights_batch(
 ) -> tuple[np.ndarray, int]:
     """Vectorized candidate weights at many ``(s, r)`` pairs.
 
-    Fast path for Gaussian policies (location-scale draws over shared
-    normals); other policies fall back to the scalar routine. Returns the
+    Fast path for Gaussian policies: one ``(n, h)`` block of standard normals
+    per policy, location-scaled per row, so each pair gets its own ``h``
+    draws. Other policies fall back to the scalar routine. Returns the
     weights and the number of zero denominators encountered.
     """
     ctx = _as_context_matrix(contexts)
@@ -297,8 +298,9 @@ def copp_predict(
     """Weighted-CP interval at context ``s`` via a reward-candidate grid.
 
     The grid spans the calibration rewards' empirical range extended by the
-    configured margin. One fresh set of Monte Carlo action draws is used per
-    call; only the reward-model densities vary along the grid.
+    configured margin. Every weight gets its own block of ``mc_samples``
+    Monte Carlo action draws: one block per calibration point, and a fresh
+    block per grid point, so the grid weights are independent estimates.
     """
     if len(cal) == 0:
         return CoppInterval(PredictionInterval.whole_line(), False, False, 0)

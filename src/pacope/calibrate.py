@@ -29,6 +29,8 @@ from .core import (
     PredictionInterval,
     StochasticPolicy,
     _as_context_matrix,
+    _field,
+    _key_values,
     ceil_scaled,
 )
 from .quantile import QuantilePairModel, QuantileTrainConfig, fit_quantile_pair, trivial_quantile_model
@@ -248,7 +250,8 @@ class CalibratedPredictor:
         return lo - self.threshold, up + self.threshold
 
     def predict(self, s) -> PredictionInterval:
-        lo, hi = self.interval_batch(s)
+        """Interval at one context: a scalar, or a vector of the model's dimension."""
+        lo, hi = self.interval_batch(np.asarray(s, dtype=float).reshape(1, -1))
         return PredictionInterval(float(lo[0]), float(hi[0]))
 
     def covers(self, contexts, rewards) -> np.ndarray:
@@ -279,36 +282,35 @@ class CalibratedPredictor:
 
     @staticmethod
     def load(text: str) -> "CalibratedPredictor":
-        plain: dict[str, str] = {}
-        model_lines: list[str] = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("model."):
-                model_lines.append(line[len("model."):])
-            else:
-                key, _, value = line.partition("=")
-                plain[key] = value
+        """Inverse of ``dump``; a missing or malformed field raises ``ValueError``."""
+        lines = [line.strip() for line in text.splitlines()]
+        plain = _key_values(line for line in lines if not line.startswith("model."))
+        model_lines = [line[len("model."):] for line in lines if line.startswith("model.")]
         params = PacParams(
-            epsilon=float(plain["epsilon"]),
-            delta=float(plain["delta"]),
-            gamma=float(plain["gamma"]),
-            eps_lo=float(plain["eps_lo"]),
-            eps_up=float(plain["eps_up"]),
+            epsilon=_field(plain, "epsilon"),
+            delta=_field(plain, "delta"),
+            gamma=_field(plain, "gamma"),
+            eps_lo=_field(plain, "eps_lo"),
+            eps_up=_field(plain, "eps_up"),
         )
         diagnostics = CalibrationDiagnostics(
-            n_rs=int(plain["n_rs"]),
-            m_cal=int(plain["m_cal"]),
-            k=int(plain["k"]),
-            tie_flag=bool(int(plain["tie_flag"])),
-            weight_violations=int(plain["weight_violations"]),
-            trivial=bool(int(plain["trivial"])),
-            bound=float(plain["bound"]),
-            variance_clamped=bool(int(plain["variance_clamped"])),
+            n_rs=_field(plain, "n_rs", int),
+            m_cal=_field(plain, "m_cal", int),
+            k=_field(plain, "k", int),
+            tie_flag=_field(plain, "tie_flag", _parse_flag),
+            weight_violations=_field(plain, "weight_violations", int),
+            trivial=_field(plain, "trivial", _parse_flag),
+            bound=_field(plain, "bound"),
+            variance_clamped=_field(plain, "variance_clamped", _parse_flag),
         )
         model = QuantilePairModel.load("\n".join(model_lines))
-        return CalibratedPredictor(model, float(plain["threshold"]), params, diagnostics)
+        return CalibratedPredictor(model, _field(plain, "threshold"), params, diagnostics)
+
+
+def _parse_flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(text)
+    return text == "1"
 
 
 def predict(p: CalibratedPredictor, s) -> PredictionInterval:

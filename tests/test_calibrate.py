@@ -233,6 +233,19 @@ class TestPredict:
             lo, up = p.model.quantiles(s)
             assert iv.length() == pytest.approx(float(up[0] - lo[0]) + 2 * 0.37)
 
+    def test_context_dimension_must_match_model(self):
+        model = QuantilePairModel(
+            "affine", (np.array([-1.0, 1.0, 2.0]),), (np.array([1.0, 1.0, 2.0]),), (0.1, 0.9)
+        )
+        diag = CalibrationDiagnostics(20, 10, 0, False, 0, False, 2.0)
+        p = CalibratedPredictor(model, 0.5, PARAMS, diag)
+        assert predict(p, [0.5, 0.25]) == PredictionInterval(-0.5, 2.5)
+        for s in (0.5, [0.5, 0.25, 1.0], [[0.5, 0.25], [0.0, 0.0]]):
+            with pytest.raises(ValueError, match="dimension"):
+                predict(p, s)
+        with pytest.raises(ValueError, match="dimension"):
+            predict(self._predictor(0.5), [0.5, 0.7])
+
 
 class TestScoreList:
     def test_tie_flag(self):

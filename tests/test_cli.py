@@ -128,6 +128,33 @@ def test_predict_trivial_model_prints_infinite_interval(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "(-inf, inf)"
 
 
+def test_predict_rejects_context_of_wrong_dimension(tmp_path, capsys):
+    predictor = _trivial_predictor(PacParams(0.2, 0.1, 0.5), 1, 0, 0, 0, 1.0)
+    path = tmp_path / "p.txt"
+    path.write_text(predictor.dump())
+    assert cli(["predict", "--model", str(path), "--s", "0.5 0.7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dimension" in captured.err
+
+
+@pytest.mark.parametrize("keep", [0, 3, 10, -1])
+def test_predict_rejects_truncated_predictor_file(tmp_path, capsys, keep):
+    text = _trivial_predictor(PacParams(0.2, 0.1, 0.5), 1, 0, 0, 0, 1.0).dump()
+    path = tmp_path / "p.txt"
+    path.write_text("\n".join(text.splitlines()[:keep]) + "\n")
+    assert cli(["predict", "--model", str(path), "--s", "0.5"]) == 2
+    assert "predictor file" in capsys.readouterr().err
+
+
+def test_predict_rejects_malformed_predictor_field(tmp_path, capsys):
+    text = _trivial_predictor(PacParams(0.2, 0.1, 0.5), 1, 0, 0, 0, 1.0).dump()
+    path = tmp_path / "p.txt"
+    path.write_text(text.replace("m_cal=0", "m_cal=zero"))
+    assert cli(["predict", "--model", str(path), "--s", "0.5"]) == 2
+    assert "m_cal" in capsys.readouterr().err
+
+
 def test_bad_config_key_reports_error(tmp_path, capsys):
     path = tmp_path / "config.txt"
     path.write_text("not_a_key=3\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pacope import quantile
 from pacope.core import PacParams, child_rng
 from pacope.quantile import (
     QuantilePairModel,
@@ -74,13 +75,55 @@ class TestAffineFit:
         with pytest.raises(ValueError, match="insufficient training data"):
             fit_quantile_pair(train, QuantileTrainConfig(), PARAMS_10_90)
 
-    def test_loss_history_non_increasing(self):
-        target = sample_target(400, child_rng(5, 0))
-        model = fit_quantile_pair(
-            _as_train(target), QuantileTrainConfig(learning_rate=0.3, epochs=300), PARAMS_10_90
-        )
-        for losses in model.train_losses:
-            assert np.all(np.diff(losses) <= 1e-9)
+    def test_exact_optimum_and_level_condition(self):
+        # With a 1-d context some optimum of the two-parameter pinball LP
+        # interpolates two data points, so trying every pair finds the optimum.
+        target = sample_target(40, child_rng(5, 0))
+        x, y = target.contexts[:, 0], target.rewards
+        model = fit_quantile_pair(_as_train(target), QuantileTrainConfig(), PARAMS_10_90)
+        fitted = model.quantiles(target.contexts)
+        i, j = np.triu_indices(len(y), k=1)
+        slope = (y[j] - y[i]) / (x[j] - x[i])
+        lines = (y[i] - slope * x[i])[:, None] + slope[:, None] * x[None, :]
+        for level, fit, losses in zip(model.levels, fitted, model.train_losses):
+            oracle = pinball_loss(y[None, :] - lines, level).mean(axis=1).min()
+            resid = y - fit
+            loss = float(pinball_loss(resid, level).mean())
+            assert losses.shape == (1,) and losses[0] == pytest.approx(loss, abs=1e-15)
+            assert oracle - 1e-12 <= loss <= oracle + 1e-9
+            assert np.mean(resid < -1e-7) <= level <= np.mean(resid <= 1e-7)
+
+    def test_all_equal_contexts_give_empirical_quantile(self):
+        y = sample_target(11, child_rng(10, 0)).rewards
+        train = RsDataset(np.full((11, 1), 0.7), y, np.arange(11))
+        params = PacParams(0.6, 0.1, eps_lo=0.3, eps_up=0.7)
+        model = fit_quantile_pair(train, QuantileTrainConfig(), params)
+        ordered = np.sort(y)
+        # 11 * 0.3 = 3.3 and 11 * 0.7 = 7.7: the 4th and 8th order statistics.
+        assert model.q_lo(0.7) == pytest.approx(ordered[3], abs=1e-9)
+        assert model.q_up(0.7) == pytest.approx(ordered[7], abs=1e-9)
+
+    def test_two_points_are_interpolated(self):
+        train = RsDataset(np.array([[-1.0], [2.0]]), np.array([0.5, -1.0]), np.arange(2))
+        model = fit_quantile_pair(train, QuantileTrainConfig(), PARAMS_10_90)
+        for s, r in ((-1.0, 0.5), (2.0, -1.0)):
+            assert model.q_lo(s) == pytest.approx(r, abs=1e-9)
+            assert model.q_up(s) == pytest.approx(r, abs=1e-9)
+
+    def test_tied_rewards_meet_level_condition(self):
+        target = sample_target(300, child_rng(11, 0))
+        y = np.round(target.rewards)
+        train = RsDataset(target.contexts, y, np.arange(300))
+        model = fit_quantile_pair(train, QuantileTrainConfig(), PARAMS_10_90)
+        for level, fit in zip(model.levels, model.quantiles(target.contexts)):
+            resid = y - fit
+            assert np.mean(resid < -1e-7) <= level <= np.mean(resid <= 1e-7)
+
+    def test_step_cap_raises_with_gap(self, monkeypatch):
+        monkeypatch.setattr(quantile, "_LP_MAX_STEPS", 1)
+        target = sample_target(200, child_rng(12, 0))
+        with pytest.raises(ValueError, match="duality gap .* did not close within 1 Newton steps"):
+            fit_quantile_pair(_as_train(target), QuantileTrainConfig(), PARAMS_10_90)
 
 
 class TestMlpFit:
