@@ -1,8 +1,8 @@
 """Calibrating when the behavior policy itself must be estimated.
 
-The logged data is split first; a Gaussian policy (affine mean, constant
-variance) is fit on the training half, and both halves are rejection-sampled
-with the *estimated* density ratio. The coverage guarantee then degrades by
+The logged data is split first; ``estimate_behavior`` fits a Gaussian policy
+(affine mean, constant variance) on the training half, and both halves are
+rejection-sampled with the *estimated* density ratio. The coverage guarantee then degrades by
 the mean absolute weight error, which this synthetic setting can actually
 measure against the true policy.
 
@@ -20,8 +20,8 @@ from pacope import (
     PolicyFitConfig,
     QuantileTrainConfig,
     child_rng,
+    estimate_behavior,
     estimate_weight_error,
-    fit_gaussian_policy,
     mle_policy,
     pacopp_unknown,
     sample_logged,
@@ -38,7 +38,7 @@ logged = sample_logged(2000, child_rng(SEED, 0), env)
 d1, _ = split_dataset(logged, 0.5)
 
 print("true behavior policy: mean slope 0.25, variance 4")
-pbhat = fit_gaussian_policy(d1, min_variance_margin=0.05, target_variance=pe.variance)
+pbhat, _ = estimate_behavior(d1, pe, PolicyFitConfig())
 print(f"fitted from {len(d1)} samples: slope {pbhat.slope[0]:+.4f}, "
       f"intercept {pbhat.intercept:+.4f}, variance {pbhat.variance:.4f}")
 

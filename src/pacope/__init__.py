@@ -8,15 +8,12 @@ from .core import (
     Context,
     GaussianLinearPolicy,
     LoggedDataset,
-    LoggedSample,
     PacParams,
     PredictionInterval,
     StochasticPolicy,
     TargetDataset,
-    TargetSample,
     child_rng,
     load_csv,
-    master_rng,
     save_csv,
     split_dataset,
 )
@@ -38,6 +35,7 @@ from .calibrate import (
     CalibrationDiagnostics,
     ScoreList,
     binomial_quantile_k,
+    calibrate_split,
     nonconformity,
     pac_threshold,
     pac_threshold_argmin_oracle,
@@ -60,9 +58,9 @@ from .behavior import (
     FinitePolicyClass,
     PolicyFitConfig,
     WeightErrorReport,
+    estimate_behavior,
     estimate_weight_error,
     finite_policy_class,
-    fit_gaussian_policy,
     mle_policy,
     pacopp_unknown,
 )
@@ -86,7 +84,6 @@ from .bench import (
     TrialReport,
     check_theorem_bounds,
     default_finite_class,
-    evaluate_miscoverage,
     run_figure1,
     run_figure2,
     run_theorem4_convergence,

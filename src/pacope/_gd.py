@@ -9,12 +9,12 @@ import numpy as np
 
 def fit_gaussian_affine(
     x1: np.ndarray, y: np.ndarray, lr: float, epochs: int
-) -> tuple[np.ndarray, float, np.ndarray]:
+) -> tuple[np.ndarray, float]:
     """Fit ``y ~ N(x1 @ w, sigma^2)`` by gradient descent on the mean NLL.
 
     Parameters are ``(w, log sigma)``; a step that would increase the loss is
-    rejected and the learning rate halved, so the loss trace is non-increasing.
-    Returns ``(w, sigma, losses)``.
+    rejected and the learning rate halved, so the loss never increases.
+    Returns ``(w, sigma)``.
     """
     n = x1.shape[0]
     w = np.zeros(x1.shape[1])
@@ -26,8 +26,7 @@ def fit_gaussian_affine(
         return float(0.5 * np.mean(resid * resid) / var + log_sigma_)
 
     cur = nll(w, log_sigma)
-    losses = np.empty(epochs)
-    for t in range(epochs):
+    for _ in range(epochs):
         resid = y - x1 @ w
         var = math.exp(2.0 * log_sigma)
         grad_w = -(x1.T @ resid) / (n * var)
@@ -39,5 +38,4 @@ def fit_gaussian_affine(
             lr *= 0.5
         else:
             w, log_sigma, cur = cand_w, cand_ls, new
-        losses[t] = cur
-    return w, math.exp(log_sigma), losses
+    return w, math.exp(log_sigma)

@@ -82,21 +82,17 @@ class RewardModelGaussian:
 
 
 def fit_reward_model(
-    train: LoggedDataset,
-    rng: np.random.Generator | None = None,
-    learning_rate: float = 0.2,
-    epochs: int = 600,
+    train: LoggedDataset, learning_rate: float = 0.2, epochs: int = 600
 ) -> RewardModelGaussian:
     """Fit the affine-mean constant-sigma Gaussian model by NLL descent.
 
     The fitted sigma is floored at 1e-3 so degenerate (noiseless) data cannot
-    produce a zero-width density. The ``rng`` argument is accepted for
-    interface symmetry; the zero-initialized affine fit is deterministic.
+    produce a zero-width density. The zero-initialized fit is deterministic.
     """
     if len(train) < 2:
         raise ValueError("insufficient training data: need at least 2 samples")
     x1 = np.hstack([np.ones((len(train), 1)), train.contexts, train.actions.reshape(-1, 1)])
-    w, sigma, _ = fit_gaussian_affine(x1, train.rewards, learning_rate, epochs)
+    w, sigma = fit_gaussian_affine(x1, train.rewards, learning_rate, epochs)
     return RewardModelGaussian(w, max(sigma, _SIGMA_FLOOR))
 
 

@@ -1,11 +1,15 @@
 """Behavior-policy estimation for the unknown-policy setting.
 
 When the logging policy is unknown it is estimated on a first data split and
-the density-ratio weights are formed against the estimate. Two estimators are
-provided: maximum likelihood over a finite policy class (selection by total
-log density, ties broken by list order) and parametric Gaussian fitting
-(affine mean, constant variance, with the fitted variance clamped away from
-the target policy's variance so the downstream weight bound exists).
+the density-ratio weights are formed against the estimate.
+:func:`estimate_behavior` is the one place that fits or selects the policy:
+by maximum likelihood over a finite policy class (selection by total log
+density, ties broken by list order), by parametric Gaussian fitting (affine
+mean, constant variance, with the fitted variance clamped away from the
+target policy's variance so the downstream weight bound exists), or by taking
+a fixed policy as given. :func:`pacopp_unknown` runs the whole pipeline:
+split, estimate, rejection-sample both halves, then
+:func:`calibrate.calibrate_split`.
 
 The weight-estimation error ``E |w_hat(S, A) - w(S, A)|`` over the true
 logging distribution is an experiment-side diagnostic: it requires the true
@@ -21,15 +25,7 @@ from typing import Callable
 import numpy as np
 
 from ._gd import fit_gaussian_affine
-from .calibrate import (
-    CalibratedPredictor,
-    CalibrationDiagnostics,
-    ScoreList,
-    _trivial_predictor,
-    binomial_quantile_k,
-    nonconformity,
-    pac_threshold,
-)
+from .calibrate import CalibratedPredictor, _trivial_predictor, calibrate_split
 from .core import (
     GaussianLinearPolicy,
     LoggedDataset,
@@ -38,7 +34,7 @@ from .core import (
     _as_context_matrix,
     split_dataset,
 )
-from .quantile import QuantileTrainConfig, fit_quantile_pair
+from .quantile import QuantileTrainConfig
 from .rejection import gaussian_ratio_bound, rejection_sample, weight_from_policies
 
 __all__ = [
@@ -47,7 +43,7 @@ __all__ = [
     "PolicyFitConfig",
     "finite_policy_class",
     "mle_policy",
-    "fit_gaussian_policy",
+    "estimate_behavior",
     "estimate_weight_error",
     "pacopp_unknown",
 ]
@@ -120,40 +116,6 @@ def mle_policy(pclass: FinitePolicyClass, d1: LoggedDataset) -> StochasticPolicy
     return pclass.policies[int(np.argmax(totals))]
 
 
-def _fit_gaussian_policy_raw(
-    d1: LoggedDataset, learning_rate: float, epochs: int
-) -> tuple[np.ndarray, float]:
-    x1 = np.hstack([np.ones((len(d1), 1)), d1.contexts])
-    w, sigma, _ = fit_gaussian_affine(x1, d1.actions, learning_rate, epochs)
-    return w, sigma * sigma
-
-
-def fit_gaussian_policy(
-    d1: LoggedDataset,
-    min_variance_margin: float,
-    target_variance: float,
-    rng: np.random.Generator | None = None,
-    learning_rate: float = 0.2,
-    epochs: int = 600,
-) -> GaussianLinearPolicy:
-    """Affine-mean constant-variance Gaussian MLE of the behavior policy.
-
-    The fitted variance is clamped to at least
-    ``target_variance * (1 + min_variance_margin)``: the rejection-sampling
-    weight is bounded only when the estimated behavior variance exceeds the
-    target's, so the clamp enforces that hypothesis by construction. The
-    ``rng`` argument is accepted for interface symmetry; the fit itself is
-    deterministic.
-    """
-    if len(d1) < 2:
-        raise ValueError("insufficient data: need at least 2 samples")
-    if min_variance_margin < 0:
-        raise ValueError("min_variance_margin must be nonnegative")
-    w, variance = _fit_gaussian_policy_raw(d1, learning_rate, epochs)
-    floor = target_variance * (1.0 + min_variance_margin)
-    return GaussianLinearPolicy(w[1:], float(w[0]), max(variance, floor))
-
-
 @dataclass(frozen=True)
 class WeightErrorReport:
     """Monte Carlo estimate of the mean absolute weight-estimation error."""
@@ -217,6 +179,37 @@ class PolicyFitConfig:
             raise ValueError("the mle method requires a finite_class")
         if self.method == "fixed" and self.fixed_policy is None:
             raise ValueError("the fixed method requires a fixed_policy")
+        if self.min_variance_margin < 0:
+            raise ValueError("min_variance_margin must be nonnegative")
+
+
+def estimate_behavior(
+    d1: LoggedDataset, pe: GaussianLinearPolicy, pcfg: PolicyFitConfig
+) -> tuple[GaussianLinearPolicy, float]:
+    """Fit or select the behavior policy on the training half ``d1``.
+
+    Returns ``(policy, raw_variance)``. The ``gaussian`` method is the
+    affine-mean constant-variance Gaussian MLE; its variance is clamped to at
+    least ``pe.variance * (1 + min_variance_margin)``, because the
+    rejection-sampling weight is bounded only when the estimated behavior
+    variance exceeds the target's. ``raw_variance`` is the variance before the
+    clamp, so the clamp fired iff ``raw_variance < policy.variance``. The
+    ``mle`` and ``fixed`` methods return their policy unclamped, with its own
+    variance as ``raw_variance``. The estimate must be Gaussian: automatic
+    weight bounds exist only for Gaussian policies.
+    """
+    if pcfg.method == "gaussian":
+        if len(d1) < 2:
+            raise ValueError("insufficient data: need at least 2 samples")
+        x1 = np.hstack([np.ones((len(d1), 1)), d1.contexts])
+        w, sigma = fit_gaussian_affine(x1, d1.actions, pcfg.learning_rate, pcfg.epochs)
+        raw_variance = sigma * sigma
+        floor = pe.variance * (1.0 + pcfg.min_variance_margin)
+        return GaussianLinearPolicy(w[1:], float(w[0]), max(raw_variance, floor)), raw_variance
+    policy = mle_policy(pcfg.finite_class, d1) if pcfg.method == "mle" else pcfg.fixed_policy
+    if not isinstance(policy, GaussianLinearPolicy):
+        raise ValueError("automatic weight bounds require a Gaussian behavior estimate")
+    return policy, policy.variance
 
 
 def pacopp_unknown(
@@ -229,11 +222,11 @@ def pacopp_unknown(
 ) -> CalibratedPredictor:
     """Full pipeline with an estimated behavior policy.
 
-    The logged data is split *before* rejection sampling: the estimator sees
-    only the training half, and both halves are then rejection-sampled with
-    the estimated ratio. Quantiles are fit on the accepted training pairs and
-    the threshold is calibrated on the accepted calibration pairs. Degenerate
-    stages fall back to the trivial predictor with a diagnostics flag.
+    The logged data is split *before* rejection sampling: the estimator
+    (:func:`estimate_behavior`) sees only the training half, and both halves
+    are then rejection-sampled with the estimated ratio and handed to
+    :func:`calibrate.calibrate_split`. An empty dataset, or a training half
+    too small for the Gaussian fit, gives the trivial predictor.
 
     Stream consumption order: policy fit (none for the deterministic
     estimators), acceptance variates for the training half, acceptance
@@ -242,48 +235,17 @@ def pacopp_unknown(
     if rng is None:
         raise ValueError("an rng is required")
     pcfg = pcfg or PolicyFitConfig()
-    qcfg = qcfg or QuantileTrainConfig()
-    dim = d.context_dim if len(d) else 1
-    if len(d) == 0:
-        return _trivial_predictor(params, dim, n_rs=0, m_cal=0, violations=0, bound=1.0)
     d1, d2 = split_dataset(d, params.gamma)
-    variance_clamped = False
-    if pcfg.method == "gaussian":
-        if len(d1) < 2:
-            return _trivial_predictor(params, dim, n_rs=0, m_cal=0, violations=0, bound=1.0)
-        w_fit, raw_variance = _fit_gaussian_policy_raw(d1, pcfg.learning_rate, pcfg.epochs)
-        floor = pe.variance * (1.0 + pcfg.min_variance_margin)
-        variance_clamped = raw_variance < floor
-        pbhat = GaussianLinearPolicy(w_fit[1:], float(w_fit[0]), max(raw_variance, floor))
-    elif pcfg.method == "mle":
-        pbhat = mle_policy(pcfg.finite_class, d1)
-    else:
-        pbhat = pcfg.fixed_policy
-    if not isinstance(pbhat, GaussianLinearPolicy):
-        raise ValueError("automatic weight bounds require a Gaussian behavior estimate")
+    if len(d) == 0 or (pcfg.method == "gaussian" and len(d1) < 2):
+        dim = d.context_dim if len(d) else 1
+        return _trivial_predictor(params, dim, n_rs=0, m_cal=0, violations=0, bound=1.0)
+    pbhat, raw_variance = estimate_behavior(d1, pe, pcfg)
     bound = gaussian_ratio_bound(pe, pbhat, d.contexts)
     w_hat = weight_from_policies(pe, pbhat, bound)
     rs1 = rejection_sample(d1, w_hat, rng)
     rs2 = rejection_sample(d2, w_hat, rng)
-    violations = rs1.n_violations + rs2.n_violations
-    n_rs = len(rs1) + len(rs2)
-    if len(rs1) < 2 or len(rs2) == 0:
-        return _trivial_predictor(
-            params, dim, n_rs=n_rs, m_cal=len(rs2), violations=violations,
-            bound=bound, variance_clamped=variance_clamped,
-        )
-    model = fit_quantile_pair(rs1, qcfg, params, rng)
-    scores = ScoreList(nonconformity(model, rs2.contexts, rs2.rewards))
-    k = binomial_quantile_k(len(rs2), params.epsilon, params.delta)
-    threshold = pac_threshold(scores, params.epsilon, params.delta)
-    diagnostics = CalibrationDiagnostics(
-        n_rs=n_rs,
-        m_cal=len(rs2),
-        k=k,
-        tie_flag=scores.has_ties,
-        weight_violations=violations,
-        trivial=False,
-        bound=bound,
-        variance_clamped=variance_clamped,
+    return calibrate_split(
+        rs1, rs2, params, qcfg or QuantileTrainConfig(), rng,
+        n_rs=len(rs1) + len(rs2), violations=rs1.n_violations + rs2.n_violations,
+        bound=bound, variance_clamped=raw_variance < pbhat.variance,
     )
-    return CalibratedPredictor(model, threshold, params, diagnostics)

@@ -6,6 +6,11 @@ from the master seed, so results are bit-identical across reruns and across
 serial/parallel execution; workers share nothing mutable and the result table
 is assembled in trial-index order regardless of completion order.
 
+Trials call the library pipelines and add no statistics of their own: known
+and unknown trials run ``pacopp_known`` and ``pacopp_unknown``, and the PAC
+and COPP-RS rows of figure 2 come from ``behavior.estimate_behavior`` and
+``calibrate.calibrate_split`` on the same streams ``pacopp_unknown`` uses.
+
 Desk-scale defaults (500 runs, 10,000 test points) replace the full-scale run
 counts of the original experiments; every asserted frequency carries a
 3-sigma Monte Carlo tolerance. Full scale is reachable through the config.
@@ -29,16 +34,15 @@ from .baselines import (
 from .behavior import (
     FinitePolicyClass,
     PolicyFitConfig,
-    _fit_gaussian_policy_raw,
+    estimate_behavior,
     estimate_weight_error,
     finite_policy_class,
-    mle_policy,
     pacopp_unknown,
 )
 from .calibrate import (
     CalibratedPredictor,
-    ScoreList,
     binomial_quantile_k,
+    calibrate_split,
     nonconformity,
     pac_threshold,
     pacopp_known,
@@ -66,7 +70,6 @@ __all__ = [
     "BenchConfig",
     "TrialReport",
     "AggregateTable",
-    "evaluate_miscoverage",
     "simulate_trial",
     "run_figure1",
     "run_figure2",
@@ -144,6 +147,16 @@ class BenchConfig:
 
     def copp_config(self) -> CoppConfig:
         return CoppConfig(self.copp_mc_samples, self.copp_grid_size, self.copp_grid_margin)
+
+    def policy_fit_config(self, method: str = "gaussian") -> PolicyFitConfig:
+        """Behavior-policy estimator; ``mle`` selects from :func:`default_finite_class`."""
+        return PolicyFitConfig(
+            method=method,
+            finite_class=default_finite_class(self.env) if method == "mle" else None,
+            min_variance_margin=self.policy_margin,
+            learning_rate=self.policy_learning_rate,
+            epochs=self.policy_epochs,
+        )
 
     @staticmethod
     def from_mapping(mapping: dict[str, str]) -> "BenchConfig":
@@ -246,23 +259,6 @@ class AggregateTable:
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-
-def evaluate_miscoverage(predict_fn, test: TargetDataset) -> float:
-    """Fraction of test points whose reward falls outside the interval.
-
-    ``predict_fn`` maps a context to a :class:`PredictionInterval` (or any
-    object with closed-membership ``contains``; ``None`` counts as an empty
-    interval). Membership is closed on both ends.
-    """
-    if len(test) == 0:
-        raise ValueError("test set must be non-empty")
-    misses = 0
-    for i in range(len(test)):
-        interval = predict_fn(test.contexts[i])
-        if interval is None or not interval.contains(float(test.rewards[i])):
-            misses += 1
-    return misses / len(test)
-
 
 def _predictor_metrics(pred: CalibratedPredictor, test: TargetDataset) -> tuple[float, float]:
     lo, hi = pred.interval_batch(test.contexts)
@@ -415,44 +411,43 @@ def _figure2_trial(args) -> list[TrialReport]:
     params = config.pac_params()
 
     # Shared behavior-policy estimate (all methods run with estimated ratios).
-    w_fit, raw_var = _fit_gaussian_policy_raw(
-        d1, config.policy_learning_rate, config.policy_epochs
-    )
-    floor = pe.variance * (1.0 + config.policy_margin)
-    pbhat = GaussianLinearPolicy(w_fit[1:], float(w_fit[0]), max(raw_var, floor))
+    # The rejection-sampling methods run the stages of pacopp_unknown on the
+    # same streams, so the PAC row at config.delta is its predictor.
+    pbhat, raw_variance = estimate_behavior(d1, pe, config.policy_fit_config())
     bound = gaussian_ratio_bound(pe, pbhat, d.contexts)
     w_hat = weight_from_policies(pe, pbhat, bound)
     rs1 = rejection_sample(d1, w_hat, rng_algo)
     rs2 = rejection_sample(d2, w_hat, rng_algo)
-    violations = rs1.n_violations + rs2.n_violations
-    reports: list[TrialReport] = []
-    if len(rs1) < 2 or len(rs2) == 0:
+    pred = calibrate_split(
+        rs1, rs2, params, qcfg, rng_algo,
+        n_rs=len(rs1) + len(rs2), violations=rs1.n_violations + rs2.n_violations,
+        bound=bound, variance_clamped=raw_variance < pbhat.variance,
+    )
+    diag = pred.diagnostics
+    common = dict(
+        run=run, n=n, epsilon=eps, gamma=gamma, n_rs=diag.n_rs, m_cal=diag.m_cal,
+        tie_flag=diag.tie_flag, weight_violations=diag.weight_violations,
+    )
+    if diag.trivial:
         methods = [("PACOPP", delta) for delta in config.figure2_deltas]
         methods += [("COPP-RS", float("nan")), ("COPP", float("nan"))]
-        for method, delta in methods:
-            reports.append(TrialReport(
-                method=method, run=run, n=n, epsilon=eps, delta=delta, gamma=gamma,
-                miscoverage=0.0, mean_length=math.inf, trivial=True,
-                threshold=math.inf, n_rs=len(rs1) + len(rs2), m_cal=len(rs2),
-                k=-1, tie_flag=False, weight_violations=violations,
-            ))
-        return reports
+        return [
+            TrialReport(
+                method=method, delta=delta, miscoverage=0.0, mean_length=math.inf,
+                trivial=True, threshold=math.inf, k=-1, **common,
+            )
+            for method, delta in methods
+        ]
 
-    # Rejection-sampling methods share quantiles and calibration scores.
-    qm = fit_quantile_pair(rs1, qcfg, params, rng_algo)
-    scores_cal = ScoreList(nonconformity(qm, rs2.contexts, rs2.rewards))
-    m_cal = len(scores_cal)
-    qlo_t, qup_t = qm.quantiles(test.contexts)
+    # The other deltas and COPP-RS reuse the quantile pair and its scores.
+    scores_cal = nonconformity(pred.model, rs2.contexts, rs2.rewards)
+    qlo_t, qup_t = pred.model.quantiles(test.contexts)
     scores_test = np.maximum(qlo_t - test.rewards, test.rewards - qup_t)
     base_length = float(np.mean(qup_t - qlo_t))
-    common = dict(
-        run=run, n=n, epsilon=eps, gamma=gamma,
-        n_rs=len(rs1) + len(rs2), m_cal=m_cal,
-        tie_flag=scores_cal.has_ties, weight_violations=violations,
-    )
+    reports: list[TrialReport] = []
     for delta in config.figure2_deltas:
         threshold = pac_threshold(scores_cal, eps, delta)
-        k = binomial_quantile_k(m_cal, eps, delta)
+        k = binomial_quantile_k(diag.m_cal, eps, delta)
         trivial = math.isinf(threshold)
         coverage = float(np.mean(scores_test <= threshold))
         length = math.inf if trivial else base_length + 2.0 * threshold
@@ -470,7 +465,7 @@ def _figure2_trial(args) -> list[TrialReport]:
     ))
 
     # COPP: weighted CP on the raw calibration half, no rejection sampling.
-    rm = fit_reward_model(d1, rng_copp, config.policy_learning_rate, config.policy_epochs)
+    rm = fit_reward_model(d1, config.policy_learning_rate, config.policy_epochs)
     qm_raw = fit_quantile_pair(
         RsDataset(d1.contexts, d1.rewards, np.arange(len(d1))), qcfg, params, rng_copp
     )
@@ -613,29 +608,15 @@ def _unknown_trial(args) -> TrialReport:
     rng_algo = child_rng(master_seed, _TAG_UNKNOWN, subtag, run, 1)
     rng_test = child_rng(master_seed, _TAG_UNKNOWN, subtag, run, 2)
     d = sample_logged(config.n, rng_data, env)
-    finite_class = default_finite_class(env) if method == "mle" else None
-    pcfg = PolicyFitConfig(
-        method=method,
-        finite_class=finite_class,
-        min_variance_margin=config.policy_margin,
-        learning_rate=config.policy_learning_rate,
-        epochs=config.policy_epochs,
-    )
+    pcfg = config.policy_fit_config(method)
     pred = pacopp_unknown(d, pe, params, pcfg, config.quantile_config(), rng_algo)
     test = sample_target(config.test_points, rng_test, env)
     delta_w = float("nan")
-    if config.weight_error_mc > 0 and len(d) >= 2:
+    d1, _ = split_dataset(d, params.gamma)
+    if config.weight_error_mc > 0 and len(d1) >= 2:
         # The estimators are deterministic given the split, so refitting
         # reproduces the policy the pipeline used internally.
-        d1, _ = split_dataset(d, params.gamma)
-        if method == "mle":
-            pbhat = mle_policy(finite_class, d1)
-        else:
-            w_fit, raw_var = _fit_gaussian_policy_raw(
-                d1, config.policy_learning_rate, config.policy_epochs
-            )
-            floor = pe.variance * (1.0 + config.policy_margin)
-            pbhat = GaussianLinearPolicy(w_fit[1:], float(w_fit[0]), max(raw_var, floor))
+        pbhat, _ = estimate_behavior(d1, pe, pcfg)
         sampler = lambda m, rng: (
             math.sqrt(env.context_variance) * rng.standard_normal(m)
         ).reshape(-1, 1)

@@ -8,6 +8,12 @@ CDF is evaluated by exact incremental pmf summation in log space, never by a
 normal approximation: the coverage guarantee is exact and must not be eroded
 numerically.
 
+:func:`calibrate_split` is the calibration core of every pipeline: given the
+rejection-sampled training and calibration halves it fits the quantile pair,
+scores the calibration pairs and picks the threshold. The known-policy
+pipeline :func:`pacopp_known` lives here; the estimated-policy pipeline is
+``behavior.pacopp_unknown``.
+
 The split-conformal comparator (plain ``1 - eps`` empirical quantile with an
 appended infinity atom) lives here too, along with the inflated level it would
 need for the same training-conditional guarantee.
@@ -34,7 +40,7 @@ from .core import (
     ceil_scaled,
 )
 from .quantile import QuantilePairModel, QuantileTrainConfig, fit_quantile_pair, trivial_quantile_model
-from .rejection import gaussian_ratio_bound, rejection_sample, weight_from_policies
+from .rejection import RsDataset, gaussian_ratio_bound, rejection_sample, weight_from_policies
 
 __all__ = [
     "ScoreList",
@@ -48,6 +54,7 @@ __all__ = [
     "split_cp_inflated_level",
     "split_cp_min_calibration_size",
     "predict",
+    "calibrate_split",
     "pacopp_known",
 ]
 
@@ -341,6 +348,50 @@ def _trivial_predictor(
     return CalibratedPredictor(model, math.inf, params, diagnostics)
 
 
+def calibrate_split(
+    train_rs: RsDataset,
+    cal_rs: RsDataset,
+    params: PacParams,
+    qcfg: QuantileTrainConfig,
+    rng: np.random.Generator,
+    *,
+    n_rs: int,
+    violations: int,
+    bound: float,
+    variance_clamped: bool = False,
+) -> CalibratedPredictor:
+    """Fit the quantile pair on ``train_rs`` and calibrate its threshold on ``cal_rs``.
+
+    The calibration core shared by every pipeline: it takes the two
+    rejection-sampled halves, fits the quantile pair, scores the calibration
+    pairs, and picks the PAC threshold. A degenerate split (fewer than two
+    training pairs or no calibration pairs) yields the trivial predictor
+    instead of an error, so Monte Carlo sweeps stay total. ``rng`` is used
+    only by the quantile fit. ``n_rs``, ``violations``, ``bound`` and
+    ``variance_clamped`` describe the sampling stage and are recorded in the
+    diagnostics as given.
+    """
+    if len(train_rs) < 2 or len(cal_rs) == 0:
+        return _trivial_predictor(
+            params, train_rs.contexts.shape[1], n_rs=n_rs, m_cal=len(cal_rs),
+            violations=violations, bound=bound, variance_clamped=variance_clamped,
+        )
+    model = fit_quantile_pair(train_rs, qcfg, params, rng)
+    scores = ScoreList(nonconformity(model, cal_rs.contexts, cal_rs.rewards))
+    threshold = pac_threshold(scores, params.epsilon, params.delta)
+    diagnostics = CalibrationDiagnostics(
+        n_rs=n_rs,
+        m_cal=len(cal_rs),
+        k=binomial_quantile_k(len(cal_rs), params.epsilon, params.delta),
+        tie_flag=scores.has_ties,
+        weight_violations=violations,
+        trivial=False,
+        bound=bound,
+        variance_clamped=variance_clamped,
+    )
+    return CalibratedPredictor(model, threshold, params, diagnostics)
+
+
 def pacopp_known(
     d: LoggedDataset,
     pb: StochasticPolicy,
@@ -352,21 +403,16 @@ def pacopp_known(
     """Full pipeline with a known behavior policy.
 
     Rejection-sample the logged data with the oracle density ratio, split the
-    accepted pairs into a training prefix and calibration tail, fit the
-    quantile pair, score the calibration pairs, and pick the PAC threshold.
-    A degenerate split (fewer than two training pairs or no calibration pairs)
-    yields the trivial predictor with a diagnostics flag instead of an error,
-    so Monte Carlo sweeps stay total.
+    accepted pairs into a training prefix and calibration tail, and hand both
+    to :func:`calibrate_split`.
 
     The stream is consumed in a fixed order: acceptance variates first (one
     per sample, dataset index order), then any model initialization.
     """
     if rng is None:
         raise ValueError("an rng is required")
-    qcfg = qcfg or QuantileTrainConfig()
-    dim = d.context_dim if len(d) else 1
     if len(d) == 0:
-        return _trivial_predictor(params, dim, n_rs=0, m_cal=0, violations=0, bound=1.0)
+        return _trivial_predictor(params, 1, n_rs=0, m_cal=0, violations=0, bound=1.0)
     if not isinstance(pb, GaussianLinearPolicy) or not isinstance(pe, GaussianLinearPolicy):
         raise ValueError(
             "automatic weight bounds are available for Gaussian policies only; "
@@ -376,21 +422,8 @@ def pacopp_known(
     w = weight_from_policies(pe, pb, bound)
     rs = rejection_sample(d, w, rng)
     train, cal = rs.split(params.gamma)
-    if len(train) < 2 or len(cal) == 0:
-        return _trivial_predictor(
-            params, dim, n_rs=len(rs), m_cal=len(cal), violations=rs.n_violations, bound=bound
-        )
-    model = fit_quantile_pair(train, qcfg, params, rng)
-    scores = ScoreList(nonconformity(model, cal.contexts, cal.rewards))
-    k = binomial_quantile_k(len(cal), params.epsilon, params.delta)
-    threshold = pac_threshold(scores, params.epsilon, params.delta)
-    diagnostics = CalibrationDiagnostics(
-        n_rs=len(rs),
-        m_cal=len(cal),
-        k=k,
-        tie_flag=scores.has_ties,
-        weight_violations=rs.n_violations,
-        trivial=False,
-        bound=bound,
+    # Both halves carry the violations of the one sampling pass.
+    return calibrate_split(
+        train, cal, params, qcfg or QuantileTrainConfig(), rng,
+        n_rs=len(rs), violations=rs.n_violations, bound=bound,
     )
-    return CalibratedPredictor(model, threshold, params, diagnostics)

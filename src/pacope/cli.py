@@ -37,7 +37,7 @@ from .bench import (
     run_theorem4_convergence,
     simulate_trial,
 )
-from .behavior import PolicyFitConfig, pacopp_unknown
+from .behavior import pacopp_unknown
 from .calibrate import CalibratedPredictor, pacopp_known
 from .core import GaussianLinearPolicy, child_rng, load_csv
 
@@ -207,13 +207,9 @@ def _cmd_calibrate(args) -> int:
         pb = _parse_policy_spec(args.pb)
         predictor = pacopp_known(data, pb, pe, params, config.quantile_config(), rng)
     else:
-        pcfg = PolicyFitConfig(
-            method="gaussian",
-            min_variance_margin=config.policy_margin,
-            learning_rate=config.policy_learning_rate,
-            epochs=config.policy_epochs,
+        predictor = pacopp_unknown(
+            data, pe, params, config.policy_fit_config(), config.quantile_config(), rng
         )
-        predictor = pacopp_unknown(data, pe, params, pcfg, config.quantile_config(), rng)
     Path(args.model).write_text(predictor.dump())
     d = predictor.diagnostics
     print(f"calibrated on {len(data)} rows: accepted={d.n_rs} m={d.m_cal} "

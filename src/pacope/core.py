@@ -20,21 +20,18 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "Context",
-    "LoggedSample",
-    "TargetSample",
     "LoggedDataset",
     "TargetDataset",
     "StochasticPolicy",
     "GaussianLinearPolicy",
     "PacParams",
     "PredictionInterval",
-    "master_rng",
     "child_rng",
     "split_dataset",
     "load_csv",
@@ -60,11 +57,6 @@ def child_rng(master_seed: int, *path: int) -> np.random.Generator:
     """
     seq = np.random.SeedSequence(master_seed, spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(seq))
-
-
-def master_rng(seed: int) -> np.random.Generator:
-    """Root stream for a given 64-bit seed (equivalent to an empty path)."""
-    return child_rng(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -129,23 +121,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LoggedSample:
-    """One ``(context, action, reward)`` triple collected under the behavior policy."""
-
-    context: np.ndarray
-    action: float
-    reward: float
-
-
-@dataclass(frozen=True)
-class TargetSample:
-    """One ``(context, reward)`` pair drawn from the target-policy joint law."""
-
-    context: np.ndarray
-    reward: float
-
-
-@dataclass(frozen=True)
 class LoggedDataset:
     """Ordered logged triples; the order is the original collection order.
 
@@ -180,12 +155,6 @@ class LoggedDataset:
     def context_dim(self) -> int:
         return self.contexts.shape[1]
 
-    def __getitem__(self, i: int) -> LoggedSample:
-        return LoggedSample(self.contexts[i], float(self.actions[i]), float(self.rewards[i]))
-
-    def __iter__(self) -> Iterator[LoggedSample]:
-        return (self[i] for i in range(len(self)))
-
     def take(self, indices: np.ndarray) -> "LoggedDataset":
         """Subset by position, preserving the given index order."""
         idx = np.asarray(indices, dtype=int)
@@ -217,12 +186,6 @@ class TargetDataset:
 
     def __len__(self) -> int:
         return self.contexts.shape[0]
-
-    def __getitem__(self, i: int) -> TargetSample:
-        return TargetSample(self.contexts[i], float(self.rewards[i]))
-
-    def __iter__(self) -> Iterator[TargetSample]:
-        return (self[i] for i in range(len(self)))
 
 
 # ---------------------------------------------------------------------------

@@ -135,10 +135,6 @@ class RsDataset:
     def __len__(self) -> int:
         return self.contexts.shape[0]
 
-    @property
-    def accepted_count(self) -> int:
-        return len(self)
-
     def split(self, gamma: float) -> tuple["RsDataset", "RsDataset"]:
         """Training prefix / calibration tail split, mirroring ``split_dataset``."""
         if not 0.0 < gamma < 1.0:

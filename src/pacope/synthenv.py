@@ -82,11 +82,6 @@ class SynthEnvSpec:
             np.array([self.target_slope]), 0.0, self.target_variance
         )
 
-    def target_reward_mean(self, contexts: np.ndarray) -> np.ndarray:
-        """``E[R | s]`` under the target policy: ``s (1 + target_slope)``."""
-        ctx = _as_context_matrix(contexts)
-        return ctx[:, 0] * (1.0 + self.target_slope)
-
     def target_component_variances(self) -> tuple[float, ...]:
         """Variances of the target-conditional mixture components."""
         return tuple(self.target_variance + v for v in self.component_variances)

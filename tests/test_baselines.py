@@ -14,6 +14,7 @@ from pacope.baselines import (
     copp_weight,
     fit_reward_model,
 )
+from pacope.behavior import PolicyFitConfig, estimate_behavior
 from pacope.calibrate import nonconformity, split_cp_threshold
 from pacope.core import (
     GaussianLinearPolicy,
@@ -275,12 +276,7 @@ class TestCoppRsPredict:
             test = sample_target(10000, child_rng(seed, 1))
             rng = child_rng(seed, 2)
             d1, d2 = split_dataset(d, 0.5)
-            from pacope.behavior import _fit_gaussian_policy_raw
-
-            w_fit, raw_var = _fit_gaussian_policy_raw(d1, 0.2, 600)
-            pbhat = GaussianLinearPolicy(
-                w_fit[1:], float(w_fit[0]), max(raw_var, PE.variance * 1.05)
-            )
+            pbhat, _ = estimate_behavior(d1, PE, PolicyFitConfig())
             bound = gaussian_ratio_bound(PE, pbhat, d.contexts)
             w = weight_from_policies(PE, pbhat, bound)
             rs1 = rejection_sample(d1, w, rng)

@@ -6,9 +6,9 @@ import pytest
 from pacope.behavior import (
     FinitePolicyClass,
     PolicyFitConfig,
+    estimate_behavior,
     estimate_weight_error,
     finite_policy_class,
-    fit_gaussian_policy,
     mle_policy,
     pacopp_unknown,
 )
@@ -74,30 +74,54 @@ class TestMlePolicy:
 class TestFitGaussianPolicy:
     def test_recovers_behavior_policy(self):
         d = sample_logged(5000, child_rng(88, 0))
-        policy = fit_gaussian_policy(d, 0.05, PE.variance)
+        policy, raw_variance = estimate_behavior(d, PE, PolicyFitConfig())
         # Oracle: closed-form least squares plus residual variance.
         x1 = np.hstack([np.ones((len(d), 1)), d.contexts])
         w_ols, *_ = np.linalg.lstsq(x1, d.actions, rcond=None)
         resid_var = float(np.mean((d.actions - x1 @ w_ols) ** 2))
         assert policy.slope[0] == pytest.approx(w_ols[1], abs=1e-3)
         assert policy.variance == pytest.approx(resid_var, abs=1e-2)
+        assert raw_variance == policy.variance
         assert abs(policy.slope[0] - 0.25) < 0.03
         assert abs(policy.variance - 4.0) < 0.3
 
     def test_variance_clamp_on_constant_actions(self):
         contexts = np.linspace(-1, 1, 50).reshape(-1, 1)
         d = LoggedDataset(contexts, np.zeros(50), np.zeros(50))
-        policy = fit_gaussian_policy(d, 0.05, target_variance=1.0)
-        assert policy.variance == pytest.approx(1.05)
+        policy, raw_variance = estimate_behavior(d, PE, PolicyFitConfig())
+        assert policy.variance == pytest.approx(1.05 * PE.variance)
+        assert raw_variance < policy.variance
 
     def test_two_samples_fit(self):
         d = LoggedDataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), np.zeros(2))
-        fit_gaussian_policy(d, 0.05, 0.5)
+        estimate_behavior(d, PE, PolicyFitConfig())
 
     def test_too_small(self):
         d = LoggedDataset(np.array([[0.0]]), np.array([0.0]), np.array([0.0]))
         with pytest.raises(ValueError):
-            fit_gaussian_policy(d, 0.05, 1.0)
+            estimate_behavior(d, PE, PolicyFitConfig())
+
+
+class TestEstimateBehavior:
+    def test_mle_and_fixed_are_returned_unclamped(self):
+        # A member below the clamp floor comes back as is, and its own
+        # variance is the raw variance, so no clamp is reported.
+        narrow = GaussianLinearPolicy(np.array([0.25]), 0.0, 0.5 * PE.variance)
+        d = sample_logged(50, child_rng(5))
+        for pcfg in (
+            PolicyFitConfig(method="mle", finite_class=FinitePolicyClass((narrow,), 2.0)),
+            PolicyFitConfig(method="fixed", fixed_policy=narrow),
+        ):
+            policy, raw_variance = estimate_behavior(d, PE, pcfg)
+            assert policy is narrow
+            assert raw_variance == policy.variance
+
+    def test_non_gaussian_estimate_rejected(self):
+        from pacope.core import StochasticPolicy
+
+        pcfg = PolicyFitConfig(method="fixed", fixed_policy=StochasticPolicy())
+        with pytest.raises(ValueError, match="Gaussian"):
+            estimate_behavior(sample_logged(10, child_rng(6)), PE, pcfg)
 
 
 class TestFinitePolicyClass:
@@ -209,6 +233,8 @@ class TestPacoppUnknown:
             PolicyFitConfig(method="fixed")
         with pytest.raises(ValueError):
             PolicyFitConfig(method="nn")
+        with pytest.raises(ValueError):
+            PolicyFitConfig(min_variance_margin=-0.01)
 
 
 class TestTheorem5Frequency:

@@ -4,22 +4,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pacope.behavior import pacopp_unknown
 from pacope.bench import (
     BenchConfig,
     TrialReport,
     check_theorem_bounds,
-    evaluate_miscoverage,
     figure1_trials_table,
     run_figure1,
     run_figure2,
     run_theorem4_convergence,
     run_unknown_sweep,
     simulate_trial,
+    _TAG_FIGURE2,
     _symdiff_finite,
 )
 from pacope.core import PredictionInterval, child_rng
 from pacope.synthenv import (
     oracle_quantiles,
+    sample_logged,
     sample_target,
     symmetric_difference_measure,
 )
@@ -42,24 +44,12 @@ SMALL = BenchConfig(
 
 
 class TestEvaluateMiscoverage:
-    def test_all_covering_predictor(self):
-        test = sample_target(200, child_rng(1))
-        assert evaluate_miscoverage(lambda s: PredictionInterval.whole_line(), test) == 0.0
-
-    def test_empty_interval_predictor(self):
-        test = sample_target(200, child_rng(1))
-        assert evaluate_miscoverage(lambda s: None, test) == 1.0
-
     def test_oracle_interval_hits_nominal_rate(self):
         test = sample_target(100000, child_rng(2))
         lo = oracle_quantiles(test.contexts, 0.1)
         up = oracle_quantiles(test.contexts, 0.9)
         miss = float(np.mean((test.rewards < lo) | (test.rewards > up)))
         assert abs(miss - 0.2) < 0.012
-
-    def test_empty_test_set_errors(self):
-        with pytest.raises(ValueError):
-            evaluate_miscoverage(lambda s: PredictionInterval.whole_line(), sample_target(0, child_rng(0)))
 
 
 class TestFigure1:
@@ -111,6 +101,28 @@ class TestFigure2:
         methods = {row[0] for row in a.rows}
         assert methods == {"PACOPP", "COPP-RS", "COPP"}
         assert len(a.rows) == 3 * 6
+
+    def test_pac_rows_match_pacopp_unknown(self):
+        # Figure 2 and pacopp_unknown run one path: the PAC row at
+        # config.delta is the pipeline's predictor on that run's streams.
+        cfg = replace(SMALL, runs=2)
+        table = run_figure2(cfg, 7)
+        for run in range(cfg.runs):
+            d = sample_logged(cfg.n, child_rng(7, _TAG_FIGURE2, run, 0), cfg.env)
+            pred = pacopp_unknown(
+                d, cfg.env.target_policy(), cfg.pac_params(), cfg.policy_fit_config(),
+                cfg.quantile_config(), child_rng(7, _TAG_FIGURE2, run, 2),
+            )
+            (row,) = [
+                t for t in table.trials
+                if t.run == run and t.method == "PACOPP" and t.delta == cfg.delta
+            ]
+            diag = pred.diagnostics
+            assert not diag.trivial
+            assert row.threshold == pred.threshold
+            assert (row.k, row.m_cal, row.n_rs, row.weight_violations) == (
+                diag.k, diag.m_cal, diag.n_rs, diag.weight_violations
+            )
 
     def test_threshold_monotone_in_delta_per_run(self):
         table = run_figure2(replace(SMALL, runs=4), 7)

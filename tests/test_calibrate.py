@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from pacope.calibrate import (
@@ -10,6 +12,7 @@ from pacope.calibrate import (
     CalibrationDiagnostics,
     ScoreList,
     binomial_quantile_k,
+    calibrate_split,
     nonconformity,
     pac_threshold,
     pac_threshold_argmin_oracle,
@@ -21,6 +24,7 @@ from pacope.calibrate import (
 )
 from pacope.core import PacParams, PredictionInterval, child_rng
 from pacope.quantile import QuantilePairModel, QuantileTrainConfig
+from pacope.rejection import RsDataset
 from pacope.synthenv import DEFAULT_ENV, sample_logged, sample_target
 
 PARAMS = PacParams(0.2, 0.1, 0.5)
@@ -255,6 +259,47 @@ class TestScoreList:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             ScoreList(np.array([1.0, math.nan]))
+
+
+def _random_rs(rng, n, dim, ties):
+    contexts = rng.standard_normal((n, dim))
+    rewards = contexts.sum(axis=1) + 2.0 * rng.standard_normal(n)
+    if ties:
+        rewards = np.round(rewards)
+    return RsDataset(contexts, rewards, np.arange(n))
+
+
+class TestCalibrateSplitProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_train=st.integers(0, 60),
+        m_cal=st.integers(0, 500),
+        dim=st.integers(1, 2),
+        ties=st.booleans(),
+        epsilon=st.floats(0.02, 0.5),
+        delta=st.floats(0.01, 0.5),
+        violations=st.integers(0, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_oracles(self, n_train, m_cal, dim, ties, epsilon, delta, violations, seed):
+        rng = np.random.default_rng(seed)
+        train = _random_rs(rng, n_train, dim, ties)
+        cal = _random_rs(rng, m_cal, dim, ties)
+        params = PacParams(epsilon, delta)
+        pred = calibrate_split(
+            train, cal, params, QuantileTrainConfig(), child_rng(seed),
+            n_rs=n_train + m_cal, violations=violations, bound=2.0,
+        )
+        diag = pred.diagnostics
+        assert diag.weight_violations == violations
+        assert diag.m_cal == m_cal
+        assert diag.trivial == (n_train < 2 or m_cal == 0)
+        assert math.isinf(pred.threshold) == (diag.k == -1 or m_cal == 0)
+        if not diag.trivial:
+            scores = nonconformity(pred.model, cal.contexts, cal.rewards)
+            assert pred.threshold == pac_threshold_argmin_oracle(scores, epsilon, delta)
+            assert diag.k == binomial_quantile_k(m_cal, epsilon, delta)
+            assert diag.tie_flag == (np.unique(scores).size < m_cal)
 
 
 class TestPacoppKnown:
