@@ -118,14 +118,17 @@ def mle_policy(pclass: FinitePolicyClass, d1: LoggedDataset) -> StochasticPolicy
 
 @dataclass(frozen=True)
 class WeightErrorReport:
-    """Monte Carlo estimate of the mean absolute weight-estimation error."""
+    """Monte Carlo estimate of the mean absolute weight-estimation error.
+
+    ``delta_w_hat`` is ``inf`` when an estimated ratio exceeds the float range.
+    """
 
     delta_w_hat: float
     mc_samples: int
 
     def __post_init__(self) -> None:
-        if self.delta_w_hat < 0 or not math.isfinite(self.delta_w_hat):
-            raise ValueError("delta_w_hat must be finite and nonnegative")
+        if not self.delta_w_hat >= 0:
+            raise ValueError("delta_w_hat must be nonnegative")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
 
@@ -151,8 +154,9 @@ def estimate_weight_error(
     den_true = pb_true.density(contexts, actions)
     den_hat = pbhat.density(contexts, actions)
     num = pe.density(contexts, actions)
-    w = np.where(den_true > 0, num / np.where(den_true > 0, den_true, 1.0), 0.0)
-    w_hat = np.where(den_hat > 0, num / np.where(den_hat > 0, den_hat, 1.0), 0.0)
+    with np.errstate(over="ignore"):
+        w = np.where(den_true > 0, num / np.where(den_true > 0, den_true, 1.0), 0.0)
+        w_hat = np.where(den_hat > 0, num / np.where(den_hat > 0, den_hat, 1.0), 0.0)
     return WeightErrorReport(float(np.mean(np.abs(w_hat - w))), mc)
 
 
@@ -225,8 +229,10 @@ def pacopp_unknown(
     The logged data is split *before* rejection sampling: the estimator
     (:func:`estimate_behavior`) sees only the training half, and both halves
     are then rejection-sampled with the estimated ratio and handed to
-    :func:`calibrate.calibrate_split`. An empty dataset, or a training half
-    too small for the Gaussian fit, gives the trivial predictor.
+    :func:`calibrate.calibrate_split`. An empty dataset, a training half too
+    small for the Gaussian fit, or an estimate whose ratio bound overflows to
+    ``inf`` (every acceptance probability is then 0) gives the trivial
+    predictor of the data's context dimension.
 
     Stream consumption order: policy fit (none for the deterministic
     estimators), acceptance variates for the training half, acceptance
@@ -237,10 +243,17 @@ def pacopp_unknown(
     pcfg = pcfg or PolicyFitConfig()
     d1, d2 = split_dataset(d, params.gamma)
     if len(d) == 0 or (pcfg.method == "gaussian" and len(d1) < 2):
-        dim = d.context_dim if len(d) else 1
-        return _trivial_predictor(params, dim, n_rs=0, m_cal=0, violations=0, bound=1.0)
+        return _trivial_predictor(
+            params, d.context_dim, n_rs=0, m_cal=0, violations=0, bound=1.0
+        )
     pbhat, raw_variance = estimate_behavior(d1, pe, pcfg)
     bound = gaussian_ratio_bound(pe, pbhat, d.contexts)
+    if not math.isfinite(bound):
+        # Every acceptance probability w / B is 0, so nothing is accepted.
+        return _trivial_predictor(
+            params, d.context_dim, n_rs=0, m_cal=0, violations=0, bound=bound,
+            variance_clamped=raw_variance < pbhat.variance,
+        )
     w_hat = weight_from_policies(pe, pbhat, bound)
     rs1 = rejection_sample(d1, w_hat, rng)
     rs2 = rejection_sample(d2, w_hat, rng)

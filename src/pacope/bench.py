@@ -7,9 +7,12 @@ serial/parallel execution; workers share nothing mutable and the result table
 is assembled in trial-index order regardless of completion order.
 
 Trials call the library pipelines and add no statistics of their own: known
-and unknown trials run ``pacopp_known`` and ``pacopp_unknown``, and the PAC
+and unknown trials run ``pacopp_known`` and ``pacopp_unknown``, the PAC
 and COPP-RS rows of figure 2 come from ``behavior.estimate_behavior`` and
-``calibrate.calibrate_split`` on the same streams ``pacopp_unknown`` uses.
+``calibrate.calibrate_split`` on the same streams ``pacopp_unknown`` uses,
+and its COPP row from the public COPP API of ``baselines``: one calibration,
+the test-set weights and thresholds, and one batched hull sweep over the
+``length_subsample`` first test contexts.
 
 Desk-scale defaults (500 runs, 10,000 test points) replace the full-scale run
 counts of the original experiments; every asserted frequency carries a
@@ -26,9 +29,10 @@ import numpy as np
 
 from .baselines import (
     CoppConfig,
-    _copp_hull,
-    _copp_weights_batch,
-    _weighted_quantile_thresholds,
+    copp_calibrate,
+    copp_hull_batch,
+    copp_thresholds,
+    copp_weights,
     fit_reward_model,
 )
 from .behavior import (
@@ -200,7 +204,13 @@ def _parse_value(raw: str, type_name: str):
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Per-run record: empirical miscoverage, interval length, diagnostics."""
+    """Per-run record: empirical miscoverage, interval length, diagnostics.
+
+    ``weight_violations`` counts density ratios above the rejection-sampling
+    bound; COPP does not rejection-sample, so it is 0 on COPP rows. Those rows
+    put into ``zero_denominators`` the COPP weight estimates whose Monte
+    Carlo denominator underflowed: calibration, test and hull-grid weights.
+    """
 
     method: str
     run: int
@@ -218,6 +228,7 @@ class TrialReport:
     tie_flag: bool
     weight_violations: int
     delta_w_hat: float = float("nan")
+    zero_denominators: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.miscoverage <= 1.0:
@@ -434,7 +445,8 @@ def _figure2_trial(args) -> list[TrialReport]:
         return [
             TrialReport(
                 method=method, delta=delta, miscoverage=0.0, mean_length=math.inf,
-                trivial=True, threshold=math.inf, k=-1, **common,
+                trivial=True, threshold=math.inf, k=-1,
+                **(dict(common, weight_violations=0) if method == "COPP" else common),
             )
             for method, delta in methods
         ]
@@ -469,35 +481,23 @@ def _figure2_trial(args) -> list[TrialReport]:
     qm_raw = fit_quantile_pair(
         RsDataset(d1.contexts, d1.rewards, np.arange(len(d1))), qcfg, params, rng_copp
     )
-    h = config.copp_mc_samples
-    cal_scores = np.asarray(nonconformity(qm_raw, d2.contexts, d2.rewards))
-    cal_weights, zeros_cal = _copp_weights_batch(
-        rm, pbhat, pe, d2.contexts, d2.rewards, h, rng_copp
+    calib = copp_calibrate(d2, qm_raw, rm, pbhat, pe, config.copp_config(), rng_copp)
+    test_weights, zeros_test = copp_weights(
+        rm, pbhat, pe, test.contexts, test.rewards, config.copp_mc_samples, rng_copp
     )
-    test_weights, zeros_test = _copp_weights_batch(
-        rm, pbhat, pe, test.contexts, test.rewards, h, rng_copp
-    )
-    thresholds = _weighted_quantile_thresholds(
-        cal_scores, cal_weights, test_weights, 1.0 - eps
-    )
+    thresholds = copp_thresholds(calib, test_weights, 1.0 - eps)
     qlo_r, qup_r = qm_raw.quantiles(test.contexts)
     scores_test_raw = np.maximum(qlo_r - test.rewards, test.rewards - qup_r)
     coverage = float(np.mean(scores_test_raw <= thresholds))
-    copp_cfg = config.copp_config()
-    r_min, r_max = float(np.min(d2.rewards)), float(np.max(d2.rewards))
-    n_hull = min(config.length_subsample, len(test))
-    lengths = np.empty(n_hull)
-    for j in range(n_hull):
-        hull = _copp_hull(
-            cal_scores, cal_weights, qm_raw, rm, pbhat, pe,
-            test.contexts[j], eps, copp_cfg, rng_copp, r_min, r_max,
-        )
-        lengths[j] = hull.length()
+    hulls = copp_hull_batch(calib, test.contexts[:config.length_subsample], eps, rng_copp)
     reports.append(TrialReport(
         method="COPP", run=run, n=n, epsilon=eps, delta=float("nan"), gamma=gamma,
-        miscoverage=1.0 - coverage, mean_length=float(np.mean(lengths)),
+        miscoverage=1.0 - coverage, mean_length=float(np.mean(hulls.lengths())),
         trivial=False, threshold=float("nan"), n_rs=0, m_cal=len(d2), k=-1,
-        tie_flag=False, weight_violations=zeros_cal + zeros_test,
+        tie_flag=False, weight_violations=0,
+        zero_denominators=(
+            calib.zero_denominator_count + zeros_test + hulls.zero_denominator_count
+        ),
     ))
     return reports
 

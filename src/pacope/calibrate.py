@@ -412,7 +412,9 @@ def pacopp_known(
     if rng is None:
         raise ValueError("an rng is required")
     if len(d) == 0:
-        return _trivial_predictor(params, 1, n_rs=0, m_cal=0, violations=0, bound=1.0)
+        return _trivial_predictor(
+            params, d.context_dim, n_rs=0, m_cal=0, violations=0, bound=1.0
+        )
     if not isinstance(pb, GaussianLinearPolicy) or not isinstance(pe, GaussianLinearPolicy):
         raise ValueError(
             "automatic weight bounds are available for Gaussian policies only; "

@@ -82,6 +82,8 @@ def gaussian_ratio_bound(
 
     Raises ``ValueError`` when ``v_e >= v_b``, unless the policies are
     identical (in which case the ratio is identically one and ``B = 1``).
+    Returns ``inf``, without an overflow warning, when the supremum exceeds
+    the float range (as for a wild policy estimate from a handful of samples).
     """
     probe = _as_context_matrix(context_probe)
     if probe.shape[0] == 0:
@@ -97,9 +99,10 @@ def gaussian_ratio_bound(
             "behavior policy variance"
         )
     gap = pb.variance - pe.variance
-    per_context = math.sqrt(pb.variance / pe.variance) * np.exp(
-        (mu_e - mu_b) ** 2 / (2.0 * gap)
-    )
+    with np.errstate(over="ignore"):
+        per_context = math.sqrt(pb.variance / pe.variance) * np.exp(
+            (mu_e - mu_b) ** 2 / (2.0 * gap)
+        )
     bound = float(np.max(per_context))
     if not means_coincide:
         bound *= 1.1

@@ -1,10 +1,12 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pacope.behavior import pacopp_unknown
+from pacope import bench
 from pacope.bench import (
     BenchConfig,
     TrialReport,
@@ -16,6 +18,7 @@ from pacope.bench import (
     run_unknown_sweep,
     simulate_trial,
     _TAG_FIGURE2,
+    _TAG_UNKNOWN,
     _symdiff_finite,
 )
 from pacope.core import PredictionInterval, child_rng
@@ -124,6 +127,23 @@ class TestFigure2:
                 diag.k, diag.m_cal, diag.n_rs, diag.weight_violations
             )
 
+    def test_copp_rows_report_zero_denominators_in_own_field(self, monkeypatch):
+        # Calibration, test and hull-grid zero denominators all reach the
+        # COPP row's zero_denominators; weight_violations stays the
+        # rejection-sampling count, which COPP does not have.
+        calibrate, weights, hull = bench.copp_calibrate, bench.copp_weights, bench.copp_hull_batch
+        monkeypatch.setattr(bench, "copp_calibrate", lambda *a: replace(
+            calibrate(*a), zero_denominator_count=100))
+        monkeypatch.setattr(bench, "copp_weights", lambda *a: (weights(*a)[0], 20))
+        monkeypatch.setattr(bench, "copp_hull_batch", lambda *a: replace(
+            hull(*a), zero_denominator_count=3))
+        table = run_figure2(replace(SMALL, runs=2), 7)
+        for t in table.trials:
+            if t.method == "COPP":
+                assert (t.weight_violations, t.zero_denominators) == (0, 123)
+            else:
+                assert t.zero_denominators == 0
+
     def test_threshold_monotone_in_delta_per_run(self):
         table = run_figure2(replace(SMALL, runs=4), 7)
         by_run: dict[int, dict[float, float]] = {}
@@ -199,6 +219,25 @@ class TestUnknownSweep:
     def test_method_validation(self):
         with pytest.raises(ValueError):
             run_unknown_sweep(SMALL, 17, method="nn")
+
+    def test_overflowing_ratio_bound_gives_trivial_rows(self):
+        # Two training samples give wild Gaussian fits; on runs 1 and 2 the
+        # ratio bound overflows to inf, so nothing can be accepted.
+        cfg = BenchConfig(n=4, runs=6, weight_error_mc=2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = run_unknown_sweep(cfg, 11, "gaussian")
+        assert len(table.trials) == 6
+        assert all(t.trivial and t.n_rs == 0 for t in table.trials)
+        bounds = [
+            pacopp_unknown(
+                sample_logged(cfg.n, child_rng(11, _TAG_UNKNOWN, 0, run, 0), cfg.env),
+                cfg.env.target_policy(), cfg.pac_params(), cfg.policy_fit_config(),
+                cfg.quantile_config(), child_rng(11, _TAG_UNKNOWN, 0, run, 1),
+            ).diagnostics.bound
+            for run in range(cfg.runs)
+        ]
+        assert [math.isinf(b) for b in bounds].count(True) == 2
 
 
 class TestSimulate:

@@ -101,6 +101,21 @@ def test_calibrate_estimates_behavior_policy_when_omitted(tmp_path, fast_config,
     assert "calibrated" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("known", [False, True])
+def test_calibrate_header_only_csv_keeps_context_dimension(tmp_path, capsys, known):
+    csv_path = tmp_path / "empty.csv"
+    csv_path.write_text("s1,s2,a,r\n")
+    model_path = tmp_path / "predictor.txt"
+    argv = ["calibrate", "--data", str(csv_path),
+            "--pe", "gaussian:slope=0.25,intercept=0,variance=1", "--model", str(model_path)]
+    if known:
+        argv += ["--pb", "gaussian:slope=0.25,intercept=0,variance=4"]
+    assert cli(argv) == 0
+    capsys.readouterr()
+    assert cli(["predict", "--model", str(model_path), "--s", "0.5 0.7"]) == 0
+    assert capsys.readouterr().out.strip() == "(-inf, inf)"
+
+
 def test_predict_prints_interval(tmp_path, capsys):
     data = sample_logged(600, child_rng(23))
     from pacope.calibrate import pacopp_known
