@@ -101,19 +101,19 @@ class RewardModelGaussian:
         return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
 
 
-def fit_reward_model(
-    train: LoggedDataset, learning_rate: float = 0.2, epochs: int = 600
-) -> RewardModelGaussian:
-    """Fit the affine-mean constant-sigma Gaussian model by NLL descent.
+def fit_reward_model(train: LoggedDataset) -> RewardModelGaussian:
+    """Exact MLE of the affine-mean constant-sigma Gaussian reward model.
 
-    The fitted sigma is floored at 1e-3 so degenerate (noiseless) data cannot
-    produce a zero-width density. The zero-initialized fit is deterministic.
+    The mean coefficients are the least-squares fit on ``(1, s, a)``
+    (minimum-norm for a rank-deficient design) and sigma is the root mean
+    squared residual, floored at 1e-3 so degenerate (noiseless) data cannot
+    produce a zero-width density.
     """
     if len(train) < 2:
         raise ValueError("insufficient training data: need at least 2 samples")
     x1 = np.hstack([np.ones((len(train), 1)), train.contexts, train.actions.reshape(-1, 1)])
-    w, sigma = fit_gaussian_affine(x1, train.rewards, learning_rate, epochs)
-    return RewardModelGaussian(w, max(sigma, _SIGMA_FLOOR))
+    w, variance = fit_gaussian_affine(x1, train.rewards)
+    return RewardModelGaussian(w, max(math.sqrt(variance), _SIGMA_FLOOR))
 
 
 @dataclass(frozen=True)

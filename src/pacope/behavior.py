@@ -164,17 +164,17 @@ def estimate_weight_error(
 class PolicyFitConfig:
     """How the unknown behavior policy is estimated.
 
-    ``method`` is ``"gaussian"`` (parametric MLE fit), ``"mle"`` (selection
-    from ``finite_class``), or ``"fixed"`` (use ``fixed_policy`` as given,
-    mainly for tests and oracle comparisons).
+    ``method`` is ``"gaussian"`` (the exact affine-mean Gaussian MLE: least
+    squares and the mean squared residual), ``"mle"`` (selection from
+    ``finite_class``), or ``"fixed"`` (use ``fixed_policy`` as given, mainly
+    for tests and oracle comparisons). ``min_variance_margin`` sets the
+    variance clamp of the ``gaussian`` fit (see :func:`estimate_behavior`).
     """
 
     method: str = "gaussian"
     finite_class: FinitePolicyClass | None = None
     fixed_policy: StochasticPolicy | None = None
     min_variance_margin: float = 0.05
-    learning_rate: float = 0.2
-    epochs: int = 600
 
     def __post_init__(self) -> None:
         if self.method not in ("gaussian", "mle", "fixed"):
@@ -193,7 +193,9 @@ def estimate_behavior(
     """Fit or select the behavior policy on the training half ``d1``.
 
     Returns ``(policy, raw_variance)``. The ``gaussian`` method is the
-    affine-mean constant-variance Gaussian MLE; its variance is clamped to at
+    affine-mean constant-variance Gaussian MLE, computed exactly (least-squares
+    mean, minimum-norm when all contexts are equal, and the mean squared
+    residual as variance); its variance is clamped to at
     least ``pe.variance * (1 + min_variance_margin)``, because the
     rejection-sampling weight is bounded only when the estimated behavior
     variance exceeds the target's. ``raw_variance`` is the variance before the
@@ -206,8 +208,7 @@ def estimate_behavior(
         if len(d1) < 2:
             raise ValueError("insufficient data: need at least 2 samples")
         x1 = np.hstack([np.ones((len(d1), 1)), d1.contexts])
-        w, sigma = fit_gaussian_affine(x1, d1.actions, pcfg.learning_rate, pcfg.epochs)
-        raw_variance = sigma * sigma
+        w, raw_variance = fit_gaussian_affine(x1, d1.actions)
         floor = pe.variance * (1.0 + pcfg.min_variance_margin)
         return GaussianLinearPolicy(w[1:], float(w[0]), max(raw_variance, floor)), raw_variance
     policy = mle_policy(pcfg.finite_class, d1) if pcfg.method == "mle" else pcfg.fixed_policy

@@ -45,6 +45,7 @@ from .behavior import (
 )
 from .calibrate import (
     CalibratedPredictor,
+    _trivial_predictor,
     binomial_quantile_k,
     calibrate_split,
     nonconformity,
@@ -97,7 +98,11 @@ THEOREM4_HEADER = ("n", "runs", "contexts", "n_trivial", "median_measure")
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Knobs for all sweeps; field names double as config-file keys."""
+    """Knobs for all sweeps; field names double as config-file keys.
+
+    ``policy_epochs`` is accepted and ignored: the behavior-policy and COPP
+    reward fits are exact, with no epochs to set.
+    """
 
     n: int = 2000
     runs: int = 500
@@ -121,7 +126,6 @@ class BenchConfig:
     theorem4_runs: int = 40
     theorem4_contexts: int = 250
     policy_margin: float = 0.05
-    policy_learning_rate: float = 0.2
     policy_epochs: int = 600
     weight_error_mc: int = 0
     n_jobs: int = 1
@@ -158,8 +162,6 @@ class BenchConfig:
             method=method,
             finite_class=default_finite_class(self.env) if method == "mle" else None,
             min_variance_margin=self.policy_margin,
-            learning_rate=self.policy_learning_rate,
-            epochs=self.policy_epochs,
         )
 
     @staticmethod
@@ -423,17 +425,25 @@ def _figure2_trial(args) -> list[TrialReport]:
 
     # Shared behavior-policy estimate (all methods run with estimated ratios).
     # The rejection-sampling methods run the stages of pacopp_unknown on the
-    # same streams, so the PAC row at config.delta is its predictor.
+    # same streams, so the PAC row at config.delta is its predictor, trivial
+    # when the estimated ratio bound overflows (nothing can be accepted).
     pbhat, raw_variance = estimate_behavior(d1, pe, config.policy_fit_config())
     bound = gaussian_ratio_bound(pe, pbhat, d.contexts)
-    w_hat = weight_from_policies(pe, pbhat, bound)
-    rs1 = rejection_sample(d1, w_hat, rng_algo)
-    rs2 = rejection_sample(d2, w_hat, rng_algo)
-    pred = calibrate_split(
-        rs1, rs2, params, qcfg, rng_algo,
-        n_rs=len(rs1) + len(rs2), violations=rs1.n_violations + rs2.n_violations,
-        bound=bound, variance_clamped=raw_variance < pbhat.variance,
-    )
+    clamped = raw_variance < pbhat.variance
+    if math.isfinite(bound):
+        w_hat = weight_from_policies(pe, pbhat, bound)
+        rs1 = rejection_sample(d1, w_hat, rng_algo)
+        rs2 = rejection_sample(d2, w_hat, rng_algo)
+        pred = calibrate_split(
+            rs1, rs2, params, qcfg, rng_algo,
+            n_rs=len(rs1) + len(rs2), violations=rs1.n_violations + rs2.n_violations,
+            bound=bound, variance_clamped=clamped,
+        )
+    else:
+        pred = _trivial_predictor(
+            params, d.context_dim, n_rs=0, m_cal=0, violations=0, bound=bound,
+            variance_clamped=clamped,
+        )
     diag = pred.diagnostics
     common = dict(
         run=run, n=n, epsilon=eps, gamma=gamma, n_rs=diag.n_rs, m_cal=diag.m_cal,
@@ -477,7 +487,7 @@ def _figure2_trial(args) -> list[TrialReport]:
     ))
 
     # COPP: weighted CP on the raw calibration half, no rejection sampling.
-    rm = fit_reward_model(d1, config.policy_learning_rate, config.policy_epochs)
+    rm = fit_reward_model(d1)
     qm_raw = fit_quantile_pair(
         RsDataset(d1.contexts, d1.rewards, np.arange(len(d1))), qcfg, params, rng_copp
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -351,25 +352,53 @@ def _context_header(dim: int) -> list[str]:
 def load_csv(path: str) -> LoggedDataset:
     """Read a logged dataset from a ``s,a,r`` (or ``s1..sd,a,r``) CSV file.
 
-    Row order becomes dataset order. A malformed or non-finite row raises a
-    ``ValueError`` naming the 1-based line number (the header is line 1).
+    Row order becomes dataset order; blank lines are skipped. A malformed or
+    non-finite row raises a ``ValueError`` naming its 1-based line number (the
+    header is line 1; a record whose quoted field spans lines counts as one).
+
+    The body is parsed in one vectorized ``np.loadtxt`` call. When that call
+    fails, gives the wrong column count or a non-finite value, the file is
+    read again row by row with ``float()``, which either raises the
+    line-numbered error or accepts a spelling ``loadtxt`` does not (such as
+    ``1_0``). Both parses give the same bits for a value they both accept.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        if len(header) < 3 or header[-2:] != ["a", "r"]:
-            raise ValueError(f"{path}: header must be s,a,r or s1..sd,a,r, got {header!r}")
-        dim = len(header) - 2
-        if header[:dim] != _context_header(dim):
-            raise ValueError(f"{path}: header must be s,a,r or s1..sd,a,r, got {header!r}")
-        contexts: list[list[float]] = []
-        actions: list[float] = []
-        rewards: list[float] = []
-        for lineno, row in enumerate(reader, start=2):
+        dim = _read_header(path, fh)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                body = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+            except ValueError:
+                body = None
+    if body is None or body.shape[1] != dim + 2 or not np.all(np.isfinite(body)):
+        body = _load_csv_rows(path)
+    if body.shape[0] == 0:
+        return LoggedDataset.empty(dim)
+    return LoggedDataset(body[:, :dim], body[:, dim], body[:, dim + 1])
+
+
+def _read_header(path: str, fh) -> int:
+    """Consume and check the header record; returns the context dimension."""
+    try:
+        header = next(csv.reader(fh))
+    except StopIteration:
+        raise ValueError(f"{path}: empty file, expected a header row") from None
+    header = [h.strip() for h in header]
+    if len(header) < 3 or header[-2:] != ["a", "r"]:
+        raise ValueError(f"{path}: header must be s,a,r or s1..sd,a,r, got {header!r}")
+    dim = len(header) - 2
+    if header[:dim] != _context_header(dim):
+        raise ValueError(f"{path}: header must be s,a,r or s1..sd,a,r, got {header!r}")
+    return dim
+
+
+def _load_csv_rows(path: str) -> np.ndarray:
+    """Row-by-row parse of the body with ``float()``: the reference semantics
+    of :func:`load_csv`, and its error messages. Returns an ``(n, d + 2)`` array."""
+    with open(path, newline="") as fh:
+        dim = _read_header(path, fh)
+        rows: list[list[float]] = []
+        for lineno, row in enumerate(csv.reader(fh), start=2):
             if not row:
                 continue
             if len(row) != dim + 2:
@@ -380,12 +409,8 @@ def load_csv(path: str) -> LoggedDataset:
                 raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"{path}: line {lineno}: non-finite value")
-            contexts.append(values[:dim])
-            actions.append(values[dim])
-            rewards.append(values[dim + 1])
-    if not contexts:
-        return LoggedDataset.empty(dim)
-    return LoggedDataset(np.array(contexts), np.array(actions), np.array(rewards))
+            rows.append(values)
+    return np.array(rows).reshape(-1, dim + 2)
 
 
 def save_csv(d: LoggedDataset, path: str) -> None:

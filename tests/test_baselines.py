@@ -251,7 +251,7 @@ class TestFitRewardModel:
         contexts = rng.normal(size=(200, 1))
         actions = rng.normal(size=200)
         rewards = 1.5 + 2.0 * contexts[:, 0] - 0.5 * actions
-        rm = fit_reward_model(LoggedDataset(contexts, actions, rewards), epochs=5000)
+        rm = fit_reward_model(LoggedDataset(contexts, actions, rewards))
         assert np.max(np.abs(rm.coef - np.array([1.5, 2.0, -0.5]))) < 1e-3
         assert rm.sigma == pytest.approx(1e-3, rel=0.2)
 
@@ -265,6 +265,43 @@ class TestFitRewardModel:
         d = LoggedDataset(np.zeros((1, 1)), np.zeros(1), np.zeros(1))
         with pytest.raises(ValueError):
             fit_reward_model(d)
+
+    def test_normal_equations_and_residual_variance(self):
+        d = sample_logged(1000, child_rng(98, 0))
+        rm = fit_reward_model(d)
+        x1 = np.hstack([np.ones((len(d), 1)), d.contexts, d.actions.reshape(-1, 1)])
+        resid = d.rewards - x1 @ rm.coef
+        assert np.linalg.norm(x1.T @ resid) <= (
+            1e-9 * np.linalg.norm(x1) * np.linalg.norm(d.rewards)
+        )
+        assert rm.sigma**2 == pytest.approx(float(np.mean(resid * resid)), rel=1e-15)
+
+    def test_min_norm_weights_for_equal_inputs(self):
+        # Context 1 and action 2 everywhere: only c0 + c1 + 2 c2 is
+        # determined, and the minimum-norm coefficients lie along (1, 1, 2).
+        rewards = np.array([1.0, 3.0, -2.0, 6.0, 0.5])
+        rm = fit_reward_model(LoggedDataset(np.ones((5, 1)), np.full(5, 2.0), rewards))
+        assert np.allclose(rm.coef, rewards.mean() / 6.0 * np.array([1.0, 1.0, 2.0]),
+                           rtol=1e-12, atol=0.0)
+        assert rm.sigma == pytest.approx(np.std(rewards), rel=1e-12)
+
+    def test_two_samples_hit_sigma_floor(self):
+        # Three coefficients and two samples: the fit is exact, sigma floors.
+        d = LoggedDataset(np.array([[0.0], [1.0]]), np.array([0.5, -1.0]), np.array([2.0, 3.0]))
+        assert fit_reward_model(d).sigma == 1e-3
+
+    def test_accuracy_under_large_offset(self):
+        # Rewards offset by 1e6. Subtracting the offset again is exact in
+        # floating point (Sterbenz), so the fit of the recentred rewards plus
+        # 1e6 on the intercept is the reference. Tolerance, fixed before
+        # measuring: 1e-6 in every coefficient (1e-12 relative to the
+        # offset), 1e-9 relative in sigma.
+        d = sample_logged(1000, child_rng(97, 0))
+        shifted = d.rewards + 1e6
+        rm = fit_reward_model(LoggedDataset(d.contexts, d.actions, shifted))
+        ref = fit_reward_model(LoggedDataset(d.contexts, d.actions, shifted - 1e6))
+        assert np.max(np.abs(rm.coef - (ref.coef + np.array([1e6, 0.0, 0.0])))) <= 1e-6
+        assert rm.sigma == pytest.approx(ref.sigma, rel=1e-9)
 
     def test_sigma_floor(self):
         with pytest.raises(ValueError):
@@ -363,8 +400,8 @@ class TestCoppHullBatch:
 
     def _fitted(self, seed=30, n=800):
         d1, d2 = split_dataset(sample_logged(n, child_rng(seed, 0)), 0.5)
-        pbhat, _ = estimate_behavior(d1, PE, PolicyFitConfig(epochs=200))
-        rm = fit_reward_model(d1, epochs=200)
+        pbhat, _ = estimate_behavior(d1, PE, PolicyFitConfig())
+        rm = fit_reward_model(d1)
         model = fit_quantile_pair(
             rejection_sample(d1, weight_from_policies(PE, PB, 2.5), child_rng(seed, 1)),
             QuantileTrainConfig(), PacParams(0.2, 0.1, 0.5), child_rng(seed, 2),

@@ -93,8 +93,53 @@ class TestFitGaussianPolicy:
         assert raw_variance < policy.variance
 
     def test_two_samples_fit(self):
+        # Two samples fit the line exactly, so the variance clamp fires.
         d = LoggedDataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), np.zeros(2))
-        estimate_behavior(d, PE, PolicyFitConfig())
+        policy, raw_variance = estimate_behavior(d, PE, PolicyFitConfig())
+        assert policy.slope[0] == pytest.approx(1.0, abs=1e-12)
+        assert policy.intercept == pytest.approx(0.0, abs=1e-12)
+        assert raw_variance < 1e-20
+        assert policy.variance == pytest.approx(1.05 * PE.variance)
+
+    def test_normal_equations_and_residual_variance(self):
+        # The exact MLE: the residual is orthogonal to the design, and the raw
+        # variance is the mean squared residual.
+        rng = np.random.default_rng(12)
+        contexts = rng.normal(size=(500, 3))
+        actions = contexts @ np.array([0.5, -1.0, 2.0]) + 0.3 + rng.normal(size=500)
+        d = LoggedDataset(contexts, actions, np.zeros(500))
+        policy, raw_variance = estimate_behavior(d, PE, PolicyFitConfig())
+        x1 = np.hstack([np.ones((500, 1)), contexts])
+        resid = actions - x1 @ np.concatenate([[policy.intercept], policy.slope])
+        assert np.linalg.norm(x1.T @ resid) <= (
+            1e-9 * np.linalg.norm(x1) * np.linalg.norm(actions)
+        )
+        assert raw_variance == float(np.mean(resid * resid))
+        assert policy.variance == raw_variance
+
+    def test_min_norm_weights_for_equal_contexts(self):
+        # Every context is 2, so only intercept + 2 * slope is determined; the
+        # minimum-norm solution puts it along (1, 2).
+        actions = np.array([0.0, 1.0, 5.0, 2.0])
+        d = LoggedDataset(np.full((4, 1), 2.0), actions, np.zeros(4))
+        policy, raw_variance = estimate_behavior(d, PE, PolicyFitConfig())
+        mean = actions.mean()
+        assert policy.intercept == pytest.approx(mean / 5.0, rel=1e-12)
+        assert policy.slope[0] == pytest.approx(2.0 * mean / 5.0, rel=1e-12)
+        assert raw_variance == pytest.approx(np.var(actions), rel=1e-12)
+
+    def test_accuracy_under_large_offset(self):
+        # Actions offset by 1e6: the fit must match np.polyfit to 1e-6 in
+        # every coefficient (1e-12 relative to the offset) and to 1e-9
+        # relative in the variance, a tolerance fixed before measuring.
+        d = sample_logged(2000, child_rng(90, 0))
+        shifted = LoggedDataset(d.contexts, d.actions + 1e6, d.rewards)
+        policy, raw_variance = estimate_behavior(shifted, PE, PolicyFitConfig())
+        slope, intercept = np.polyfit(d.contexts[:, 0], shifted.actions, 1)
+        resid = shifted.actions - (slope * d.contexts[:, 0] + intercept)
+        assert abs(policy.slope[0] - slope) <= 1e-6
+        assert abs(policy.intercept - intercept) <= 1e-6
+        assert raw_variance == pytest.approx(float(np.mean(resid * resid)), rel=1e-9)
 
     def test_too_small(self):
         d = LoggedDataset(np.array([[0.0]]), np.array([0.0]), np.array([0.0]))

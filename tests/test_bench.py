@@ -144,6 +144,28 @@ class TestFigure2:
             else:
                 assert t.zero_denominators == 0
 
+    def test_overflowing_ratio_bound_gives_trivial_rows(self):
+        # At n = 4 the Gaussian fit sees two samples; at seed 11 the ratio
+        # bound overflows to inf on runs 1, 3 and 4, and figure 2 then gives
+        # the trivial rows that pacopp_unknown gives on the same data.
+        cfg = BenchConfig(n=4, runs=6, test_points=200, length_subsample=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = run_figure2(cfg, 11)
+        assert len(table.trials) == 6 * cfg.runs
+        assert all(t.trivial and t.n_rs == 0 and t.k == -1 for t in table.trials)
+        overflowed = []
+        for run in range(cfg.runs):
+            pred = pacopp_unknown(
+                sample_logged(cfg.n, child_rng(11, _TAG_FIGURE2, run, 0), cfg.env),
+                cfg.env.target_policy(), cfg.pac_params(), cfg.policy_fit_config(),
+                cfg.quantile_config(), child_rng(11, _TAG_FIGURE2, run, 2),
+            )
+            assert pred.diagnostics.trivial
+            if math.isinf(pred.diagnostics.bound):
+                overflowed.append(run)
+        assert overflowed == [1, 3, 4]
+
     def test_threshold_monotone_in_delta_per_run(self):
         table = run_figure2(replace(SMALL, runs=4), 7)
         by_run: dict[int, dict[float, float]] = {}

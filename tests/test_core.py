@@ -1,9 +1,15 @@
 import math
+import os
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from pacope import core
 from pacope.core import (
     GaussianLinearPolicy,
     LoggedDataset,
@@ -143,6 +149,116 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.contexts, d.contexts)
         assert np.array_equal(back.actions, d.actions)
         assert np.array_equal(back.rewards, d.rewards)
+
+    def test_header_only_keeps_dimension(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("s1,s2,s3,a,r\n")
+        d = load_csv(str(path))
+        assert len(d) == 0 and d.context_dim == 3
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("0.1,NaN,0.3", "line 4: non-finite value"),
+        ("0.1,0.2", "line 4: expected 3 fields, got 2"),
+        ("foo,0.2,0.3", "line 4: non-numeric field"),
+    ])
+    def test_blank_line_before_bad_row_counts(self, tmp_path, bad_row, message):
+        path = tmp_path / "d.csv"
+        path.write_text(f"s,a,r\n0.0,0.0,0.0\n\n{bad_row}\n0.5,0.5,0.5\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_csv(str(path))
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    def test_clean_file_skips_row_loop(self, tmp_path, monkeypatch):
+        # A well-formed file is parsed by the vectorized path alone.
+        path = tmp_path / "d.csv"
+        save_csv(_dataset(40, seed=4), str(path))
+        monkeypatch.setattr(core, "_load_csv_rows", pytest.fail)
+        assert len(load_csv(str(path))) == 40
+
+    def test_float_spelling_outside_loadtxt_is_accepted(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("s,a,r\n1_0,0.2,0.3\n")
+        assert load_csv(str(path)).contexts[0, 0] == 10.0
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestCsvProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 3]),
+        table=st.integers(0, 50).flatmap(
+            lambda n: arrays(np.float64, (n, 5), elements=_FINITE)
+        ),
+    )
+    def test_round_trip_is_bit_identical(self, dim, table):
+        d = LoggedDataset(table[:, :dim], table[:, dim], table[:, dim + 1])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.csv")
+            save_csv(d, path)
+            back = load_csv(path)
+        assert back.context_dim == dim
+        assert back.contexts.tobytes() == d.contexts.tobytes()
+        assert back.actions.tobytes() == d.actions.tobytes()
+        assert back.rewards.tobytes() == d.rewards.tobytes()
+
+    @staticmethod
+    def _field(value: float, style: int) -> str:
+        text = (repr(value), f"{value:.17g}", f"{value:e}")[style % 3]
+        if style >= 3:
+            text = (f" {text}", f"{text}\t ", f'"{text}"', f'" {text} "')[style - 3]
+        return text
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(
+            st.lists(st.tuples(_FINITE, st.integers(0, 6)), min_size=3, max_size=3),
+            st.sampled_from(["", "", "", "", "\n", "blank-cr", "foo", "nan", "1_0", "missing",
+                             "extra", "spaces-only", "empty-field", "comment"]),
+        ), max_size=12),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        final_newline=st.booleans(),
+    )
+    def test_matches_row_loop_oracle(self, rows, newline, final_newline):
+        # Blank lines, CRLF, surrounding spaces, quoted fields and the odd
+        # malformed row (a '#' is data, not a comment): the parse equals the
+        # row loop, bits or message.
+        lines = []
+        for fields, extra in rows:
+            cells = [self._field(v, style) for v, style in fields]
+            if extra == "\n":
+                lines.append("")
+            elif extra == "blank-cr":
+                lines.append("\r")
+            elif extra in ("foo", "nan", "1_0"):
+                cells[1] = extra
+            elif extra == "missing":
+                cells.pop()
+            elif extra == "extra":
+                cells.append("0")
+            elif extra == "spaces-only":
+                lines.append("   ")
+            elif extra == "empty-field":
+                cells[2] = ""
+            elif extra == "comment":
+                cells[2] += " # note"
+            lines.append(",".join(cells))
+        text = "s,a,r" + newline + newline.join(lines) + (newline if final_newline else "")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.csv")
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            try:
+                expected = core._load_csv_rows(path).tobytes()
+            except ValueError as err:
+                with pytest.raises(ValueError) as excinfo:
+                    load_csv(path)
+                assert str(excinfo.value) == str(err)
+                return
+            d = load_csv(path)
+        table = np.column_stack([d.contexts, d.actions, d.rewards]).reshape(-1, 3)
+        assert table.tobytes() == expected
 
 
 class TestLoggedDataset:
