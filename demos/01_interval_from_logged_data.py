@@ -17,7 +17,6 @@ import numpy as np
 from pacope import (
     DEFAULT_ENV,
     PacParams,
-    QuantileTrainConfig,
     child_rng,
     oracle_interval,
     pacopp_known,
@@ -36,8 +35,7 @@ print("drawing 2,000 logged triples under the behavior policy...")
 logged = sample_logged(2000, child_rng(SEED, 0), env)
 
 params = PacParams(epsilon=0.2, delta=0.1, gamma=0.5)
-qcfg = QuantileTrainConfig()  # affine: an exact LP fit
-predictor = pacopp_known(logged, pb, pe, params, qcfg, child_rng(SEED, 1))
+predictor = pacopp_known(logged, pb, pe, params, child_rng(SEED, 1))
 
 d = predictor.diagnostics
 print(f"rejection sampling kept {d.n_rs} of {len(logged)} samples "

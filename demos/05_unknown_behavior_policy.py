@@ -18,7 +18,6 @@ from pacope import (
     DEFAULT_ENV,
     PacParams,
     PolicyFitConfig,
-    QuantileTrainConfig,
     child_rng,
     estimate_behavior,
     estimate_weight_error,
@@ -48,8 +47,7 @@ print(f"mean absolute weight error (vs truth): {report.delta_w_hat:.4f}")
 print("-> nominal miscoverage 0.2 is guaranteed with slack of that size\n")
 
 params = PacParams(0.2, 0.1, 0.5)
-qcfg = QuantileTrainConfig()  # affine: an exact LP fit
-pred = pacopp_unknown(logged, pe, params, PolicyFitConfig(), qcfg, child_rng(SEED, 2))
+pred = pacopp_unknown(logged, pe, params, PolicyFitConfig(), child_rng(SEED, 2))
 test = sample_target(10000, child_rng(SEED, 3), env)
 lo, hi = pred.interval_batch(test.contexts)
 miss = float(np.mean((test.rewards < lo) | (test.rewards > hi)))

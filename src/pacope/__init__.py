@@ -26,7 +26,6 @@ from .rejection import (
 )
 from .quantile import (
     QuantilePairModel,
-    QuantileTrainConfig,
     fit_quantile_pair,
     pinball_loss,
 )

@@ -34,7 +34,6 @@ from .core import (
     _as_context_matrix,
     split_dataset,
 )
-from .quantile import QuantileTrainConfig
 from .rejection import gaussian_ratio_bound, rejection_sample, weight_from_policies
 
 __all__ = [
@@ -222,7 +221,6 @@ def pacopp_unknown(
     pe: GaussianLinearPolicy,
     params: PacParams,
     pcfg: PolicyFitConfig | None = None,
-    qcfg: QuantileTrainConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> CalibratedPredictor:
     """Full pipeline with an estimated behavior policy.
@@ -236,8 +234,8 @@ def pacopp_unknown(
     predictor of the data's context dimension.
 
     Stream consumption order: policy fit (none for the deterministic
-    estimators), acceptance variates for the training half, acceptance
-    variates for the calibration half, then model initialization.
+    estimators), acceptance variates for the training half, then acceptance
+    variates for the calibration half.
     """
     if rng is None:
         raise ValueError("an rng is required")
@@ -259,7 +257,7 @@ def pacopp_unknown(
     rs1 = rejection_sample(d1, w_hat, rng)
     rs2 = rejection_sample(d2, w_hat, rng)
     return calibrate_split(
-        rs1, rs2, params, qcfg or QuantileTrainConfig(), rng,
+        rs1, rs2, params,
         n_rs=len(rs1) + len(rs2), violations=rs1.n_violations + rs2.n_violations,
         bound=bound, variance_clamped=raw_variance < pbhat.variance,
     )

@@ -60,7 +60,7 @@ from .core import (
     child_rng,
     split_dataset,
 )
-from .quantile import QuantileTrainConfig, fit_quantile_pair
+from .quantile import fit_quantile_pair
 from .rejection import RsDataset, gaussian_ratio_bound, rejection_sample, weight_from_policies
 from .synthenv import (
     DEFAULT_ENV,
@@ -100,8 +100,8 @@ THEOREM4_HEADER = ("n", "runs", "contexts", "n_trivial", "median_measure")
 class BenchConfig:
     """Knobs for all sweeps; field names double as config-file keys.
 
-    ``policy_epochs`` is accepted and ignored: the behavior-policy and COPP
-    reward fits are exact, with no epochs to set.
+    ``epochs`` and ``policy_epochs`` are accepted and ignored: the quantile,
+    behavior-policy and COPP reward fits are exact, with no epochs to set.
     """
 
     n: int = 2000
@@ -110,9 +110,6 @@ class BenchConfig:
     epsilon: float = 0.2
     delta: float = 0.1
     gamma: float = 0.5
-    model_kind: str = "affine"
-    hidden_width: int = 32
-    learning_rate: float = 0.1
     epochs: int = 1500
     n_grid: tuple[int, ...] = (500, 1000, 2000, 4000)
     delta_eps_grid: tuple[float, ...] = (0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.5, 1.0)
@@ -147,11 +144,6 @@ class BenchConfig:
 
     def pac_params(self, delta: float | None = None) -> PacParams:
         return PacParams(self.epsilon, self.delta if delta is None else delta, self.gamma)
-
-    def quantile_config(self) -> QuantileTrainConfig:
-        return QuantileTrainConfig(
-            self.model_kind, self.hidden_width, self.learning_rate, self.epochs
-        )
 
     def copp_config(self) -> CoppConfig:
         return CoppConfig(self.copp_mc_samples, self.copp_grid_size, self.copp_grid_margin)
@@ -336,7 +328,6 @@ def _known_trial(args) -> TrialReport:
         env.behavior_policy(),
         env.target_policy(),
         params,
-        config.quantile_config(),
         child_rng(master_seed, _TAG_KNOWN, n, run, 1),
     )
     test = sample_target(config.test_points, child_rng(master_seed, _TAG_KNOWN, n, run, 2), env)
@@ -420,7 +411,6 @@ def _figure2_trial(args) -> list[TrialReport]:
     d = sample_logged(n, rng_data, env)
     test = sample_target(config.test_points, rng_test, env)
     d1, d2 = split_dataset(d, gamma)
-    qcfg = config.quantile_config()
     params = config.pac_params()
 
     # Shared behavior-policy estimate (all methods run with estimated ratios).
@@ -435,7 +425,7 @@ def _figure2_trial(args) -> list[TrialReport]:
         rs1 = rejection_sample(d1, w_hat, rng_algo)
         rs2 = rejection_sample(d2, w_hat, rng_algo)
         pred = calibrate_split(
-            rs1, rs2, params, qcfg, rng_algo,
+            rs1, rs2, params,
             n_rs=len(rs1) + len(rs2), violations=rs1.n_violations + rs2.n_violations,
             bound=bound, variance_clamped=clamped,
         )
@@ -488,9 +478,7 @@ def _figure2_trial(args) -> list[TrialReport]:
 
     # COPP: weighted CP on the raw calibration half, no rejection sampling.
     rm = fit_reward_model(d1)
-    qm_raw = fit_quantile_pair(
-        RsDataset(d1.contexts, d1.rewards, np.arange(len(d1))), qcfg, params, rng_copp
-    )
+    qm_raw = fit_quantile_pair(RsDataset(d1.contexts, d1.rewards, np.arange(len(d1))), params)
     calib = copp_calibrate(d2, qm_raw, rm, pbhat, pe, config.copp_config(), rng_copp)
     test_weights, zeros_test = copp_weights(
         rm, pbhat, pe, test.contexts, test.rewards, config.copp_mc_samples, rng_copp
@@ -548,7 +536,7 @@ def _theorem4_trial(args):
     d = sample_logged(n, child_rng(master_seed, _TAG_THEOREM4, n, run, 0), env)
     pred = pacopp_known(
         d, env.behavior_policy(), env.target_policy(), params,
-        config.quantile_config(), child_rng(master_seed, _TAG_THEOREM4, n, run, 1),
+        child_rng(master_seed, _TAG_THEOREM4, n, run, 1),
     )
     rng_ctx = child_rng(master_seed, _TAG_THEOREM4, n, run, 2)
     contexts = (
@@ -619,7 +607,7 @@ def _unknown_trial(args) -> TrialReport:
     rng_test = child_rng(master_seed, _TAG_UNKNOWN, subtag, run, 2)
     d = sample_logged(config.n, rng_data, env)
     pcfg = config.policy_fit_config(method)
-    pred = pacopp_unknown(d, pe, params, pcfg, config.quantile_config(), rng_algo)
+    pred = pacopp_unknown(d, pe, params, pcfg, rng_algo)
     test = sample_target(config.test_points, rng_test, env)
     delta_w = float("nan")
     d1, _ = split_dataset(d, params.gamma)

@@ -39,7 +39,7 @@ from .core import (
     _key_values,
     ceil_scaled,
 )
-from .quantile import QuantilePairModel, QuantileTrainConfig, fit_quantile_pair, trivial_quantile_model
+from .quantile import QuantilePairModel, fit_quantile_pair, trivial_quantile_model
 from .rejection import RsDataset, gaussian_ratio_bound, rejection_sample, weight_from_policies
 
 __all__ = [
@@ -352,8 +352,6 @@ def calibrate_split(
     train_rs: RsDataset,
     cal_rs: RsDataset,
     params: PacParams,
-    qcfg: QuantileTrainConfig,
-    rng: np.random.Generator,
     *,
     n_rs: int,
     violations: int,
@@ -366,17 +364,16 @@ def calibrate_split(
     rejection-sampled halves, fits the quantile pair, scores the calibration
     pairs, and picks the PAC threshold. A degenerate split (fewer than two
     training pairs or no calibration pairs) yields the trivial predictor
-    instead of an error, so Monte Carlo sweeps stay total. ``rng`` is used
-    only by the quantile fit. ``n_rs``, ``violations``, ``bound`` and
-    ``variance_clamped`` describe the sampling stage and are recorded in the
-    diagnostics as given.
+    instead of an error, so Monte Carlo sweeps stay total. ``n_rs``,
+    ``violations``, ``bound`` and ``variance_clamped`` describe the sampling
+    stage and are recorded in the diagnostics as given.
     """
     if len(train_rs) < 2 or len(cal_rs) == 0:
         return _trivial_predictor(
             params, train_rs.contexts.shape[1], n_rs=n_rs, m_cal=len(cal_rs),
             violations=violations, bound=bound, variance_clamped=variance_clamped,
         )
-    model = fit_quantile_pair(train_rs, qcfg, params, rng)
+    model = fit_quantile_pair(train_rs, params)
     scores = ScoreList(nonconformity(model, cal_rs.contexts, cal_rs.rewards))
     threshold = pac_threshold(scores, params.epsilon, params.delta)
     diagnostics = CalibrationDiagnostics(
@@ -397,7 +394,6 @@ def pacopp_known(
     pb: StochasticPolicy,
     pe: StochasticPolicy,
     params: PacParams,
-    qcfg: QuantileTrainConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> CalibratedPredictor:
     """Full pipeline with a known behavior policy.
@@ -406,8 +402,8 @@ def pacopp_known(
     accepted pairs into a training prefix and calibration tail, and hand both
     to :func:`calibrate_split`.
 
-    The stream is consumed in a fixed order: acceptance variates first (one
-    per sample, dataset index order), then any model initialization.
+    The stream supplies the acceptance variates, one per sample in dataset
+    index order.
     """
     if rng is None:
         raise ValueError("an rng is required")
@@ -426,6 +422,5 @@ def pacopp_known(
     train, cal = rs.split(params.gamma)
     # Both halves carry the violations of the one sampling pass.
     return calibrate_split(
-        train, cal, params, qcfg or QuantileTrainConfig(), rng,
-        n_rs=len(rs), violations=rs.n_violations, bound=bound,
+        train, cal, params, n_rs=len(rs), violations=rs.n_violations, bound=bound
     )

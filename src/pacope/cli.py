@@ -205,11 +205,9 @@ def _cmd_calibrate(args) -> int:
     rng = child_rng(args.seed, 0)
     if args.pb is not None:
         pb = _parse_policy_spec(args.pb)
-        predictor = pacopp_known(data, pb, pe, params, config.quantile_config(), rng)
+        predictor = pacopp_known(data, pb, pe, params, rng)
     else:
-        predictor = pacopp_unknown(
-            data, pe, params, config.policy_fit_config(), config.quantile_config(), rng
-        )
+        predictor = pacopp_unknown(data, pe, params, config.policy_fit_config(), rng)
     Path(args.model).write_text(predictor.dump())
     d = predictor.diagnostics
     print(f"calibrated on {len(data)} rows: accepted={d.n_rs} m={d.m_cal} "

@@ -383,6 +383,8 @@ def _read_header(path: str, fh) -> int:
         header = next(csv.reader(fh))
     except StopIteration:
         raise ValueError(f"{path}: empty file, expected a header row") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line 1: {exc}") from None
     header = [h.strip() for h in header]
     if len(header) < 3 or header[-2:] != ["a", "r"]:
         raise ValueError(f"{path}: header must be s,a,r or s1..sd,a,r, got {header!r}")
@@ -398,18 +400,25 @@ def _load_csv_rows(path: str) -> np.ndarray:
     with open(path, newline="") as fh:
         dim = _read_header(path, fh)
         rows: list[list[float]] = []
-        for lineno, row in enumerate(csv.reader(fh), start=2):
-            if not row:
-                continue
-            if len(row) != dim + 2:
-                raise ValueError(f"{path}: line {lineno}: expected {dim + 2} fields, got {len(row)}")
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{path}: line {lineno}: non-finite value")
-            rows.append(values)
+        lineno = 1
+        try:
+            for lineno, row in enumerate(csv.reader(fh), start=2):
+                if not row:
+                    continue
+                if len(row) != dim + 2:
+                    raise ValueError(
+                        f"{path}: line {lineno}: expected {dim + 2} fields, got {len(row)}"
+                    )
+                try:
+                    values = [float(v) for v in row]
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
+                if not all(math.isfinite(v) for v in values):
+                    raise ValueError(f"{path}: line {lineno}: non-finite value")
+                rows.append(values)
+        except csv.Error as exc:
+            # Raised while reading the record after ``lineno`` (an oversized field).
+            raise ValueError(f"{path}: line {lineno + 1}: {exc}") from None
     return np.array(rows).reshape(-1, dim + 2)
 
 

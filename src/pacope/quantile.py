@@ -1,16 +1,10 @@
 """Conditional-quantile estimation of reward given context via pinball loss.
 
-Two model families are provided: an affine model (the deterministic default
-used throughout the benchmarks) and a one-hidden-layer network with a smooth
-ramp (softplus) activation.
-
-The affine fit is exact. Affine pinball regression is the linear program of
-regression quantiles (Koenker & Bassett 1978), solved here by the
-Frisch-Newton interior-point method (Portnoy & Koenker 1997) to a duality gap
-of ``_LP_GAP_TOL``; its ``train_losses`` hold the final training loss alone.
-The network is trained by full-batch (sub)gradient descent whose learning rate
-is halved whenever a step would increase the training loss; the step is
-rejected, so the recorded loss sequence is non-increasing by construction.
+The model is affine in the context, and its fit is exact and deterministic.
+Affine pinball regression is the linear program of regression quantiles
+(Koenker & Bassett 1978), solved here by the Frisch-Newton interior-point
+method (Portnoy & Koenker 1997) to a duality gap of ``_LP_GAP_TOL``; the
+model's ``train_losses`` hold the final training loss alone.
 
 Quantile crossing is repaired pointwise at evaluation time: wherever the
 fitted lower quantile exceeds the upper one, both are replaced by their
@@ -23,48 +17,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .core import PacParams, _as_context_matrix, _field, _key_values
 from .rejection import RsDataset
 
 __all__ = [
-    "QuantileTrainConfig",
     "QuantilePairModel",
     "pinball_loss",
     "fit_quantile_pair",
     "trivial_quantile_model",
 ]
-
-_MODEL_KINDS = ("affine", "mlp")
-
-
-@dataclass(frozen=True)
-class QuantileTrainConfig:
-    """Training knobs for the quantile fitter.
-
-    The affine model is fitted exactly and ignores ``learning_rate`` and
-    ``epochs``. The network uses a symmetric small-range initialization drawn
-    from the caller's stream and full-batch training for ``epochs`` steps;
-    ``learning_rate`` is the initial step size of the halving-on-increase
-    schedule.
-    """
-
-    model_kind: str = "affine"
-    hidden_width: int = 32
-    learning_rate: float = 1e-2
-    epochs: int = 500
-
-    def __post_init__(self) -> None:
-        if self.model_kind not in _MODEL_KINDS:
-            raise ValueError(f"model_kind must be one of {_MODEL_KINDS}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
-        if self.model_kind == "mlp" and self.hidden_width < 1:
-            raise ValueError("hidden_width must be >= 1")
-
 
 def pinball_loss(u: float | np.ndarray, level: float) -> float | np.ndarray:
     """Check-function loss: ``u * level`` if ``u >= 0`` else ``u * (level - 1)``."""
@@ -77,11 +39,6 @@ def pinball_loss(u: float | np.ndarray, level: float) -> float | np.ndarray:
 
 def _pinball_mean(resid: np.ndarray, level: float) -> float:
     return float(np.mean(np.where(resid >= 0.0, resid * level, resid * (level - 1.0))))
-
-
-def _pinball_slope(resid: np.ndarray, level: float) -> np.ndarray:
-    # Subgradient of the check function; the kink at zero takes the level.
-    return np.where(resid >= 0.0, level, level - 1.0)
 
 
 # The affine fit stops once the duality gap of the mean pinball loss, in units
@@ -195,80 +152,35 @@ def _fit_affine(x1: np.ndarray, y: np.ndarray, level: float) -> np.ndarray:
     return vt.T @ (-g / sv) * scale
 
 
-def _softplus(z: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, z)
+def _design(contexts: np.ndarray) -> np.ndarray:
+    """The affine design: an intercept column, then the contexts."""
+    return np.hstack([np.ones((contexts.shape[0], 1)), contexts])
 
 
-def _mlp_forward(params, x):
-    w1, b1, w2, b2 = params
-    z = x @ w1 + b1
-    return _softplus(z) @ w2 + b2, z
-
-
-def _fit_mlp(x, y, level, lr, epochs, width, rng):
-    n, d = x.shape
-    params = [
-        rng.uniform(-0.1, 0.1, size=(d, width)),
-        rng.uniform(-0.1, 0.1, size=width),
-        rng.uniform(-0.1, 0.1, size=width),
-        rng.uniform(-0.1, 0.1),
-    ]
-    out, z = _mlp_forward(params, x)
-    cur = _pinball_mean(y - out, level)
-    losses = np.empty(epochs)
-    for t in range(epochs):
-        resid = y - out
-        dout = -_pinball_slope(resid, level) / n
-        h = _softplus(z)
-        dw2 = h.T @ dout
-        db2 = dout.sum()
-        dz = np.outer(dout, params[2]) * expit(z)
-        dw1 = x.T @ dz
-        db1 = dz.sum(axis=0)
-        cand = [
-            params[0] - lr * dw1,
-            params[1] - lr * db1,
-            params[2] - lr * dw2,
-            params[3] - lr * db2,
-        ]
-        out_cand, z_cand = _mlp_forward(cand, x)
-        new = _pinball_mean(y - out_cand, level)
-        if new > cur:
-            lr *= 0.5
-        else:
-            params, out, z, cur = cand, out_cand, z_cand, new
-        losses[t] = cur
-    return params, losses
+# The fields of a dumped model; ``.0`` names the one weight vector of a level.
+_MODEL_FIELDS = frozenset(
+    ("kind", "eps_lo", "eps_up", "lo.0.shape", "lo.0.values", "up.0.shape", "up.0.values")
+)
 
 
 @dataclass(frozen=True)
 class QuantilePairModel:
-    """Fitted lower/upper conditional-quantile functions.
+    """Fitted lower/upper affine conditional-quantile functions.
 
-    ``params_lo`` / ``params_up`` hold the affine weight vector or the network
-    parameter list depending on ``kind``. Evaluation applies the midpoint
-    crossing fix, so ``quantiles`` always returns ``lo <= up`` pointwise.
+    ``w_lo`` / ``w_up`` are the weight vectors, intercept first, of the
+    levels ``levels``. Evaluation applies the midpoint crossing fix, so
+    ``quantiles`` always returns ``lo <= up`` pointwise.
     """
 
-    kind: str
-    params_lo: tuple
-    params_up: tuple
+    w_lo: np.ndarray
+    w_up: np.ndarray
     levels: tuple[float, float]
     train_losses: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def context_dim(self) -> int:
         """Dimension of the contexts the model takes."""
-        rows = int(np.shape(self.params_lo[0])[0])
-        return rows - 1 if self.kind == "affine" else rows
-
-    def _raw(self, params: tuple, ctx: np.ndarray) -> np.ndarray:
-        if self.kind == "affine":
-            (w,) = params
-            x1 = np.hstack([np.ones((ctx.shape[0], 1)), ctx])
-            return x1 @ w
-        out, _ = _mlp_forward(params, ctx)
-        return out
+        return int(np.shape(self.w_lo)[0]) - 1
 
     def quantiles(self, contexts) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate ``(q_lo, q_up)`` with the midpoint crossing fix applied."""
@@ -277,8 +189,9 @@ class QuantilePairModel:
             raise ValueError(
                 f"contexts have dimension {ctx.shape[1]}, the model takes {self.context_dim}"
             )
-        lo = self._raw(self.params_lo, ctx)
-        up = self._raw(self.params_up, ctx)
+        x1 = _design(ctx)
+        lo = x1 @ self.w_lo
+        up = x1 @ self.w_up
         crossed = lo > up
         if np.any(crossed):
             mid = 0.5 * (lo[crossed] + up[crossed])
@@ -294,73 +207,51 @@ class QuantilePairModel:
 
     def dump(self) -> str:
         """Flat text serialization, round-trip exact."""
-        lines = [f"kind={self.kind}", f"eps_lo={self.levels[0]!r}", f"eps_up={self.levels[1]!r}"]
-        for tag, params in (("lo", self.params_lo), ("up", self.params_up)):
-            for i, arr in enumerate(params):
-                flat = np.asarray(arr, dtype=float).reshape(-1)
-                shape = ",".join(str(v) for v in np.shape(arr))
-                values = " ".join(repr(float(v)) for v in flat)
-                lines.append(f"{tag}.{i}.shape={shape}")
-                lines.append(f"{tag}.{i}.values={values}")
+        lines = ["kind=affine", f"eps_lo={self.levels[0]!r}", f"eps_up={self.levels[1]!r}"]
+        for tag, w in (("lo", self.w_lo), ("up", self.w_up)):
+            flat = np.asarray(w, dtype=float)
+            lines.append(f"{tag}.0.shape={flat.shape[0]}")
+            lines.append(f"{tag}.0.values=" + " ".join(repr(float(v)) for v in flat))
         return "\n".join(lines) + "\n"
 
     @staticmethod
     def load(text: str) -> "QuantilePairModel":
-        """Inverse of ``dump``; a missing or malformed field raises ``ValueError``."""
+        """Inverse of ``dump``; a missing, malformed or unexpected field raises ``ValueError``."""
         fields = _key_values(text.splitlines())
         kind = _field(fields, "kind", str)
-        if kind not in _MODEL_KINDS:
+        if kind != "affine":
             raise ValueError(f"predictor file: unknown model kind {kind!r}")
+        unexpected = sorted(set(fields) - _MODEL_FIELDS)
+        if unexpected:
+            raise ValueError(f"predictor file: unexpected model fields {unexpected}")
         levels = (_field(fields, "eps_lo"), _field(fields, "eps_up"))
-        params: dict[str, list] = {"lo": [], "up": []}
+        weights = []
         for tag in ("lo", "up"):
-            i = 0
-            while f"{tag}.{i}.values" in fields:
-                shape = _field(fields, f"{tag}.{i}.shape", _parse_shape)
-                flat = _field(fields, f"{tag}.{i}.values", _parse_values)
-                if flat.size != math.prod(shape):
-                    raise ValueError(f"predictor file: {tag}.{i} values do not fill shape {shape}")
-                params[tag].append(flat.reshape(shape) if shape else float(flat[0]))
-                i += 1
-        shapes = [tuple(np.shape(p) for p in params[tag]) for tag in ("lo", "up")]
-        if shapes[0] != shapes[1] or not _valid_shapes(kind, shapes[0]):
-            raise ValueError(f"predictor file: parameter shapes {shapes} do not fit a {kind} model")
-        return QuantilePairModel(kind, tuple(params["lo"]), tuple(params["up"]), levels)
-
-
-def _parse_shape(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v != "")
+            size = _field(fields, f"{tag}.0.shape", int)
+            flat = _field(fields, f"{tag}.0.values", _parse_values)
+            if flat.size != size:
+                raise ValueError(f"predictor file: {tag}.0 values do not fill shape {size}")
+            weights.append(flat)
+        sizes = [w.size for w in weights]
+        if sizes[0] != sizes[1] or sizes[0] < 2:
+            raise ValueError(f"predictor file: weight sizes {sizes} do not fit an affine model")
+        return QuantilePairModel(weights[0], weights[1], levels)
 
 
 def _parse_values(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split()], dtype=float)
 
 
-def _valid_shapes(kind: str, shapes: tuple) -> bool:
-    if kind == "affine":
-        return len(shapes) == 1 and len(shapes[0]) == 1 and shapes[0][0] >= 2
-    if len(shapes) != 4 or len(shapes[0]) != 2:
-        return False
-    width = shapes[0][1]
-    return shapes[1:] == ((width,), (width,), ())
-
-
 def trivial_quantile_model(levels: tuple[float, float], context_dim: int = 1) -> QuantilePairModel:
     """Constant-zero quantile pair, used by degenerate calibration paths."""
     w = np.zeros(context_dim + 1)
-    return QuantilePairModel("affine", (w,), (w.copy(),), levels)
+    return QuantilePairModel(w, w.copy(), levels)
 
 
-def fit_quantile_pair(
-    train: RsDataset,
-    cfg: QuantileTrainConfig,
-    params: PacParams,
-    rng: np.random.Generator | None = None,
-) -> QuantilePairModel:
+def fit_quantile_pair(train: RsDataset, params: PacParams) -> QuantilePairModel:
     """Fit the lower and upper conditional quantiles on accepted pairs.
 
-    The levels are ``(params.eps_lo, params.eps_up)``. The network model
-    requires a stream for its initialization; the affine model is fully
+    The levels are ``(params.eps_lo, params.eps_up)``; the fit is
     deterministic.
     """
     if len(train) < 2:
@@ -369,21 +260,12 @@ def fit_quantile_pair(
     for level in (eps_lo, eps_up):
         if not 0.0 < level < 1.0:
             raise ValueError("quantile levels must lie in (0, 1)")
-    x = _as_context_matrix(train.contexts)
+    x1 = _design(_as_context_matrix(train.contexts))
     y = np.asarray(train.rewards, dtype=float)
-    if cfg.model_kind == "affine":
-        x1 = np.hstack([np.ones((x.shape[0], 1)), x])
-        w_lo = _fit_affine(x1, y, eps_lo)
-        w_up = _fit_affine(x1, y, eps_up)
-        losses = tuple(
-            np.array([_pinball_mean(y - x1 @ w, level)])
-            for w, level in ((w_lo, eps_lo), (w_up, eps_up))
-        )
-        return QuantilePairModel("affine", (w_lo,), (w_up,), (eps_lo, eps_up), losses)
-    if rng is None:
-        raise ValueError("the network model requires an rng for initialization")
-    p_lo, losses_lo = _fit_mlp(x, y, eps_lo, cfg.learning_rate, cfg.epochs, cfg.hidden_width, rng)
-    p_up, losses_up = _fit_mlp(x, y, eps_up, cfg.learning_rate, cfg.epochs, cfg.hidden_width, rng)
-    return QuantilePairModel(
-        "mlp", tuple(p_lo), tuple(p_up), (eps_lo, eps_up), (losses_lo, losses_up)
+    w_lo = _fit_affine(x1, y, eps_lo)
+    w_up = _fit_affine(x1, y, eps_up)
+    losses = tuple(
+        np.array([_pinball_mean(y - x1 @ w, level)])
+        for w, level in ((w_lo, eps_lo), (w_up, eps_up))
     )
+    return QuantilePairModel(w_lo, w_up, (eps_lo, eps_up), losses)

@@ -27,7 +27,7 @@ from pacope.core import (
     child_rng,
     split_dataset,
 )
-from pacope.quantile import QuantilePairModel, QuantileTrainConfig, fit_quantile_pair
+from pacope.quantile import QuantilePairModel, fit_quantile_pair
 from pacope.rejection import gaussian_ratio_bound, rejection_sample, weight_from_policies
 from pacope.synthenv import DEFAULT_ENV, sample_logged, sample_target
 
@@ -50,9 +50,7 @@ class _ConstantActionPolicy(StochasticPolicy):
 
 
 def _band_model(lo=-1.0, up=1.0, slope=0.0):
-    return QuantilePairModel(
-        "affine", (np.array([lo, slope]),), (np.array([up, slope]),), (0.1, 0.9)
-    )
+    return QuantilePairModel(np.array([lo, slope]), np.array([up, slope]), (0.1, 0.9))
 
 
 def _calibration(scores, weights, model=None, rm=None, pb=PB, pe=PE, cfg=CoppConfig(),
@@ -363,9 +361,7 @@ class TestCoppPredict:
         # so the weighted quantile stays at the smallest calibration score:
         # no candidate is accepted.
         cal = LoggedDataset(np.full((4, 1), -1.0), np.zeros(4), np.zeros(4))
-        model = QuantilePairModel(
-            "affine", (np.array([5.0, 10.0]),), (np.array([6.0, 10.0]),), (0.1, 0.9)
-        )
+        model = QuantilePairModel(np.array([5.0, 10.0]), np.array([6.0, 10.0]), (0.1, 0.9))
         rm = RewardModelGaussian(np.array([0.0, 0.0, 1.0]), 1.0)
         result = copp_predict(
             cal, model, rm, _ConstantActionPolicy(0.0), _ConstantActionPolicy(1000.0),
@@ -404,7 +400,7 @@ class TestCoppHullBatch:
         rm = fit_reward_model(d1)
         model = fit_quantile_pair(
             rejection_sample(d1, weight_from_policies(PE, PB, 2.5), child_rng(seed, 1)),
-            QuantileTrainConfig(), PacParams(0.2, 0.1, 0.5), child_rng(seed, 2),
+            PacParams(0.2, 0.1, 0.5),
         )
         return d2, model, rm, pbhat
 
@@ -516,7 +512,6 @@ class TestCoppRsPredict:
         # marginally valid: mean coverage over 1,000 seeded pipeline trials
         # must fall in [0.79, 0.81].
         params = PacParams(0.2, 0.1, 0.5)
-        qcfg = QuantileTrainConfig(learning_rate=0.1, epochs=400)
         coverages = np.empty(1000)
         for i in range(1000):
             seed = 10000 + i
@@ -529,7 +524,7 @@ class TestCoppRsPredict:
             w = weight_from_policies(PE, pbhat, bound)
             rs1 = rejection_sample(d1, w, rng)
             rs2 = rejection_sample(d2, w, rng)
-            qm = fit_quantile_pair(rs1, qcfg, params, rng)
+            qm = fit_quantile_pair(rs1, params)
             scores = nonconformity(qm, rs2.contexts, rs2.rewards)
             thr = split_cp_threshold(scores, 0.8)
             lo, up = qm.quantiles(test.contexts)

@@ -14,7 +14,6 @@ from pacope.behavior import (
 )
 from pacope.calibrate import pacopp_known, predict
 from pacope.core import GaussianLinearPolicy, LoggedDataset, PacParams, child_rng
-from pacope.quantile import QuantileTrainConfig
 from pacope.synthenv import DEFAULT_ENV, sample_logged
 
 ENV = DEFAULT_ENV
@@ -224,16 +223,14 @@ class TestEstimateWeightError:
 
 
 class TestPacoppUnknown:
-    QCFG = QuantileTrainConfig(learning_rate=0.1, epochs=300)
-
     def test_accept_all_case_matches_known_pipeline_exactly(self):
         # With pi_e = pi_b forced as the estimate, the ratio is one, both
         # algorithms accept every sample, and their split/fit/threshold
         # stages coincide exactly.
         d = sample_logged(1000, child_rng(40, 0))
         pcfg = PolicyFitConfig(method="fixed", fixed_policy=PB)
-        unknown = pacopp_unknown(d, PB, PARAMS, pcfg, self.QCFG, child_rng(40, 1))
-        known = pacopp_known(d, PB, PB, PARAMS, self.QCFG, child_rng(40, 1))
+        unknown = pacopp_unknown(d, PB, PARAMS, pcfg, child_rng(40, 1))
+        known = pacopp_known(d, PB, PB, PARAMS, child_rng(40, 1))
         assert unknown.threshold == known.threshold
         assert unknown.diagnostics.n_rs == known.diagnostics.n_rs == 1000
         grid = np.linspace(-4, 4, 33)
@@ -251,7 +248,7 @@ class TestPacoppUnknown:
         pcfg = PolicyFitConfig(method="fixed", fixed_policy=PB)
         for seed in range(runs):
             d = sample_logged(2000, child_rng(6000 + seed, 0))
-            pred = pacopp_unknown(d, PE, PARAMS, pcfg, self.QCFG, child_rng(6000 + seed, 1))
+            pred = pacopp_unknown(d, PE, PARAMS, pcfg, child_rng(6000 + seed, 1))
             test = sample_target(10000, child_rng(6000 + seed, 2))
             lo, hi = pred.interval_batch(test.contexts)
             miss = float(np.mean((test.rewards < lo) | (test.rewards > hi)))
@@ -260,7 +257,7 @@ class TestPacoppUnknown:
 
     def test_empty_dataset_trivial(self):
         pred = pacopp_unknown(
-            LoggedDataset.empty(), PE, PARAMS, PolicyFitConfig(), self.QCFG, child_rng(0)
+            LoggedDataset.empty(), PE, PARAMS, PolicyFitConfig(), child_rng(0)
         )
         assert pred.diagnostics.trivial
         assert predict(pred, 0.0).is_trivial
@@ -268,7 +265,7 @@ class TestPacoppUnknown:
     def test_gaussian_estimate_records_clamp(self):
         contexts = np.linspace(-1, 1, 200).reshape(-1, 1)
         d = LoggedDataset(contexts, np.zeros(200), np.zeros(200))
-        pred = pacopp_unknown(d, PE, PARAMS, PolicyFitConfig(), self.QCFG, child_rng(41))
+        pred = pacopp_unknown(d, PE, PARAMS, PolicyFitConfig(), child_rng(41))
         assert pred.diagnostics.variance_clamped
 
     def test_config_validation(self):

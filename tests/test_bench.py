@@ -114,7 +114,7 @@ class TestFigure2:
             d = sample_logged(cfg.n, child_rng(7, _TAG_FIGURE2, run, 0), cfg.env)
             pred = pacopp_unknown(
                 d, cfg.env.target_policy(), cfg.pac_params(), cfg.policy_fit_config(),
-                cfg.quantile_config(), child_rng(7, _TAG_FIGURE2, run, 2),
+                child_rng(7, _TAG_FIGURE2, run, 2),
             )
             (row,) = [
                 t for t in table.trials
@@ -159,7 +159,7 @@ class TestFigure2:
             pred = pacopp_unknown(
                 sample_logged(cfg.n, child_rng(11, _TAG_FIGURE2, run, 0), cfg.env),
                 cfg.env.target_policy(), cfg.pac_params(), cfg.policy_fit_config(),
-                cfg.quantile_config(), child_rng(11, _TAG_FIGURE2, run, 2),
+                child_rng(11, _TAG_FIGURE2, run, 2),
             )
             assert pred.diagnostics.trivial
             if math.isinf(pred.diagnostics.bound):
@@ -255,7 +255,7 @@ class TestUnknownSweep:
             pacopp_unknown(
                 sample_logged(cfg.n, child_rng(11, _TAG_UNKNOWN, 0, run, 0), cfg.env),
                 cfg.env.target_policy(), cfg.pac_params(), cfg.policy_fit_config(),
-                cfg.quantile_config(), child_rng(11, _TAG_UNKNOWN, 0, run, 1),
+                child_rng(11, _TAG_UNKNOWN, 0, run, 1),
             ).diagnostics.bound
             for run in range(cfg.runs)
         ]
@@ -291,6 +291,16 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             BenchConfig.from_mapping({"bogus": "1"})
+
+    def test_ignored_epoch_keys_accepted(self):
+        # The benchmark's tiny config.txt still sets both.
+        cfg = BenchConfig.from_mapping({"epochs": "60", "policy_epochs": "60"})
+        assert (cfg.epochs, cfg.policy_epochs) == (60, 60)
+
+    @pytest.mark.parametrize("key", ["learning_rate", "hidden_width", "model_kind"])
+    def test_quantile_network_keys_rejected(self, key):
+        with pytest.raises(ValueError, match="unknown config key"):
+            BenchConfig.from_mapping({key: "1"})
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -23,17 +23,20 @@ from pacope.calibrate import (
     split_cp_threshold,
 )
 from pacope.core import PacParams, PredictionInterval, child_rng
-from pacope.quantile import QuantilePairModel, QuantileTrainConfig
+from pacope.quantile import QuantilePairModel
 from pacope.rejection import RsDataset
 from pacope.synthenv import DEFAULT_ENV, sample_logged, sample_target
 
 PARAMS = PacParams(0.2, 0.1, 0.5)
+_OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+# Levels kept in [1e-3, 1 - 1e-3]: with delta within an ulp of 1 and a tiny
+# epsilon the cutoff falls into the exact rational tie-break, whose cost has no
+# bound (14 s at m = 78, epsilon = 2e-117).
+_LEVEL = st.floats(1e-3, 1.0 - 1e-3)
 
 
 def _band_model(lo=-1.0, up=1.0):
-    return QuantilePairModel(
-        "affine", (np.array([lo, 0.0]),), (np.array([up, 0.0]),), (0.1, 0.9)
-    )
+    return QuantilePairModel(np.array([lo, 0.0]), np.array([up, 0.0]), (0.1, 0.9))
 
 
 def _k_oracle_exact(m, eps, delta):
@@ -114,6 +117,24 @@ class TestBinomialQuantileK:
                     lo = math.floor(m * (eps - math.sqrt(math.log(1 / delta) / (2 * m))))
                     hi = m * (eps + math.sqrt(math.log(1 / (1 - delta)) / (2 * m)))
                     assert lo <= k <= hi
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(0, 400), eps=_LEVEL, delta=_LEVEL)
+    def test_steps_by_at_most_one_in_m(self, m, eps, delta):
+        k = binomial_quantile_k(m, eps, delta)
+        assert k <= binomial_quantile_k(m + 1, eps, delta) <= k + 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(0, 400), eps=_LEVEL, deltas=st.tuples(_LEVEL, _LEVEL))
+    def test_nondecreasing_in_delta(self, m, eps, deltas):
+        d1, d2 = sorted(deltas)
+        assert binomial_quantile_k(m, eps, d1) <= binomial_quantile_k(m, eps, d2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(0, 400), epss=st.tuples(_LEVEL, _LEVEL), delta=_LEVEL)
+    def test_nondecreasing_in_epsilon(self, m, epss, delta):
+        e1, e2 = sorted(epss)
+        assert binomial_quantile_k(m, e1, delta) <= binomial_quantile_k(m, e2, delta)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -239,7 +260,7 @@ class TestPredict:
 
     def test_context_dimension_must_match_model(self):
         model = QuantilePairModel(
-            "affine", (np.array([-1.0, 1.0, 2.0]),), (np.array([1.0, 1.0, 2.0]),), (0.1, 0.9)
+            np.array([-1.0, 1.0, 2.0]), np.array([1.0, 1.0, 2.0]), (0.1, 0.9)
         )
         diag = CalibrationDiagnostics(20, 10, 0, False, 0, False, 2.0)
         p = CalibratedPredictor(model, 0.5, PARAMS, diag)
@@ -287,8 +308,7 @@ class TestCalibrateSplitProperties:
         cal = _random_rs(rng, m_cal, dim, ties)
         params = PacParams(epsilon, delta)
         pred = calibrate_split(
-            train, cal, params, QuantileTrainConfig(), child_rng(seed),
-            n_rs=n_train + m_cal, violations=violations, bound=2.0,
+            train, cal, params, n_rs=n_train + m_cal, violations=violations, bound=2.0,
         )
         diag = pred.diagnostics
         assert diag.weight_violations == violations
@@ -314,8 +334,7 @@ class TestPacoppKnown:
         for seed in range(runs):
             d = sample_logged(2000, child_rng(4000 + seed, 0))
             pred = pacopp_known(
-                d, pb, pb, PARAMS, QuantileTrainConfig(learning_rate=0.1, epochs=400),
-                child_rng(4000 + seed, 1),
+                d, pb, pb, PARAMS, child_rng(4000 + seed, 1),
             )
             assert pred.diagnostics.n_rs == 2000
             test = sample_logged(4000, child_rng(4000 + seed, 2))
@@ -329,7 +348,7 @@ class TestPacoppKnown:
 
         pred = pacopp_known(
             LoggedDataset.empty(), self.ENV.behavior_policy(), self.ENV.target_policy(),
-            PARAMS, QuantileTrainConfig(), child_rng(0),
+            PARAMS, child_rng(0),
         )
         assert pred.diagnostics.trivial
         assert predict(pred, 0.0).is_trivial
@@ -338,7 +357,7 @@ class TestPacoppKnown:
         d = sample_logged(2000, child_rng(50, 0))
         pred = pacopp_known(
             d, self.ENV.behavior_policy(), self.ENV.target_policy(), PARAMS,
-            QuantileTrainConfig(learning_rate=0.1, epochs=300), child_rng(50, 1),
+            child_rng(50, 1),
         )
         diag = pred.diagnostics
         assert diag.bound == 2.0
@@ -349,8 +368,7 @@ class TestPacoppKnown:
 
     def test_deterministic(self):
         d = sample_logged(500, child_rng(51, 0))
-        args = (d, self.ENV.behavior_policy(), self.ENV.target_policy(), PARAMS,
-                QuantileTrainConfig(epochs=100))
+        args = (d, self.ENV.behavior_policy(), self.ENV.target_policy(), PARAMS)
         p1 = pacopp_known(*args, child_rng(51, 1))
         p2 = pacopp_known(*args, child_rng(51, 1))
         assert p1.threshold == p2.threshold
@@ -362,7 +380,7 @@ class TestPredictorSerialization:
         d = sample_logged(800, child_rng(60, 0))
         pred = pacopp_known(
             d, DEFAULT_ENV.behavior_policy(), DEFAULT_ENV.target_policy(), PARAMS,
-            QuantileTrainConfig(learning_rate=0.1, epochs=200), child_rng(60, 1),
+            child_rng(60, 1),
         )
         back = CalibratedPredictor.load(pred.dump())
         assert back.threshold == pred.threshold
@@ -371,6 +389,35 @@ class TestPredictorSerialization:
         grid = np.linspace(-5, 5, 33)
         assert np.array_equal(back.interval_batch(grid)[0], pred.interval_batch(grid)[0])
         assert np.array_equal(back.interval_batch(grid)[1], pred.interval_batch(grid)[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        dim=st.integers(1, 2),
+        params=st.builds(PacParams, _OPEN_UNIT, _OPEN_UNIT, _OPEN_UNIT),
+        m_cal=st.integers(0, 10**6),
+        counts=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+        flags=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        bound=st.floats(1.0, allow_nan=False),
+    )
+    def test_round_trip_is_bit_exact(self, data, dim, params, m_cal, counts, flags, bound):
+        weights = st.lists(st.floats(allow_nan=False), min_size=dim + 1, max_size=dim + 1)
+        w_lo, w_up = np.array(data.draw(weights)), np.array(data.draw(weights))
+        model = QuantilePairModel(w_lo, w_up, (params.eps_lo, params.eps_up))
+        k = data.draw(st.integers(-1, m_cal - 1))
+        degenerate = k == -1 or m_cal == 0
+        threshold = math.inf if degenerate else data.draw(st.floats(0.0, allow_infinity=False))
+        tie_flag, trivial, clamped = flags
+        diag = CalibrationDiagnostics(
+            counts[0], m_cal, k, tie_flag, counts[1], trivial, bound, clamped
+        )
+        pred = CalibratedPredictor(model, threshold, params, diag)
+        back = CalibratedPredictor.load(pred.dump())
+        assert back.model.w_lo.tobytes() == w_lo.tobytes()
+        assert back.model.w_up.tobytes() == w_up.tobytes()
+        assert back.model.levels == model.levels
+        assert (back.threshold, back.params, back.diagnostics) == (threshold, params, diag)
+        assert back.dump() == pred.dump()
 
     def test_trivial_round_trip(self):
         from pacope.calibrate import _trivial_predictor

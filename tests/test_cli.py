@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -116,15 +117,32 @@ def test_calibrate_header_only_csv_keeps_context_dimension(tmp_path, capsys, kno
     assert capsys.readouterr().out.strip() == "(-inf, inf)"
 
 
+@pytest.mark.parametrize("header, body, line", [
+    ("s{big},a,r", "0,0,0", 1),
+    ("s,a,r", "0,0,0\n{big},0,0\nnan,0,0", 3),
+], ids=["header", "body"])
+def test_calibrate_oversized_field_reports_line(tmp_path, capsys, header, body, line):
+    # The NaN row sends the body through the row-by-row reader, which stops
+    # at the oversized field first.
+    big = "1" * (csv.field_size_limit() + 1)
+    csv_path = tmp_path / "big.csv"
+    csv_path.write_text(f"{header}\n{body}\n".format(big=big))
+    argv = ["calibrate", "--data", str(csv_path),
+            "--pe", "gaussian:slope=0.25,intercept=0,variance=1",
+            "--model", str(tmp_path / "predictor.txt")]
+    assert cli(argv) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}: field larger than field limit" in err
+
+
 def test_predict_prints_interval(tmp_path, capsys):
     data = sample_logged(600, child_rng(23))
     from pacope.calibrate import pacopp_known
-    from pacope.quantile import QuantileTrainConfig
     from pacope.synthenv import DEFAULT_ENV
 
     predictor = pacopp_known(
         data, DEFAULT_ENV.behavior_policy(), DEFAULT_ENV.target_policy(),
-        PacParams(0.2, 0.1, 0.5), QuantileTrainConfig(epochs=100), child_rng(23, 1),
+        PacParams(0.2, 0.1, 0.5), child_rng(23, 1),
     )
     path = tmp_path / "p.txt"
     path.write_text(predictor.dump())
@@ -168,6 +186,22 @@ def test_predict_rejects_malformed_predictor_field(tmp_path, capsys):
     path.write_text(text.replace("m_cal=0", "m_cal=zero"))
     assert cli(["predict", "--model", str(path), "--s", "0.5"]) == 2
     assert "m_cal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new", [
+    ("model.kind=affine", "model.kind=mlp"),
+    ("model.up.0.values=0.0 0.0",
+     "model.up.0.values=0.0 0.0\nmodel.lo.1.shape=2\nmodel.lo.1.values=0.0 0.0"),
+    ("model.up.0.shape=2\nmodel.up.0.values=0.0 0.0",
+     "model.up.0.shape=3\nmodel.up.0.values=0.0 0.0 0.0"),
+], ids=["mlp-kind", "extra-parameter", "shape-mismatch"])
+def test_predict_rejects_model_it_cannot_build(tmp_path, capsys, old, new):
+    text = _trivial_predictor(PacParams(0.2, 0.1, 0.5), 1, 0, 0, 0, 1.0).dump()
+    assert old in text
+    path = tmp_path / "p.txt"
+    path.write_text(text.replace(old, new))
+    assert cli(["predict", "--model", str(path), "--s", "0.5"]) == 2
+    assert "predictor file" in capsys.readouterr().err
 
 
 def test_bad_config_key_reports_error(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacope import quantile
 from pacope.core import PacParams, child_rng
 from pacope.quantile import (
     QuantilePairModel,
-    QuantileTrainConfig,
     fit_quantile_pair,
     pinball_loss,
     trivial_quantile_model,
@@ -46,16 +47,14 @@ class TestPinballLoss:
 class TestAffineFit:
     def test_constant_rewards_collapse_quantiles(self):
         train = RsDataset(np.linspace(-2, 2, 50).reshape(-1, 1), np.full(50, 3.0), np.arange(50))
-        cfg = QuantileTrainConfig(learning_rate=0.5, epochs=400)
-        model = fit_quantile_pair(train, cfg, PARAMS_10_90)
+        model = fit_quantile_pair(train, PARAMS_10_90)
         for s in (-1.5, 0.0, 2.0):
             assert abs(model.q_lo(s) - 3.0) < 1e-3
             assert abs(model.q_up(s) - 3.0) < 1e-3
 
     def test_recovers_oracle_quantiles_of_mixture(self):
         target = sample_target(5000, child_rng(77, 0))
-        cfg = QuantileTrainConfig(learning_rate=0.1, epochs=2000)
-        model = fit_quantile_pair(_as_train(target), cfg, PARAMS_10_90)
+        model = fit_quantile_pair(_as_train(target), PARAMS_10_90)
         assert abs(model.q_lo(0.0) - oracle_quantile(0.0, 0.1)) < 0.4
         assert abs(model.q_up(0.0) - oracle_quantile(0.0, 0.9)) < 0.4
 
@@ -63,8 +62,7 @@ class TestAffineFit:
         # Fraction of held-out rewards below the fitted lower quantile stays
         # within 0.03 of the nominal level.
         target = sample_target(5000, child_rng(77, 0))
-        cfg = QuantileTrainConfig(learning_rate=0.1, epochs=2000)
-        model = fit_quantile_pair(_as_train(target), cfg, PARAMS_10_90)
+        model = fit_quantile_pair(_as_train(target), PARAMS_10_90)
         held = sample_target(10000, child_rng(77, 1))
         lo, up = model.quantiles(held.contexts)
         assert abs(float(np.mean(held.rewards < lo)) - 0.1) < 0.03
@@ -73,14 +71,14 @@ class TestAffineFit:
     def test_too_small_training_set(self):
         train = RsDataset(np.zeros((1, 1)), np.zeros(1), np.zeros(1, dtype=int))
         with pytest.raises(ValueError, match="insufficient training data"):
-            fit_quantile_pair(train, QuantileTrainConfig(), PARAMS_10_90)
+            fit_quantile_pair(train, PARAMS_10_90)
 
     def test_exact_optimum_and_level_condition(self):
         # With a 1-d context some optimum of the two-parameter pinball LP
         # interpolates two data points, so trying every pair finds the optimum.
         target = sample_target(40, child_rng(5, 0))
         x, y = target.contexts[:, 0], target.rewards
-        model = fit_quantile_pair(_as_train(target), QuantileTrainConfig(), PARAMS_10_90)
+        model = fit_quantile_pair(_as_train(target), PARAMS_10_90)
         fitted = model.quantiles(target.contexts)
         i, j = np.triu_indices(len(y), k=1)
         slope = (y[j] - y[i]) / (x[j] - x[i])
@@ -97,7 +95,7 @@ class TestAffineFit:
         y = sample_target(11, child_rng(10, 0)).rewards
         train = RsDataset(np.full((11, 1), 0.7), y, np.arange(11))
         params = PacParams(0.6, 0.1, eps_lo=0.3, eps_up=0.7)
-        model = fit_quantile_pair(train, QuantileTrainConfig(), params)
+        model = fit_quantile_pair(train, params)
         ordered = np.sort(y)
         # 11 * 0.3 = 3.3 and 11 * 0.7 = 7.7: the 4th and 8th order statistics.
         assert model.q_lo(0.7) == pytest.approx(ordered[3], abs=1e-9)
@@ -105,7 +103,7 @@ class TestAffineFit:
 
     def test_two_points_are_interpolated(self):
         train = RsDataset(np.array([[-1.0], [2.0]]), np.array([0.5, -1.0]), np.arange(2))
-        model = fit_quantile_pair(train, QuantileTrainConfig(), PARAMS_10_90)
+        model = fit_quantile_pair(train, PARAMS_10_90)
         for s, r in ((-1.0, 0.5), (2.0, -1.0)):
             assert model.q_lo(s) == pytest.approx(r, abs=1e-9)
             assert model.q_up(s) == pytest.approx(r, abs=1e-9)
@@ -114,7 +112,7 @@ class TestAffineFit:
         target = sample_target(300, child_rng(11, 0))
         y = np.round(target.rewards)
         train = RsDataset(target.contexts, y, np.arange(300))
-        model = fit_quantile_pair(train, QuantileTrainConfig(), PARAMS_10_90)
+        model = fit_quantile_pair(train, PARAMS_10_90)
         for level, fit in zip(model.levels, model.quantiles(target.contexts)):
             resid = y - fit
             assert np.mean(resid < -1e-7) <= level <= np.mean(resid <= 1e-7)
@@ -123,90 +121,76 @@ class TestAffineFit:
         monkeypatch.setattr(quantile, "_LP_MAX_STEPS", 1)
         target = sample_target(200, child_rng(12, 0))
         with pytest.raises(ValueError, match="duality gap .* did not close within 1 Newton steps"):
-            fit_quantile_pair(_as_train(target), QuantileTrainConfig(), PARAMS_10_90)
+            fit_quantile_pair(_as_train(target), PARAMS_10_90)
 
 
-class TestMlpFit:
-    def test_requires_rng(self):
-        target = sample_target(50, child_rng(6, 0))
-        with pytest.raises(ValueError, match="rng"):
-            fit_quantile_pair(_as_train(target), QuantileTrainConfig(model_kind="mlp"), PARAMS_10_90)
-
-    def test_fits_and_orders_levels(self):
+    def test_deterministic_and_levels_ordered(self):
         target = sample_target(600, child_rng(6, 0))
-        cfg = QuantileTrainConfig(model_kind="mlp", hidden_width=16, learning_rate=0.05, epochs=400)
-        model = fit_quantile_pair(_as_train(target), cfg, PARAMS_10_90, child_rng(6, 1))
-        grid = np.linspace(-4, 4, 101).reshape(-1, 1)
-        lo, up = model.quantiles(grid)
-        assert np.all(lo <= up)
-        assert model.q_lo(0.0) < model.q_up(0.0)
-        for losses in model.train_losses:
-            assert np.all(np.diff(losses) <= 1e-9)
-
-    def test_deterministic_given_stream(self):
-        target = sample_target(200, child_rng(7, 0))
-        cfg = QuantileTrainConfig(model_kind="mlp", hidden_width=8, epochs=50)
-        m1 = fit_quantile_pair(_as_train(target), cfg, PARAMS_10_90, child_rng(7, 1))
-        m2 = fit_quantile_pair(_as_train(target), cfg, PARAMS_10_90, child_rng(7, 1))
-        grid = np.linspace(-2, 2, 17)
-        assert np.array_equal(m1.quantiles(grid)[0], m2.quantiles(grid)[0])
+        m1 = fit_quantile_pair(_as_train(target), PARAMS_10_90)
+        m2 = fit_quantile_pair(_as_train(target), PARAMS_10_90)
+        assert m1.dump() == m2.dump()
+        assert m1.q_lo(0.0) < m1.q_up(0.0)
 
 
 class TestCrossingFix:
     def test_no_crossing_on_probe_grid(self):
         target = sample_target(300, child_rng(8, 0))
-        model = fit_quantile_pair(
-            _as_train(target), QuantileTrainConfig(learning_rate=0.2, epochs=200), PARAMS_10_90
-        )
+        model = fit_quantile_pair(_as_train(target), PARAMS_10_90)
         grid = np.linspace(-30, 30, 1000).reshape(-1, 1)
         lo, up = model.quantiles(grid)
         assert np.all(lo <= up)
 
     def test_midpoint_replacement(self):
         # Force crossing affine weights; both sides must collapse to the mean.
-        model = QuantilePairModel(
-            "affine",
-            (np.array([1.0, 0.0]),),
-            (np.array([-1.0, 0.0]),),
-            (0.1, 0.9),
-        )
+        model = QuantilePairModel(np.array([1.0, 0.0]), np.array([-1.0, 0.0]), (0.1, 0.9))
         lo, up = model.quantiles(np.array([[0.0]]))
         assert lo[0] == up[0] == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 2))
+    def test_random_affine_pairs_are_ordered(self, data, dim):
+        # Independent weight pairs cross on about half of the contexts.
+        weights = st.lists(st.floats(-1e3, 1e3), min_size=dim + 1, max_size=dim + 1)
+        w_lo, w_up = np.array(data.draw(weights)), np.array(data.draw(weights))
+        ctx = np.array(data.draw(st.lists(
+            st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim), min_size=1, max_size=20,
+        )))
+        lo, up = QuantilePairModel(w_lo, w_up, (0.1, 0.9)).quantiles(ctx)
+        assert np.all(lo <= up)
+        x1 = np.hstack([np.ones((len(ctx), 1)), ctx])
+        kept = x1 @ w_lo <= x1 @ w_up
+        assert np.array_equal(lo[kept], (x1 @ w_lo)[kept])
+        assert np.array_equal(up[kept], (x1 @ w_up)[kept])
 
 
 class TestSerialization:
     def test_affine_round_trip_exact(self):
         target = sample_target(100, child_rng(9, 0))
-        model = fit_quantile_pair(
-            _as_train(target), QuantileTrainConfig(epochs=50), PARAMS_10_90
-        )
+        model = fit_quantile_pair(_as_train(target), PARAMS_10_90)
         back = QuantilePairModel.load(model.dump())
         grid = np.linspace(-3, 3, 41)
         assert np.array_equal(back.quantiles(grid)[0], model.quantiles(grid)[0])
         assert np.array_equal(back.quantiles(grid)[1], model.quantiles(grid)[1])
         assert back.levels == model.levels
 
-    def test_mlp_round_trip_exact(self):
-        target = sample_target(100, child_rng(9, 0))
-        cfg = QuantileTrainConfig(model_kind="mlp", hidden_width=4, epochs=30)
-        model = fit_quantile_pair(_as_train(target), cfg, PARAMS_10_90, child_rng(9, 1))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        dim=st.integers(1, 2),
+        level=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_round_trip_is_bit_exact(self, data, dim, level):
+        weights = st.lists(st.floats(allow_nan=False), min_size=dim + 1, max_size=dim + 1)
+        w_lo, w_up = np.array(data.draw(weights)), np.array(data.draw(weights))
+        model = QuantilePairModel(w_lo, w_up, (level, 1.0 - level))
         back = QuantilePairModel.load(model.dump())
-        grid = np.linspace(-3, 3, 41)
-        assert np.array_equal(back.quantiles(grid)[0], model.quantiles(grid)[0])
+        assert back.w_lo.tobytes() == w_lo.tobytes()
+        assert back.w_up.tobytes() == w_up.tobytes()
+        assert back.levels == model.levels
+        assert back.dump() == model.dump()
 
     def test_trivial_model_is_zero(self):
         model = trivial_quantile_model((0.1, 0.9))
         lo, up = model.quantiles(np.array([[5.0]]))
         assert lo[0] == 0.0 and up[0] == 0.0
 
-
-class TestConfigValidation:
-    @pytest.mark.parametrize("kwargs", [
-        dict(model_kind="forest"),
-        dict(epochs=0),
-        dict(learning_rate=0.0),
-        dict(model_kind="mlp", hidden_width=0),
-    ])
-    def test_invalid_config(self, kwargs):
-        with pytest.raises(ValueError):
-            QuantileTrainConfig(**kwargs)
