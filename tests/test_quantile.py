@@ -124,12 +124,21 @@ class TestAffineFit:
             fit_quantile_pair(_as_train(target), PARAMS_10_90)
 
 
-    def test_deterministic_and_levels_ordered(self):
+    def test_fits_and_orders_levels(self):
         target = sample_target(600, child_rng(6, 0))
+        model = fit_quantile_pair(_as_train(target), PARAMS_10_90)
+        grid = np.linspace(-4, 4, 101).reshape(-1, 1)
+        lo, up = model.quantiles(grid)
+        assert np.all(lo <= up)
+        assert model.q_lo(0.0) < model.q_up(0.0)
+
+    def test_deterministic(self):
+        target = sample_target(600, child_rng(7, 0))
         m1 = fit_quantile_pair(_as_train(target), PARAMS_10_90)
         m2 = fit_quantile_pair(_as_train(target), PARAMS_10_90)
         assert m1.dump() == m2.dump()
-        assert m1.q_lo(0.0) < m1.q_up(0.0)
+        grid = np.linspace(-2, 2, 17)
+        assert np.array_equal(m1.quantiles(grid)[0], m2.quantiles(grid)[0])
 
 
 class TestCrossingFix:
