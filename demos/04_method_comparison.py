@@ -21,7 +21,7 @@ from pacope import BenchConfig, run_figure2
 
 config = BenchConfig(runs=60, test_points=4000, n_jobs=2)
 print(f"running {config.runs} seeded comparisons at n = {config.n} "
-      f"(a few minutes of compute)...\n")
+      f"(a few seconds of compute)...\n")
 table = run_figure2(config, master_seed=20260810)
 
 print(f"{'method':>10} | {'mean cov':>8} | {'P[cov >= 0.8]':>13} | {'mean length':>11}")

@@ -48,15 +48,12 @@ from .baselines import (
     CoppCalibration,
     CoppConfig,
     CoppHulls,
-    CoppInterval,
     RewardModelGaussian,
     copp_calibrate,
     copp_hull_batch,
-    copp_predict,
+    copp_log_weights,
     copp_rs_predict,
     copp_thresholds,
-    copp_weight,
-    copp_weights,
     fit_reward_model,
 )
 from .behavior import (

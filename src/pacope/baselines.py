@@ -1,27 +1,25 @@
-"""Comparison methods: weighted conformal prediction with estimated
+"""Comparison methods: weighted conformal prediction with exact
 density-ratio weights (COPP), and rejection sampling with a plain empirical
 quantile threshold (COPP-RS).
 
-COPP estimates the joint density ratio of ``(s, r)`` between target and
-behavior by Monte Carlo through a fitted conditional reward model:
-``w_hat(s, r) = sum_i P_hat(r | s, a_i^e) / sum_i P_hat(r | s, a_i)`` with
-``a_i ~ pi_hat_b(.|s)`` and ``a_i^e ~ pi_e(.|s)``. Because the weight depends
-on the candidate reward, COPP must sweep a grid of reward values to emit an
-interval; the inclusion rule for a candidate is that its non-conformity score
-lies below the ``1 - eps`` quantile of the weighted empirical distribution of
-calibration scores plus an infinity atom.
+COPP weights ``(s, r)`` by the ratio of the target and behavior reward
+marginals of a fitted conditional reward model,
+``w(s, r) = integral pi_e(a|s) P_hat(r|s,a) da / integral pi_hat_b(a|s) P_hat(r|s,a) da``.
+The reward model is Gaussian with an affine mean and both policies are
+Gaussian-linear, so each marginal is a Gaussian density in closed form and
+the weights are exact; they travel as log weights. Because the weight
+depends on the candidate reward, COPP must sweep a grid of reward values to
+emit an interval; the inclusion rule for a candidate is that its
+non-conformity score lies below the ``1 - eps`` quantile of the weighted
+empirical distribution of calibration scores plus an infinity atom.
 
 The public COPP API runs in three steps. :func:`copp_calibrate` scores and
 weights the calibration half once and returns a :class:`CoppCalibration`
-holding the sorted scores and their cumulative weights. :func:`copp_weights`
-estimates weights at any ``(s, r)`` pairs and :func:`copp_thresholds` turns
-candidate weights into weighted-quantile thresholds. :func:`copp_hull_batch`
-sweeps the reward grid at a batch of test contexts in memory-bounded chunks
-and returns the hull of the accepted candidates per context;
-:func:`copp_predict` is its one-context form. Each weight estimate draws one
-seed from the caller's stream and one block of standard normals from it; for
-Gaussian policies that block serves both the behavior and the target actions
-(common random numbers), so identical policies give a weight of exactly one.
+holding the sorted scores and their cumulative weights.
+:func:`copp_log_weights` gives the log weights at any ``(s, r)`` pairs and
+:func:`copp_thresholds` turns candidate log weights into weighted-quantile
+thresholds. :func:`copp_hull_batch` sweeps the reward grid at a batch of
+test contexts and returns the hull of the accepted candidates per context.
 
 COPP-RS shares the rejection-sampling front end of the PAC pipeline but uses
 the plain ``1 - eps`` empirical quantile as its threshold, so it is marginally
@@ -51,21 +49,18 @@ __all__ = [
     "CoppConfig",
     "CoppCalibration",
     "CoppHulls",
-    "CoppInterval",
     "fit_reward_model",
-    "copp_weight",
-    "copp_weights",
+    "copp_log_weights",
     "copp_calibrate",
     "copp_thresholds",
     "copp_hull_batch",
-    "copp_predict",
     "copp_rs_predict",
 ]
 
 _SIGMA_FLOOR = 1e-3
 _SNAP = 1e-9
-# Floats in one (contexts, grid, Monte Carlo) block of the hull sweep: 1 MiB.
-_HULL_BLOCK_FLOATS = 1 << 17
+# Largest x with exp(x) finite.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -95,11 +90,6 @@ class RewardModelGaussian:
         a = np.asarray(actions, dtype=float).reshape(-1)
         return self.coef[0] + ctx @ self.coef[1:-1] + self.coef[-1] * a
 
-    def density(self, rewards, contexts, actions) -> np.ndarray:
-        r = np.asarray(rewards, dtype=float)
-        z = (r - self.mean(contexts, actions)) / self.sigma
-        return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
-
 
 def fit_reward_model(train: LoggedDataset) -> RewardModelGaussian:
     """Exact MLE of the affine-mean constant-sigma Gaussian reward model.
@@ -118,131 +108,52 @@ def fit_reward_model(train: LoggedDataset) -> RewardModelGaussian:
 
 @dataclass(frozen=True)
 class CoppConfig:
-    """Monte Carlo and reward-grid resolution for the weighted-CP baseline."""
+    """Reward-grid resolution for the weighted-CP baseline."""
 
-    mc_samples: int = 100
     grid_size: int = 400
     grid_margin: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
-        if self.grid_margin < 0:
-            raise ValueError("grid_margin must be nonnegative")
+        if not (math.isfinite(self.grid_margin) and self.grid_margin >= 0):
+            raise ValueError("grid_margin must be finite and nonnegative")
 
 
-def _philox(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
-def _stream(rng: np.random.Generator) -> np.random.Generator:
-    # One derived stream per weight estimate, keyed by one draw from ``rng``.
-    return _philox(int(rng.integers(0, 2**63)))
-
-
-def copp_weight(
+def copp_log_weights(
     rm: RewardModelGaussian,
     pbhat: StochasticPolicy,
     pe: StochasticPolicy,
-    s,
-    r: float,
-    h: int,
-    rng: np.random.Generator,
-) -> float:
-    """Monte Carlo estimate of the joint ``(s, r)`` density ratio.
+    contexts,
+    rewards,
+) -> np.ndarray:
+    """Exact log density ratio ``log w(s, r)`` at many ``(s, r)`` pairs.
 
-    Both action sets are drawn from copies of one derived stream (common
-    random numbers), so identical policies give a weight of exactly one. A
-    zero denominator (all behavior-action densities underflow) gives weight
-    zero; callers count those occurrences in their diagnostics.
+    Under a Gaussian-linear policy ``N(mu(s), v)`` the reward marginal
+    ``integral pi(a|s) p(r|s,a) da`` of the model is
+    ``N(r; c0 + c_s.s + c_a mu(s), sigma^2 + c_a^2 v)``, and ``log w`` is the
+    target marginal's log density minus the behavior marginal's. Row ``i`` of
+    ``contexts`` pairs with ``rewards[i]``; ``rewards`` may carry trailing
+    axes (or a leading axis of one) that broadcast, such as a reward grid
+    shared by every context.
     """
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    ctx = np.repeat(_as_context_matrix(s), h, axis=0)
-    seed = int(rng.integers(0, 2**63))
-    a_b = pbhat.sample(ctx, _philox(seed))
-    a_e = pe.sample(ctx, _philox(seed))
-    r_rep = np.full(h, float(r))
-    num = float(np.sum(rm.density(r_rep, ctx, a_e)))
-    den = float(np.sum(rm.density(r_rep, ctx, a_b)))
-    if den <= 0.0:
-        return 0.0
-    return num / den
-
-
-def _gaussian_weights(
-    rm: RewardModelGaussian,
-    pbhat: GaussianLinearPolicy,
-    pe: GaussianLinearPolicy,
-    ctx: np.ndarray,
-    rewards: np.ndarray,
-    z: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Weights from one standard-normal block ``z`` shared by both policies.
-
-    Row ``i`` of ``ctx`` indexes the leading axis of ``z``, whose last axis
-    holds the ``h`` Monte Carlo draws; ``rewards`` broadcasts against ``z``
-    without its last axis. The density sums run in place in one scratch
-    block, with the same floating-point operations as the expression
-    ``exp(-0.5 * ((r - (base + c * (mean + sd * z))) / sigma) ** 2)``.
-    """
-    lead = (slice(None),) + (None,) * (z.ndim - 1)
-    base = (rm.coef[0] + ctx @ rm.coef[1:-1])[lead]
-    r = rewards[..., None]
-    norm = rm.sigma * math.sqrt(2.0 * math.pi)
-    t = np.empty(z.shape)
-    sums = []
-    for policy in (pe, pbhat):
-        np.multiply(z, math.sqrt(policy.variance), out=t)
-        t += policy.mean(ctx)[lead]
-        t *= rm.coef[-1]
-        t += base
-        np.subtract(r, t, out=t)
-        t /= rm.sigma
-        np.square(t, out=t)
-        t *= -0.5
-        sums.append(np.exp(t, out=t).sum(axis=-1) / norm)
-    num, den = sums
-    zero = den <= 0.0
-    weights = np.zeros(den.shape)
-    weights[~zero] = num[~zero] / den[~zero]
-    return weights, int(np.count_nonzero(zero))
-
-
-def _gaussian(pbhat: StochasticPolicy, pe: StochasticPolicy) -> bool:
-    return isinstance(pbhat, GaussianLinearPolicy) and isinstance(pe, GaussianLinearPolicy)
-
-
-def copp_weights(
-    rm: RewardModelGaussian,
-    pbhat: StochasticPolicy,
-    pe: StochasticPolicy,
-    contexts: np.ndarray,
-    rewards: np.ndarray,
-    h: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, int]:
-    """Candidate weights at many ``(s, r)`` pairs.
-
-    Fast path for Gaussian policies: one seed from ``rng`` keys one ``(n, h)``
-    block of standard normals, which is location-scaled per row for both
-    policies (common random numbers), so each pair gets its own ``h`` draws.
-    Other policies fall back to :func:`copp_weight` per pair, one seed each.
-    Returns the weights and the number of zero denominators encountered.
-    """
+    if not isinstance(pbhat, GaussianLinearPolicy) or not isinstance(pe, GaussianLinearPolicy):
+        raise ValueError(
+            "exact COPP weights are available for Gaussian policies only; "
+            "pass GaussianLinearPolicy behavior and target policies"
+        )
     ctx = _as_context_matrix(contexts)
-    r = np.asarray(rewards, dtype=float).reshape(-1)
-    n = ctx.shape[0]
-    if n == 0:
-        return np.empty(0), 0
-    if _gaussian(pbhat, pe):
-        return _gaussian_weights(rm, pbhat, pe, ctx, r, _stream(rng).standard_normal((n, h)))
-    weights = np.empty(n)
-    for i in range(n):
-        weights[i] = copp_weight(rm, pbhat, pe, ctx[i], float(r[i]), h, rng)
-    return weights, int(np.count_nonzero(weights == 0.0))
+    r = np.asarray(rewards, dtype=float)
+    lead = (slice(None),) + (None,) * (r.ndim - 1)
+    slope = rm.coef[-1]
+
+    def log_marginal(policy: GaussianLinearPolicy) -> np.ndarray:
+        # The common -log(2 pi) / 2 cancels in the difference.
+        var = rm.sigma**2 + slope * slope * policy.variance
+        resid = r - rm.mean(ctx, policy.mean(ctx))[lead]
+        return -0.5 * (resid * resid / var + math.log(var))
+
+    return log_marginal(pe) - log_marginal(pbhat)
 
 
 @dataclass(frozen=True)
@@ -250,15 +161,18 @@ class CoppCalibration:
     """The calibration half of COPP, scored and weighted once.
 
     ``sorted_scores`` are the calibration non-conformity scores in stable
-    ascending order and ``cum_weights`` the cumulative sums of their estimated
-    weights in that order. ``r_min`` and ``r_max`` are the calibration rewards'
-    range, which the candidate grid extends by ``cfg.grid_margin`` of its span
-    on each side. ``zero_denominator_count`` counts the calibration weights
-    whose Monte Carlo denominator underflowed.
+    ascending order and ``cum_weights`` the cumulative sums of their weights
+    in that order. The weights are ``exp(log_w - log_shift)`` with
+    ``log_shift`` the largest calibration log weight, so the largest is one
+    and none overflows; the weighted quantile is unchanged when every weight,
+    the candidate's included, is scaled by one constant. ``r_min`` and
+    ``r_max`` are the calibration rewards' range, which the candidate grid
+    extends by ``cfg.grid_margin`` of its span on each side.
     """
 
     sorted_scores: np.ndarray
     cum_weights: np.ndarray
+    log_shift: float
     model: QuantilePairModel
     rm: RewardModelGaussian
     pbhat: StochasticPolicy
@@ -266,15 +180,16 @@ class CoppCalibration:
     cfg: CoppConfig
     r_min: float
     r_max: float
-    zero_denominator_count: int = 0
 
     @staticmethod
-    def from_scores(scores, weights, **fields) -> "CoppCalibration":
-        """Sort ``scores`` (stably) and cumulate ``weights`` in that order."""
+    def from_scores(scores, log_weights, **fields) -> "CoppCalibration":
+        """Sort ``scores`` (stably) and cumulate the shifted weights in that order."""
         scores = np.asarray(scores, dtype=float).reshape(-1)
+        log_weights = np.asarray(log_weights, dtype=float).reshape(-1)
+        shift = float(np.max(log_weights))
         order = np.argsort(scores, kind="stable")
-        cum = np.cumsum(np.asarray(weights, dtype=float).reshape(-1)[order])
-        return CoppCalibration(scores[order], cum, **fields)
+        cum = np.cumsum(np.exp(log_weights[order] - shift))
+        return CoppCalibration(scores[order], cum, shift, **fields)
 
     def grid(self) -> np.ndarray:
         """The reward candidates every test context is swept over."""
@@ -290,60 +205,40 @@ def copp_calibrate(
     pbhat: StochasticPolicy,
     pe: StochasticPolicy,
     cfg: CoppConfig,
-    rng: np.random.Generator,
 ) -> CoppCalibration:
-    """Score and weight the calibration half; the weights consume ``rng``."""
+    """Score and weight the calibration half."""
     if len(cal) == 0:
         raise ValueError("COPP needs at least one calibration sample")
     scores = np.asarray(nonconformity(model, cal.contexts, cal.rewards))
-    weights, zeros = copp_weights(rm, pbhat, pe, cal.contexts, cal.rewards, cfg.mc_samples, rng)
+    log_weights = copp_log_weights(rm, pbhat, pe, cal.contexts, cal.rewards)
     return CoppCalibration.from_scores(
-        scores, weights, model=model, rm=rm, pbhat=pbhat, pe=pe, cfg=cfg,
+        scores, log_weights, model=model, rm=rm, pbhat=pbhat, pe=pe, cfg=cfg,
         r_min=float(np.min(cal.rewards)), r_max=float(np.max(cal.rewards)),
-        zero_denominator_count=zeros,
     )
 
 
-def copp_thresholds(calib: CoppCalibration, cand_weights, level: float) -> np.ndarray:
+def copp_thresholds(calib: CoppCalibration, cand_log_weights, level: float) -> np.ndarray:
     """Per-candidate ``level``-quantile of the weighted score distribution.
 
     The distribution puts mass ``w_i / (W + c)`` on each calibration score and
-    ``c / (W + c)`` on infinity, where ``c`` is the candidate's own weight.
-    Returns one threshold per candidate, in the shape of ``cand_weights``
-    (``inf`` when the quantile lands on the atom). A relative 1e-9 slack
-    keeps decimal levels stored as floats from selecting the next order
-    statistic.
+    ``c / (W + c)`` on infinity, where ``c`` is the candidate's own weight,
+    all shifted by ``calib.log_shift``. Returns one threshold per candidate,
+    in the shape of ``cand_log_weights`` (``inf`` when the quantile lands on
+    the atom). A shifted candidate weight beyond the float range outweighs
+    the at most ``m`` calibration weights of at most one each, so its
+    quantile is the atom. A relative 1e-9 slack keeps decimal levels stored
+    as floats from selecting the next order statistic.
     """
+    shifted = np.asarray(cand_log_weights, dtype=float) - calib.log_shift
+    atom = shifted > _LOG_FLOAT_MAX
     cum = calib.cum_weights
-    total = cum[-1] if cum.size else 0.0
-    targets = level * (total + np.asarray(cand_weights, dtype=float))
+    targets = level * (cum[-1] + np.exp(np.where(atom, 0.0, shifted)))
     targets = targets - _SNAP * np.maximum(1.0, np.abs(targets))
     idx = np.searchsorted(cum, targets, side="left")
     thresholds = np.full(targets.shape, math.inf)
-    hit = idx < calib.sorted_scores.shape[0]
+    hit = ~atom & (idx < calib.sorted_scores.shape[0])
     thresholds[hit] = calib.sorted_scores[idx[hit]]
     return thresholds
-
-
-@dataclass(frozen=True)
-class CoppInterval:
-    """Hull of grid candidates accepted by the weighted-CP rule, plus flags.
-
-    ``interval`` is ``None`` when no grid point was accepted (the empty
-    sentinel). ``non_contiguous`` reports that the accepted set had gaps, in
-    which case the hull is a conservative closure.
-    """
-
-    interval: PredictionInterval | None
-    empty: bool
-    non_contiguous: bool
-    zero_denominator_count: int
-
-    def contains(self, r: float) -> bool:
-        return self.interval is not None and self.interval.contains(r)
-
-    def length(self) -> float:
-        return 0.0 if self.interval is None else self.interval.length()
 
 
 @dataclass(frozen=True)
@@ -352,98 +247,39 @@ class CoppHulls:
 
     ``lo`` and ``hi`` are NaN where ``empty`` (no candidate accepted);
     ``non_contiguous`` flags an accepted set with gaps, whose hull is a
-    conservative closure. ``zero_denominator_count`` totals the zero
-    denominators of the grid weights over all contexts.
+    conservative closure.
     """
 
     lo: np.ndarray
     hi: np.ndarray
     empty: np.ndarray
     non_contiguous: np.ndarray
-    zero_denominator_count: int
 
     def lengths(self) -> np.ndarray:
         """Hull lengths, zero for an empty hull."""
         return np.where(self.empty, 0.0, self.hi - self.lo)
 
 
-def copp_hull_batch(
-    calib: CoppCalibration, contexts, epsilon: float, rng: np.random.Generator
-) -> CoppHulls:
+def copp_hull_batch(calib: CoppCalibration, contexts, epsilon: float) -> CoppHulls:
     """Weighted-CP hulls at a batch of contexts via the reward-candidate grid.
 
-    Every grid weight gets its own block of ``mc_samples`` Monte Carlo draws,
-    so the grid weights are independent estimates. Contexts are swept in
-    order, each drawing its seed (Gaussian policies) or one seed per grid
-    point (other policies) from ``rng``, in chunks whose
-    ``(contexts, grid_size, mc_samples)`` normal block stays within
-    ``_HULL_BLOCK_FLOATS`` floats.
+    Contexts do not interact: each row depends only on its own context, and
+    a one-row batch gives the interval at one context.
     """
     ctx = _as_context_matrix(contexts)
-    cfg, rm, pbhat, pe = calib.cfg, calib.rm, calib.pbhat, calib.pe
-    n, g, h = ctx.shape[0], cfg.grid_size, cfg.mc_samples
     grid = calib.grid()
-    weights = np.empty((n, g))
-    zeros = 0
-    if _gaussian(pbhat, pe):
-        step = max(1, _HULL_BLOCK_FLOATS // (g * h))
-        for start in range(0, n, step):
-            part = ctx[start:start + step]
-            z = np.empty((part.shape[0], g, h))
-            for block in z:
-                _stream(rng).standard_normal(out=block)
-            weights[start:start + part.shape[0]], count = _gaussian_weights(
-                rm, pbhat, pe, part, grid[None, :], z
-            )
-            zeros += count
-    else:
-        for j in range(n):
-            weights[j], count = copp_weights(
-                rm, pbhat, pe, np.repeat(ctx[j:j + 1], g, axis=0), grid, h, rng
-            )
-            zeros += count
-    thresholds = copp_thresholds(calib, weights, 1.0 - epsilon)
+    log_weights = copp_log_weights(calib.rm, calib.pbhat, calib.pe, ctx, grid[None, :])
+    thresholds = copp_thresholds(calib, log_weights, 1.0 - epsilon)
     q_lo, q_up = calib.model.quantiles(ctx)
     scores = np.maximum(q_lo[:, None] - grid, grid - q_up[:, None])
     included = scores <= thresholds
     empty = ~included.any(axis=1)
     first = np.argmax(included, axis=1)
-    last = g - 1 - np.argmax(included[:, ::-1], axis=1)
+    last = grid.size - 1 - np.argmax(included[:, ::-1], axis=1)
     non_contiguous = ~empty & (last - first + 1 != included.sum(axis=1))
     lo = np.where(empty, math.nan, grid[first])
     hi = np.where(empty, math.nan, grid[last])
-    return CoppHulls(lo, hi, empty, non_contiguous, zeros)
-
-
-def copp_predict(
-    cal: LoggedDataset,
-    model: QuantilePairModel,
-    rm: RewardModelGaussian,
-    pbhat: StochasticPolicy,
-    pe: StochasticPolicy,
-    s,
-    epsilon: float,
-    cfg: CoppConfig,
-    rng: np.random.Generator,
-) -> CoppInterval:
-    """Weighted-CP interval at one context ``s``: the one-context hull batch.
-
-    The grid spans the calibration rewards' empirical range extended by the
-    configured margin. Every weight gets its own block of ``mc_samples``
-    Monte Carlo action draws: one block per calibration point, and a fresh
-    block per grid point, so the grid weights are independent estimates.
-    The zero-denominator count covers the calibration and the grid weights.
-    """
-    if len(cal) == 0:
-        return CoppInterval(PredictionInterval.whole_line(), False, False, 0)
-    calib = copp_calibrate(cal, model, rm, pbhat, pe, cfg, rng)
-    hulls = copp_hull_batch(calib, np.asarray(s, dtype=float).reshape(1, -1), epsilon, rng)
-    empty = bool(hulls.empty[0])
-    interval = None if empty else PredictionInterval(float(hulls.lo[0]), float(hulls.hi[0]))
-    return CoppInterval(
-        interval, empty, bool(hulls.non_contiguous[0]),
-        hulls.zero_denominator_count + calib.zero_denominator_count,
-    )
+    return CoppHulls(lo, hi, empty, non_contiguous)
 
 
 def copp_rs_predict(scores, model: QuantilePairModel, s, epsilon: float) -> PredictionInterval:

@@ -10,9 +10,10 @@ Trials call the library pipelines and add no statistics of their own: known
 and unknown trials run ``pacopp_known`` and ``pacopp_unknown``, the PAC
 and COPP-RS rows of figure 2 come from ``behavior.estimate_behavior`` and
 ``calibrate.calibrate_split`` on the same streams ``pacopp_unknown`` uses,
-and its COPP row from the public COPP API of ``baselines``: one calibration,
-the test-set weights and thresholds, and one batched hull sweep over the
-``length_subsample`` first test contexts.
+and its COPP row from the public COPP API of ``baselines``, whose weights are
+exact and draw no randomness: one calibration, the test-set log weights and
+thresholds, and one batched hull sweep over the ``length_subsample`` first
+test contexts.
 
 Desk-scale defaults (500 runs, 10,000 test points) replace the full-scale run
 counts of the original experiments; every asserted frequency carries a
@@ -31,8 +32,8 @@ from .baselines import (
     CoppConfig,
     copp_calibrate,
     copp_hull_batch,
+    copp_log_weights,
     copp_thresholds,
-    copp_weights,
     fit_reward_model,
 )
 from .behavior import (
@@ -102,6 +103,8 @@ class BenchConfig:
 
     ``epochs`` and ``policy_epochs`` are accepted and ignored: the quantile,
     behavior-policy and COPP reward fits are exact, with no epochs to set.
+    ``copp_mc_samples`` is accepted and ignored too: the COPP weights are
+    exact, with no Monte Carlo draws to set.
     """
 
     n: int = 2000
@@ -146,7 +149,7 @@ class BenchConfig:
         return PacParams(self.epsilon, self.delta if delta is None else delta, self.gamma)
 
     def copp_config(self) -> CoppConfig:
-        return CoppConfig(self.copp_mc_samples, self.copp_grid_size, self.copp_grid_margin)
+        return CoppConfig(self.copp_grid_size, self.copp_grid_margin)
 
     def policy_fit_config(self, method: str = "gaussian") -> PolicyFitConfig:
         """Behavior-policy estimator; ``mle`` selects from :func:`default_finite_class`."""
@@ -201,9 +204,7 @@ class TrialReport:
     """Per-run record: empirical miscoverage, interval length, diagnostics.
 
     ``weight_violations`` counts density ratios above the rejection-sampling
-    bound; COPP does not rejection-sample, so it is 0 on COPP rows. Those rows
-    put into ``zero_denominators`` the COPP weight estimates whose Monte
-    Carlo denominator underflowed: calibration, test and hull-grid weights.
+    bound; COPP does not rejection-sample, so it is 0 on COPP rows.
     """
 
     method: str
@@ -222,7 +223,6 @@ class TrialReport:
     tie_flag: bool
     weight_violations: int
     delta_w_hat: float = float("nan")
-    zero_denominators: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.miscoverage <= 1.0:
@@ -407,7 +407,6 @@ def _figure2_trial(args) -> list[TrialReport]:
     rng_data = child_rng(master_seed, _TAG_FIGURE2, run, 0)
     rng_test = child_rng(master_seed, _TAG_FIGURE2, run, 1)
     rng_algo = child_rng(master_seed, _TAG_FIGURE2, run, 2)
-    rng_copp = child_rng(master_seed, _TAG_FIGURE2, run, 3)
     d = sample_logged(n, rng_data, env)
     test = sample_target(config.test_points, rng_test, env)
     d1, d2 = split_dataset(d, gamma)
@@ -479,23 +478,18 @@ def _figure2_trial(args) -> list[TrialReport]:
     # COPP: weighted CP on the raw calibration half, no rejection sampling.
     rm = fit_reward_model(d1)
     qm_raw = fit_quantile_pair(RsDataset(d1.contexts, d1.rewards, np.arange(len(d1))), params)
-    calib = copp_calibrate(d2, qm_raw, rm, pbhat, pe, config.copp_config(), rng_copp)
-    test_weights, zeros_test = copp_weights(
-        rm, pbhat, pe, test.contexts, test.rewards, config.copp_mc_samples, rng_copp
-    )
-    thresholds = copp_thresholds(calib, test_weights, 1.0 - eps)
+    calib = copp_calibrate(d2, qm_raw, rm, pbhat, pe, config.copp_config())
+    test_log_weights = copp_log_weights(rm, pbhat, pe, test.contexts, test.rewards)
+    thresholds = copp_thresholds(calib, test_log_weights, 1.0 - eps)
     qlo_r, qup_r = qm_raw.quantiles(test.contexts)
     scores_test_raw = np.maximum(qlo_r - test.rewards, test.rewards - qup_r)
     coverage = float(np.mean(scores_test_raw <= thresholds))
-    hulls = copp_hull_batch(calib, test.contexts[:config.length_subsample], eps, rng_copp)
+    hulls = copp_hull_batch(calib, test.contexts[:config.length_subsample], eps)
     reports.append(TrialReport(
         method="COPP", run=run, n=n, epsilon=eps, delta=float("nan"), gamma=gamma,
         miscoverage=1.0 - coverage, mean_length=float(np.mean(hulls.lengths())),
         trivial=False, threshold=float("nan"), n_rs=0, m_cal=len(d2), k=-1,
         tie_flag=False, weight_violations=0,
-        zero_denominators=(
-            calib.zero_denominator_count + zeros_test + hulls.zero_denominator_count
-        ),
     ))
     return reports
 
@@ -503,9 +497,10 @@ def _figure2_trial(args) -> list[TrialReport]:
 def run_figure2(config: BenchConfig, master_seed: int) -> AggregateTable:
     """Coverage and length comparison of COPP, COPP-RS, and the PAC pipeline.
 
-    All methods see identical per-seed datasets (shared data stream) with
-    method-specific auxiliary streams. Rows are per run; the ``delta`` column
-    is empty for the two non-PAC methods.
+    All methods see identical per-seed datasets (shared data stream); the
+    rejection-sampling methods share one acceptance stream and COPP uses
+    none. Rows are per run; the ``delta`` column is empty for the two non-PAC
+    methods.
     """
     args = [(config, master_seed, run) for run in range(config.runs)]
     nested = _map_trials(_figure2_trial, args, config.n_jobs)

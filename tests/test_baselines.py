@@ -1,20 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from pacope import baselines
 from pacope.baselines import (
     CoppCalibration,
     CoppConfig,
     RewardModelGaussian,
     copp_calibrate,
     copp_hull_batch,
-    copp_predict,
+    copp_log_weights,
     copp_rs_predict,
     copp_thresholds,
-    copp_weight,
-    copp_weights,
     fit_reward_model,
 )
 from pacope.behavior import PolicyFitConfig, estimate_behavior
@@ -37,7 +35,7 @@ PB = ENV.behavior_policy()
 
 
 class _ConstantActionPolicy(StochasticPolicy):
-    """Deterministic sampler used to pin Monte Carlo draws in tests."""
+    """A policy that is not Gaussian-linear, which exact COPP weights reject."""
 
     def __init__(self, value):
         self.value = float(value)
@@ -53,153 +51,112 @@ def _band_model(lo=-1.0, up=1.0, slope=0.0):
     return QuantilePairModel(np.array([lo, slope]), np.array([up, slope]), (0.1, 0.9))
 
 
-def _calibration(scores, weights, model=None, rm=None, pb=PB, pe=PE, cfg=CoppConfig(),
+def _policy(intercept, variance=1e-6):
+    return GaussianLinearPolicy(np.array([0.0]), intercept, variance)
+
+
+def _calibration(scores, log_weights, model=None, rm=None, pb=PB, pe=PE, cfg=CoppConfig(),
                  r_min=-1.0, r_max=1.0):
     return CoppCalibration.from_scores(
-        scores, weights, model=model or _band_model(),
+        scores, log_weights, model=model or _band_model(),
         rm=rm or RewardModelGaussian(np.array([0.0, 1.0, 1.0]), 1.0),
         pbhat=pb, pe=pe, cfg=cfg, r_min=r_min, r_max=r_max,
     )
 
 
-# ---------------------------------------------------------------------------
-# Oracle: the per-context COPP algorithm the batched path replaced. Two
-# generators over one derived seed give the behavior and target normals, the
-# weighted quantile re-sorts the calibration scores per call, and each
-# context's grid is scored on repeated context rows.
-# ---------------------------------------------------------------------------
-
-def _oracle_weights(rm, pbhat, pe, contexts, rewards, h, rng):
-    ctx = np.asarray(contexts, dtype=float).reshape(len(rewards), -1)
-    r = np.asarray(rewards, dtype=float)
-    n = ctx.shape[0]
-    if not (isinstance(pbhat, GaussianLinearPolicy) and isinstance(pe, GaussianLinearPolicy)):
-        weights = np.array([
-            copp_weight(rm, pbhat, pe, ctx[i], float(r[i]), h, rng) for i in range(n)
-        ])
-        return weights, int(np.count_nonzero(weights == 0.0))
-    seed = int(rng.integers(0, 2**63))
-    make = lambda: np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    z_b = make().standard_normal((n, h))
-    z_e = make().standard_normal((n, h))
-    a_b = pbhat.mean(ctx)[:, None] + math.sqrt(pbhat.variance) * z_b
-    a_e = pe.mean(ctx)[:, None] + math.sqrt(pe.variance) * z_e
-    base = rm.coef[0] + ctx @ rm.coef[1:-1]
-    mu_b = base[:, None] + rm.coef[-1] * a_b
-    mu_e = base[:, None] + rm.coef[-1] * a_e
-    norm = rm.sigma * math.sqrt(2.0 * math.pi)
-    num = np.exp(-0.5 * ((r[:, None] - mu_e) / rm.sigma) ** 2).sum(axis=1) / norm
-    den = np.exp(-0.5 * ((r[:, None] - mu_b) / rm.sigma) ** 2).sum(axis=1) / norm
-    zero = den <= 0.0
-    weights = np.zeros(n)
-    weights[~zero] = num[~zero] / den[~zero]
-    return weights, int(np.count_nonzero(zero))
-
-
-def _oracle_thresholds(cal_scores, cal_weights, cand_weights, level):
+def _oracle_thresholds(cal_scores, cal_log_weights, cand_log_weights, level):
+    # The weighted quantile re-sorted per call, on weights shifted by the
+    # largest calibration log weight.
+    shift = np.max(cal_log_weights)
     order = np.argsort(cal_scores, kind="stable")
     sorted_scores = cal_scores[order]
-    cum = np.cumsum(cal_weights[order])
+    cum = np.cumsum(np.exp(cal_log_weights - shift)[order])
     total = cum[-1] if cum.size else 0.0
-    targets = level * (total + cand_weights)
+    targets = level * (total + np.exp(cand_log_weights - shift))
     targets = targets - 1e-9 * np.maximum(1.0, np.abs(targets))
     idx = np.searchsorted(cum, targets, side="left")
-    thresholds = np.full(cand_weights.shape[0], math.inf)
+    thresholds = np.full(cand_log_weights.shape[0], math.inf)
     hit = idx < sorted_scores.shape[0]
     thresholds[hit] = sorted_scores[idx[hit]]
     return thresholds
 
 
-def _oracle_hull(cal_scores, cal_weights, model, rm, pbhat, pe, s, epsilon, cfg, rng,
-                 r_min, r_max):
-    """(lo, hi, empty, non_contiguous, zeros) of one context's grid sweep."""
-    span = max(r_max - r_min, 1e-12)
-    grid = np.linspace(
-        r_min - cfg.grid_margin * span, r_max + cfg.grid_margin * span, cfg.grid_size
-    )
-    ctx = np.repeat(np.reshape(s, (1, -1)), cfg.grid_size, axis=0)
-    cand_weights, zeros = _oracle_weights(rm, pbhat, pe, ctx, grid, cfg.mc_samples, rng)
-    thresholds = _oracle_thresholds(cal_scores, cal_weights, cand_weights, 1.0 - epsilon)
-    included = np.asarray(nonconformity(model, ctx, grid)) <= thresholds
-    if not np.any(included):
-        return math.nan, math.nan, True, False, zeros
-    where = np.flatnonzero(included)
-    non_contiguous = bool(where[-1] - where[0] + 1 != where.size)
-    return grid[where[0]], grid[where[-1]], False, non_contiguous, zeros
+def _normal_density(x, mean, variance):
+    return np.exp(-0.5 * (x - mean) ** 2 / variance) / np.sqrt(2.0 * math.pi * variance)
 
 
 class TestCoppWeight:
     def test_identical_policies_give_exactly_one(self):
-        # Behavior and target draws share one derived stream, so identical
-        # policies produce identical action sets and a ratio of exactly 1.
+        # Both reward marginals are computed by the same operations, so their
+        # log densities cancel exactly.
         rm = RewardModelGaussian(np.array([0.0, 1.0, 1.0]), 2.0)
-        w = copp_weight(rm, PE, PE, 0.5, 1.2, 64, child_rng(1))
-        assert w == 1.0
+        contexts = child_rng(1).normal(size=(50, 1))
+        rewards = child_rng(2).normal(size=50) * 5.0
+        log_w = copp_log_weights(rm, PE, PE, contexts, rewards)
+        assert np.all(log_w == 0.0)
+        assert np.all(np.exp(log_w) == 1.0)
 
-    def test_single_draw_density_ratio(self):
-        # sigma = 1/sqrt(2*pi) makes the model density exp(-pi (r - a)^2);
-        # constant-action policies pin the draws, so the weight is the exact
-        # ratio of two chosen densities 0.2 / 0.4.
-        sigma = 1.0 / math.sqrt(2.0 * math.pi)
-        rm = RewardModelGaussian(np.array([0.0, 0.0, 1.0]), sigma)
-        a_num = math.sqrt(math.log(1 / 0.2) / math.pi)
-        a_den = math.sqrt(math.log(1 / 0.4) / math.pi)
-        w = copp_weight(
-            rm, _ConstantActionPolicy(a_den), _ConstantActionPolicy(a_num),
-            0.0, 0.0, 1, child_rng(2),
-        )
-        assert w == pytest.approx(0.5, rel=1e-12)
+    def test_matches_marginal_density_ratio(self):
+        # The weight is the ratio of two Gaussian reward marginals
+        # N(r; c0 + c_s s + c_a mu(s), sigma^2 + c_a^2 v), computed here from
+        # the densities themselves.
+        rm = RewardModelGaussian(np.array([0.2, 0.9, 1.1]), 3.0)
+        pb = GaussianLinearPolicy(np.array([0.3]), 0.2, 3.5)
+        s, r = np.array([[0.7], [-1.2]]), np.array([2.5, -4.0])
 
-    def test_zero_denominator_gives_zero(self):
+        def marginal(policy):
+            mean = 0.2 + 0.9 * s[:, 0] + 1.1 * policy.mean(s)
+            return _normal_density(r, mean, 9.0 + 1.1**2 * policy.variance)
+
+        expected = marginal(PE) / marginal(pb)
+        assert np.exp(copp_log_weights(rm, pb, PE, s, r)) == pytest.approx(expected, rel=1e-12)
+
+    def test_far_behavior_policy_gives_finite_log_weight(self):
+        # A behavior policy far from the target: every Monte Carlo draw of
+        # the behavior density underflows here, but the log weight is finite
+        # and exact.
         rm = RewardModelGaussian(np.array([0.0, 0.0, 1.0]), 0.01)
-        w = copp_weight(
-            rm, _ConstantActionPolicy(1000.0), _ConstantActionPolicy(0.0),
-            0.0, 0.0, 4, child_rng(3),
-        )
-        assert w == 0.0
+        far = _policy(1000.0)
+        log_w = copp_log_weights(rm, far, PE, np.zeros((1, 1)), np.zeros(1))
+        var_b, var_e = 1e-4 + 1e-6, 1e-4 + PE.variance
+        expected = 0.5 * (1000.0**2 / var_b + math.log(var_b / var_e))
+        assert np.isfinite(log_w[0])
+        assert log_w[0] == pytest.approx(expected, rel=1e-12)
 
-    def test_batch_counts_zero_denominators(self):
-        rm = RewardModelGaussian(np.array([0.0, 0.0, 1.0]), 0.01)
-        far = GaussianLinearPolicy(np.array([0.0]), 1000.0, 1e-6)
-        weights, zeros = copp_weights(
-            rm, far, PE, np.zeros((5, 1)), np.zeros(5), 8, child_rng(4)
-        )
-        assert zeros == 5
-        assert np.all(weights == 0.0)
-
-    def test_h_domain(self):
+    def test_non_gaussian_policy_rejected(self):
+        # Exact weights need Gaussian-linear policies on both sides.
         rm = RewardModelGaussian(np.array([0.0, 1.0, 1.0]), 1.0)
-        with pytest.raises(ValueError):
-            copp_weight(rm, PB, PE, 0.0, 0.0, 0, child_rng(5))
+        other = _ConstantActionPolicy(0.0)
+        for pb, pe in ((other, PE), (PB, other)):
+            with pytest.raises(ValueError, match="Gaussian policies only"):
+                copp_log_weights(rm, pb, pe, np.zeros((1, 1)), np.zeros(1))
+            with pytest.raises(ValueError, match="Gaussian policies only"):
+                copp_calibrate(
+                    LoggedDataset(np.zeros((2, 1)), np.zeros(2), np.zeros(2)),
+                    _band_model(), rm, pb, pe, CoppConfig(),
+                )
 
     def test_batch_matches_marginal_statistics(self):
-        # The batch fast path must produce the same weight distribution as
-        # the generic scalar path (they consume streams differently, so the
-        # comparison is statistical).
-        d1, _ = split_dataset(sample_logged(1000, child_rng(6, 0)), 0.5)
-        rm = fit_reward_model(d1)
-        contexts = np.zeros((4000, 1))
-        rewards = np.full(4000, 1.0)
-        batch, _ = copp_weights(rm, PB, PE, contexts, rewards, 32, child_rng(6, 1))
-        scalar = np.array([
-            copp_weight(rm, PB, PE, 0.0, 1.0, 32, child_rng(6, 2 + i)) for i in range(400)
-        ])
-        assert abs(batch.mean() - scalar.mean()) < 4 * scalar.std() / math.sqrt(400)
-
-    @pytest.mark.parametrize("pb", [PB, GaussianLinearPolicy(np.array([0.3]), 0.2, 3.5)])
-    def test_single_draw_matches_two_generator_reference(self, pb):
-        # One normal block serves both policies; the two generators of the
-        # reference drew bit-identical blocks, so the weights are equal bit
-        # for bit and both consume one draw of the caller's stream.
-        rm = RewardModelGaussian(np.array([0.2, 0.9, 1.1]), 3.0)
-        rng_a, rng_b = child_rng(15), child_rng(15)
-        contexts = child_rng(16).normal(size=(300, 1))
-        rewards = child_rng(17).normal(size=300) * 4.0
-        weights, zeros = copp_weights(rm, pb, PE, contexts, rewards, 50, rng_a)
-        expected, expected_zeros = _oracle_weights(rm, pb, PE, contexts, rewards, 50, rng_b)
-        assert weights.tobytes() == expected.tobytes()
-        assert zeros == expected_zeros
-        assert rng_a.integers(0, 2**63) == rng_b.integers(0, 2**63)
+        # Monte Carlo reference: each marginal is the mean model density over
+        # 200,000 independent action draws from its policy. The exact weight
+        # lies within 3 standard errors of the ratio of the two means
+        # (delta method), at unequal policy variances.
+        rm = RewardModelGaussian(np.array([0.3, 0.8, 1.2]), 1.5)
+        pb = GaussianLinearPolicy(np.array([0.5]), -0.4, 3.0)
+        s = np.array([-1.0, 0.0, 0.5, 2.0])
+        r = np.array([-2.0, 0.4, 1.0, 3.5])
+        h = 200_000
+        exact = np.exp(copp_log_weights(rm, pb, PE, s.reshape(-1, 1), r))
+        rng = child_rng(6)
+        for i in range(s.size):
+            ctx = np.full((h, 1), s[i])
+            num = _normal_density(r[i], rm.mean(ctx, PE.sample(ctx, rng)), rm.sigma**2)
+            den = _normal_density(r[i], rm.mean(ctx, pb.sample(ctx, rng)), rm.sigma**2)
+            ratio = num.mean() / den.mean()
+            se = ratio * math.sqrt(
+                num.var() / (h * num.mean() ** 2) + den.var() / (h * den.mean() ** 2)
+            )
+            assert abs(exact[i] - ratio) <= 3.0 * se
 
 
 class TestWeightedQuantile:
@@ -209,7 +166,7 @@ class TestWeightedQuantile:
             scores = rng.normal(size=m)
             for level in (0.5, 0.8, 0.9, 0.975):
                 thresholds = copp_thresholds(
-                    _calibration(scores, np.ones(m)), np.ones(13), level
+                    _calibration(scores, np.zeros(m)), np.zeros(13), level
                 )
                 expected = split_cp_threshold(scores, level)
                 assert np.all(thresholds == expected)
@@ -227,7 +184,7 @@ class TestWeightedQuantile:
 
     def test_heavy_candidate_pushes_to_infinity(self):
         scores = np.array([0.0, 1.0, 2.0])
-        thr = copp_thresholds(_calibration(scores, np.ones(3)), np.array([100.0]), 0.8)
+        thr = copp_thresholds(_calibration(scores, np.zeros(3)), np.log([100.0]), 0.8)
         assert thr[0] == math.inf
 
     def test_matches_per_call_sort_oracle(self):
@@ -235,12 +192,41 @@ class TestWeightedQuantile:
         # call, ties included, for candidate arrays of any shape.
         rng = np.random.default_rng(9)
         scores = np.round(rng.normal(size=60), 1)
-        weights = rng.uniform(0.0, 2.0, size=60)
-        cand = rng.uniform(0.0, 5.0, size=(7, 11))
-        thr = copp_thresholds(_calibration(scores, weights), cand, 0.8)
-        expected = _oracle_thresholds(scores, weights, cand.reshape(-1), 0.8)
+        log_weights = np.log(rng.uniform(0.0, 2.0, size=60))
+        cand = np.log(rng.uniform(0.0, 5.0, size=(7, 11)))
+        thr = copp_thresholds(_calibration(scores, log_weights), cand, 0.8)
+        expected = _oracle_thresholds(scores, log_weights, cand.reshape(-1), 0.8)
         assert thr.shape == (7, 11)
         assert thr.reshape(-1).tobytes() == expected.tobytes()
+
+    def test_common_log_offset_keeps_thresholds(self):
+        # Scaling every weight by e^800 leaves the weighted quantile as it
+        # is. The log weights are multiples of 2^-20, so adding 800 is exact
+        # and the thresholds must agree bit for bit; exponentiating the
+        # unshifted weights would overflow to inf.
+        rng = np.random.default_rng(10)
+        scores = np.round(rng.normal(size=80), 1)
+        log_weights = np.round(rng.normal(size=80) * 2.0 * 2**20) / 2**20
+        cand = np.round(rng.normal(size=(5, 9)) * 2.0 * 2**20) / 2**20
+        base = copp_thresholds(_calibration(scores, log_weights), cand, 0.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            calib = _calibration(scores, log_weights + 800.0)
+            shifted = copp_thresholds(calib, cand + 800.0, 0.8)
+        assert np.all(np.isfinite(calib.cum_weights))
+        assert np.isfinite(base).any() and np.isinf(base).any()
+        assert shifted.tobytes() == base.tobytes()
+
+    def test_overflowing_candidate_weight_lands_on_atom(self):
+        # A candidate whose shifted weight exceeds the float range puts all
+        # but a negligible mass on the infinity atom.
+        scores = np.array([0.0, 1.0, 2.0])
+        cand = np.array([-5.0, 709.0, 710.0, 1e4, math.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            thr = copp_thresholds(_calibration(scores, np.zeros(3)), cand, 0.8)
+        assert thr[0] == 2.0
+        assert np.all(np.isinf(thr[1:]))
 
 
 class TestFitRewardModel:
@@ -307,6 +293,8 @@ class TestFitRewardModel:
 
 
 class TestCoppPredict:
+    """COPP prediction at one context: a one-row :func:`copp_hull_batch`."""
+
     def _setup(self, seed=10, n=800):
         d = sample_logged(n, child_rng(seed, 0))
         d1, d2 = split_dataset(d, 0.5)
@@ -316,83 +304,67 @@ class TestCoppPredict:
 
     def test_returns_interval_with_flags(self):
         _, d2, rm, model = self._setup()
-        result = copp_predict(
-            d2, model, rm, PB, PE, 0.0, 0.2, CoppConfig(mc_samples=20, grid_size=80),
-            child_rng(11),
-        )
-        assert result.interval is not None
-        assert not result.empty
-        assert result.interval.lo < result.interval.hi
-
-    def test_empty_calibration_trivial(self):
-        _, _, rm, model = self._setup()
-        result = copp_predict(
-            LoggedDataset.empty(), model, rm, PB, PE, 0.0, 0.2, CoppConfig(),
-            child_rng(12),
-        )
-        assert result.interval.is_trivial
+        calib = copp_calibrate(d2, model, rm, PB, PE, CoppConfig(grid_size=80))
+        hulls = copp_hull_batch(calib, [[0.0]], 0.2)
+        assert hulls.lo.shape == hulls.non_contiguous.shape == (1,)
+        assert not hulls.empty[0]
+        assert hulls.lo[0] < hulls.hi[0]
+        assert hulls.lengths()[0] == hulls.hi[0] - hulls.lo[0]
 
     def test_uniform_weights_match_split_cp_membership(self):
-        # With all weights pinned to one, grid membership must agree exactly
-        # with the plain split-CP threshold rule.
+        # Identical policies give every weight exactly one, so the one-context
+        # hull is the hull of the plain split-CP membership on the grid.
         _, d2, rm, model = self._setup()
         cal_scores = np.asarray(nonconformity(model, d2.contexts, d2.rewards))
-        cfg = CoppConfig(mc_samples=4, grid_size=120)
-        span = float(np.max(d2.rewards) - np.min(d2.rewards))
-        grid = np.linspace(
-            float(np.min(d2.rewards)) - 0.25 * span,
-            float(np.max(d2.rewards)) + 0.25 * span,
-            cfg.grid_size,
-        )
-        thresholds = copp_thresholds(
-            _calibration(cal_scores, np.ones(len(d2))), np.ones(cfg.grid_size), 0.8
-        )
-        member_weighted = np.asarray(
-            nonconformity(model, np.zeros((cfg.grid_size, 1)), grid)
-        ) <= thresholds
-        member_split = np.asarray(
-            nonconformity(model, np.zeros((cfg.grid_size, 1)), grid)
+        calib = copp_calibrate(d2, model, rm, PE, PE, CoppConfig(grid_size=120))
+        assert np.array_equal(calib.cum_weights, np.arange(1.0, len(d2) + 1.0))
+        grid = calib.grid()
+        member = np.asarray(
+            nonconformity(model, np.zeros((grid.size, 1)), grid)
         ) <= split_cp_threshold(cal_scores, 0.8)
-        assert np.array_equal(member_weighted, member_split)
+        where = np.flatnonzero(member)
+        hulls = copp_hull_batch(calib, [[0.0]], 0.2)
+        assert (hulls.lo[0], hulls.hi[0]) == (grid[where[0]], grid[where[-1]])
+        assert not hulls.non_contiguous[0]
 
     def test_empty_acceptance_sentinel(self):
         # Calibration pairs score 4 while every grid candidate scores 5, and
-        # the target policy's actions leave zero model density on the grid,
-        # so the weighted quantile stays at the smallest calibration score:
-        # no candidate is accepted.
+        # the target policy puts its actions near 0 at the calibration
+        # context but near 1000 at the test context, so the candidates'
+        # weights vanish next to the calibration weights and the weighted
+        # quantile stays at the calibration score: no candidate is accepted.
         cal = LoggedDataset(np.full((4, 1), -1.0), np.zeros(4), np.zeros(4))
         model = QuantilePairModel(np.array([5.0, 10.0]), np.array([6.0, 10.0]), (0.1, 0.9))
         rm = RewardModelGaussian(np.array([0.0, 0.0, 1.0]), 1.0)
-        result = copp_predict(
-            cal, model, rm, _ConstantActionPolicy(0.0), _ConstantActionPolicy(1000.0),
-            0.0, 0.2, CoppConfig(mc_samples=2, grid_size=30), child_rng(13),
-        )
-        assert result.empty and result.interval is None
-        assert result.length() == 0.0
-        assert not result.contains(0.0)
+        pe = GaussianLinearPolicy(np.array([1000.0]), 1000.0, 1e-6)
+        calib = copp_calibrate(cal, model, rm, _policy(0.0, 1.0), pe, CoppConfig(grid_size=30))
+        hulls = copp_hull_batch(calib, [[0.0]], 0.2)
+        assert hulls.empty[0] and not hulls.non_contiguous[0]
+        assert np.isnan(hulls.lo[0]) and np.isnan(hulls.hi[0])
+        assert hulls.lengths()[0] == 0.0
 
     def test_hull_flags_non_contiguous_acceptance(self):
-        # Candidate weights increase sharply in r, so the weighted quantile
-        # jumps from the smallest calibration score to infinity along the
-        # grid. With most calibration mass parked on the smallest score,
-        # candidates just above the band are rejected while high-r candidates
-        # pass via the infinity atom: acceptance has a gap.
+        # Candidate weights increase sharply in r (log w = 12 r - 18 up to the
+        # tiny policy variance), so the weighted quantile jumps from the
+        # smallest calibration score to infinity along the grid. With most
+        # calibration mass parked on the smallest score, candidates just
+        # above the band are rejected while high-r candidates pass via the
+        # infinity atom: acceptance has a gap.
         cal_scores = np.array([0.1, 9.0, 9.5, 10.0])
         cal_weights = np.array([3.9, 0.01, 0.01, 0.08])
         rm = RewardModelGaussian(np.array([0.0, 0.0, 1.0]), 0.5)
         calib = _calibration(
-            cal_scores, cal_weights, _band_model(-1.0, 1.0), rm,
-            _ConstantActionPolicy(0.0), _ConstantActionPolicy(3.0),
-            CoppConfig(mc_samples=1, grid_size=81, grid_margin=0.0), -2.0, 2.0,
+            cal_scores, np.log(cal_weights), _band_model(-1.0, 1.0), rm,
+            _policy(0.0), _policy(3.0), CoppConfig(grid_size=81, grid_margin=0.0), -2.0, 2.0,
         )
-        hulls = copp_hull_batch(calib, [0.0], 0.2, child_rng(14))
+        hulls = copp_hull_batch(calib, [0.0], 0.2)
         assert hulls.non_contiguous[0]
         assert not hulls.empty[0]
         assert hulls.hi[0] == 2.0
 
 
 class TestCoppHullBatch:
-    """The batched hull against the per-context oracle on the same stream."""
+    """The batched hull against one-context calls on the same calibration."""
 
     def _fitted(self, seed=30, n=800):
         d1, d2 = split_dataset(sample_logged(n, child_rng(seed, 0)), 0.5)
@@ -405,96 +377,44 @@ class TestCoppHullBatch:
         return d2, model, rm, pbhat
 
     @staticmethod
-    def _assert_matches_oracle(calib, cal_scores, cal_weights, contexts, epsilon, seed):
-        rng_batch, rng_oracle = child_rng(seed), child_rng(seed)
-        hulls = copp_hull_batch(calib, contexts, epsilon, rng_batch)
-        rows = [
-            _oracle_hull(
-                cal_scores, cal_weights, calib.model, calib.rm, calib.pbhat, calib.pe,
-                contexts[j], epsilon, calib.cfg, rng_oracle, calib.r_min, calib.r_max,
-            )
-            for j in range(len(contexts))
-        ]
-        lo, hi, empty, non_contiguous, zeros = (np.array(col) for col in zip(*rows))
-        assert hulls.lo.tobytes() == lo.tobytes()
-        assert hulls.hi.tobytes() == hi.tobytes()
-        assert np.array_equal(hulls.empty, empty)
-        assert np.array_equal(hulls.non_contiguous, non_contiguous)
-        assert hulls.zero_denominator_count == int(zeros.sum())
-        # Both paths leave the caller's stream at the same position.
-        assert rng_batch.integers(0, 2**63) == rng_oracle.integers(0, 2**63)
+    def _assert_matches_one_context_calls(calib, contexts, epsilon):
+        hulls = copp_hull_batch(calib, contexts, epsilon)
+        rows = [copp_hull_batch(calib, contexts[j:j + 1], epsilon) for j in range(len(contexts))]
+        for field in ("lo", "hi", "empty", "non_contiguous"):
+            expected = np.concatenate([getattr(row, field) for row in rows])
+            assert getattr(hulls, field).tobytes() == expected.tobytes()
         return hulls
 
     @pytest.mark.parametrize("policies", ["true", "estimated"])
-    @pytest.mark.parametrize("mc_samples", [50, 2])
-    def test_gaussian_matches_per_context_oracle(self, policies, mc_samples):
-        # Two Monte Carlo draws make the weights noisy enough that handing a
-        # context another context's normal block moves its hull ends.
+    @pytest.mark.parametrize("n", [50, 2])
+    def test_gaussian_matches_per_context_oracle(self, policies, n):
         d2, model, rm, pbhat = self._fitted()
         pb = PB if policies == "true" else pbhat
-        cfg = CoppConfig(mc_samples=mc_samples, grid_size=200)
-        chunk = baselines._HULL_BLOCK_FLOATS // (cfg.grid_size * cfg.mc_samples)
-        n = 2 * chunk + 5
-        assert n % chunk != 0
+        calib = copp_calibrate(d2, model, rm, pb, PE, CoppConfig(grid_size=200))
         contexts = sample_target(n, child_rng(31)).contexts
-        calib = copp_calibrate(d2, model, rm, pb, PE, cfg, child_rng(32))
-        cal_weights, _ = _oracle_weights(
-            rm, pb, PE, d2.contexts, d2.rewards, cfg.mc_samples, child_rng(32)
-        )
-        cal_scores = np.asarray(nonconformity(model, d2.contexts, d2.rewards))
-        hulls = self._assert_matches_oracle(calib, cal_scores, cal_weights, contexts, 0.2, 33)
+        hulls = self._assert_matches_one_context_calls(calib, contexts, 0.2)
         assert not hulls.empty.any()
         assert np.all(hulls.lengths() > 0.0)
 
-    def test_constant_action_fallback_matches_per_context_oracle(self):
-        # Non-Gaussian policies take the per-grid-point scalar path. The
-        # calibration of the non-contiguity test above, with a sloped band and
-        # a reward mean that rises in the context, gives contiguous, gapped
-        # and empty acceptance across contexts.
-        cal_scores = np.array([0.1, 9.0, 9.5, 10.0])
-        cal_weights = np.array([3.9, 0.01, 0.01, 0.08])
+    def test_mixed_acceptance_matches_per_context_calls(self):
+        # The calibration of the non-contiguity test above, with a sloped
+        # band and a reward mean that rises in the context, gives contiguous,
+        # gapped and empty acceptance across contexts.
         calib = _calibration(
-            cal_scores, cal_weights, _band_model(-1.0, 1.0, slope=2.0),
+            np.array([0.1, 9.0, 9.5, 10.0]), np.log([3.9, 0.01, 0.01, 0.08]),
+            _band_model(-1.0, 1.0, slope=2.0),
             RewardModelGaussian(np.array([0.0, 1.0, 1.0]), 0.5),
-            _ConstantActionPolicy(0.0), _ConstantActionPolicy(3.0),
-            CoppConfig(mc_samples=2, grid_size=41, grid_margin=0.0), -2.0, 2.0,
+            _policy(0.0), _policy(3.0), CoppConfig(grid_size=41, grid_margin=0.0), -2.0, 2.0,
         )
         contexts = np.linspace(-3.0, 3.0, 7).reshape(-1, 1)
-        hulls = self._assert_matches_oracle(calib, cal_scores, cal_weights, contexts, 0.2, 34)
+        hulls = self._assert_matches_one_context_calls(calib, contexts, 0.2)
         assert hulls.empty.any() and hulls.non_contiguous.any()
         assert not (hulls.empty | hulls.non_contiguous).all()
-
-    def test_copp_predict_is_the_one_context_batch(self):
-        d2, model, rm, pbhat = self._fitted(seed=35)
-        cfg = CoppConfig(mc_samples=20, grid_size=60)
-        result = copp_predict(d2, model, rm, pbhat, PE, 0.7, 0.2, cfg, child_rng(36))
-        rng = child_rng(36)
-        cal_weights, cal_zeros = _oracle_weights(
-            rm, pbhat, PE, d2.contexts, d2.rewards, cfg.mc_samples, rng
-        )
-        cal_scores = np.asarray(nonconformity(model, d2.contexts, d2.rewards))
-        lo, hi, empty, non_contiguous, zeros = _oracle_hull(
-            cal_scores, cal_weights, model, rm, pbhat, PE, 0.7, 0.2, cfg, rng,
-            float(np.min(d2.rewards)), float(np.max(d2.rewards)),
-        )
-        assert not empty
-        assert (result.interval.lo, result.interval.hi) == (lo, hi)
-        assert result.non_contiguous == non_contiguous
-        assert result.zero_denominator_count == cal_zeros + zeros
-
-    def test_counts_grid_zero_denominators(self):
-        rm = RewardModelGaussian(np.array([0.0, 0.0, 1.0]), 0.01)
-        far = GaussianLinearPolicy(np.array([0.0]), 1000.0, 1e-6)
-        cfg = CoppConfig(mc_samples=4, grid_size=10)
-        calib = _calibration(np.zeros(3), np.ones(3), rm=rm, pb=far, cfg=cfg)
-        hulls = copp_hull_batch(calib, np.zeros((3, 1)), 0.2, child_rng(37))
-        assert hulls.zero_denominator_count == 3 * cfg.grid_size
 
     def test_empty_calibration_rejected(self):
         rm = RewardModelGaussian(np.array([0.0, 1.0, 1.0]), 1.0)
         with pytest.raises(ValueError):
-            copp_calibrate(LoggedDataset.empty(), _band_model(), rm, PB, PE, CoppConfig(),
-                           child_rng(38))
+            copp_calibrate(LoggedDataset.empty(), _band_model(), rm, PB, PE, CoppConfig())
 
 
 class TestCoppRsPredict:
@@ -535,7 +455,8 @@ class TestCoppRsPredict:
 
 class TestCoppConfig:
     @pytest.mark.parametrize("kwargs", [
-        dict(mc_samples=0), dict(grid_size=1), dict(grid_margin=-0.1),
+        dict(grid_size=1), dict(grid_margin=-0.1), dict(grid_margin=math.inf),
+        dict(grid_margin=math.nan),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

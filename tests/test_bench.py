@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pacope.behavior import pacopp_unknown
-from pacope import bench
 from pacope.bench import (
     BenchConfig,
     TrialReport,
@@ -104,6 +103,8 @@ class TestFigure2:
         methods = {row[0] for row in a.rows}
         assert methods == {"PACOPP", "COPP-RS", "COPP"}
         assert len(a.rows) == 3 * 6
+        # COPP does not rejection-sample, so it has no violations to count.
+        assert all(t.weight_violations == 0 for t in a.trials if t.method == "COPP")
 
     def test_pac_rows_match_pacopp_unknown(self):
         # Figure 2 and pacopp_unknown run one path: the PAC row at
@@ -126,23 +127,6 @@ class TestFigure2:
             assert (row.k, row.m_cal, row.n_rs, row.weight_violations) == (
                 diag.k, diag.m_cal, diag.n_rs, diag.weight_violations
             )
-
-    def test_copp_rows_report_zero_denominators_in_own_field(self, monkeypatch):
-        # Calibration, test and hull-grid zero denominators all reach the
-        # COPP row's zero_denominators; weight_violations stays the
-        # rejection-sampling count, which COPP does not have.
-        calibrate, weights, hull = bench.copp_calibrate, bench.copp_weights, bench.copp_hull_batch
-        monkeypatch.setattr(bench, "copp_calibrate", lambda *a: replace(
-            calibrate(*a), zero_denominator_count=100))
-        monkeypatch.setattr(bench, "copp_weights", lambda *a: (weights(*a)[0], 20))
-        monkeypatch.setattr(bench, "copp_hull_batch", lambda *a: replace(
-            hull(*a), zero_denominator_count=3))
-        table = run_figure2(replace(SMALL, runs=2), 7)
-        for t in table.trials:
-            if t.method == "COPP":
-                assert (t.weight_violations, t.zero_denominators) == (0, 123)
-            else:
-                assert t.zero_denominators == 0
 
     def test_overflowing_ratio_bound_gives_trivial_rows(self):
         # At n = 4 the Gaussian fit sees two samples; at seed 11 the ratio
@@ -293,9 +277,13 @@ class TestConfig:
             BenchConfig.from_mapping({"bogus": "1"})
 
     def test_ignored_epoch_keys_accepted(self):
-        # The benchmark's tiny config.txt still sets both.
-        cfg = BenchConfig.from_mapping({"epochs": "60", "policy_epochs": "60"})
-        assert (cfg.epochs, cfg.policy_epochs) == (60, 60)
+        # The benchmark's tiny config.txt still sets both epoch keys, and its
+        # method_compare workload still passes copp_mc_samples.
+        cfg = BenchConfig.from_mapping(
+            {"epochs": "60", "policy_epochs": "60", "copp_mc_samples": "5"}
+        )
+        assert (cfg.epochs, cfg.policy_epochs, cfg.copp_mc_samples) == (60, 60, 5)
+        assert cfg.copp_config() == BenchConfig().copp_config()
 
     @pytest.mark.parametrize("key", ["learning_rate", "hidden_width", "model_kind"])
     def test_quantile_network_keys_rejected(self, key):
