@@ -20,7 +20,6 @@ from pacope import (
     child_rng,
     oracle_interval,
     pacopp_known,
-    predict,
     sample_logged,
     sample_target,
 )
@@ -45,7 +44,7 @@ print(f"calibration set M = {d.m_cal}, binomial cutoff k = {d.k}, "
 
 print("intervals at a few contexts (vs the analytic oracle interval):")
 for s in (-4.0, -1.0, 0.0, 2.0, 5.0):
-    iv = predict(predictor, s)
+    iv = predictor.predict(s)
     oracle = oracle_interval(s, params.eps_lo, params.eps_up, env)
     print(f"  s = {s:+.1f}: predicted [{iv.lo:+7.3f}, {iv.hi:+7.3f}]   "
           f"oracle [{oracle.lo:+7.3f}, {oracle.hi:+7.3f}]")

@@ -17,7 +17,6 @@ from pacope import (
     rejection_sample,
     sample_logged,
     sample_target,
-    weight_from_policies,
 )
 
 env = DEFAULT_ENV
@@ -28,8 +27,8 @@ bound = gaussian_ratio_bound(pe, pb, logged.contexts)
 print(f"policy ratio bound B = {bound} (closed form; exact here because the "
       f"mean functions coincide)")
 
-w = weight_from_policies(pe, pb, bound)
-rs = rejection_sample(logged, w, child_rng(11, 1))
+# The ratio pe.density / pb.density is formed inside rejection_sample.
+rs = rejection_sample(logged, pe, pb, bound, child_rng(11, 1))
 print(f"accepted {len(rs)} of {len(logged)} samples "
       f"(expected about n/B = {len(logged) / bound:.0f})")
 print(f"bound violations: {rs.n_violations} (0 means B really dominated the ratio)")

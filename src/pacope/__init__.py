@@ -19,10 +19,9 @@ from .core import (
 )
 from .rejection import (
     RsDataset,
-    WeightFunction,
+    RsSplit,
     gaussian_ratio_bound,
     rejection_sample,
-    weight_from_policies,
 )
 from .quantile import (
     QuantilePairModel,
@@ -39,7 +38,6 @@ from .calibrate import (
     pac_threshold,
     pac_threshold_argmin_oracle,
     pacopp_known,
-    predict,
     split_cp_inflated_level,
     split_cp_min_calibration_size,
     split_cp_threshold,
@@ -52,7 +50,6 @@ from .baselines import (
     copp_calibrate,
     copp_hull_batch,
     copp_log_weights,
-    copp_rs_predict,
     copp_thresholds,
     fit_reward_model,
 )
@@ -65,6 +62,7 @@ from .behavior import (
     finite_policy_class,
     mle_policy,
     pacopp_unknown,
+    rs_split_unknown,
 )
 from .synthenv import (
     DEFAULT_ENV,

@@ -21,9 +21,10 @@ holding the sorted scores and their cumulative weights.
 thresholds. :func:`copp_hull_batch` sweeps the reward grid at a batch of
 test contexts and returns the hull of the accepted candidates per context.
 
-COPP-RS shares the rejection-sampling front end of the PAC pipeline but uses
-the plain ``1 - eps`` empirical quantile as its threshold, so it is marginally
-valid only.
+COPP-RS needs no code of its own: it shares the rejection-sampling front end
+and the quantile pair of the PAC pipeline but uses the plain ``1 - eps``
+empirical quantile (``calibrate.split_cp_threshold``) as its threshold, so it
+is marginally valid only.
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import nonconformity, split_cp_threshold
+from .calibrate import nonconformity
 from .core import (
     GaussianLinearPolicy,
     LoggedDataset,
-    PredictionInterval,
     StochasticPolicy,
     _as_context_matrix,
 )
@@ -54,7 +54,6 @@ __all__ = [
     "copp_calibrate",
     "copp_thresholds",
     "copp_hull_batch",
-    "copp_rs_predict",
 ]
 
 _SIGMA_FLOOR = 1e-3
@@ -75,7 +74,6 @@ class RewardModelGaussian:
 
     coef: np.ndarray
     sigma: float
-    trained: bool = True
 
     def __post_init__(self) -> None:
         coef = np.asarray(self.coef, dtype=float).reshape(-1)
@@ -280,12 +278,3 @@ def copp_hull_batch(calib: CoppCalibration, contexts, epsilon: float) -> CoppHul
     lo = np.where(empty, math.nan, grid[first])
     hi = np.where(empty, math.nan, grid[last])
     return CoppHulls(lo, hi, empty, non_contiguous)
-
-
-def copp_rs_predict(scores, model: QuantilePairModel, s, epsilon: float) -> PredictionInterval:
-    """Interval from the plain ``1 - eps`` empirical-quantile threshold."""
-    threshold = split_cp_threshold(scores, 1.0 - epsilon)
-    lo, up = model.quantiles(s)
-    if math.isinf(threshold):
-        return PredictionInterval.whole_line()
-    return PredictionInterval(float(lo[0]) - threshold, float(up[0]) + threshold)

@@ -4,11 +4,12 @@ When the logging policy is unknown it is estimated on a first data split and
 the density-ratio weights are formed against the estimate.
 :func:`estimate_behavior` is the one place that fits or selects the policy:
 by maximum likelihood over a finite policy class (selection by total log
-density, ties broken by list order), by parametric Gaussian fitting (affine
-mean, constant variance, with the fitted variance clamped away from the
-target policy's variance so the downstream weight bound exists), or by taking
-a fixed policy as given. :func:`pacopp_unknown` runs the whole pipeline:
-split, estimate, rejection-sample both halves, then
+density, ties broken by list order), or by parametric Gaussian fitting
+(affine mean, constant variance, with the fitted variance clamped away from
+the target policy's variance so the downstream weight bound exists). A known
+policy is a one-member class. :func:`rs_split_unknown` is the one home of the
+pipeline's sampling stage: split, estimate, bound, and rejection-sample both
+halves. :func:`pacopp_unknown` hands its ``RsSplit`` to
 :func:`calibrate.calibrate_split`.
 
 The weight-estimation error ``E |w_hat(S, A) - w(S, A)|`` over the true
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from ._gd import fit_gaussian_affine
-from .calibrate import CalibratedPredictor, _trivial_predictor, calibrate_split
+from .calibrate import CalibratedPredictor, calibrate_split
 from .core import (
     GaussianLinearPolicy,
     LoggedDataset,
@@ -34,7 +35,7 @@ from .core import (
     _as_context_matrix,
     split_dataset,
 )
-from .rejection import gaussian_ratio_bound, rejection_sample, weight_from_policies
+from .rejection import RsDataset, RsSplit, gaussian_ratio_bound, rejection_sample
 
 __all__ = [
     "FinitePolicyClass",
@@ -44,6 +45,7 @@ __all__ = [
     "mle_policy",
     "estimate_behavior",
     "estimate_weight_error",
+    "rs_split_unknown",
     "pacopp_unknown",
 ]
 
@@ -164,24 +166,21 @@ class PolicyFitConfig:
     """How the unknown behavior policy is estimated.
 
     ``method`` is ``"gaussian"`` (the exact affine-mean Gaussian MLE: least
-    squares and the mean squared residual), ``"mle"`` (selection from
-    ``finite_class``), or ``"fixed"`` (use ``fixed_policy`` as given, mainly
-    for tests and oracle comparisons). ``min_variance_margin`` sets the
-    variance clamp of the ``gaussian`` fit (see :func:`estimate_behavior`).
+    squares and the mean squared residual) or ``"mle"`` (selection from
+    ``finite_class``; a one-member class takes a policy as given).
+    ``min_variance_margin`` sets the variance clamp of the ``gaussian`` fit
+    (see :func:`estimate_behavior`).
     """
 
     method: str = "gaussian"
     finite_class: FinitePolicyClass | None = None
-    fixed_policy: StochasticPolicy | None = None
     min_variance_margin: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.method not in ("gaussian", "mle", "fixed"):
-            raise ValueError("method must be 'gaussian', 'mle', or 'fixed'")
+        if self.method not in ("gaussian", "mle"):
+            raise ValueError("method must be 'gaussian' or 'mle'")
         if self.method == "mle" and self.finite_class is None:
             raise ValueError("the mle method requires a finite_class")
-        if self.method == "fixed" and self.fixed_policy is None:
-            raise ValueError("the fixed method requires a fixed_policy")
         if self.min_variance_margin < 0:
             raise ValueError("min_variance_margin must be nonnegative")
 
@@ -199,8 +198,8 @@ def estimate_behavior(
     rejection-sampling weight is bounded only when the estimated behavior
     variance exceeds the target's. ``raw_variance`` is the variance before the
     clamp, so the clamp fired iff ``raw_variance < policy.variance``. The
-    ``mle`` and ``fixed`` methods return their policy unclamped, with its own
-    variance as ``raw_variance``. The estimate must be Gaussian: automatic
+    ``mle`` method returns its policy unclamped, with its own variance as
+    ``raw_variance``. The estimate must be Gaussian: automatic
     weight bounds exist only for Gaussian policies.
     """
     if pcfg.method == "gaussian":
@@ -210,10 +209,44 @@ def estimate_behavior(
         w, raw_variance = fit_gaussian_affine(x1, d1.actions)
         floor = pe.variance * (1.0 + pcfg.min_variance_margin)
         return GaussianLinearPolicy(w[1:], float(w[0]), max(raw_variance, floor)), raw_variance
-    policy = mle_policy(pcfg.finite_class, d1) if pcfg.method == "mle" else pcfg.fixed_policy
+    policy = mle_policy(pcfg.finite_class, d1)
     if not isinstance(policy, GaussianLinearPolicy):
         raise ValueError("automatic weight bounds require a Gaussian behavior estimate")
     return policy, policy.variance
+
+
+def rs_split_unknown(
+    d: LoggedDataset,
+    pe: GaussianLinearPolicy,
+    gamma: float,
+    pcfg: PolicyFitConfig,
+    rng: np.random.Generator,
+) -> RsSplit:
+    """Sampling stage of the unknown-policy pipeline.
+
+    The logged data is split *before* rejection sampling: the estimator
+    (:func:`estimate_behavior`) sees only the training half, and both halves
+    are then rejection-sampled with the estimated ratio, bounded over every
+    logged context. An empty dataset, or a training half too small for the
+    Gaussian fit, gives an empty split with no estimate and bound 1. An
+    estimate whose ratio bound overflows to ``inf`` gives an empty split too,
+    since every acceptance probability is then 0.
+
+    Stream consumption order: acceptance variates for the training half, then
+    for the calibration half (the estimators draw nothing).
+    """
+    d1, d2 = split_dataset(d, gamma)
+    if len(d) == 0 or (pcfg.method == "gaussian" and len(d1) < 2):
+        empty = RsDataset.empty(d.context_dim)
+        return RsSplit(empty, empty, violations=0, bound=1.0)
+    pbhat, raw_variance = estimate_behavior(d1, pe, pcfg)
+    bound = gaussian_ratio_bound(pe, pbhat, d.contexts)
+    rs1 = rejection_sample(d1, pe, pbhat, bound, rng)
+    rs2 = rejection_sample(d2, pe, pbhat, bound, rng)
+    return RsSplit(
+        rs1, rs2, violations=rs1.n_violations + rs2.n_violations, bound=bound,
+        behavior=pbhat, variance_clamped=raw_variance < pbhat.variance,
+    )
 
 
 def pacopp_unknown(
@@ -225,39 +258,13 @@ def pacopp_unknown(
 ) -> CalibratedPredictor:
     """Full pipeline with an estimated behavior policy.
 
-    The logged data is split *before* rejection sampling: the estimator
-    (:func:`estimate_behavior`) sees only the training half, and both halves
-    are then rejection-sampled with the estimated ratio and handed to
-    :func:`calibrate.calibrate_split`. An empty dataset, a training half too
-    small for the Gaussian fit, or an estimate whose ratio bound overflows to
-    ``inf`` (every acceptance probability is then 0) gives the trivial
-    predictor of the data's context dimension.
-
-    Stream consumption order: policy fit (none for the deterministic
-    estimators), acceptance variates for the training half, then acceptance
-    variates for the calibration half.
+    :func:`rs_split_unknown` at ``params.gamma``, then
+    :func:`calibrate.calibrate_split`. A split too small to calibrate (see
+    :func:`rs_split_unknown`) gives the trivial predictor of the data's
+    context dimension.
     """
     if rng is None:
         raise ValueError("an rng is required")
-    pcfg = pcfg or PolicyFitConfig()
-    d1, d2 = split_dataset(d, params.gamma)
-    if len(d) == 0 or (pcfg.method == "gaussian" and len(d1) < 2):
-        return _trivial_predictor(
-            params, d.context_dim, n_rs=0, m_cal=0, violations=0, bound=1.0
-        )
-    pbhat, raw_variance = estimate_behavior(d1, pe, pcfg)
-    bound = gaussian_ratio_bound(pe, pbhat, d.contexts)
-    if not math.isfinite(bound):
-        # Every acceptance probability w / B is 0, so nothing is accepted.
-        return _trivial_predictor(
-            params, d.context_dim, n_rs=0, m_cal=0, violations=0, bound=bound,
-            variance_clamped=raw_variance < pbhat.variance,
-        )
-    w_hat = weight_from_policies(pe, pbhat, bound)
-    rs1 = rejection_sample(d1, w_hat, rng)
-    rs2 = rejection_sample(d2, w_hat, rng)
     return calibrate_split(
-        rs1, rs2, params,
-        n_rs=len(rs1) + len(rs2), violations=rs1.n_violations + rs2.n_violations,
-        bound=bound, variance_clamped=raw_variance < pbhat.variance,
+        rs_split_unknown(d, pe, params.gamma, pcfg or PolicyFitConfig(), rng), params
     )

@@ -7,13 +7,15 @@ serial/parallel execution; workers share nothing mutable and the result table
 is assembled in trial-index order regardless of completion order.
 
 Trials call the library pipelines and add no statistics of their own: known
-and unknown trials run ``pacopp_known`` and ``pacopp_unknown``, the PAC
-and COPP-RS rows of figure 2 come from ``behavior.estimate_behavior`` and
-``calibrate.calibrate_split`` on the same streams ``pacopp_unknown`` uses,
-and its COPP row from the public COPP API of ``baselines``, whose weights are
-exact and draw no randomness: one calibration, the test-set log weights and
-thresholds, and one batched hull sweep over the ``length_subsample`` first
-test contexts.
+trials run ``pacopp_known``; unknown trials and figure 2 build the
+unknown-policy sampling stage with ``behavior.rs_split_unknown`` and hand it
+to ``calibrate.calibrate_split``, so they compute exactly what
+``pacopp_unknown`` does on the same streams. Figure 2's COPP-RS row reuses
+that split's quantile pair and scores, and its COPP row comes from the public
+COPP API of ``baselines`` with the split's behavior estimate; the COPP
+weights are exact and draw no randomness: one calibration, the test-set log
+weights and thresholds, and one batched hull sweep over the
+``length_subsample`` first test contexts.
 
 Desk-scale defaults (500 runs, 10,000 test points) replace the full-scale run
 counts of the original experiments; every asserted frequency carries a
@@ -39,14 +41,12 @@ from .baselines import (
 from .behavior import (
     FinitePolicyClass,
     PolicyFitConfig,
-    estimate_behavior,
     estimate_weight_error,
     finite_policy_class,
-    pacopp_unknown,
+    rs_split_unknown,
 )
 from .calibrate import (
     CalibratedPredictor,
-    _trivial_predictor,
     binomial_quantile_k,
     calibrate_split,
     nonconformity,
@@ -62,7 +62,7 @@ from .core import (
     split_dataset,
 )
 from .quantile import fit_quantile_pair
-from .rejection import RsDataset, gaussian_ratio_bound, rejection_sample, weight_from_policies
+from .rejection import RsDataset, gaussian_ratio_bound
 from .synthenv import (
     DEFAULT_ENV,
     SynthEnvSpec,
@@ -409,30 +409,13 @@ def _figure2_trial(args) -> list[TrialReport]:
     rng_algo = child_rng(master_seed, _TAG_FIGURE2, run, 2)
     d = sample_logged(n, rng_data, env)
     test = sample_target(config.test_points, rng_test, env)
-    d1, d2 = split_dataset(d, gamma)
     params = config.pac_params()
 
     # Shared behavior-policy estimate (all methods run with estimated ratios).
-    # The rejection-sampling methods run the stages of pacopp_unknown on the
-    # same streams, so the PAC row at config.delta is its predictor, trivial
-    # when the estimated ratio bound overflows (nothing can be accepted).
-    pbhat, raw_variance = estimate_behavior(d1, pe, config.policy_fit_config())
-    bound = gaussian_ratio_bound(pe, pbhat, d.contexts)
-    clamped = raw_variance < pbhat.variance
-    if math.isfinite(bound):
-        w_hat = weight_from_policies(pe, pbhat, bound)
-        rs1 = rejection_sample(d1, w_hat, rng_algo)
-        rs2 = rejection_sample(d2, w_hat, rng_algo)
-        pred = calibrate_split(
-            rs1, rs2, params,
-            n_rs=len(rs1) + len(rs2), violations=rs1.n_violations + rs2.n_violations,
-            bound=bound, variance_clamped=clamped,
-        )
-    else:
-        pred = _trivial_predictor(
-            params, d.context_dim, n_rs=0, m_cal=0, violations=0, bound=bound,
-            variance_clamped=clamped,
-        )
+    # The PAC row at config.delta is pacopp_unknown's predictor on these
+    # streams; every row is trivial when it is.
+    split = rs_split_unknown(d, pe, gamma, config.policy_fit_config(), rng_algo)
+    pred = calibrate_split(split, params)
     diag = pred.diagnostics
     common = dict(
         run=run, n=n, epsilon=eps, gamma=gamma, n_rs=diag.n_rs, m_cal=diag.m_cal,
@@ -451,7 +434,7 @@ def _figure2_trial(args) -> list[TrialReport]:
         ]
 
     # The other deltas and COPP-RS reuse the quantile pair and its scores.
-    scores_cal = nonconformity(pred.model, rs2.contexts, rs2.rewards)
+    scores_cal = nonconformity(pred.model, split.cal.contexts, split.cal.rewards)
     qlo_t, qup_t = pred.model.quantiles(test.contexts)
     scores_test = np.maximum(qlo_t - test.rewards, test.rewards - qup_t)
     base_length = float(np.mean(qup_t - qlo_t))
@@ -476,6 +459,8 @@ def _figure2_trial(args) -> list[TrialReport]:
     ))
 
     # COPP: weighted CP on the raw calibration half, no rejection sampling.
+    pbhat = split.behavior
+    d1, d2 = split_dataset(d, gamma)
     rm = fit_reward_model(d1)
     qm_raw = fit_quantile_pair(RsDataset(d1.contexts, d1.rewards, np.arange(len(d1))), params)
     calib = copp_calibrate(d2, qm_raw, rm, pbhat, pe, config.copp_config())
@@ -601,20 +586,16 @@ def _unknown_trial(args) -> TrialReport:
     rng_algo = child_rng(master_seed, _TAG_UNKNOWN, subtag, run, 1)
     rng_test = child_rng(master_seed, _TAG_UNKNOWN, subtag, run, 2)
     d = sample_logged(config.n, rng_data, env)
-    pcfg = config.policy_fit_config(method)
-    pred = pacopp_unknown(d, pe, params, pcfg, rng_algo)
+    split = rs_split_unknown(d, pe, params.gamma, config.policy_fit_config(method), rng_algo)
+    pred = calibrate_split(split, params)
     test = sample_target(config.test_points, rng_test, env)
     delta_w = float("nan")
-    d1, _ = split_dataset(d, params.gamma)
-    if config.weight_error_mc > 0 and len(d1) >= 2:
-        # The estimators are deterministic given the split, so refitting
-        # reproduces the policy the pipeline used internally.
-        pbhat, _ = estimate_behavior(d1, pe, pcfg)
+    if config.weight_error_mc > 0 and split.behavior is not None:
         sampler = lambda m, rng: (
             math.sqrt(env.context_variance) * rng.standard_normal(m)
         ).reshape(-1, 1)
         report = estimate_weight_error(
-            pbhat, env.behavior_policy(), pe, config.weight_error_mc,
+            split.behavior, env.behavior_policy(), pe, config.weight_error_mc,
             child_rng(master_seed, _TAG_UNKNOWN, subtag, run, 3), sampler,
         )
         delta_w = report.delta_w_hat

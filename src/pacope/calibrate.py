@@ -8,11 +8,13 @@ CDF is evaluated by exact incremental pmf summation in log space, never by a
 normal approximation: the coverage guarantee is exact and must not be eroded
 numerically.
 
-:func:`calibrate_split` is the calibration core of every pipeline: given the
-rejection-sampled training and calibration halves it fits the quantile pair,
-scores the calibration pairs and picks the threshold. The known-policy
-pipeline :func:`pacopp_known` lives here; the estimated-policy pipeline is
-``behavior.pacopp_unknown``.
+:func:`calibrate_split` is the calibration core of every pipeline: given a
+``rejection.RsSplit`` (the rejection-sampled training and calibration halves)
+it fits the quantile pair, scores the calibration pairs and picks the
+threshold. The known-policy pipeline :func:`pacopp_known` lives here: it
+rejection-samples with the oracle ratio, then splits the accepted pairs. The
+estimated-policy pipeline is ``behavior.pacopp_unknown``, whose sampling
+stage is ``behavior.rs_split_unknown``.
 
 The split-conformal comparator (plain ``1 - eps`` empirical quantile with an
 appended infinity atom) lives here too, along with the inflated level it would
@@ -40,7 +42,7 @@ from .core import (
     ceil_scaled,
 )
 from .quantile import QuantilePairModel, fit_quantile_pair, trivial_quantile_model
-from .rejection import RsDataset, gaussian_ratio_bound, rejection_sample, weight_from_policies
+from .rejection import RsSplit, gaussian_ratio_bound, rejection_sample
 
 __all__ = [
     "ScoreList",
@@ -53,7 +55,6 @@ __all__ = [
     "split_cp_threshold",
     "split_cp_inflated_level",
     "split_cp_min_calibration_size",
-    "predict",
     "calibrate_split",
     "pacopp_known",
 ]
@@ -261,11 +262,6 @@ class CalibratedPredictor:
         lo, hi = self.interval_batch(np.asarray(s, dtype=float).reshape(1, -1))
         return PredictionInterval(float(lo[0]), float(hi[0]))
 
-    def covers(self, contexts, rewards) -> np.ndarray:
-        """Closed-membership indicator, via the score/threshold duality."""
-        scores = nonconformity(self.model, contexts, rewards)
-        return np.asarray(scores) <= self.threshold
-
     def dump(self) -> str:
         d = self.diagnostics
         lines = [
@@ -320,11 +316,6 @@ def _parse_flag(text: str) -> bool:
     return text == "1"
 
 
-def predict(p: CalibratedPredictor, s) -> PredictionInterval:
-    """Interval ``[q_lo(s) - threshold, q_up(s) + threshold]`` (closed)."""
-    return p.predict(s)
-
-
 def _trivial_predictor(
     params: PacParams,
     context_dim: int,
@@ -348,43 +339,36 @@ def _trivial_predictor(
     return CalibratedPredictor(model, math.inf, params, diagnostics)
 
 
-def calibrate_split(
-    train_rs: RsDataset,
-    cal_rs: RsDataset,
-    params: PacParams,
-    *,
-    n_rs: int,
-    violations: int,
-    bound: float,
-    variance_clamped: bool = False,
-) -> CalibratedPredictor:
-    """Fit the quantile pair on ``train_rs`` and calibrate its threshold on ``cal_rs``.
+def calibrate_split(split: RsSplit, params: PacParams) -> CalibratedPredictor:
+    """Fit the quantile pair on ``split.train`` and calibrate its threshold on ``split.cal``.
 
-    The calibration core shared by every pipeline: it takes the two
-    rejection-sampled halves, fits the quantile pair, scores the calibration
-    pairs, and picks the PAC threshold. A degenerate split (fewer than two
-    training pairs or no calibration pairs) yields the trivial predictor
-    instead of an error, so Monte Carlo sweeps stay total. ``n_rs``,
-    ``violations``, ``bound`` and ``variance_clamped`` describe the sampling
-    stage and are recorded in the diagnostics as given.
+    The calibration core shared by every pipeline: it takes the sampling
+    stage's two rejection-sampled halves, fits the quantile pair, scores the
+    calibration pairs, and picks the PAC threshold. A degenerate split (fewer
+    than two training pairs or no calibration pairs) yields the trivial
+    predictor instead of an error, so Monte Carlo sweeps stay total. The
+    split's size, violations, bound and clamp flag are recorded in the
+    diagnostics as given.
     """
-    if len(train_rs) < 2 or len(cal_rs) == 0:
+    train, cal = split.train, split.cal
+    if len(train) < 2 or len(cal) == 0:
         return _trivial_predictor(
-            params, train_rs.contexts.shape[1], n_rs=n_rs, m_cal=len(cal_rs),
-            violations=violations, bound=bound, variance_clamped=variance_clamped,
+            params, train.contexts.shape[1], n_rs=split.n_rs, m_cal=len(cal),
+            violations=split.violations, bound=split.bound,
+            variance_clamped=split.variance_clamped,
         )
-    model = fit_quantile_pair(train_rs, params)
-    scores = ScoreList(nonconformity(model, cal_rs.contexts, cal_rs.rewards))
+    model = fit_quantile_pair(train, params)
+    scores = ScoreList(nonconformity(model, cal.contexts, cal.rewards))
     threshold = pac_threshold(scores, params.epsilon, params.delta)
     diagnostics = CalibrationDiagnostics(
-        n_rs=n_rs,
-        m_cal=len(cal_rs),
-        k=binomial_quantile_k(len(cal_rs), params.epsilon, params.delta),
+        n_rs=split.n_rs,
+        m_cal=len(cal),
+        k=binomial_quantile_k(len(cal), params.epsilon, params.delta),
         tie_flag=scores.has_ties,
-        weight_violations=violations,
+        weight_violations=split.violations,
         trivial=False,
-        bound=bound,
-        variance_clamped=variance_clamped,
+        bound=split.bound,
+        variance_clamped=split.variance_clamped,
     )
     return CalibratedPredictor(model, threshold, params, diagnostics)
 
@@ -414,13 +398,9 @@ def pacopp_known(
     if not isinstance(pb, GaussianLinearPolicy) or not isinstance(pe, GaussianLinearPolicy):
         raise ValueError(
             "automatic weight bounds are available for Gaussian policies only; "
-            "use rejection.weight_from_policies with an explicit bound"
+            "use rejection.rejection_sample with an explicit bound"
         )
     bound = gaussian_ratio_bound(pe, pb, d.contexts)
-    w = weight_from_policies(pe, pb, bound)
-    rs = rejection_sample(d, w, rng)
+    rs = rejection_sample(d, pe, pb, bound, rng)
     train, cal = rs.split(params.gamma)
-    # Both halves carry the violations of the one sampling pass.
-    return calibrate_split(
-        train, cal, params, n_rs=len(rs), violations=rs.n_violations, bound=bound
-    )
+    return calibrate_split(RsSplit(train, cal, rs.n_violations, bound), params)

@@ -136,12 +136,10 @@ def _cmd_figure1(args) -> int:
     return 0
 
 
-def _figure2_panel_rows(table: AggregateTable):
+def _figure2_panel_rows(table: AggregateTable, deltas):
     labels, covs, cov_errs, lens, len_errs = [], [], [], [], []
-    for method, delta in (
-        ("COPP", None), ("COPP-RS", None),
-        ("PACOPP", 0.5), ("PACOPP", 0.25), ("PACOPP", 0.1), ("PACOPP", 0.01),
-    ):
+    methods = [("COPP", None), ("COPP-RS", None)] + [("PACOPP", delta) for delta in deltas]
+    for method, delta in methods:
         rows = [
             r for r in table.rows
             if r[0] == method and (delta is None or r[1] == delta)
@@ -164,7 +162,7 @@ def _cmd_figure2(args) -> int:
     out = _out_dir(args)
     table = run_figure2(config, args.seed)
     table.write_csv(out / "figure2.csv")
-    labels, covs, cov_errs, lens, len_errs = _figure2_panel_rows(table)
+    labels, covs, cov_errs, lens, len_errs = _figure2_panel_rows(table, config.figure2_deltas)
     xs = list(range(1, len(labels) + 1))
     _write_panel(out / "figure2_panel_coverage.csv", xs, covs, cov_errs)
     _write_panel(out / "figure2_panel_length.csv", xs, lens, len_errs)

@@ -199,12 +199,6 @@ class QuantilePairModel:
             up[crossed] = mid
         return lo, up
 
-    def q_lo(self, s) -> float:
-        return float(self.quantiles(s)[0][0])
-
-    def q_up(self, s) -> float:
-        return float(self.quantiles(s)[1][0])
-
     def dump(self) -> str:
         """Flat text serialization, round-trip exact."""
         lines = ["kind=affine", f"eps_lo={self.levels[0]!r}", f"eps_up={self.levels[1]!r}"]

@@ -6,63 +6,28 @@ is the policy density ratio and ``B`` an upper bound on its supremum. Kept
 ``(context, reward)`` pairs are, conditionally on their count, i.i.d. from the
 target-policy joint distribution, so downstream calibration can treat them as
 on-policy draws.
+
+:class:`RsSplit` is the output of a pipeline's sampling stage: the
+rejection-sampled training and calibration halves with the bound, the
+violation count and, when the behavior policy was estimated, the estimate.
+``calibrate.calibrate_split`` takes it as its one input.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .core import GaussianLinearPolicy, LoggedDataset, StochasticPolicy, _as_context_matrix, ceil_scaled
 
 __all__ = [
-    "WeightFunction",
     "RsDataset",
-    "weight_from_policies",
+    "RsSplit",
     "gaussian_ratio_bound",
     "rejection_sample",
 ]
-
-
-@dataclass(frozen=True)
-class WeightFunction:
-    """Density ratio ``w(s, a)`` together with an upper bound on its supremum.
-
-    ``ratio`` must be vectorized over ``(n, d)`` contexts and ``(n,)`` actions.
-    ``bound`` is the constant ``B >= 1``; an under-estimate silently breaks the
-    distributional guarantee, which is why :func:`rejection_sample` clamps and
-    counts ratios exceeding the bound instead of trusting it blindly.
-    """
-
-    ratio: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    bound: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.bound) and self.bound >= 1.0):
-            raise ValueError("weight bound must be finite and >= 1")
-
-    def eval(self, contexts: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        return np.asarray(self.ratio(contexts, actions), dtype=float)
-
-
-def weight_from_policies(
-    pe: StochasticPolicy, pb: StochasticPolicy, bound: float
-) -> WeightFunction:
-    """Build ``w = pi_e / pi_b`` with the convention ``0 / 0 = 0``."""
-
-    def ratio(contexts: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        num = pe.density(contexts, actions)
-        den = pb.density(contexts, actions)
-        out = np.zeros_like(num)
-        pos = den > 0.0
-        out[pos] = num[pos] / den[pos]
-        out[(~pos) & (num > 0.0)] = math.inf
-        return out
-
-    return WeightFunction(ratio, bound)
 
 
 def gaussian_ratio_bound(
@@ -138,6 +103,10 @@ class RsDataset:
     def __len__(self) -> int:
         return self.contexts.shape[0]
 
+    @staticmethod
+    def empty(context_dim: int) -> "RsDataset":
+        return RsDataset(np.empty((0, context_dim)), np.empty(0), np.empty(0, dtype=int))
+
     def split(self, gamma: float) -> tuple["RsDataset", "RsDataset"]:
         """Training prefix / calibration tail split, mirroring ``split_dataset``."""
         if not 0.0 < gamma < 1.0:
@@ -150,25 +119,60 @@ class RsDataset:
         )
 
 
+@dataclass(frozen=True)
+class RsSplit:
+    """The sampling stage of a pipeline: rejection-sampled training and calibration halves.
+
+    ``violations`` counts ratios above ``bound`` over the whole sampling pass.
+    ``behavior`` is the estimated behavior policy, ``None`` when no policy was
+    estimated (the policy was known, or the data was too small to fit it);
+    ``variance_clamped`` records whether the estimate's variance was clamped.
+    """
+
+    train: RsDataset
+    cal: RsDataset
+    violations: int
+    bound: float
+    behavior: StochasticPolicy | None = None
+    variance_clamped: bool = False
+
+    @property
+    def n_rs(self) -> int:
+        return len(self.train) + len(self.cal)
+
+
 def rejection_sample(
-    d: LoggedDataset, w: WeightFunction, rng: np.random.Generator
+    d: LoggedDataset,
+    pe: StochasticPolicy,
+    pb: StochasticPolicy,
+    bound: float,
+    rng: np.random.Generator,
 ) -> RsDataset:
     """Keep sample ``i`` iff ``V_i <= w(S_i, A_i) / B``, preserving index order.
 
-    One uniform variate is consumed per sample, in dataset index order, so the
-    acceptance pattern is a deterministic function of the stream. Ratios above
-    the bound are clamped to acceptance probability one and counted in
-    ``n_violations`` rather than raising: a violated bound degrades the
-    guarantee but should not abort a Monte Carlo sweep.
+    The ratio is ``w = pe.density / pb.density`` with the conventions
+    ``0 / 0 = 0`` and ``x / 0 = inf``. One uniform variate is consumed per
+    sample, in dataset index order, so the acceptance pattern is a
+    deterministic function of the stream. Ratios above the bound are clamped
+    to acceptance probability one and counted in ``n_violations`` rather than
+    raising: a violated bound degrades the guarantee but should not abort a
+    Monte Carlo sweep. An infinite bound makes every acceptance probability 0,
+    so nothing is accepted and no variate is drawn. ``bound`` must be at
+    least 1.
     """
+    if not bound >= 1.0:
+        raise ValueError("weight bound must be >= 1")
     n = len(d)
-    if n == 0:
-        return RsDataset(
-            np.empty((0, d.context_dim)), np.empty(0), np.empty(0, dtype=int), 0
-        )
+    if n == 0 or math.isinf(bound):
+        return RsDataset.empty(d.context_dim)
     v = rng.uniform(size=n)
-    ratios = w.eval(d.contexts, d.actions)
-    accept_prob = ratios / w.bound
+    num = np.asarray(pe.density(d.contexts, d.actions), dtype=float)
+    den = np.asarray(pb.density(d.contexts, d.actions), dtype=float)
+    ratios = np.zeros_like(num)
+    pos = den > 0.0
+    ratios[pos] = num[pos] / den[pos]
+    ratios[(~pos) & (num > 0.0)] = math.inf
+    accept_prob = ratios / bound
     violations = int(np.count_nonzero(accept_prob > 1.0))
     accept_prob = np.minimum(accept_prob, 1.0)
     keep = v <= accept_prob

@@ -16,7 +16,7 @@ from scipy.stats import binom, ks_2samp
 from pacope.bench import BenchConfig, default_finite_class, run_figure1, run_figure2, run_theorem4_convergence, run_unknown_sweep
 from pacope.calibrate import binomial_quantile_k, pac_threshold, pac_threshold_argmin_oracle
 from pacope.core import child_rng
-from pacope.rejection import gaussian_ratio_bound, rejection_sample, weight_from_policies
+from pacope.rejection import gaussian_ratio_bound, rejection_sample
 from pacope.synthenv import DEFAULT_ENV, sample_logged, sample_target, theorem_constants
 
 ACCEPT_SEED = 20260810
@@ -123,9 +123,7 @@ def test_a5_rejection_sampling_distribution():
     for seed in range(10):
         d = sample_logged(2000, child_rng(ACCEPT_SEED, 5, seed, 0), env)
         bound = gaussian_ratio_bound(pe, pb, d.contexts)
-        rs = rejection_sample(
-            d, weight_from_policies(pe, pb, bound), child_rng(ACCEPT_SEED, 5, seed, 1)
-        )
+        rs = rejection_sample(d, pe, pb, bound, child_rng(ACCEPT_SEED, 5, seed, 1))
         direct = sample_target(50000, child_rng(ACCEPT_SEED, 5, seed, 2), env)
         if ks_2samp(rs.rewards, direct.rewards).pvalue < 0.01:
             rejections += 1

@@ -11,11 +11,10 @@ from pacope.baselines import (
     copp_calibrate,
     copp_hull_batch,
     copp_log_weights,
-    copp_rs_predict,
     copp_thresholds,
     fit_reward_model,
 )
-from pacope.behavior import PolicyFitConfig, estimate_behavior
+from pacope.behavior import PolicyFitConfig, estimate_behavior, rs_split_unknown
 from pacope.calibrate import nonconformity, split_cp_threshold
 from pacope.core import (
     GaussianLinearPolicy,
@@ -26,7 +25,7 @@ from pacope.core import (
     split_dataset,
 )
 from pacope.quantile import QuantilePairModel, fit_quantile_pair
-from pacope.rejection import gaussian_ratio_bound, rejection_sample, weight_from_policies
+from pacope.rejection import rejection_sample
 from pacope.synthenv import DEFAULT_ENV, sample_logged, sample_target
 
 ENV = DEFAULT_ENV
@@ -371,7 +370,7 @@ class TestCoppHullBatch:
         pbhat, _ = estimate_behavior(d1, PE, PolicyFitConfig())
         rm = fit_reward_model(d1)
         model = fit_quantile_pair(
-            rejection_sample(d1, weight_from_policies(PE, PB, 2.5), child_rng(seed, 1)),
+            rejection_sample(d1, PE, PB, 2.5, child_rng(seed, 1)),
             PacParams(0.2, 0.1, 0.5),
         )
         return d2, model, rm, pbhat
@@ -418,15 +417,6 @@ class TestCoppHullBatch:
 
 
 class TestCoppRsPredict:
-    def test_empty_scores_whole_line(self):
-        iv = copp_rs_predict(np.array([]), _band_model(), 0.0, 0.2)
-        assert iv.is_trivial
-
-    def test_threshold_index(self):
-        scores = np.arange(1.0, 10.0)  # M = 9, level 0.8 -> 8th smallest
-        iv = copp_rs_predict(scores, _band_model(), 0.0, 0.2)
-        assert iv.lo == -1.0 - 8.0 and iv.hi == 1.0 + 8.0
-
     def test_marginal_coverage_over_seeded_trials(self):
         # Rejection sampling plus the plain empirical-quantile threshold is
         # marginally valid: mean coverage over 1,000 seeded pipeline trials
@@ -437,15 +427,9 @@ class TestCoppRsPredict:
             seed = 10000 + i
             d = sample_logged(2000, child_rng(seed, 0))
             test = sample_target(10000, child_rng(seed, 1))
-            rng = child_rng(seed, 2)
-            d1, d2 = split_dataset(d, 0.5)
-            pbhat, _ = estimate_behavior(d1, PE, PolicyFitConfig())
-            bound = gaussian_ratio_bound(PE, pbhat, d.contexts)
-            w = weight_from_policies(PE, pbhat, bound)
-            rs1 = rejection_sample(d1, w, rng)
-            rs2 = rejection_sample(d2, w, rng)
-            qm = fit_quantile_pair(rs1, params)
-            scores = nonconformity(qm, rs2.contexts, rs2.rewards)
+            split = rs_split_unknown(d, PE, 0.5, PolicyFitConfig(), child_rng(seed, 2))
+            qm = fit_quantile_pair(split.train, params)
+            scores = nonconformity(qm, split.cal.contexts, split.cal.rewards)
             thr = split_cp_threshold(scores, 0.8)
             lo, up = qm.quantiles(test.contexts)
             st = np.maximum(lo - test.rewards, test.rewards - up)

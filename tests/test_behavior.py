@@ -12,8 +12,8 @@ from pacope.behavior import (
     mle_policy,
     pacopp_unknown,
 )
-from pacope.calibrate import pacopp_known, predict
-from pacope.core import GaussianLinearPolicy, LoggedDataset, PacParams, child_rng
+from pacope.calibrate import pacopp_known
+from pacope.core import GaussianLinearPolicy, LoggedDataset, PacParams, StochasticPolicy, child_rng
 from pacope.synthenv import DEFAULT_ENV, sample_logged
 
 ENV = DEFAULT_ENV
@@ -25,6 +25,11 @@ PROBE = np.linspace(-10.0, 10.0, 41).reshape(-1, 1)
 
 def _context_sampler(m, rng):
     return (2.0 * rng.standard_normal(m)).reshape(-1, 1)
+
+
+def _given(policy, pe=PE):
+    """Estimator that takes ``policy`` as given: its one-member class under mle."""
+    return PolicyFitConfig(method="mle", finite_class=finite_policy_class((policy,), pe, PROBE))
 
 
 class TestMlePolicy:
@@ -147,23 +152,23 @@ class TestFitGaussianPolicy:
 
 
 class TestEstimateBehavior:
-    def test_mle_and_fixed_are_returned_unclamped(self):
+    def test_mle_member_is_returned_unclamped(self):
         # A member below the clamp floor comes back as is, and its own
         # variance is the raw variance, so no clamp is reported.
         narrow = GaussianLinearPolicy(np.array([0.25]), 0.0, 0.5 * PE.variance)
         d = sample_logged(50, child_rng(5))
-        for pcfg in (
-            PolicyFitConfig(method="mle", finite_class=FinitePolicyClass((narrow,), 2.0)),
-            PolicyFitConfig(method="fixed", fixed_policy=narrow),
-        ):
-            policy, raw_variance = estimate_behavior(d, PE, pcfg)
-            assert policy is narrow
-            assert raw_variance == policy.variance
+        pcfg = PolicyFitConfig(method="mle", finite_class=FinitePolicyClass((narrow,), 2.0))
+        policy, raw_variance = estimate_behavior(d, PE, pcfg)
+        assert policy is narrow
+        assert raw_variance == policy.variance
 
     def test_non_gaussian_estimate_rejected(self):
-        from pacope.core import StochasticPolicy
+        class _Laplace(StochasticPolicy):
+            # Finite and positive everywhere, so the member is selectable.
+            def density(self, contexts, actions):
+                return 0.5 * np.exp(-np.abs(np.asarray(actions, dtype=float)))
 
-        pcfg = PolicyFitConfig(method="fixed", fixed_policy=StochasticPolicy())
+        pcfg = PolicyFitConfig(method="mle", finite_class=FinitePolicyClass((_Laplace(),), 2.0))
         with pytest.raises(ValueError, match="Gaussian"):
             estimate_behavior(sample_logged(10, child_rng(6)), PE, pcfg)
 
@@ -228,8 +233,7 @@ class TestPacoppUnknown:
         # algorithms accept every sample, and their split/fit/threshold
         # stages coincide exactly.
         d = sample_logged(1000, child_rng(40, 0))
-        pcfg = PolicyFitConfig(method="fixed", fixed_policy=PB)
-        unknown = pacopp_unknown(d, PB, PARAMS, pcfg, child_rng(40, 1))
+        unknown = pacopp_unknown(d, PB, PARAMS, _given(PB, pe=PB), child_rng(40, 1))
         known = pacopp_known(d, PB, PB, PARAMS, child_rng(40, 1))
         assert unknown.threshold == known.threshold
         assert unknown.diagnostics.n_rs == known.diagnostics.n_rs == 1000
@@ -245,7 +249,7 @@ class TestPacoppUnknown:
 
         hits = 0
         runs = 80
-        pcfg = PolicyFitConfig(method="fixed", fixed_policy=PB)
+        pcfg = _given(PB)
         for seed in range(runs):
             d = sample_logged(2000, child_rng(6000 + seed, 0))
             pred = pacopp_unknown(d, PE, PARAMS, pcfg, child_rng(6000 + seed, 1))
@@ -260,7 +264,7 @@ class TestPacoppUnknown:
             LoggedDataset.empty(), PE, PARAMS, PolicyFitConfig(), child_rng(0)
         )
         assert pred.diagnostics.trivial
-        assert predict(pred, 0.0).is_trivial
+        assert pred.predict(0.0).is_trivial
 
     def test_gaussian_estimate_records_clamp(self):
         contexts = np.linspace(-1, 1, 200).reshape(-1, 1)

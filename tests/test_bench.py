@@ -150,6 +150,22 @@ class TestFigure2:
                 overflowed.append(run)
         assert overflowed == [1, 3, 4]
 
+    @pytest.mark.parametrize("n", [0, 2, 3])
+    def test_too_little_data_gives_trivial_rows(self, n):
+        # Below four samples the Gaussian fit has fewer than two training
+        # samples; figure 2 gives the trivial rows pacopp_unknown gives.
+        cfg = BenchConfig(n=n, runs=2, test_points=200, length_subsample=5)
+        table = run_figure2(cfg, 11)
+        assert len(table.trials) == 6 * cfg.runs
+        assert all(t.trivial and t.n_rs == 0 and t.k == -1 for t in table.trials)
+        for run in range(cfg.runs):
+            pred = pacopp_unknown(
+                sample_logged(n, child_rng(11, _TAG_FIGURE2, run, 0), cfg.env),
+                cfg.env.target_policy(), cfg.pac_params(), cfg.policy_fit_config(),
+                child_rng(11, _TAG_FIGURE2, run, 2),
+            )
+            assert pred.diagnostics.trivial and pred.diagnostics.n_rs == 0
+
     def test_threshold_monotone_in_delta_per_run(self):
         table = run_figure2(replace(SMALL, runs=4), 7)
         by_run: dict[int, dict[float, float]] = {}
@@ -225,6 +241,15 @@ class TestUnknownSweep:
     def test_method_validation(self):
         with pytest.raises(ValueError):
             run_unknown_sweep(SMALL, 17, method="nn")
+
+    def test_weight_error_reported_whenever_a_policy_is_estimated(self):
+        # At n = 3 the mle estimator still selects a member, so the weight
+        # error is reported; the Gaussian fit has too little data, so not.
+        cfg = BenchConfig(n=3, runs=2, test_points=200, weight_error_mc=500)
+        mle = run_unknown_sweep(cfg, 17, method="mle")
+        gaussian = run_unknown_sweep(cfg, 17, method="gaussian")
+        assert all(t.trivial and np.isfinite(t.delta_w_hat) for t in mle.trials)
+        assert all(t.trivial and math.isnan(t.delta_w_hat) for t in gaussian.trials)
 
     def test_overflowing_ratio_bound_gives_trivial_rows(self):
         # Two training samples give wild Gaussian fits; on runs 1 and 2 the

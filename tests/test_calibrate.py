@@ -17,14 +17,13 @@ from pacope.calibrate import (
     pac_threshold,
     pac_threshold_argmin_oracle,
     pacopp_known,
-    predict,
     split_cp_inflated_level,
     split_cp_min_calibration_size,
     split_cp_threshold,
 )
 from pacope.core import PacParams, PredictionInterval, child_rng
 from pacope.quantile import QuantilePairModel
-from pacope.rejection import RsDataset
+from pacope.rejection import RsDataset, RsSplit
 from pacope.synthenv import DEFAULT_ENV, sample_logged, sample_target
 
 PARAMS = PacParams(0.2, 0.1, 0.5)
@@ -201,6 +200,9 @@ class TestSplitCp:
     def test_single_score_overflows_to_infinity(self):
         assert split_cp_threshold(np.array([4.0]), 0.9) == math.inf
 
+    def test_empty_scores_give_infinite_threshold(self):
+        assert split_cp_threshold(np.array([]), 0.8) == math.inf
+
     def test_inflated_level_arithmetic(self):
         assert split_cp_inflated_level(0.2, 0.1, 100) == pytest.approx(0.9072983, abs=1e-6)
         assert split_cp_min_calibration_size(0.2, 0.1) == 29
@@ -220,17 +222,17 @@ class TestPredict:
 
     def test_zero_threshold(self):
         p = self._predictor(0.0)
-        assert predict(p, 0.0) == PredictionInterval(-1.0, 1.0)
+        assert p.predict(0.0) == PredictionInterval(-1.0, 1.0)
 
     def test_infinite_threshold(self):
         diag = CalibrationDiagnostics(0, 0, -1, False, 0, True, 1.0)
         p = CalibratedPredictor(_band_model(), math.inf, PARAMS, diag)
-        iv = predict(p, 0.0)
+        iv = p.predict(0.0)
         assert iv.is_trivial
 
     def test_half_threshold(self):
         p = self._predictor(0.5)
-        assert predict(p, 0.0) == PredictionInterval(-1.5, 1.5)
+        assert p.predict(0.0) == PredictionInterval(-1.5, 1.5)
 
     def test_threshold_infinity_invariant(self):
         diag = CalibrationDiagnostics(10, 5, 2, False, 0, False, 2.0)
@@ -254,7 +256,7 @@ class TestPredict:
     def test_width_identity(self):
         p = self._predictor(0.37)
         for s in (-2.0, 0.0, 1.5):
-            iv = predict(p, s)
+            iv = p.predict(s)
             lo, up = p.model.quantiles(s)
             assert iv.length() == pytest.approx(float(up[0] - lo[0]) + 2 * 0.37)
 
@@ -264,12 +266,12 @@ class TestPredict:
         )
         diag = CalibrationDiagnostics(20, 10, 0, False, 0, False, 2.0)
         p = CalibratedPredictor(model, 0.5, PARAMS, diag)
-        assert predict(p, [0.5, 0.25]) == PredictionInterval(-0.5, 2.5)
+        assert p.predict([0.5, 0.25]) == PredictionInterval(-0.5, 2.5)
         for s in (0.5, [0.5, 0.25, 1.0], [[0.5, 0.25], [0.0, 0.0]]):
             with pytest.raises(ValueError, match="dimension"):
-                predict(p, s)
+                p.predict(s)
         with pytest.raises(ValueError, match="dimension"):
-            predict(self._predictor(0.5), [0.5, 0.7])
+            self._predictor(0.5).predict([0.5, 0.7])
 
 
 class TestScoreList:
@@ -307,9 +309,7 @@ class TestCalibrateSplitProperties:
         train = _random_rs(rng, n_train, dim, ties)
         cal = _random_rs(rng, m_cal, dim, ties)
         params = PacParams(epsilon, delta)
-        pred = calibrate_split(
-            train, cal, params, n_rs=n_train + m_cal, violations=violations, bound=2.0,
-        )
+        pred = calibrate_split(RsSplit(train, cal, violations=violations, bound=2.0), params)
         diag = pred.diagnostics
         assert diag.weight_violations == violations
         assert diag.m_cal == m_cal
@@ -351,7 +351,7 @@ class TestPacoppKnown:
             PARAMS, child_rng(0),
         )
         assert pred.diagnostics.trivial
-        assert predict(pred, 0.0).is_trivial
+        assert pred.predict(0.0).is_trivial
 
     def test_diagnostics_populated(self):
         d = sample_logged(2000, child_rng(50, 0))
@@ -372,7 +372,7 @@ class TestPacoppKnown:
         p1 = pacopp_known(*args, child_rng(51, 1))
         p2 = pacopp_known(*args, child_rng(51, 1))
         assert p1.threshold == p2.threshold
-        assert predict(p1, 0.3) == predict(p2, 0.3)
+        assert p1.predict(0.3) == p2.predict(0.3)
 
 
 class TestPredictorSerialization:

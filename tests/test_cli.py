@@ -59,6 +59,20 @@ def test_figure2_outputs_are_byte_identical(tmp_path, fast_config):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_figure2_panels_follow_configured_deltas(tmp_path, capsys):
+    config = tmp_path / "config.txt"
+    config.write_text(FAST_CONFIG + "figure2_deltas=0.2,0.05\n")
+    out = tmp_path / "out"
+    assert cli(["figure2", "--runs", "3", "--seed", "7", "--config", str(config),
+                "--out", str(out)]) == 0
+    assert "3=PAC-0.2, 4=PAC-0.05" in capsys.readouterr().out
+    for name in ("figure2_panel_coverage.csv", "figure2_panel_length.csv"):
+        with open(out / name, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["x"] for row in rows] == ["1", "2", "3", "4"]
+        assert not any(math.isnan(float(row["y"])) for row in rows)
+
+
 def test_figure1_and_bounds_and_theorem4_write_tables(tmp_path, fast_config):
     out = tmp_path / "out"
     assert cli(["figure1", "--seed", "3", "--config", fast_config, "--out", str(out)]) == 0

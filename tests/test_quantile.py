@@ -48,15 +48,16 @@ class TestAffineFit:
     def test_constant_rewards_collapse_quantiles(self):
         train = RsDataset(np.linspace(-2, 2, 50).reshape(-1, 1), np.full(50, 3.0), np.arange(50))
         model = fit_quantile_pair(train, PARAMS_10_90)
-        for s in (-1.5, 0.0, 2.0):
-            assert abs(model.q_lo(s) - 3.0) < 1e-3
-            assert abs(model.q_up(s) - 3.0) < 1e-3
+        lo, up = model.quantiles(np.array([-1.5, 0.0, 2.0]))
+        assert np.all(np.abs(lo - 3.0) < 1e-3)
+        assert np.all(np.abs(up - 3.0) < 1e-3)
 
     def test_recovers_oracle_quantiles_of_mixture(self):
         target = sample_target(5000, child_rng(77, 0))
         model = fit_quantile_pair(_as_train(target), PARAMS_10_90)
-        assert abs(model.q_lo(0.0) - oracle_quantile(0.0, 0.1)) < 0.4
-        assert abs(model.q_up(0.0) - oracle_quantile(0.0, 0.9)) < 0.4
+        (lo,), (up,) = model.quantiles(0.0)
+        assert abs(lo - oracle_quantile(0.0, 0.1)) < 0.4
+        assert abs(up - oracle_quantile(0.0, 0.9)) < 0.4
 
     def test_heldout_calibration(self):
         # Fraction of held-out rewards below the fitted lower quantile stays
@@ -98,15 +99,16 @@ class TestAffineFit:
         model = fit_quantile_pair(train, params)
         ordered = np.sort(y)
         # 11 * 0.3 = 3.3 and 11 * 0.7 = 7.7: the 4th and 8th order statistics.
-        assert model.q_lo(0.7) == pytest.approx(ordered[3], abs=1e-9)
-        assert model.q_up(0.7) == pytest.approx(ordered[7], abs=1e-9)
+        (lo,), (up,) = model.quantiles(0.7)
+        assert lo == pytest.approx(ordered[3], abs=1e-9)
+        assert up == pytest.approx(ordered[7], abs=1e-9)
 
     def test_two_points_are_interpolated(self):
         train = RsDataset(np.array([[-1.0], [2.0]]), np.array([0.5, -1.0]), np.arange(2))
         model = fit_quantile_pair(train, PARAMS_10_90)
-        for s, r in ((-1.0, 0.5), (2.0, -1.0)):
-            assert model.q_lo(s) == pytest.approx(r, abs=1e-9)
-            assert model.q_up(s) == pytest.approx(r, abs=1e-9)
+        lo, up = model.quantiles(np.array([-1.0, 2.0]))
+        assert lo == pytest.approx([0.5, -1.0], abs=1e-9)
+        assert up == pytest.approx([0.5, -1.0], abs=1e-9)
 
     def test_tied_rewards_meet_level_condition(self):
         target = sample_target(300, child_rng(11, 0))
@@ -130,7 +132,8 @@ class TestAffineFit:
         grid = np.linspace(-4, 4, 101).reshape(-1, 1)
         lo, up = model.quantiles(grid)
         assert np.all(lo <= up)
-        assert model.q_lo(0.0) < model.q_up(0.0)
+        (lo,), (up,) = model.quantiles(0.0)
+        assert lo < up
 
     def test_deterministic(self):
         target = sample_target(600, child_rng(7, 0))

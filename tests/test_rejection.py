@@ -4,20 +4,24 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from pacope.core import GaussianLinearPolicy, child_rng
-from pacope.rejection import (
-    RsDataset,
-    WeightFunction,
-    gaussian_ratio_bound,
-    rejection_sample,
-    weight_from_policies,
-)
+from pacope.core import GaussianLinearPolicy, LoggedDataset, StochasticPolicy, child_rng
+from pacope.rejection import RsDataset, gaussian_ratio_bound, rejection_sample
 from pacope.synthenv import DEFAULT_ENV, sample_logged, sample_target
 
 ENV = DEFAULT_ENV
 PE = ENV.target_policy()
 PB = ENV.behavior_policy()
 PROBE = np.linspace(-8.0, 8.0, 9).reshape(-1, 1)
+
+
+class _ConstantDensityPolicy(StochasticPolicy):
+    """A policy with the same density at every action (not a proper law)."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def density(self, contexts, actions):
+        return np.full(np.shape(actions), self.value)
 
 
 class TestGaussianRatioBound:
@@ -60,39 +64,35 @@ class TestGaussianRatioBound:
 class TestRejectionSample:
     def test_constant_weight_accepts_everything(self):
         d = sample_logged(500, child_rng(1))
-        w = WeightFunction(lambda c, a: np.ones(a.shape[0]), 1.0)
-        rs = rejection_sample(d, w, child_rng(2))
+        one = _ConstantDensityPolicy(0.5)
+        rs = rejection_sample(d, one, one, 1.0, child_rng(2))
         assert len(rs) == 500
         assert rs.n_violations == 0
 
     def test_zero_weight_accepts_nothing(self):
         d = sample_logged(500, child_rng(1))
-        w = WeightFunction(lambda c, a: np.zeros(a.shape[0]), 1.0)
-        rs = rejection_sample(d, w, child_rng(2))
+        rs = rejection_sample(d, _ConstantDensityPolicy(0.0), PB, 1.0, child_rng(2))
         assert len(rs) == 0
 
     def test_accepted_count_concentrates(self):
         # With B = 2 the count is Bin(n, 1/2); n = 2000 stays within [900, 1100].
-        w = weight_from_policies(PE, PB, 2.0)
         for seed in range(5):
             d = sample_logged(2000, child_rng(100 + seed, 0))
-            rs = rejection_sample(d, w, child_rng(100 + seed, 1))
+            rs = rejection_sample(d, PE, PB, 2.0, child_rng(100 + seed, 1))
             assert 900 <= len(rs) <= 1100
 
     def test_mean_count_over_many_seeds(self):
         # 2000 seeds at n=1000, B=2: mean within 3 standard errors of n/B.
-        w = weight_from_policies(PE, PB, 2.0)
         counts = np.empty(2000)
         for seed in range(2000):
             d = sample_logged(1000, child_rng(3000 + seed, 0))
-            counts[seed] = len(rejection_sample(d, w, child_rng(3000 + seed, 1)))
+            counts[seed] = len(rejection_sample(d, PE, PB, 2.0, child_rng(3000 + seed, 1)))
         se = math.sqrt(1000 * 0.25 / 2000)
         assert abs(counts.mean() - 500.0) <= 3 * se
 
     def test_order_preserved(self):
         d = sample_logged(800, child_rng(4, 0))
-        w = weight_from_policies(PE, PB, 2.0)
-        rs = rejection_sample(d, w, child_rng(4, 1))
+        rs = rejection_sample(d, PE, PB, 2.0, child_rng(4, 1))
         assert np.all(np.diff(rs.source_indices) > 0)
         assert np.array_equal(rs.rewards, d.rewards[rs.source_indices])
 
@@ -100,23 +100,35 @@ class TestRejectionSample:
         for seed in range(5):
             d = sample_logged(1000, child_rng(200 + seed, 0))
             bound = gaussian_ratio_bound(PE, PB, d.contexts)
-            w = weight_from_policies(PE, PB, bound)
-            rs = rejection_sample(d, w, child_rng(200 + seed, 1))
+            rs = rejection_sample(d, PE, PB, bound, child_rng(200 + seed, 1))
             assert rs.n_violations == 0
 
     def test_violations_counted_when_bound_understated(self):
         d = sample_logged(2000, child_rng(5, 0))
-        w = weight_from_policies(PE, PB, 1.2)  # true supremum is 2
-        rs = rejection_sample(d, w, child_rng(5, 1))
+        rs = rejection_sample(d, PE, PB, 1.2, child_rng(5, 1))  # true supremum is 2
         assert rs.n_violations > 0
 
     def test_empty_dataset(self):
-        from pacope.core import LoggedDataset
-
-        rs = rejection_sample(
-            LoggedDataset.empty(), weight_from_policies(PE, PB, 2.0), child_rng(0)
-        )
+        rs = rejection_sample(LoggedDataset.empty(), PE, PB, 2.0, child_rng(0))
         assert len(rs) == 0
+
+    def test_ratio_conventions(self):
+        # 0 / 0 = 0 is never accepted; x / 0 = inf is accepted and counted as
+        # a violation of any finite bound.
+        d = sample_logged(50, child_rng(8))
+        rs = rejection_sample(d, _ConstantDensityPolicy(0.0), _ConstantDensityPolicy(0.0), 1.0, child_rng(9))
+        assert len(rs) == 0 and rs.n_violations == 0
+        rs = rejection_sample(d, PE, _ConstantDensityPolicy(0.0), 1.0, child_rng(9))
+        assert len(rs) == 50 and rs.n_violations == 50
+
+    def test_infinite_bound_accepts_nothing_and_draws_nothing(self):
+        d = sample_logged(200, child_rng(6))
+        rng = child_rng(6, 1)
+        rs = rejection_sample(d, PE, PB, math.inf, rng)
+        assert len(rs) == 0 and rs.n_violations == 0
+        assert rs.contexts.shape == (0, 1)
+        # The stream is unread: its next variate is a fresh stream's first.
+        assert rng.uniform() == child_rng(6, 1).uniform()
 
     def test_distributional_match_with_target(self):
         # Accepted rewards vs direct target draws: KS at level 0.01 must not
@@ -125,7 +137,7 @@ class TestRejectionSample:
         for seed in range(3):
             d = sample_logged(2000, child_rng(700 + seed, 0))
             bound = gaussian_ratio_bound(PE, PB, d.contexts)
-            rs = rejection_sample(d, weight_from_policies(PE, PB, bound), child_rng(700 + seed, 1))
+            rs = rejection_sample(d, PE, PB, bound, child_rng(700 + seed, 1))
             direct = sample_target(50000, child_rng(700 + seed, 2))
             if ks_2samp(rs.rewards, direct.rewards).pvalue < 0.01:
                 rejections += 1
@@ -144,5 +156,7 @@ class TestRsDataset:
             RsDataset(np.zeros((2, 1)), np.zeros(2), np.array([3, 1]))
 
     def test_bound_validation(self):
-        with pytest.raises(ValueError):
-            WeightFunction(lambda c, a: a, 0.5)
+        d = sample_logged(10, child_rng(7))
+        for bound in (0.5, math.nan):
+            with pytest.raises(ValueError, match="bound"):
+                rejection_sample(d, PE, PB, bound, child_rng(7, 1))
