@@ -31,7 +31,6 @@ from .quantile import (
 from .calibrate import (
     CalibratedPredictor,
     CalibrationDiagnostics,
-    ScoreList,
     binomial_quantile_k,
     calibrate_split,
     nonconformity,
@@ -56,7 +55,6 @@ from .baselines import (
 from .behavior import (
     FinitePolicyClass,
     PolicyFitConfig,
-    WeightErrorReport,
     estimate_behavior,
     estimate_weight_error,
     finite_policy_class,

@@ -2,14 +2,15 @@
 
 When the logging policy is unknown it is estimated on a first data split and
 the density-ratio weights are formed against the estimate.
-:func:`estimate_behavior` is the one place that fits or selects the policy:
-by maximum likelihood over a finite policy class (selection by total log
-density, ties broken by list order), or by parametric Gaussian fitting
-(affine mean, constant variance, with the fitted variance clamped away from
-the target policy's variance so the downstream weight bound exists). A known
-policy is a one-member class. :func:`rs_split_unknown` is the one home of the
-pipeline's sampling stage: split, estimate, bound, and rejection-sample both
-halves. :func:`pacopp_unknown` hands its ``RsSplit`` to
+:func:`estimate_behavior` is the one place that fits or selects the policy.
+Given a ``PolicyFitConfig.finite_class``, it selects by maximum likelihood
+over that class (total log density, ties broken by list order); without one,
+it fits a parametric Gaussian (affine mean, constant variance, with the
+fitted variance clamped away from the target policy's variance so the
+downstream weight bound exists). A known policy is a one-member class.
+:func:`rs_split_unknown` is the one home of the pipeline's sampling stage:
+split, estimate, bound, and rejection-sample both halves.
+:func:`pacopp_unknown` hands its ``RsSplit`` to
 :func:`calibrate.calibrate_split`.
 
 The weight-estimation error ``E |w_hat(S, A) - w(S, A)|`` over the true
@@ -39,7 +40,6 @@ from .rejection import RsDataset, RsSplit, gaussian_ratio_bound, rejection_sampl
 
 __all__ = [
     "FinitePolicyClass",
-    "WeightErrorReport",
     "PolicyFitConfig",
     "finite_policy_class",
     "mle_policy",
@@ -117,23 +117,6 @@ def mle_policy(pclass: FinitePolicyClass, d1: LoggedDataset) -> StochasticPolicy
     return pclass.policies[int(np.argmax(totals))]
 
 
-@dataclass(frozen=True)
-class WeightErrorReport:
-    """Monte Carlo estimate of the mean absolute weight-estimation error.
-
-    ``delta_w_hat`` is ``inf`` when an estimated ratio exceeds the float range.
-    """
-
-    delta_w_hat: float
-    mc_samples: int
-
-    def __post_init__(self) -> None:
-        if not self.delta_w_hat >= 0:
-            raise ValueError("delta_w_hat must be nonnegative")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
-
-
 def estimate_weight_error(
     pbhat: StochasticPolicy,
     pb_true: StochasticPolicy,
@@ -141,12 +124,13 @@ def estimate_weight_error(
     mc: int,
     rng: np.random.Generator,
     context_sampler: Callable[[int, np.random.Generator], np.ndarray],
-) -> WeightErrorReport:
+) -> float:
     """Monte Carlo average of ``|w_hat - w|`` over the true logging law.
 
     ``context_sampler(m, rng)`` must draw ``m`` contexts from the context
     distribution; actions are then drawn from the true behavior policy.
-    Synthetic mode only: the true behavior policy is required.
+    Synthetic mode only: the true behavior policy is required. The result is
+    ``inf`` when an estimated ratio exceeds the float range.
     """
     if mc < 1:
         raise ValueError("mc must be >= 1")
@@ -158,29 +142,24 @@ def estimate_weight_error(
     with np.errstate(over="ignore"):
         w = np.where(den_true > 0, num / np.where(den_true > 0, den_true, 1.0), 0.0)
         w_hat = np.where(den_hat > 0, num / np.where(den_hat > 0, den_hat, 1.0), 0.0)
-    return WeightErrorReport(float(np.mean(np.abs(w_hat - w))), mc)
+    return float(np.mean(np.abs(w_hat - w)))
 
 
 @dataclass(frozen=True)
 class PolicyFitConfig:
     """How the unknown behavior policy is estimated.
 
-    ``method`` is ``"gaussian"`` (the exact affine-mean Gaussian MLE: least
-    squares and the mean squared residual) or ``"mle"`` (selection from
-    ``finite_class``; a one-member class takes a policy as given).
-    ``min_variance_margin`` sets the variance clamp of the ``gaussian`` fit
-    (see :func:`estimate_behavior`).
+    Without a ``finite_class`` the policy is the exact affine-mean Gaussian
+    MLE (least squares and the mean squared residual), whose variance clamp
+    ``min_variance_margin`` sets (see :func:`estimate_behavior`). With one, it
+    is the maximum-likelihood member of the class; a one-member class takes a
+    policy as given.
     """
 
-    method: str = "gaussian"
     finite_class: FinitePolicyClass | None = None
     min_variance_margin: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.method not in ("gaussian", "mle"):
-            raise ValueError("method must be 'gaussian' or 'mle'")
-        if self.method == "mle" and self.finite_class is None:
-            raise ValueError("the mle method requires a finite_class")
         if self.min_variance_margin < 0:
             raise ValueError("min_variance_margin must be nonnegative")
 
@@ -190,19 +169,19 @@ def estimate_behavior(
 ) -> tuple[GaussianLinearPolicy, float]:
     """Fit or select the behavior policy on the training half ``d1``.
 
-    Returns ``(policy, raw_variance)``. The ``gaussian`` method is the
-    affine-mean constant-variance Gaussian MLE, computed exactly (least-squares
-    mean, minimum-norm when all contexts are equal, and the mean squared
-    residual as variance); its variance is clamped to at
+    Returns ``(policy, raw_variance)``. Without a finite class the policy is
+    the affine-mean constant-variance Gaussian MLE, computed exactly
+    (least-squares mean, minimum-norm when all contexts are equal, and the
+    mean squared residual as variance); its variance is clamped to at
     least ``pe.variance * (1 + min_variance_margin)``, because the
     rejection-sampling weight is bounded only when the estimated behavior
     variance exceeds the target's. ``raw_variance`` is the variance before the
-    clamp, so the clamp fired iff ``raw_variance < policy.variance``. The
-    ``mle`` method returns its policy unclamped, with its own variance as
-    ``raw_variance``. The estimate must be Gaussian: automatic
-    weight bounds exist only for Gaussian policies.
+    clamp, so the clamp fired iff ``raw_variance < policy.variance``. A class
+    member is returned unclamped, with its own variance as ``raw_variance``.
+    The estimate must be Gaussian: automatic weight bounds exist only for
+    Gaussian policies.
     """
-    if pcfg.method == "gaussian":
+    if pcfg.finite_class is None:
         if len(d1) < 2:
             raise ValueError("insufficient data: need at least 2 samples")
         x1 = np.hstack([np.ones((len(d1), 1)), d1.contexts])
@@ -236,7 +215,7 @@ def rs_split_unknown(
     for the calibration half (the estimators draw nothing).
     """
     d1, d2 = split_dataset(d, gamma)
-    if len(d) == 0 or (pcfg.method == "gaussian" and len(d1) < 2):
+    if len(d) == 0 or (pcfg.finite_class is None and len(d1) < 2):
         empty = RsDataset.empty(d.context_dim)
         return RsSplit(empty, empty, violations=0, bound=1.0)
     pbhat, raw_variance = estimate_behavior(d1, pe, pcfg)

@@ -120,7 +120,6 @@ class BenchConfig:
     figure2_deltas: tuple[float, ...] = (0.5, 0.25, 0.1, 0.01)
     copp_mc_samples: int = 50
     copp_grid_size: int = 200
-    copp_grid_margin: float = 0.25
     length_subsample: int = 500
     theorem4_n_grid: tuple[int, ...] = (500, 2000, 8000)
     theorem4_runs: int = 40
@@ -144,17 +143,19 @@ class BenchConfig:
             raise ValueError("gamma must lie in (0, 1)")
         if self.n < 0:
             raise ValueError("n must be nonnegative")
+        for name in ("length_subsample", "theorem4_runs", "theorem4_contexts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     def pac_params(self, delta: float | None = None) -> PacParams:
         return PacParams(self.epsilon, self.delta if delta is None else delta, self.gamma)
 
     def copp_config(self) -> CoppConfig:
-        return CoppConfig(self.copp_grid_size, self.copp_grid_margin)
+        return CoppConfig(self.copp_grid_size)
 
     def policy_fit_config(self, method: str = "gaussian") -> PolicyFitConfig:
         """Behavior-policy estimator; ``mle`` selects from :func:`default_finite_class`."""
         return PolicyFitConfig(
-            method=method,
             finite_class=default_finite_class(self.env) if method == "mle" else None,
             min_variance_margin=self.policy_margin,
         )
@@ -594,11 +595,10 @@ def _unknown_trial(args) -> TrialReport:
         sampler = lambda m, rng: (
             math.sqrt(env.context_variance) * rng.standard_normal(m)
         ).reshape(-1, 1)
-        report = estimate_weight_error(
+        delta_w = estimate_weight_error(
             split.behavior, env.behavior_policy(), pe, config.weight_error_mc,
             child_rng(master_seed, _TAG_UNKNOWN, subtag, run, 3), sampler,
         )
-        delta_w = report.delta_w_hat
     return _report(
         f"PACOPP-{method}", run, config.n, config.epsilon, config.delta,
         config.gamma, pred, test, delta_w_hat=delta_w,

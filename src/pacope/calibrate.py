@@ -16,6 +16,9 @@ rejection-samples with the oracle ratio, then splits the accepted pairs. The
 estimated-policy pipeline is ``behavior.pacopp_unknown``, whose sampling
 stage is ``behavior.rs_split_unknown``.
 
+The fitted :class:`CalibratedPredictor` is the practitioner's artifact; its
+``dump``/``load`` pair is the one home of the predictor file format.
+
 The split-conformal comparator (plain ``1 - eps`` empirical quantile with an
 appended infinity atom) lives here too, along with the inflated level it would
 need for the same training-conditional guarantee.
@@ -24,7 +27,7 @@ need for the same training-conditional guarantee.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -37,15 +40,12 @@ from .core import (
     PredictionInterval,
     StochasticPolicy,
     _as_context_matrix,
-    _field,
-    _key_values,
     ceil_scaled,
 )
 from .quantile import QuantilePairModel, fit_quantile_pair, trivial_quantile_model
 from .rejection import RsSplit, gaussian_ratio_bound, rejection_sample
 
 __all__ = [
-    "ScoreList",
     "CalibrationDiagnostics",
     "CalibratedPredictor",
     "binomial_quantile_k",
@@ -58,37 +58,6 @@ __all__ = [
     "calibrate_split",
     "pacopp_known",
 ]
-
-
-@dataclass(frozen=True)
-class ScoreList:
-    """Calibration scores in original index order, with tie tracking.
-
-    Ties are permitted (they are broken by original index downstream) but
-    flagged: the finite-sample frequency bounds assume almost-surely distinct
-    scores, so a tie is worth surfacing in diagnostics.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float).reshape(-1)
-        if values.size and not np.all(np.isfinite(values)):
-            raise ValueError("scores must be finite")
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def has_ties(self) -> bool:
-        return bool(np.unique(self.values).size < self.values.size)
-
-
-def _score_values(scores) -> np.ndarray:
-    if isinstance(scores, ScoreList):
-        return scores.values
-    return np.asarray(scores, dtype=float).reshape(-1)
 
 
 _TIE_LOG_TOL = 1e-9
@@ -159,7 +128,7 @@ def pac_threshold(scores, epsilon: float, delta: float) -> float:
     Ties are broken by original index (stable sort); ``k = -1`` or an empty
     score list yields ``+inf`` (the trivial interval).
     """
-    values = _score_values(scores)
+    values = np.asarray(scores, dtype=float).reshape(-1)
     m = values.shape[0]
     k = binomial_quantile_k(m, epsilon, delta)
     if k < 0:
@@ -174,7 +143,7 @@ def pac_threshold_argmin_oracle(scores, epsilon: float, delta: float) -> float:
     Candidates are the score values themselves plus infinity. Used only as a
     test oracle for :func:`pac_threshold`.
     """
-    values = _score_values(scores)
+    values = np.asarray(scores, dtype=float).reshape(-1)
     m = values.shape[0]
     k = binomial_quantile_k(m, epsilon, delta)
     if m == 0:
@@ -193,7 +162,7 @@ def split_cp_threshold(scores, level: float) -> float:
     """
     if not 0.0 < level <= 1.0:
         raise ValueError("level must lie in (0, 1]")
-    values = _score_values(scores)
+    values = np.asarray(scores, dtype=float).reshape(-1)
     m = values.shape[0]
     j = max(1, ceil_scaled(level * (m + 1)))
     if j >= m + 1:
@@ -233,12 +202,52 @@ class CalibrationDiagnostics:
     variance_clamped: bool = False
 
 
+def _parse_flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(text)
+    return text == "1"
+
+
+def _parse_weights(text: str) -> np.ndarray:
+    values = np.array([float(v) for v in text.split()], dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(text)
+    return values
+
+
+_FLOAT = (repr, float)
+_INT = (str, int)
+_WEIGHTS = (lambda w: " ".join(repr(float(v)) for v in np.asarray(w, dtype=float)), _parse_weights)
+_BY_TYPE = {"float": _FLOAT, "float | None": _FLOAT, "int": _INT,
+            "bool": (lambda flag: str(int(flag)), _parse_flag)}
+
+# The predictor file, one ``key=value`` line per key in this order, each with
+# its (format, parse) pair: the PAC parameters, the threshold, the
+# diagnostics, then the quantile model. ``model.kind`` and the
+# ``model.{lo,up}.0.shape`` lines are kept from an older format that had
+# several model kinds and weight blocks.
+_FILE_KEYS = {
+    **{f.name: _BY_TYPE[f.type] for f in fields(PacParams)},
+    "threshold": _FLOAT,
+    **{f.name: _BY_TYPE[f.type] for f in fields(CalibrationDiagnostics)},
+    "model.kind": (str, str),
+    "model.eps_lo": _FLOAT,
+    "model.eps_up": _FLOAT,
+    "model.lo.0.shape": _INT,
+    "model.lo.0.values": _WEIGHTS,
+    "model.up.0.shape": _INT,
+    "model.up.0.values": _WEIGHTS,
+}
+
+
 @dataclass(frozen=True)
 class CalibratedPredictor:
     """Quantile pair plus threshold: maps a context to a prediction interval.
 
-    The threshold is infinite exactly when the cutoff is -1 or the calibration
-    set is empty, in which case every interval is the whole real line.
+    The threshold is ``+inf`` exactly when the cutoff is -1 or the calibration
+    set is empty, in which case every interval is the whole real line, and
+    finite otherwise. The model's quantile levels are the parameters'
+    ``(eps_lo, eps_up)``.
     """
 
     model: QuantilePairModel
@@ -247,10 +256,13 @@ class CalibratedPredictor:
     diagnostics: CalibrationDiagnostics
 
     def __post_init__(self) -> None:
-        infinite = math.isinf(self.threshold)
         degenerate = self.diagnostics.k == -1 or self.diagnostics.m_cal == 0
-        if infinite != degenerate:
-            raise ValueError("threshold must be infinite iff k == -1 or the calibration set is empty")
+        if not (self.threshold == math.inf if degenerate else math.isfinite(self.threshold)):
+            raise ValueError("threshold must be +inf iff k == -1 or the calibration set "
+                             f"is empty, and finite otherwise; got {self.threshold!r}")
+        levels = (self.params.eps_lo, self.params.eps_up)
+        if tuple(self.model.levels) != levels:
+            raise ValueError(f"model levels {self.model.levels} differ from (eps_lo, eps_up) {levels}")
 
     def interval_batch(self, contexts) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized interval endpoints for an array of contexts."""
@@ -263,57 +275,65 @@ class CalibratedPredictor:
         return PredictionInterval(float(lo[0]), float(hi[0]))
 
     def dump(self) -> str:
-        d = self.diagnostics
-        lines = [
-            f"epsilon={self.params.epsilon!r}",
-            f"delta={self.params.delta!r}",
-            f"gamma={self.params.gamma!r}",
-            f"eps_lo={self.params.eps_lo!r}",
-            f"eps_up={self.params.eps_up!r}",
-            f"threshold={self.threshold!r}",
-            f"n_rs={d.n_rs}",
-            f"m_cal={d.m_cal}",
-            f"k={d.k}",
-            f"tie_flag={int(d.tie_flag)}",
-            f"weight_violations={d.weight_violations}",
-            f"trivial={int(d.trivial)}",
-            f"bound={d.bound!r}",
-            f"variance_clamped={int(d.variance_clamped)}",
-        ]
-        model_lines = [f"model.{line}" for line in self.model.dump().splitlines()]
-        return "\n".join(lines + model_lines) + "\n"
+        """The predictor file: one ``key=value`` line per key, round-trip exact."""
+        model = self.model
+        values = {
+            **asdict(self.params),
+            "threshold": self.threshold,
+            **asdict(self.diagnostics),
+            "model.kind": "affine",
+            "model.eps_lo": model.levels[0],
+            "model.eps_up": model.levels[1],
+            "model.lo.0.shape": len(model.w_lo),
+            "model.lo.0.values": model.w_lo,
+            "model.up.0.shape": len(model.w_up),
+            "model.up.0.values": model.w_up,
+        }
+        return "".join(f"{key}={fmt(values[key])}\n" for key, (fmt, _) in _FILE_KEYS.items())
 
     @staticmethod
     def load(text: str) -> "CalibratedPredictor":
-        """Inverse of ``dump``; a missing or malformed field raises ``ValueError``."""
-        lines = [line.strip() for line in text.splitlines()]
-        plain = _key_values(line for line in lines if not line.startswith("model."))
-        model_lines = [line[len("model."):] for line in lines if line.startswith("model.")]
-        params = PacParams(
-            epsilon=_field(plain, "epsilon"),
-            delta=_field(plain, "delta"),
-            gamma=_field(plain, "gamma"),
-            eps_lo=_field(plain, "eps_lo"),
-            eps_up=_field(plain, "eps_up"),
-        )
-        diagnostics = CalibrationDiagnostics(
-            n_rs=_field(plain, "n_rs", int),
-            m_cal=_field(plain, "m_cal", int),
-            k=_field(plain, "k", int),
-            tie_flag=_field(plain, "tie_flag", _parse_flag),
-            weight_violations=_field(plain, "weight_violations", int),
-            trivial=_field(plain, "trivial", _parse_flag),
-            bound=_field(plain, "bound"),
-            variance_clamped=_field(plain, "variance_clamped", _parse_flag),
-        )
-        model = QuantilePairModel.load("\n".join(model_lines))
-        return CalibratedPredictor(model, _field(plain, "threshold"), params, diagnostics)
+        """Inverse of ``dump``; blank lines are skipped.
 
-
-def _parse_flag(text: str) -> bool:
-    if text not in ("0", "1"):
-        raise ValueError(text)
-    return text == "1"
+        A missing, repeated, unknown or malformed line, a non-finite weight,
+        and values that make no valid predictor raise ``ValueError``.
+        """
+        raw: dict[str, str] = {}
+        for line in text.splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            key, _, value = line.partition("=")
+            if key not in _FILE_KEYS:
+                raise ValueError(f"predictor file: unknown field {key!r}")
+            if key in raw:
+                raise ValueError(f"predictor file: repeated field {key!r}")
+            raw[key] = value
+        parsed = {}
+        for key, (_, parse) in _FILE_KEYS.items():
+            if key not in raw:
+                raise ValueError(f"predictor file: missing field {key!r}")
+            try:
+                parsed[key] = parse(raw[key])
+            except ValueError:
+                raise ValueError(f"predictor file: malformed field {key}={raw[key]!r}") from None
+        if parsed["model.kind"] != "affine":
+            raise ValueError(f"predictor file: unknown model kind {parsed['model.kind']!r}")
+        w_lo, w_up = parsed["model.lo.0.values"], parsed["model.up.0.values"]
+        shapes = (parsed["model.lo.0.shape"], parsed["model.up.0.shape"])
+        if (w_lo.size, w_up.size) != shapes:
+            raise ValueError(f"predictor file: weight values do not fill shapes {shapes}")
+        if w_lo.size != w_up.size or w_lo.size < 2:
+            raise ValueError(f"predictor file: weight sizes {shapes} do not fit an affine model")
+        try:
+            return CalibratedPredictor(
+                QuantilePairModel(w_lo, w_up, (parsed["model.eps_lo"], parsed["model.eps_up"])),
+                parsed["threshold"],
+                PacParams(**{f.name: parsed[f.name] for f in fields(PacParams)}),
+                CalibrationDiagnostics(**{f.name: parsed[f.name] for f in fields(CalibrationDiagnostics)}),
+            )
+        except ValueError as exc:
+            raise ValueError(f"predictor file: {exc}") from None
 
 
 def _trivial_predictor(
@@ -358,13 +378,15 @@ def calibrate_split(split: RsSplit, params: PacParams) -> CalibratedPredictor:
             variance_clamped=split.variance_clamped,
         )
     model = fit_quantile_pair(train, params)
-    scores = ScoreList(nonconformity(model, cal.contexts, cal.rewards))
+    scores = nonconformity(model, cal.contexts, cal.rewards)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
     threshold = pac_threshold(scores, params.epsilon, params.delta)
     diagnostics = CalibrationDiagnostics(
         n_rs=split.n_rs,
         m_cal=len(cal),
         k=binomial_quantile_k(len(cal), params.epsilon, params.delta),
-        tie_flag=scores.has_ties,
+        tie_flag=bool(np.unique(scores).size < scores.size),
         weight_violations=split.violations,
         trivial=False,
         bound=split.bound,

@@ -86,26 +86,6 @@ def _as_context_matrix(values: np.ndarray | Sequence[float] | float) -> np.ndarr
     return arr
 
 
-def _key_values(lines) -> dict[str, str]:
-    """``key=value`` lines of a predictor file as a dict; blank lines are skipped."""
-    fields: dict[str, str] = {}
-    for line in lines:
-        key, _, value = line.strip().partition("=")
-        if key:
-            fields[key] = value
-    return fields
-
-
-def _field(fields: dict[str, str], key: str, parse=float):
-    """Parse one predictor-file field; a missing or malformed one raises ``ValueError``."""
-    if key not in fields:
-        raise ValueError(f"predictor file: missing field {key!r}")
-    try:
-        return parse(fields[key])
-    except ValueError:
-        raise ValueError(f"predictor file: malformed field {key}={fields[key]!r}") from None
-
-
 def _check_finite(name: str, arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")

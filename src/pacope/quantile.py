@@ -9,6 +9,9 @@ model's ``train_losses`` hold the final training loss alone.
 Quantile crossing is repaired pointwise at evaluation time: wherever the
 fitted lower quantile exceeds the upper one, both are replaced by their
 midpoint, so the induced interval family stays well-formed.
+
+The model is written to and read from disk only as part of the predictor
+file, whose format lives in ``calibrate.CalibratedPredictor.dump``/``load``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PacParams, _as_context_matrix, _field, _key_values
+from .core import PacParams, _as_context_matrix
 from .rejection import RsDataset
 
 __all__ = [
@@ -35,10 +38,6 @@ def pinball_loss(u: float | np.ndarray, level: float) -> float | np.ndarray:
     arr = np.asarray(u, dtype=float)
     out = np.where(arr >= 0.0, arr * level, arr * (level - 1.0))
     return float(out) if np.isscalar(u) or arr.ndim == 0 else out
-
-
-def _pinball_mean(resid: np.ndarray, level: float) -> float:
-    return float(np.mean(np.where(resid >= 0.0, resid * level, resid * (level - 1.0))))
 
 
 # The affine fit stops once the duality gap of the mean pinball loss, in units
@@ -124,7 +123,7 @@ def _fit_affine(x1: np.ndarray, y: np.ndarray, level: float) -> np.ndarray:
     for step in range(_LP_MAX_STEPS + 1):
         rho = b - q.T @ a
         # Weak duality: any feasible a bounds the optimal mean loss from below.
-        gap = _pinball_mean(yn + q @ g, level) - (float(yn @ a) / n - offset)
+        gap = float(np.mean(pinball_loss(yn + q @ g, level))) - (float(yn @ a) / n - offset)
         if gap <= _LP_GAP_TOL and float(np.max(np.abs(rho))) <= _LP_GAP_TOL * math.sqrt(n):
             break
         if step == _LP_MAX_STEPS:
@@ -155,12 +154,6 @@ def _fit_affine(x1: np.ndarray, y: np.ndarray, level: float) -> np.ndarray:
 def _design(contexts: np.ndarray) -> np.ndarray:
     """The affine design: an intercept column, then the contexts."""
     return np.hstack([np.ones((contexts.shape[0], 1)), contexts])
-
-
-# The fields of a dumped model; ``.0`` names the one weight vector of a level.
-_MODEL_FIELDS = frozenset(
-    ("kind", "eps_lo", "eps_up", "lo.0.shape", "lo.0.values", "up.0.shape", "up.0.values")
-)
 
 
 @dataclass(frozen=True)
@@ -199,42 +192,6 @@ class QuantilePairModel:
             up[crossed] = mid
         return lo, up
 
-    def dump(self) -> str:
-        """Flat text serialization, round-trip exact."""
-        lines = ["kind=affine", f"eps_lo={self.levels[0]!r}", f"eps_up={self.levels[1]!r}"]
-        for tag, w in (("lo", self.w_lo), ("up", self.w_up)):
-            flat = np.asarray(w, dtype=float)
-            lines.append(f"{tag}.0.shape={flat.shape[0]}")
-            lines.append(f"{tag}.0.values=" + " ".join(repr(float(v)) for v in flat))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def load(text: str) -> "QuantilePairModel":
-        """Inverse of ``dump``; a missing, malformed or unexpected field raises ``ValueError``."""
-        fields = _key_values(text.splitlines())
-        kind = _field(fields, "kind", str)
-        if kind != "affine":
-            raise ValueError(f"predictor file: unknown model kind {kind!r}")
-        unexpected = sorted(set(fields) - _MODEL_FIELDS)
-        if unexpected:
-            raise ValueError(f"predictor file: unexpected model fields {unexpected}")
-        levels = (_field(fields, "eps_lo"), _field(fields, "eps_up"))
-        weights = []
-        for tag in ("lo", "up"):
-            size = _field(fields, f"{tag}.0.shape", int)
-            flat = _field(fields, f"{tag}.0.values", _parse_values)
-            if flat.size != size:
-                raise ValueError(f"predictor file: {tag}.0 values do not fill shape {size}")
-            weights.append(flat)
-        sizes = [w.size for w in weights]
-        if sizes[0] != sizes[1] or sizes[0] < 2:
-            raise ValueError(f"predictor file: weight sizes {sizes} do not fit an affine model")
-        return QuantilePairModel(weights[0], weights[1], levels)
-
-
-def _parse_values(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split()], dtype=float)
-
 
 def trivial_quantile_model(levels: tuple[float, float], context_dim: int = 1) -> QuantilePairModel:
     """Constant-zero quantile pair, used by degenerate calibration paths."""
@@ -259,7 +216,7 @@ def fit_quantile_pair(train: RsDataset, params: PacParams) -> QuantilePairModel:
     w_lo = _fit_affine(x1, y, eps_lo)
     w_up = _fit_affine(x1, y, eps_up)
     losses = tuple(
-        np.array([_pinball_mean(y - x1 @ w, level)])
+        np.array([np.mean(pinball_loss(y - x1 @ w, level))])
         for w, level in ((w_lo, eps_lo), (w_up, eps_up))
     )
     return QuantilePairModel(w_lo, w_up, (eps_lo, eps_up), losses)

@@ -320,6 +320,10 @@ class TestConfig:
             BenchConfig(runs=0)
         with pytest.raises(ValueError):
             BenchConfig(epsilon=1.5)
+        for name in ("length_subsample", "theorem4_contexts", "theorem4_runs"):
+            for value in (0, -5):
+                with pytest.raises(ValueError, match=name):
+                    BenchConfig(**{name: value})
 
     def test_trial_report_validation(self):
         with pytest.raises(ValueError):

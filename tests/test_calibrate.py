@@ -10,7 +10,6 @@ from scipy.stats import binom
 from pacope.calibrate import (
     CalibratedPredictor,
     CalibrationDiagnostics,
-    ScoreList,
     binomial_quantile_k,
     calibrate_split,
     nonconformity,
@@ -274,16 +273,6 @@ class TestPredict:
             self._predictor(0.5).predict([0.5, 0.7])
 
 
-class TestScoreList:
-    def test_tie_flag(self):
-        assert ScoreList(np.array([1.0, 2.0, 1.0])).has_ties
-        assert not ScoreList(np.array([1.0, 2.0, 3.0])).has_ties
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ScoreList(np.array([1.0, math.nan]))
-
-
 def _random_rs(rng, n, dim, ties):
     contexts = rng.standard_normal((n, dim))
     rewards = contexts.sum(axis=1) + 2.0 * rng.standard_normal(n)
@@ -320,6 +309,12 @@ class TestCalibrateSplitProperties:
             assert pred.threshold == pac_threshold_argmin_oracle(scores, epsilon, delta)
             assert diag.k == binomial_quantile_k(m_cal, epsilon, delta)
             assert diag.tie_flag == (np.unique(scores).size < m_cal)
+
+    def test_non_finite_scores_rejected(self):
+        train = _random_rs(np.random.default_rng(0), 20, 1, ties=False)
+        cal = RsDataset(np.zeros((2, 1)), np.array([0.0, math.nan]), np.arange(2))
+        with pytest.raises(ValueError, match="scores must be finite"):
+            calibrate_split(RsSplit(train, cal, violations=0, bound=2.0), PARAMS)
 
 
 class TestPacoppKnown:
@@ -401,7 +396,9 @@ class TestPredictorSerialization:
         bound=st.floats(1.0, allow_nan=False),
     )
     def test_round_trip_is_bit_exact(self, data, dim, params, m_cal, counts, flags, bound):
-        weights = st.lists(st.floats(allow_nan=False), min_size=dim + 1, max_size=dim + 1)
+        weights = st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=dim + 1, max_size=dim + 1
+        )
         w_lo, w_up = np.array(data.draw(weights)), np.array(data.draw(weights))
         model = QuantilePairModel(w_lo, w_up, (params.eps_lo, params.eps_up))
         k = data.draw(st.integers(-1, m_cal - 1))
@@ -418,6 +415,31 @@ class TestPredictorSerialization:
         assert back.model.levels == model.levels
         assert (back.threshold, back.params, back.diagnostics) == (threshold, params, diag)
         assert back.dump() == pred.dump()
+
+    GOLDEN = (
+        "epsilon=0.2\ndelta=0.05\ngamma=0.4\neps_lo=0.1\neps_up=0.9\n"
+        "threshold=0.4375\n"
+        "n_rs=1234\nm_cal=494\nk=85\ntie_flag=1\nweight_violations=3\ntrivial=0\n"
+        "bound=2.5\nvariance_clamped=1\n"
+        "model.kind=affine\nmodel.eps_lo=0.1\nmodel.eps_up=0.9\n"
+        "model.lo.0.shape=3\nmodel.lo.0.values=-1.5 0.25 -0.125\n"
+        "model.up.0.shape=3\nmodel.up.0.values=2.0 0.5 0.001\n"
+    )
+
+    def test_golden_bytes(self):
+        params = PacParams(0.2, 0.05, 0.4)
+        model = QuantilePairModel(
+            np.array([-1.5, 0.25, -0.125]), np.array([2.0, 0.5, 0.001]),
+            (params.eps_lo, params.eps_up),
+        )
+        diag = CalibrationDiagnostics(1234, 494, 85, True, 3, False, 2.5, True)
+        pred = CalibratedPredictor(model, 0.4375, params, diag)
+        assert pred.dump() == self.GOLDEN
+        back = CalibratedPredictor.load(self.GOLDEN)
+        assert (back.threshold, back.params, back.diagnostics) == (0.4375, params, diag)
+        assert back.model.levels == model.levels
+        assert back.model.w_lo.tobytes() == model.w_lo.tobytes()
+        assert back.model.w_up.tobytes() == model.w_up.tobytes()
 
     def test_trivial_round_trip(self):
         from pacope.calibrate import _trivial_predictor

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from pacope.calibrate import CalibratedPredictor, _trivial_predictor
+from pacope.calibrate import CalibratedPredictor, CalibrationDiagnostics, _trivial_predictor
 from pacope.cli import cli
 from pacope.core import PacParams, child_rng, save_csv
+from pacope.quantile import QuantilePairModel
 from pacope.synthenv import sample_logged
 
 FAST_CONFIG = """
@@ -211,6 +212,35 @@ def test_predict_rejects_malformed_predictor_field(tmp_path, capsys):
 ], ids=["mlp-kind", "extra-parameter", "shape-mismatch"])
 def test_predict_rejects_model_it_cannot_build(tmp_path, capsys, old, new):
     text = _trivial_predictor(PacParams(0.2, 0.1, 0.5), 1, 0, 0, 0, 1.0).dump()
+    assert old in text
+    path = tmp_path / "p.txt"
+    path.write_text(text.replace(old, new))
+    assert cli(["predict", "--model", str(path), "--s", "0.5"]) == 2
+    assert "predictor file" in capsys.readouterr().err
+
+
+def _fitted_predictor_text():
+    model = QuantilePairModel(np.array([-1.0, 0.5]), np.array([1.0, 0.5]), (0.1, 0.9))
+    diag = CalibrationDiagnostics(20, 10, 0, False, 0, False, 2.0)
+    return CalibratedPredictor(model, 0.5, PacParams(0.2, 0.1, 0.5), diag).dump()
+
+
+@pytest.mark.parametrize("trivial, old, new", [
+    (False, "threshold=0.5", "threshold=nan"),
+    (True, "threshold=inf", "threshold=-inf"),
+    (False, "model.lo.0.values=-1.0 0.5", "model.lo.0.values=-1.0 nan"),
+    (False, "model.up.0.values=1.0 0.5", "model.up.0.values=1.0 inf"),
+    (False, "threshold=0.5", "threshold=0.5\nthreshold=0.25"),
+    (False, "bound=2.0", "bound=2.0\nextra=1"),
+    (False, "model.eps_lo=0.1", "model.eps_lo=0.2"),
+    (False, "model.eps_up=0.9", "model.eps_up=0.8"),
+], ids=["nan-threshold", "minus-inf-threshold", "nan-weight", "inf-weight",
+        "repeated-key", "unknown-key", "model-eps-lo", "model-eps-up"])
+def test_predict_rejects_invalid_predictor_file(tmp_path, capsys, trivial, old, new):
+    if trivial:
+        text = _trivial_predictor(PacParams(0.2, 0.1, 0.5), 1, 0, 0, 0, 1.0).dump()
+    else:
+        text = _fitted_predictor_text()
     assert old in text
     path = tmp_path / "p.txt"
     path.write_text(text.replace(old, new))
