@@ -270,7 +270,7 @@ def _predictor_metrics(pred: CalibratedPredictor, test: TargetDataset) -> tuple[
     lo, hi = pred.interval_batch(test.contexts)
     r = test.rewards
     miscoverage = float(np.mean((r < lo) | (r > hi)))
-    length = math.inf if math.isinf(pred.threshold) else float(np.mean(hi - lo))
+    length = math.inf if math.isinf(pred.threshold) else float(np.mean(np.maximum(hi - lo, 0.0)))
     return miscoverage, length
 
 

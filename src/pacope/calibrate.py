@@ -269,10 +269,15 @@ class CalibratedPredictor:
         lo, up = self.model.quantiles(contexts)
         return lo - self.threshold, up + self.threshold
 
-    def predict(self, s) -> PredictionInterval:
-        """Interval at one context: a scalar, or a vector of the model's dimension."""
+    def predict(self, s) -> PredictionInterval | None:
+        """Interval at one context: a scalar, or a vector of the model's dimension.
+
+        ``None`` is the empty interval, which a negative threshold gives
+        wherever the band is narrower than twice its magnitude, as it is where
+        the fitted quantiles cross: no reward scores at most the threshold.
+        """
         lo, hi = self.interval_batch(np.asarray(s, dtype=float).reshape(1, -1))
-        return PredictionInterval(float(lo[0]), float(hi[0]))
+        return PredictionInterval(float(lo[0]), float(hi[0])) if lo[0] <= hi[0] else None
 
     def dump(self) -> str:
         """The predictor file: one ``key=value`` line per key, round-trip exact."""

@@ -9,6 +9,7 @@ Subcommands::
     theorem4   oracle-interval convergence -> theorem4.csv
     calibrate  fit a predictor from a logged-data CSV, dump it to a file
     predict    load a predictor file and print the interval at a context
+               (``empty`` where the interval is empty)
 
 Shared flags: ``--seed``, ``--runs``, ``--tests``, ``--out DIR``, and
 ``--config FILE`` (flat ``key=value`` lines; CLI flags win). Tables are CSV
@@ -218,7 +219,7 @@ def _cmd_predict(args) -> int:
     predictor = CalibratedPredictor.load(Path(args.model).read_text())
     s = np.array([float(v) for v in args.s.split()])
     interval = predictor.predict(s)
-    print(f"({interval.lo}, {interval.hi})")
+    print("empty" if interval is None else f"({interval.lo}, {interval.hi})")
     return 0
 
 

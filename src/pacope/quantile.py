@@ -3,13 +3,11 @@
 The model is affine in the context, and its fit is exact and deterministic.
 Affine pinball regression is the linear program of regression quantiles
 (Koenker & Bassett 1978), solved here by the Frisch-Newton interior-point
-method (Portnoy & Koenker 1997) to a duality gap of ``_LP_GAP_TOL``; the
-model's ``train_losses`` hold the final training loss alone.
-
-Quantile crossing is repaired pointwise at evaluation time: wherever the
-fitted lower quantile exceeds the upper one, both are replaced by their
-midpoint, so the induced interval family stays well-formed.
-
+method (Portnoy & Koenker 1997) to a duality gap of ``_LP_GAP_TOL``. Both
+levels share one solve, and the model's ``train_losses`` hold the final
+training loss alone. Quantile crossing is repaired pointwise at evaluation
+time: wherever the fitted lower quantile exceeds the upper one, both are
+replaced by their midpoint, so the induced interval family stays well-formed.
 The model is written to and read from disk only as part of the predictor
 file, whose format lives in ``calibrate.CalibratedPredictor.dump``/``load``.
 """
@@ -52,103 +50,123 @@ _LP_STEP_FRACTION = 0.99995
 _LP_MIN_STEP = 0.01
 
 
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    """``_LP_STEP_FRACTION`` of the longest step ``t <= 1`` keeping ``v + t dv >= 0``."""
-    ratio = np.divide(v, -dv, out=np.full(v.shape, np.inf), where=dv < 0.0)
-    return min(1.0, _LP_STEP_FRACTION * float(ratio.min()))
+def _rows(mask: np.ndarray) -> slice:
+    """The rows where ``mask`` holds, as one slice (exact for up to two rows)."""
+    return slice(int(mask.argmax()), mask.size - int(mask[::-1].argmax()))
 
 
-def _solve_small(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(m, rhs, rcond=None)[0]
+@np.errstate(over="ignore")
+def _fit_levels(contexts: np.ndarray, y: np.ndarray, levels: tuple[float, ...]) -> np.ndarray:
+    """Exact affine quantile regression weights at one or two ``levels``, one row each.
 
-
-def _newton_direction(q, m, d, rho, a, s, z, w, mu, corr_z, corr_w):
-    """Newton direction towards complementarity ``mu`` and its step lengths.
-
-    ``corr_z``/``corr_w`` are Mehrotra's second-order terms (zero for the
-    affine-scaling and the pure centring directions).
+    Each level solves Koenker's dual of the pinball linear program,
+    ``max y'a  s.t.  X'a = (1 - level) X'1,  0 <= a <= 1``, by the primal-dual
+    Frisch-Newton method with Mehrotra's predictor-corrector, started from the
+    centre ``a = 1/2`` of the box; the weights are the dual variables of the
+    equality. The levels share one solve: their iterates are rows of buffers
+    updated in place, and each product, p x p solve and reduction of a step is
+    one call for all of them. Each level keeps its own step lengths and stop
+    test and is frozen once converged, so it gets exactly the weights of a solve
+    of its own. The design (an intercept, then the contexts) is replaced by an
+    orthonormal basis of its column space, so a rank-deficient design gets the
+    minimum-norm weights of its optimal fitted values, and rewards are scaled by
+    their mean absolute value. Raises ``ValueError`` if a level's duality gap
+    does not close within the step cap.
     """
-    xi = mu * (1.0 / a - 1.0 / s)
-    r = z - w
-    dg = _solve_small(m, rho + q.T @ (d * (r + corr_z - corr_w - xi)))
-    da = d * (q @ dg + xi - r - corr_z + corr_w)
-    dz = mu / a - z - z / a * da - corr_z
-    dw = mu / s - w + w / s * da - corr_w
-    fp = min(_max_step(a, da), _max_step(s, -da))
-    fd = min(_max_step(z, dz), _max_step(w, dw))
-    return da, dg, dz, dw, fp, fd
-
-
-def _fit_affine(x1: np.ndarray, y: np.ndarray, level: float) -> np.ndarray:
-    """Exact affine ``level``-quantile regression weights.
-
-    Solves Koenker's dual of the pinball linear program,
-
-        max y'a  subject to  X'a = (1 - level) X'1,  0 <= a <= 1,
-
-    by the primal-dual Frisch-Newton method with Mehrotra's
-    predictor-corrector, started from the centre ``a = 1/2`` of the box, which
-    is infeasible for the equality; the Newton steps remove that
-    infeasibility. The weights are the dual variables of the equality
-    constraints. Each Newton step solves one p x p system.
-
-    The design is first replaced by an orthonormal basis of its column space,
-    so a rank-deficient design (all contexts equal, say) gets the
-    minimum-norm weights of its optimal fitted values. Rewards are scaled by
-    their mean absolute value, so the tolerances are scale-free. Raises
-    ``ValueError`` if the duality gap does not close within the step cap.
-    """
-    n = y.shape[0]
+    n, k = y.shape[0], len(levels)
     scale = float(np.mean(np.abs(y)))
     if scale == 0.0:
-        return np.zeros(x1.shape[1])
-    u, sv, vt = np.linalg.svd(x1, full_matrices=False)
-    rank = int(np.sum(sv > sv[0] * max(x1.shape) * np.finfo(float).eps))
+        return np.zeros((k, contexts.shape[1] + 1))
+    u, sv, vt = np.linalg.svd(_design(contexts), full_matrices=False)
+    rank = int(np.sum(sv > sv[0] * max(u.shape[0], vt.shape[1]) * np.finfo(float).eps))
     q, sv, vt = u[:, :rank], sv[:rank], vt[:rank]
     yn = y / scale
-    b = (1.0 - level) * q.sum(axis=0)
-    offset = (1.0 - level) * float(np.mean(yn))
-    # In Koenker's form the objective is min c'a with c = -yn, and g (dual of
-    # the equality) gives the fitted values -q @ g. Start g at least squares,
-    # and the bound multipliers z, w at its residuals, shifted to be positive.
-    a = np.full(n, 0.5)
-    s = 1.0 - a
-    g = -(q.T @ yn)
-    r = -yn - q @ g
-    z = np.maximum(r, 0.0) + 1e-3
-    w = z - r
+    lev = np.array(levels, dtype=float)[:, None]
+    b = (1.0 - lev) * q.sum(axis=0)
+    offset = (1.0 - lev[:, 0]) * float(np.mean(yn))
+    # Koenker's form minimises c'a with c = -yn; g gives the fitted values -q g.
+    # Start g at least squares and z, w at its residuals, shifted positive. The
+    # slack s = 1 - a is held negated, so each pair (a, -s), (z, w) is one array.
+    an, zw, dzw, dr, pair = (np.empty((2, k, n)) for _ in range(5))
+    (a, ns), (z, w), (d, r), (t0, t1), da = an, zw, dr, pair, np.empty((k, n))
+    g = np.tile(-(q.T @ yn), (k, 1))
+    np.subtract(np.negative(yn, out=r[0]), q @ g[0], out=r[0])
+    an[:] = [[[0.5]], [[-0.5]]]
+    z[:] = np.maximum(r[0], 0.0, out=z[0]) + 1e-3
+    np.subtract(z, r[0], out=w)
+    m, dg, fp, fd, mu = np.empty((k, rank, rank)), np.empty((k, rank)), *np.zeros((3, k))
+    tiny = np.finfo(float).tiny
+
+    def direction(rows, target, normal=False):
+        """Newton direction of ``rows`` to complementarity ``target``, xi = target
+        (1/a - 1/s), with the second-order terms (cz, cw) = (da dz, -da dw) that
+        ``dzw`` holds (zero but in a corrector), and its step lengths."""
+        AN, ZW, DZW, DR, P = an[:, rows], zw[:, rows], dzw[:, rows], dr[:, rows], pair[:, rows]
+        DA, (D, R), (XI, RHS) = da[rows], DR, P
+        np.divide(1.0, np.subtract(*np.divide(ZW, AN, out=P), out=D), out=D)  # 1/(z/a + w/s)
+        for i in range(rows.start, rows.stop) if normal else ():
+            m[i] = (q * d[i][:, None]).T @ q
+        np.subtract(*ZW, out=R)
+        np.multiply(np.add(*np.divide(1.0, AN, out=P), out=XI), target[:, None], out=XI)
+        np.subtract(np.add(R, DZW[0], out=RHS), DZW[1], out=RHS)
+        np.multiply(np.subtract(RHS, XI, out=RHS), D, out=RHS)  # d (r + cz - cw - xi)
+        rhs = rho[rows] + np.vecmat(RHS, q)
+        try:
+            dg[rows] = np.linalg.solve(m[rows], rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            dg[rows] = [np.linalg.lstsq(mi, ri, rcond=None)[0] for mi, ri in zip(m[rows], rhs)]
+        np.add(np.matmul(q, dg[rows, :, None], out=DA[:, :, None])[:, :, 0], XI, out=DA)
+        np.subtract(np.subtract(DA, R, out=DA), DZW[0], out=DA)
+        np.multiply(np.add(DA, DZW[1], out=DA), D, out=DA)  # d (q dg + xi - r - cz + cw)
+        # (dz, dw) = (target/a - z - z/a da, target/s - w + w/s da) - (cz, cw)
+        np.divide(np.multiply.outer([1.0, -1.0], target)[:, :, None], AN, out=P)
+        P -= ZW
+        P -= np.multiply(np.divide(ZW, AN, out=DR), DA, out=DR)
+        np.subtract(P, DZW, out=DZW)
+        # A pair's ratios v / min(dv, -tiny) are minus the step to the boundary
+        # where dv < 0 and at most -1 elsewhere; -s / max(da, tiny) is s's.
+        np.minimum(DA, -tiny, out=P[0])
+        np.maximum(DA, tiny, out=P[1])
+        fp[rows] = np.minimum(1.0, -_LP_STEP_FRACTION * np.divide(AN, P, out=P).max(axis=(0, 2)))
+        np.divide(ZW, np.minimum(DZW, -tiny, out=P), out=P)
+        fd[rows] = np.minimum(1.0, -_LP_STEP_FRACTION * P.max(axis=(0, 2)))
+
     for step in range(_LP_MAX_STEPS + 1):
-        rho = b - q.T @ a
+        rho = b - np.vecmat(a, q)
         # Weak duality: any feasible a bounds the optimal mean loss from below.
-        gap = float(np.mean(pinball_loss(yn + q @ g, level))) - (float(yn @ a) / n - offset)
-        if gap <= _LP_GAP_TOL and float(np.max(np.abs(rho))) <= _LP_GAP_TOL * math.sqrt(n):
+        np.add(yn, np.matmul(q, g[:, :, None], out=t0[:, :, None])[:, :, 0], out=t0)
+        np.maximum(np.multiply(t0, lev - 1.0, out=t1), np.multiply(t0, lev, out=t0), out=t0)
+        gap = np.add.reduce(t0, axis=1) / n - (np.vecdot(a, yn) / n - offset)
+        done = (gap <= _LP_GAP_TOL) & (np.abs(rho).max(axis=1) <= _LP_GAP_TOL * math.sqrt(n))
+        if done.all():
             break
         if step == _LP_MAX_STEPS:
-            raise ValueError(
-                f"affine quantile fit at level {level}: relative duality gap {gap:.3g} "
-                f"did not close within {_LP_MAX_STEPS} Newton steps"
-            )
-        d = 1.0 / (z / a + w / s)
-        m = (q * d[:, None]).T @ q
-        state = (q, m, d, rho, a, s, z, w)
-        da, dg, dz, dw, fp, fd = _newton_direction(*state, 0.0, 0.0, 0.0)
-        if min(fp, fd) < 1.0:
-            mu = float(z @ a + w @ s)
-            mu_aff = float((z + fd * dz) @ (a + fp * da) + (w + fd * dw) @ (s - fp * da))
-            target = mu * (mu_aff / mu) ** 3 / (2.0 * n)
-            da, dg, dz, dw, fp, fd = _newton_direction(*state, target, da * dz, -da * dw)
-            if min(fp, fd) < _LP_MIN_STEP:
+            i = int(np.argmin(done))
+            raise ValueError(f"affine quantile fit at level {levels[i]}: relative duality gap "
+                             f"{gap[i]:.3g} did not close within {_LP_MAX_STEPS} Newton steps")
+        act = _rows(~done)
+        dzw[:, act] = 0.0
+        direction(act, np.zeros(act.stop - act.start), normal=True)
+        if (need := ~done & (np.minimum(fp, fd) < 1.0)).any():
+            rows = _rows(need)
+            P, DZW, DA, R = pair[:, rows], dzw[:, rows], da[rows], r[rows]
+            mu[rows] = np.vecdot(z[rows], a[rows]) - np.vecdot(w[rows], ns[rows])
+            np.add(np.multiply(DZW, fd[rows, None], out=P), zw[:, rows], out=P)
+            np.multiply(DZW, DA, out=DZW)[1] *= -1.0
+            DA *= fp[rows, None]
+            mu_aff = np.vecdot(P[0], np.add(a[rows], DA, out=R))
+            mu_aff -= np.vecdot(P[1], np.add(DA, ns[rows], out=DA))
+            target = [v * (va / v) ** 3 / (2.0 * n) for v, va in zip(mu[rows].tolist(), mu_aff.tolist())]
+            direction(rows, np.array(target))
+            if (centre := need & (np.minimum(fp, fd) < _LP_MIN_STEP)).any():
                 # Centre halfway towards the mean complementarity mu / (2n).
-                da, dg, dz, dw, fp, fd = _newton_direction(*state, 0.25 * mu / n, 0.0, 0.0)
-        a = a + fp * da
-        s = s - fp * da
-        g = g + fd * dg
-        z = z + fd * dz
-        w = w + fd * dw
-    return vt.T @ (-g / sv) * scale
+                rows = _rows(centre)
+                dzw[:, rows] = 0.0
+                direction(rows, 0.25 * mu[rows] / n)
+        an[:, act] += np.multiply(da[act], fp[act, None], out=da[act])
+        g[act] += fd[act, None] * dg[act]
+        zw[:, act] += np.multiply(dzw[:, act], fd[act, None], out=pair[:, act])
+    return np.vecmat(-g / sv, vt) * scale
 
 
 def _design(contexts: np.ndarray) -> np.ndarray:
@@ -187,9 +205,7 @@ class QuantilePairModel:
         up = x1 @ self.w_up
         crossed = lo > up
         if np.any(crossed):
-            mid = 0.5 * (lo[crossed] + up[crossed])
-            lo[crossed] = mid
-            up[crossed] = mid
+            lo[crossed] = up[crossed] = 0.5 * (lo[crossed] + up[crossed])
         return lo, up
 
 
@@ -208,13 +224,12 @@ def fit_quantile_pair(train: RsDataset, params: PacParams) -> QuantilePairModel:
     if len(train) < 2:
         raise ValueError("insufficient training data: need at least 2 samples")
     eps_lo, eps_up = params.eps_lo, params.eps_up
-    for level in (eps_lo, eps_up):
-        if not 0.0 < level < 1.0:
-            raise ValueError("quantile levels must lie in (0, 1)")
-    x1 = _design(_as_context_matrix(train.contexts))
+    if not (0.0 < eps_lo < 1.0 and 0.0 < eps_up < 1.0):
+        raise ValueError("quantile levels must lie in (0, 1)")
+    ctx = _as_context_matrix(train.contexts)
     y = np.asarray(train.rewards, dtype=float)
-    w_lo = _fit_affine(x1, y, eps_lo)
-    w_up = _fit_affine(x1, y, eps_up)
+    w_lo, w_up = _fit_levels(ctx, y, (eps_lo, eps_up))
+    x1 = _design(ctx)
     losses = tuple(
         np.array([np.mean(pinball_loss(y - x1 @ w, level))])
         for w, level in ((w_lo, eps_lo), (w_up, eps_up))

@@ -18,9 +18,12 @@ from pacope.bench import (
     simulate_trial,
     _TAG_FIGURE2,
     _TAG_UNKNOWN,
+    _predictor_metrics,
     _symdiff_finite,
 )
-from pacope.core import PredictionInterval, child_rng
+from pacope.calibrate import CalibratedPredictor, CalibrationDiagnostics
+from pacope.core import PacParams, PredictionInterval, TargetDataset, child_rng
+from pacope.quantile import QuantilePairModel
 from pacope.synthenv import (
     oracle_quantiles,
     sample_logged,
@@ -52,6 +55,19 @@ class TestEvaluateMiscoverage:
         up = oracle_quantiles(test.contexts, 0.9)
         miss = float(np.mean((test.rewards < lo) | (test.rewards > up)))
         assert abs(miss - 0.2) < 0.012
+
+
+class TestPredictorMetrics:
+    def test_empty_intervals_have_length_zero(self):
+        # Band [-s, s], collapsed to 0 for s < 0 by the crossing fix, with
+        # threshold -0.5: empty below s = 0.5, of length 2 s - 1 above it.
+        model = QuantilePairModel(np.array([0.0, -1.0]), np.array([0.0, 1.0]), (0.1, 0.9))
+        diag = CalibrationDiagnostics(20, 10, 0, False, 0, False, 2.0)
+        pred = CalibratedPredictor(model, -0.5, PacParams(0.2, 0.5, 0.5), diag)
+        test = TargetDataset(np.array([-3.0, -0.5, 0.0, 0.25, 2.0]), np.zeros(5))
+        miscoverage, length = _predictor_metrics(pred, test)
+        assert miscoverage == 0.8
+        assert length == pytest.approx(3.0 / 5)
 
 
 class TestFigure1:

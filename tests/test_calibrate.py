@@ -361,6 +361,20 @@ class TestPacoppKnown:
         assert diag.weight_violations == 0
         assert not diag.trivial
 
+    @pytest.mark.parametrize(("seed", "s"), [(1, 1000.0), (4, -1000.0)])
+    def test_empty_interval_past_the_crossing(self, seed, s):
+        # A negative threshold empties the band where the fitted lines cross.
+        d = sample_logged(2000, child_rng(seed, 0))
+        pred = pacopp_known(
+            d, self.ENV.behavior_policy(), self.ENV.target_policy(), PacParams(0.2, 0.5, 0.5),
+            child_rng(seed, 1),
+        )
+        assert pred.threshold < 0.0
+        (lo,), (hi,) = pred.interval_batch([s])
+        assert lo > hi
+        assert pred.predict(s) is None
+        assert pred.predict(0.0) == PredictionInterval(*(float(v[0]) for v in pred.interval_batch([0.0])))
+
     def test_deterministic(self):
         d = sample_logged(500, child_rng(51, 0))
         args = (d, self.ENV.behavior_policy(), self.ENV.target_policy(), PARAMS)

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,97 @@ PARAMS_10_90 = PacParams(0.2, 0.1, eps_lo=0.1, eps_up=0.9)
 
 def _as_train(target):
     return RsDataset(target.contexts, target.rewards, np.arange(len(target)))
+
+
+# Reference oracle: the same Frisch-Newton fit for one level at a time, with
+# fresh arrays for every expression. It reads the tolerances from the module
+# at call time, so a monkeypatched constant reaches it too, and it returns
+# its Newton-step and centring-step counts.
+
+
+def _max_step(v, dv):
+    ratio = np.divide(v, -dv, out=np.full(v.shape, np.inf), where=dv < 0.0)
+    return min(1.0, quantile._LP_STEP_FRACTION * float(ratio.min()))
+
+
+def _solve_small(m, rhs):
+    try:
+        return np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(m, rhs, rcond=None)[0]
+
+
+def _newton_direction(q, m, d, rho, a, s, z, w, mu, corr_z, corr_w):
+    xi = mu * (1.0 / a - 1.0 / s)
+    r = z - w
+    dg = _solve_small(m, rho + q.T @ (d * (r + corr_z - corr_w - xi)))
+    da = d * (q @ dg + xi - r - corr_z + corr_w)
+    dz = mu / a - z - z / a * da - corr_z
+    dw = mu / s - w + w / s * da - corr_w
+    fp = min(_max_step(a, da), _max_step(s, -da))
+    fd = min(_max_step(z, dz), _max_step(w, dw))
+    return da, dg, dz, dw, fp, fd
+
+
+def _oracle_fit(x1, y, level):
+    """``(weights, Newton steps, centring steps)`` of one level's fit."""
+    n = y.shape[0]
+    scale = float(np.mean(np.abs(y)))
+    if scale == 0.0:
+        return np.zeros(x1.shape[1]), 0, 0
+    u, sv, vt = np.linalg.svd(x1, full_matrices=False)
+    rank = int(np.sum(sv > sv[0] * max(x1.shape) * np.finfo(float).eps))
+    q, sv, vt = u[:, :rank], sv[:rank], vt[:rank]
+    yn = y / scale
+    b = (1.0 - level) * q.sum(axis=0)
+    offset = (1.0 - level) * float(np.mean(yn))
+    a = np.full(n, 0.5)
+    s = 1.0 - a
+    g = -(q.T @ yn)
+    r = -yn - q @ g
+    z = np.maximum(r, 0.0) + 1e-3
+    w = z - r
+    centrings = 0
+    for step in range(quantile._LP_MAX_STEPS + 1):
+        rho = b - q.T @ a
+        gap = float(np.mean(pinball_loss(yn + q @ g, level))) - (float(yn @ a) / n - offset)
+        residual = float(np.max(np.abs(rho)))
+        if gap <= quantile._LP_GAP_TOL and residual <= quantile._LP_GAP_TOL * math.sqrt(n):
+            break
+        if step == quantile._LP_MAX_STEPS:
+            raise ValueError(f"affine quantile fit at level {level}: relative duality gap {gap:.3g} "
+                             f"did not close within {quantile._LP_MAX_STEPS} Newton steps")
+        d = 1.0 / (z / a + w / s)
+        m = (q * d[:, None]).T @ q
+        state = (q, m, d, rho, a, s, z, w)
+        da, dg, dz, dw, fp, fd = _newton_direction(*state, 0.0, 0.0, 0.0)
+        if min(fp, fd) < 1.0:
+            mu = float(z @ a + w @ s)
+            mu_aff = float((z + fd * dz) @ (a + fp * da) + (w + fd * dw) @ (s - fp * da))
+            target = mu * (mu_aff / mu) ** 3 / (2.0 * n)
+            da, dg, dz, dw, fp, fd = _newton_direction(*state, target, da * dz, -da * dw)
+            if min(fp, fd) < quantile._LP_MIN_STEP:
+                centrings += 1
+                da, dg, dz, dw, fp, fd = _newton_direction(*state, 0.25 * mu / n, 0.0, 0.0)
+        a = a + fp * da
+        s = s - fp * da
+        g = g + fd * dg
+        z = z + fd * dz
+        w = w + fd * dw
+    return vt.T @ (-g / sv) * scale, step, centrings
+
+
+def _assert_matches_oracle(ctx, y, levels):
+    """The shared solve agrees with one oracle fit per level; returns their counts."""
+    x1 = np.hstack([np.ones((len(y), 1)), ctx])
+    fits = [_oracle_fit(x1, y, level) for level in levels]
+    weights = quantile._fit_levels(ctx, y, levels)
+    scale = float(np.mean(np.abs(y)))
+    for level, w, (w_oracle, _, _) in zip(levels, weights, fits):
+        assert np.max(np.abs(w - w_oracle)) <= 1e-9 * scale
+        loss, loss_oracle = (float(np.mean(pinball_loss(y - x1 @ v, level))) for v in (w, w_oracle))
+        assert abs(loss - loss_oracle) <= quantile._LP_GAP_TOL * scale
+    return [fit[1:] for fit in fits]
 
 
 class TestPinballLoss:
@@ -148,6 +242,56 @@ class TestAffineFit:
         model = trivial_quantile_model((0.1, 0.9))
         lo, up = model.quantiles(np.array([[5.0]]))
         assert lo[0] == 0.0 and up[0] == 0.0
+
+
+class TestSharedSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 2000),
+        dim=st.integers(1, 2),
+        equal_contexts=st.booleans(),
+        ties=st.booleans(),
+        levels=st.sampled_from([(0.01, 0.99), (0.45, 0.55)]),
+    )
+    def test_matches_per_level_oracle(self, seed, n, dim, equal_contexts, ties, levels):
+        rng = np.random.default_rng(seed)
+        ctx = rng.normal(size=(n, dim))
+        if equal_contexts:
+            ctx[:] = ctx[0]
+        y = 2.0 * ctx[:, 0] + 3.0 * rng.normal(size=n)
+        _assert_matches_oracle(ctx, np.round(y) if ties else y, levels)
+
+    def test_centring_fallback_matches_oracle(self, monkeypatch):
+        # Raising the minimum corrected step sends most steps through the
+        # pure centring direction, including its mu / (2n) target.
+        monkeypatch.setattr(quantile, "_LP_MIN_STEP", 0.9)
+        target = sample_target(300, child_rng(13, 0))
+        counts = _assert_matches_oracle(target.contexts, target.rewards, (0.1, 0.9))
+        assert all(centrings > 0 for _, centrings in counts)
+
+    def test_levels_converging_at_different_steps_match_solo_fits(self):
+        target = sample_target(400, child_rng(14, 0))
+        levels = (0.01, 0.55)
+        counts = _assert_matches_oracle(target.contexts, target.rewards, levels)
+        assert counts[0][0] != counts[1][0]
+        pair = quantile._fit_levels(target.contexts, target.rewards, levels)
+        scale = float(np.mean(np.abs(target.rewards)))
+        for level, w in zip(levels, pair):
+            solo = quantile._fit_levels(target.contexts, target.rewards, (level,))[0]
+            assert np.max(np.abs(w - solo)) <= 1e-12 * scale
+
+    def test_traced_peak_stays_within_thirty_vectors(self):
+        n = 20_000
+        train = _as_train(sample_target(n, child_rng(15, 0)))
+        fit_quantile_pair(train, PARAMS_10_90)
+        tracemalloc.start()
+        try:
+            fit_quantile_pair(train, PARAMS_10_90)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * 8 * n
 
 
 class TestCrossingFix:
