@@ -277,7 +277,7 @@ class CalibratedPredictor:
         the fitted quantiles cross: no reward scores at most the threshold.
         """
         lo, hi = self.interval_batch(np.asarray(s, dtype=float).reshape(1, -1))
-        return PredictionInterval(float(lo[0]), float(hi[0])) if lo[0] <= hi[0] else None
+        return None if lo[0] > hi[0] else PredictionInterval(float(lo[0]), float(hi[0]))
 
     def dump(self) -> str:
         """The predictor file: one ``key=value`` line per key, round-trip exact."""

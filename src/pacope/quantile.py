@@ -65,13 +65,14 @@ def _fit_levels(contexts: np.ndarray, y: np.ndarray, levels: tuple[float, ...]) 
     centre ``a = 1/2`` of the box; the weights are the dual variables of the
     equality. The levels share one solve: their iterates are rows of buffers
     updated in place, and each product, p x p solve and reduction of a step is
-    one call for all of them. Each level keeps its own step lengths and stop
-    test and is frozen once converged, so it gets exactly the weights of a solve
-    of its own. The design (an intercept, then the contexts) is replaced by an
-    orthonormal basis of its column space, so a rank-deficient design gets the
-    minimum-norm weights of its optimal fitted values, and rewards are scaled by
-    their mean absolute value. Raises ``ValueError`` if a level's duality gap
-    does not close within the step cap.
+    one call for all of them (a solve that finds a singular matrix is redone
+    level by level). Each level keeps its own step lengths and stop test and is
+    frozen once converged, so it gets exactly the weights of a solve of its own.
+    The design (an intercept, then the contexts) is replaced by an orthonormal
+    basis of its column space, so a rank-deficient design gets the minimum-norm
+    weights of its optimal fitted values, and rewards are scaled by their mean
+    absolute value. Raises ``ValueError`` if a level's duality gap does not
+    close within the step cap.
     """
     n, k = y.shape[0], len(levels)
     scale = float(np.mean(np.abs(y)))
@@ -110,11 +111,15 @@ def _fit_levels(contexts: np.ndarray, y: np.ndarray, levels: tuple[float, ...]) 
         np.multiply(np.add(*np.divide(1.0, AN, out=P), out=XI), target[:, None], out=XI)
         np.subtract(np.add(R, DZW[0], out=RHS), DZW[1], out=RHS)
         np.multiply(np.subtract(RHS, XI, out=RHS), D, out=RHS)  # d (r + cz - cw - xi)
-        rhs = rho[rows] + np.vecmat(RHS, q)
+        rhs = rho[rows] + (q.T @ RHS[:, :, None])[:, :, 0]
         try:
             dg[rows] = np.linalg.solve(m[rows], rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            dg[rows] = [np.linalg.lstsq(mi, ri, rcond=None)[0] for mi, ri in zip(m[rows], rhs)]
+        except np.linalg.LinAlgError:  # some level's matrix is singular: solve each alone
+            for i, ri in zip(range(rows.start, rows.stop), rhs):
+                try:
+                    dg[i] = np.linalg.solve(m[i], ri)
+                except np.linalg.LinAlgError:
+                    dg[i] = np.linalg.lstsq(m[i], ri, rcond=None)[0]
         np.add(np.matmul(q, dg[rows, :, None], out=DA[:, :, None])[:, :, 0], XI, out=DA)
         np.subtract(np.subtract(DA, R, out=DA), DZW[0], out=DA)
         np.multiply(np.add(DA, DZW[1], out=DA), D, out=DA)  # d (q dg + xi - r - cz + cw)
@@ -132,11 +137,11 @@ def _fit_levels(contexts: np.ndarray, y: np.ndarray, levels: tuple[float, ...]) 
         fd[rows] = np.minimum(1.0, -_LP_STEP_FRACTION * P.max(axis=(0, 2)))
 
     for step in range(_LP_MAX_STEPS + 1):
-        rho = b - np.vecmat(a, q)
+        rho = b - (q.T @ a[:, :, None])[:, :, 0]
         # Weak duality: any feasible a bounds the optimal mean loss from below.
         np.add(yn, np.matmul(q, g[:, :, None], out=t0[:, :, None])[:, :, 0], out=t0)
         np.maximum(np.multiply(t0, lev - 1.0, out=t1), np.multiply(t0, lev, out=t0), out=t0)
-        gap = np.add.reduce(t0, axis=1) / n - (np.vecdot(a, yn) / n - offset)
+        gap = np.add.reduce(t0, axis=1) / n - (_dots(a, yn) / n - offset)
         done = (gap <= _LP_GAP_TOL) & (np.abs(rho).max(axis=1) <= _LP_GAP_TOL * math.sqrt(n))
         if done.all():
             break
@@ -150,12 +155,12 @@ def _fit_levels(contexts: np.ndarray, y: np.ndarray, levels: tuple[float, ...]) 
         if (need := ~done & (np.minimum(fp, fd) < 1.0)).any():
             rows = _rows(need)
             P, DZW, DA, R = pair[:, rows], dzw[:, rows], da[rows], r[rows]
-            mu[rows] = np.vecdot(z[rows], a[rows]) - np.vecdot(w[rows], ns[rows])
+            mu[rows] = _dots(z[rows], a[rows]) - _dots(w[rows], ns[rows])
             np.add(np.multiply(DZW, fd[rows, None], out=P), zw[:, rows], out=P)
             np.multiply(DZW, DA, out=DZW)[1] *= -1.0
             DA *= fp[rows, None]
-            mu_aff = np.vecdot(P[0], np.add(a[rows], DA, out=R))
-            mu_aff -= np.vecdot(P[1], np.add(DA, ns[rows], out=DA))
+            mu_aff = _dots(P[0], np.add(a[rows], DA, out=R))
+            mu_aff -= _dots(P[1], np.add(DA, ns[rows], out=DA))
             target = [v * (va / v) ** 3 / (2.0 * n) for v, va in zip(mu[rows].tolist(), mu_aff.tolist())]
             direction(rows, np.array(target))
             if (centre := need & (np.minimum(fp, fd) < _LP_MIN_STEP)).any():
@@ -166,7 +171,12 @@ def _fit_levels(contexts: np.ndarray, y: np.ndarray, levels: tuple[float, ...]) 
         an[:, act] += np.multiply(da[act], fp[act, None], out=da[act])
         g[act] += fd[act, None] * dg[act]
         zw[:, act] += np.multiply(dzw[:, act], fd[act, None], out=pair[:, act])
-    return np.vecmat(-g / sv, vt) * scale
+    return (vt.T @ (-g / sv)[:, :, None])[:, :, 0] * scale
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x[i] @ y[i]`` for each row ``i`` of ``x``, each the same BLAS dot as on its own."""
+    return (x[..., None, :] @ y[..., None])[..., 0, 0]
 
 
 def _design(contexts: np.ndarray) -> np.ndarray:
@@ -205,7 +215,9 @@ class QuantilePairModel:
         up = x1 @ self.w_up
         crossed = lo > up
         if np.any(crossed):
-            lo[crossed] = up[crossed] = 0.5 * (lo[crossed] + up[crossed])
+            mid = 0.5 * (lo[crossed] + up[crossed])
+            lo[crossed] = mid
+            up[crossed] = mid
         return lo, up
 
 
@@ -224,8 +236,9 @@ def fit_quantile_pair(train: RsDataset, params: PacParams) -> QuantilePairModel:
     if len(train) < 2:
         raise ValueError("insufficient training data: need at least 2 samples")
     eps_lo, eps_up = params.eps_lo, params.eps_up
-    if not (0.0 < eps_lo < 1.0 and 0.0 < eps_up < 1.0):
-        raise ValueError("quantile levels must lie in (0, 1)")
+    for level in (eps_lo, eps_up):
+        if not 0.0 < level < 1.0:
+            raise ValueError("quantile levels must lie in (0, 1)")
     ctx = _as_context_matrix(train.contexts)
     y = np.asarray(train.rewards, dtype=float)
     w_lo, w_up = _fit_levels(ctx, y, (eps_lo, eps_up))

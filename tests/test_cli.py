@@ -168,18 +168,31 @@ def test_predict_prints_interval(tmp_path, capsys):
     assert float(lo) == iv.lo and float(hi) == iv.hi
 
 
-def test_predict_prints_empty_interval(tmp_path, capsys):
+def _crossing_predictor(tmp_path):
     # Threshold -0.5 on a band whose lines cross near s = 28: empty at s = 1000.
     model = QuantilePairModel(np.array([-4.9, 1.49]), np.array([5.23, 1.13]), (0.1, 0.9))
     diag = CalibrationDiagnostics(20, 10, 0, False, 0, False, 2.0)
     predictor = CalibratedPredictor(model, -0.5, PacParams(0.2, 0.5, 0.5), diag)
     path = tmp_path / "p.txt"
     path.write_text(predictor.dump())
+    return predictor, path
+
+
+def test_predict_prints_empty_interval(tmp_path, capsys):
+    predictor, path = _crossing_predictor(tmp_path)
     assert cli(["predict", "--model", str(path), "--s", "1000"]) == 0
     assert capsys.readouterr().out.strip() == "empty"
     assert cli(["predict", "--model", str(path), "--s", "0"]) == 0
     iv = predictor.predict(0.0)
     assert capsys.readouterr().out.strip() == f"({iv.lo}, {iv.hi})"
+
+
+def test_predict_rejects_nan_context(tmp_path, capsys):
+    _, path = _crossing_predictor(tmp_path)
+    assert cli(["predict", "--model", str(path), "--s", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "NaN" in captured.err
 
 
 def test_predict_trivial_model_prints_infinite_interval(tmp_path, capsys):

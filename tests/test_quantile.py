@@ -270,6 +270,25 @@ class TestSharedSolve:
         counts = _assert_matches_oracle(target.contexts, target.rewards, (0.1, 0.9))
         assert all(centrings > 0 for _, centrings in counts)
 
+    @pytest.mark.parametrize("singular", ["batch", "every"])
+    def test_singular_solve_falls_back_level_by_level(self, monkeypatch, singular):
+        # A batched solve that raises is redone one level at a time: a level
+        # whose own solve succeeds keeps it, one whose solve raises takes
+        # lstsq, exactly as the oracle does under the same solve.
+        solve = np.linalg.solve
+
+        def flaky_solve(m, rhs):
+            if m.ndim > 2 or singular == "every":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(m, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", flaky_solve)
+        target = sample_target(300, child_rng(16, 0))
+        x1 = np.hstack([np.ones((300, 1)), target.contexts])
+        oracle = np.array([_oracle_fit(x1, target.rewards, level)[0] for level in (0.1, 0.9)])
+        weights = quantile._fit_levels(target.contexts, target.rewards, (0.1, 0.9))
+        assert weights.tobytes() == oracle.tobytes()
+
     def test_levels_converging_at_different_steps_match_solo_fits(self):
         target = sample_target(400, child_rng(14, 0))
         levels = (0.01, 0.55)
