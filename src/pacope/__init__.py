@@ -35,7 +35,6 @@ from .calibrate import (
     calibrate_split,
     nonconformity,
     pac_threshold,
-    pac_threshold_argmin_oracle,
     pacopp_known,
     split_cp_inflated_level,
     split_cp_min_calibration_size,

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln
@@ -51,7 +50,6 @@ __all__ = [
     "binomial_quantile_k",
     "nonconformity",
     "pac_threshold",
-    "pac_threshold_argmin_oracle",
     "split_cp_threshold",
     "split_cp_inflated_level",
     "split_cp_min_calibration_size",
@@ -63,16 +61,71 @@ __all__ = [
 _TIE_LOG_TOL = 1e-9
 
 
-def _cdf_leq_exact(m: int, epsilon: float, delta: float, k: int) -> bool:
-    # Exact-rational adjudication of F_Bin(m, eps)(k) <= delta; float inputs
-    # are dyadic rationals, so the comparison has a definite answer.
-    eps = Fraction(epsilon)
-    pmf = (1 - eps) ** m
-    cdf = pmf
-    for i in range(1, k + 1):
-        pmf = pmf * (m - i + 1) * eps / (i * (1 - eps))
-        cdf += pmf
-    return cdf <= Fraction(delta)
+def _trim(lo: int, hi: int, x: int, bits: int) -> tuple[int, int, int]:
+    """``[lo, hi] * 2^x`` widened outward to ``bits`` significant bits."""
+    s = hi.bit_length() - bits
+    return (lo >> s, -(-hi >> s), x + s) if s > 0 else (lo, hi, x)
+
+
+def _pow_bounds(base: int, n: int, bits: int) -> tuple[int, int, int]:
+    """``[lo, hi] * 2^x`` holding ``base^n``, by squaring with ``bits``-bit bounds."""
+    lo = hi = 1
+    x, b_lo, b_hi, bx = 0, base, base, 0
+    while n:
+        if n & 1:
+            lo, hi, x = _trim(lo * b_lo, hi * b_hi, x + bx, bits)
+        n >>= 1
+        if n:
+            b_lo, b_hi, bx = _trim(b_lo * b_lo, b_hi * b_hi, 2 * bx, bits)
+    return lo, hi, x
+
+
+def _cutoff_exact(m: int, epsilon: float, delta: float, k: int) -> int:
+    """Largest ``i <= k`` with ``F_Bin(m, epsilon)(i) <= delta`` (or -1), the floats taken exactly.
+
+    Floats are dyadic rationals, so every comparison has a definite answer.
+    The pmf is summed upward from ``(1 - epsilon)^m``, each term held as
+    integer bounds ``[lo, hi] * 2^x`` of ``bits`` significant bits and the CDF
+    as integer bounds in units of ``2^-bits`` times delta's last bit, so a pass
+    costs ``O(k)`` operations on ``bits``-bit integers. It stops at the first
+    ``i`` whose CDF upper bound exceeds delta: the answer is ``i - 1`` if the
+    lower bound does too, and otherwise the precision doubles. Only a tie
+    ``F(i) = delta`` stays undecided for ever, so once the bounds would be as
+    long as exact integers, exact integer sums decide.
+    """
+    a, den = epsilon.as_integer_ratio()
+    b, e = den - a, den.bit_length() - 1
+    dn, dd = delta.as_integer_ratio()
+    de = dd.bit_length() - 1
+    bits = 64
+    while bits < e * m + de:
+        lo, hi, x = _pow_bounds(b, m, bits)
+        x -= e * m
+        limit, sum_lo, sum_hi = dn << bits, 0, 0
+        for i in range(k + 1):
+            if i:
+                c, d = (m - i + 1) * a, i * b
+                s = d.bit_length()
+                lo, hi, x = _trim((lo * c << s) // d, -((-hi * c << s) // d), x - s, bits)
+            shift = x + de + bits
+            sum_lo += lo << shift if shift >= 0 else lo >> -shift
+            sum_hi += hi << shift if shift >= 0 else -(-hi >> -shift)
+            if sum_hi > limit:
+                if sum_lo > limit:
+                    return i - 1
+                break
+        else:
+            return k
+        bits *= 2
+    # Exact: F(i) = sum_j C(m, j) a^j b^(m-j) / 2^(e m) and delta = dn / 2^de.
+    term, total = b**m, 0
+    for i in range(k + 1):
+        if i:
+            term = term * (m - i + 1) * a // (i * b)
+        total += term
+        if total << de > dn << (e * m):
+            return i - 1
+    return k
 
 
 def binomial_quantile_k(m: int, epsilon: float, delta: float) -> int:
@@ -81,9 +134,11 @@ def binomial_quantile_k(m: int, epsilon: float, delta: float) -> int:
     Computed by summing binomial pmf terms incrementally in log space
     (``logaddexp`` accumulation over lgamma-based log pmfs), which keeps tail
     probabilities far below double underflow exact to machine precision.
-    Comparisons that land within floating error of the boundary are
-    re-adjudicated in exact rational arithmetic, so the result always equals
-    the true cutoff for the given float inputs. ``m = 0`` returns -1.
+    When the comparison at the candidate cutoff lands within floating error
+    of the boundary, every ``k`` up to it is decided again by integer interval
+    bounds of growing precision (``_cutoff_exact``), so the result always
+    equals the true cutoff for the given float inputs, in ``O(k)`` integer
+    operations per precision. ``m = 0`` returns -1.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -106,10 +161,9 @@ def binomial_quantile_k(m: int, epsilon: float, delta: float) -> int:
     slack = _TIE_LOG_TOL * (1.0 + np.abs(log_cdf) + abs(log_delta))
     below = np.flatnonzero(log_cdf <= log_delta + slack)
     k = int(below[-1]) if below.size else -1
-    # The true cutoff can only sit at or below the optimistic k; walk down
-    # through boundary-ambiguous verdicts, adjudicating each one exactly.
-    while k >= 0 and abs(log_cdf[k] - log_delta) <= slack[k] and not _cdf_leq_exact(m, epsilon, delta, k):
-        k -= 1
+    # The true cutoff can only sit at or below the optimistic k.
+    if k >= 0 and abs(log_cdf[k] - log_delta) <= slack[k]:
+        k = _cutoff_exact(m, epsilon, delta, k)
     return k
 
 
@@ -129,29 +183,13 @@ def pac_threshold(scores, epsilon: float, delta: float) -> float:
     score list yields ``+inf`` (the trivial interval).
     """
     values = np.asarray(scores, dtype=float).reshape(-1)
-    m = values.shape[0]
-    k = binomial_quantile_k(m, epsilon, delta)
-    if k < 0:
-        return math.inf
-    order = np.argsort(values, kind="stable")
-    return float(values[order[m - k - 1]])
+    k = binomial_quantile_k(values.shape[0], epsilon, delta)
+    return _order_statistic(np.sort(values, kind="stable"), k)
 
 
-def pac_threshold_argmin_oracle(scores, epsilon: float, delta: float) -> float:
-    """Brute-force form: smallest candidate threshold leaving at most ``k`` misses.
-
-    Candidates are the score values themselves plus infinity. Used only as a
-    test oracle for :func:`pac_threshold`.
-    """
-    values = np.asarray(scores, dtype=float).reshape(-1)
-    m = values.shape[0]
-    k = binomial_quantile_k(m, epsilon, delta)
-    if m == 0:
-        return math.inf
-    for tau in np.sort(values):
-        if int(np.count_nonzero(values > tau)) <= k:
-            return float(tau)
-    return math.inf
+def _order_statistic(ordered: np.ndarray, k: int) -> float:
+    """The ``(M - k)``-th of the stably sorted scores, or ``+inf`` at ``k = -1``."""
+    return math.inf if k < 0 else float(ordered[ordered.shape[0] - k - 1])
 
 
 def split_cp_threshold(scores, level: float) -> float:
@@ -386,12 +424,14 @@ def calibrate_split(split: RsSplit, params: PacParams) -> CalibratedPredictor:
     scores = nonconformity(model, cal.contexts, cal.rewards)
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    threshold = pac_threshold(scores, params.epsilon, params.delta)
+    k = binomial_quantile_k(len(cal), params.epsilon, params.delta)
+    ordered = np.sort(scores, kind="stable")
+    threshold = _order_statistic(ordered, k)
     diagnostics = CalibrationDiagnostics(
         n_rs=split.n_rs,
         m_cal=len(cal),
-        k=binomial_quantile_k(len(cal), params.epsilon, params.delta),
-        tie_flag=bool(np.unique(scores).size < scores.size),
+        k=k,
+        tie_flag=bool(np.any(ordered[1:] == ordered[:-1])),
         weight_violations=split.violations,
         trivial=False,
         bound=split.bound,

@@ -5,11 +5,17 @@ Affine pinball regression is the linear program of regression quantiles
 (Koenker & Bassett 1978), solved here by the Frisch-Newton interior-point
 method (Portnoy & Koenker 1997) to a duality gap of ``_LP_GAP_TOL``. Both
 levels share one solve, and the model's ``train_losses`` hold the final
-training loss alone. Quantile crossing is repaired pointwise at evaluation
-time: wherever the fitted lower quantile exceeds the upper one, both are
-replaced by their midpoint, so the induced interval family stays well-formed.
-The model is written to and read from disk only as part of the predictor
-file, whose format lives in ``calibrate.CalibratedPredictor.dump``/``load``.
+training loss alone. Fits of at least ``_LP_PREPROCESS_ROWS`` rows take
+Portnoy & Koenker's preprocessing (``_fit_reduced``): a subsample fit picks a
+band of rows around each quantile, the rows outside it are fixed at their
+dual bounds, and only the band is solved; the answer is certified by the full
+problem's gap and residual under the same stop rule, so it is the same
+optimum to that tolerance. Quantile crossing is repaired pointwise at
+evaluation time: wherever the fitted lower quantile exceeds the upper one,
+both are replaced by their midpoint, so the induced interval family stays
+well-formed. The model is written to and read from disk only as part of the
+predictor file, whose format lives in ``calibrate.CalibratedPredictor.dump``
+and ``load``.
 """
 
 from __future__ import annotations
@@ -48,6 +54,11 @@ _LP_MAX_STEPS = 200
 _LP_STEP_FRACTION = 0.99995
 # A corrected step shorter than this is replaced by a pure centring step.
 _LP_MIN_STEP = 0.01
+# Pairs of at least this many rows are fitted on reduced problems
+# (``_fit_reduced``): a band of _LP_PREPROCESS_BAND m rows around a fit on a
+# subsample of m rows.
+_LP_PREPROCESS_ROWS = 5000
+_LP_PREPROCESS_BAND = 0.8
 
 
 def _rows(mask: np.ndarray) -> slice:
@@ -56,7 +67,13 @@ def _rows(mask: np.ndarray) -> slice:
 
 
 @np.errstate(over="ignore")
-def _fit_levels(contexts: np.ndarray, y: np.ndarray, levels: tuple[float, ...]) -> np.ndarray:
+def _fit_levels(
+    contexts: np.ndarray,
+    y: np.ndarray,
+    levels: tuple[float, ...],
+    rhs: np.ndarray | None = None,
+    units: tuple[int, float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact affine quantile regression weights at one or two ``levels``, one row each.
 
     Each level solves Koenker's dual of the pinball linear program,
@@ -73,18 +90,32 @@ def _fit_levels(contexts: np.ndarray, y: np.ndarray, levels: tuple[float, ...]) 
     weights of its optimal fitted values, and rewards are scaled by their mean
     absolute value. Raises ``ValueError`` if a level's duality gap does not
     close within the step cap.
+
+    A reduced problem (see ``_fit_reduced``) passes ``rhs``, one row per level
+    in design coordinates, in place of ``(1 - level) X'1``, and ``units``, the
+    row count and mean absolute reward of its full problem, in place of this
+    problem's: the gap (which then gains the primal term of the moved
+    right-hand side) and the residual are measured against the full problem.
+    Such a problem raises ``ValueError`` once its primal objective falls below
+    -1: while any ``a`` is feasible, weak duality bounds it below by
+    ``min y'a / n >= -1`` in those units. Returns the weights and the dual
+    solution ``a``, one row per level.
     """
     n, k = y.shape[0], len(levels)
-    scale = float(np.mean(np.abs(y)))
-    if scale == 0.0:
-        return np.zeros((k, contexts.shape[1] + 1))
-    u, sv, vt = np.linalg.svd(_design(contexts), full_matrices=False)
-    rank = int(np.sum(sv > sv[0] * max(u.shape[0], vt.shape[1]) * np.finfo(float).eps))
-    q, sv, vt = u[:, :rank], sv[:rank], vt[:rank]
-    yn = y / scale
+    n_full, scale = units or (n, float(np.mean(np.abs(y))))
     lev = np.array(levels, dtype=float)[:, None]
+    if scale == 0.0:
+        return np.zeros((k, contexts.shape[1] + 1)), np.repeat(1.0 - lev, n, axis=1)
+    q, sv, vt = _basis(contexts)
+    rank = sv.shape[0]
+    yn = y / scale
     b = (1.0 - lev) * q.sum(axis=0)
-    offset = (1.0 - lev[:, 0]) * float(np.mean(yn))
+    shift = None
+    if rhs is not None:
+        # A moved right-hand side adds shift'(-g) to the primal objective.
+        shift = rhs @ vt.T / sv - b
+        b = rhs @ vt.T / sv
+    offset = (1.0 - lev[:, 0]) * (float(np.sum(yn)) / n_full)
     # Koenker's form minimises c'a with c = -yn; g gives the fitted values -q g.
     # Start g at least squares and z, w at its residuals, shifted positive. The
     # slack s = 1 - a is held negated, so each pair (a, -s), (z, w) is one array.
@@ -141,8 +172,12 @@ def _fit_levels(contexts: np.ndarray, y: np.ndarray, levels: tuple[float, ...]) 
         # Weak duality: any feasible a bounds the optimal mean loss from below.
         np.add(yn, np.matmul(q, g[:, :, None], out=t0[:, :, None])[:, :, 0], out=t0)
         np.maximum(np.multiply(t0, lev - 1.0, out=t1), np.multiply(t0, lev, out=t0), out=t0)
-        gap = np.add.reduce(t0, axis=1) / n - (_dots(a, yn) / n - offset)
-        done = (gap <= _LP_GAP_TOL) & (np.abs(rho).max(axis=1) <= _LP_GAP_TOL * math.sqrt(n))
+        gap = np.add.reduce(t0, axis=1) / n_full - (_dots(a, yn) / n_full - offset)
+        if shift is not None:
+            gap -= _dots(shift, g) / n_full
+            if (gap + _dots(a, yn) / n_full < -1.0).any():
+                raise ValueError("reduced quantile problem: the fixed rows leave no feasible dual")
+        done = (gap <= _LP_GAP_TOL) & (np.abs(rho).max(axis=1) <= _LP_GAP_TOL * math.sqrt(n_full))
         if done.all():
             break
         if step == _LP_MAX_STEPS:
@@ -171,7 +206,105 @@ def _fit_levels(contexts: np.ndarray, y: np.ndarray, levels: tuple[float, ...]) 
         an[:, act] += np.multiply(da[act], fp[act, None], out=da[act])
         g[act] += fd[act, None] * dg[act]
         zw[:, act] += np.multiply(dzw[:, act], fd[act, None], out=pair[:, act])
-    return (vt.T @ (-g / sv)[:, :, None])[:, :, 0] * scale
+    return (vt.T @ (-g / sv)[:, :, None])[:, :, 0] * scale, a
+
+
+def _basis(contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(q, sv, vt)``: the design's thin SVD cut to its numerical rank."""
+    u, sv, vt = np.linalg.svd(_design(contexts), full_matrices=False)
+    rank = int(np.sum(sv > sv[0] * max(u.shape[0], vt.shape[1]) * np.finfo(float).eps))
+    return u[:, :rank], sv[:rank], vt[:rank]
+
+
+def _fit_reduced(
+    contexts: np.ndarray, y: np.ndarray, levels: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_fit_levels`` of a tall problem, through Portnoy & Koenker's (1997) reduced problems.
+
+    The levels are first fitted together on a fixed-seed subsample of
+    ``m = ((p + 1) n)^(2/3)`` rows, one from each of ``m`` equal blocks of
+    rows, ``p`` being the design's columns. Each
+    level then ranks every row by its residual from that fit over
+    ``sqrt(x'(X_s'X_s)^+ x)``, the subsample fit's spread at ``x`` (a
+    pseudo-inverse, so a rank-deficient design is fine), keeps the
+    ``M = _LP_PREPROCESS_BAND m`` rows between the ``level -+ M / 2n``
+    quantiles of that ratio, and fixes the rows below at ``a = 0`` and those
+    above at ``a = 1``: their column sums move into the right-hand side of the
+    kept rows' one-level solve. The answer is certified on the full problem,
+    where the fixed and the solved ``a`` together are dual feasible: it stands
+    once its full gap and residual pass the stop rule of ``_fit_levels``.
+    Otherwise the fixed rows whose residual has the wrong sign are freed and
+    the kept rows solved again; once more than ``M / 10`` rows have been
+    freed, none is wrong, or the reduced problem has no solution, ``m``
+    doubles and the level starts over, and at ``m >= n`` it takes the full
+    solve. Returns what ``_fit_levels`` does.
+    """
+    n, p = y.shape[0], contexts.shape[1] + 1
+    scale = float(np.mean(np.abs(y)))
+    m = round(((p + 1) * n) ** (2.0 / 3.0))
+    if scale == 0.0 or m >= n:
+        return _fit_levels(contexts, y, levels)
+    q = _basis(contexts)[0]
+    q_sums, col_sums = q.sum(axis=0), np.concatenate(([n], contexts.sum(axis=0)))
+    weights, duals = np.empty((len(levels), p)), np.empty((len(levels), n))
+    rng = np.random.default_rng(0)
+
+    def residuals(w: np.ndarray) -> np.ndarray:
+        r = y - contexts @ w[1:]
+        r -= w[0]
+        return r
+
+    def certified_fit(level: float, state: np.ndarray, band: int) -> tuple | None:
+        """Weights and full duals of ``level`` with the rows where ``state`` is
+        -1 fixed at ``a = 0`` and where it is 1 at ``a = 1``, or ``None`` if the
+        band must be redrawn."""
+        freed = 0
+        while True:
+            kept = np.flatnonzero(state == 0)
+            a = (state > 0).astype(float)
+            rhs = (1.0 - level) * col_sums - np.concatenate(([a.sum()], contexts.T @ a))
+            try:
+                w, a_kept = _fit_levels(contexts[kept], y[kept], (level,), rhs[None], (n, scale))
+            except ValueError:  # no feasible a, or no convergence: redraw
+                return None
+            w, a[kept] = w[0], a_kept[0]
+            r = residuals(w)
+            loss = float(np.sum(pinball_loss(r, level)))
+            gap = (loss - float(y @ a) + (1.0 - level) * float(y.sum())) / (n * scale)
+            rho = (1.0 - level) * q_sums - q.T @ a
+            if gap <= _LP_GAP_TOL and np.abs(rho).max() <= _LP_GAP_TOL * math.sqrt(n):
+                return w, a
+            wrong = np.flatnonzero(((state < 0) & (r > 0)) | ((state > 0) & (r < 0)))
+            freed += wrong.size
+            if wrong.size == 0 or freed > band / 10:
+                return None
+            state[wrong] = 0
+
+    todo = list(range(len(levels)))
+    while todo and m < n:
+        edges = np.arange(m + 1) * n // m
+        sub = edges[:-1] + (rng.random(m) * np.diff(edges)).astype(np.intp)
+        fits, _ = _fit_levels(contexts[sub], y[sub], tuple(levels[i] for i in todo))
+        qs = q[sub]
+        spread = np.einsum("ij,ij->i", q @ np.linalg.pinv(qs.T @ qs), q)
+        np.sqrt(np.maximum(spread, np.finfo(float).tiny, out=spread), out=spread)
+        band, failed = round(_LP_PREPROCESS_BAND * m), []
+        for i, w in zip(todo, fits):
+            ratio = residuals(w)
+            ratio /= spread
+            lo, hi = (min(max(round(levels[i] * n + side * band / 2), 0), n - 1) for side in (-1, 1))
+            cut_lo, cut_hi = np.partition(ratio, (lo, hi))[[lo, hi]]
+            state = (ratio > cut_hi).astype(np.int8)
+            state[ratio < cut_lo] = -1
+            fit = certified_fit(levels[i], state, band)
+            if fit is None:
+                failed.append(i)
+            else:
+                weights[i], duals[i] = fit
+        todo, m = failed, 2 * m
+    if todo:
+        weights[todo], duals[todo] = _fit_levels(contexts, y, tuple(levels[i] for i in todo))
+    return weights, duals
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -241,7 +374,8 @@ def fit_quantile_pair(train: RsDataset, params: PacParams) -> QuantilePairModel:
             raise ValueError("quantile levels must lie in (0, 1)")
     ctx = _as_context_matrix(train.contexts)
     y = np.asarray(train.rewards, dtype=float)
-    w_lo, w_up = _fit_levels(ctx, y, (eps_lo, eps_up))
+    fit = _fit_reduced if y.shape[0] >= _LP_PREPROCESS_ROWS else _fit_levels
+    (w_lo, w_up), _ = fit(ctx, y, (eps_lo, eps_up))
     x1 = _design(ctx)
     losses = tuple(
         np.array([np.mean(pinball_loss(y - x1 @ w, level))])

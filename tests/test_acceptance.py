@@ -14,10 +14,11 @@ import pytest
 from scipy.stats import binom, ks_2samp
 
 from pacope.bench import BenchConfig, default_finite_class, run_figure1, run_figure2, run_theorem4_convergence, run_unknown_sweep
-from pacope.calibrate import binomial_quantile_k, pac_threshold, pac_threshold_argmin_oracle
+from pacope.calibrate import binomial_quantile_k, pac_threshold
 from pacope.core import child_rng
 from pacope.rejection import gaussian_ratio_bound, rejection_sample
 from pacope.synthenv import DEFAULT_ENV, sample_logged, sample_target, theorem_constants
+from test_calibrate import pac_threshold_argmin_oracle
 
 ACCEPT_SEED = 20260810
 RUNS = 500

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,6 @@ from pacope.calibrate import (
     calibrate_split,
     nonconformity,
     pac_threshold,
-    pac_threshold_argmin_oracle,
     pacopp_known,
     split_cp_inflated_level,
     split_cp_min_calibration_size,
@@ -27,14 +27,30 @@ from pacope.synthenv import DEFAULT_ENV, sample_logged, sample_target
 
 PARAMS = PacParams(0.2, 0.1, 0.5)
 _OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-# Levels kept in [1e-3, 1 - 1e-3]: with delta within an ulp of 1 and a tiny
-# epsilon the cutoff falls into the exact rational tie-break, whose cost has no
-# bound (14 s at m = 78, epsilon = 2e-117).
-_LEVEL = st.floats(1e-3, 1.0 - 1e-3)
 
 
 def _band_model(lo=-1.0, up=1.0):
     return QuantilePairModel(np.array([lo, 0.0]), np.array([up, 0.0]), (0.1, 0.9))
+
+
+def pac_threshold_argmin_oracle(scores, epsilon, delta):
+    """Brute-force form of ``pac_threshold``: the smallest candidate threshold
+    leaving at most ``k`` misses, the candidates being the scores and infinity."""
+    values = np.asarray(scores, dtype=float).reshape(-1)
+    m = values.shape[0]
+    k = binomial_quantile_k(m, epsilon, delta)
+    if m == 0:
+        return math.inf
+    for tau in np.sort(values):
+        if int(np.count_nonzero(values > tau)) <= k:
+            return float(tau)
+    return math.inf
+
+
+def _cdf_fraction(m, eps, k):
+    """``F_Bin(m, eps)(k)`` as an exact Fraction, from exact binomial coefficients."""
+    a, den = eps.as_integer_ratio()
+    return Fraction(sum(math.comb(m, j) * a**j * (den - a) ** (m - j) for j in range(k + 1)), den**m)
 
 
 def _k_oracle_exact(m, eps, delta):
@@ -84,6 +100,26 @@ class TestBinomialQuantileK:
             delta = 1.0 - eps
             assert binomial_quantile_k(1, eps, delta) == _k_oracle_exact(1, eps, delta)
 
+    def test_boundary_deltas_match_fraction_oracle(self):
+        # delta at F(k) rounded to a float, and its neighbours: each lands in
+        # the tie-break, and the cutoff flips between k - 1 and k among them.
+        for m in [*range(1, 301), 500, 1000]:
+            k = m // 5
+            cdfs = [_cdf_fraction(m, 0.2, i) for i in (k - 1, k, k + 1)]
+            boundary = float(cdfs[1])
+            for delta in (np.nextafter(boundary, 0.0), boundary, np.nextafter(boundary, 1.0)):
+                assert cdfs[0] <= Fraction(float(delta)) < cdfs[2]
+                expected = k if cdfs[1] <= Fraction(float(delta)) else k - 1
+                assert binomial_quantile_k(m, 0.2, float(delta)) == expected
+
+    def test_large_boundary_case_is_bounded_in_time(self):
+        m = 100_000
+        delta = float(binom.cdf(m // 5, m, 0.2))
+        start = time.perf_counter()
+        k = binomial_quantile_k(m, 0.2, delta)
+        assert time.perf_counter() - start < 1.0
+        assert k in (m // 5 - 1, m // 5)
+
     def test_grid_against_brute_force_summation(self):
         # Module-scale version of the acceptance grid (M <= 60).
         eps_grid = np.linspace(0.05, 0.95, 20)
@@ -117,19 +153,19 @@ class TestBinomialQuantileK:
                     assert lo <= k <= hi
 
     @settings(max_examples=300, deadline=None)
-    @given(m=st.integers(0, 400), eps=_LEVEL, delta=_LEVEL)
+    @given(m=st.integers(0, 400), eps=_OPEN_UNIT, delta=_OPEN_UNIT)
     def test_steps_by_at_most_one_in_m(self, m, eps, delta):
         k = binomial_quantile_k(m, eps, delta)
         assert k <= binomial_quantile_k(m + 1, eps, delta) <= k + 1
 
     @settings(max_examples=300, deadline=None)
-    @given(m=st.integers(0, 400), eps=_LEVEL, deltas=st.tuples(_LEVEL, _LEVEL))
+    @given(m=st.integers(0, 400), eps=_OPEN_UNIT, deltas=st.tuples(_OPEN_UNIT, _OPEN_UNIT))
     def test_nondecreasing_in_delta(self, m, eps, deltas):
         d1, d2 = sorted(deltas)
         assert binomial_quantile_k(m, eps, d1) <= binomial_quantile_k(m, eps, d2)
 
     @settings(max_examples=300, deadline=None)
-    @given(m=st.integers(0, 400), epss=st.tuples(_LEVEL, _LEVEL), delta=_LEVEL)
+    @given(m=st.integers(0, 400), epss=st.tuples(_OPEN_UNIT, _OPEN_UNIT), delta=_OPEN_UNIT)
     def test_nondecreasing_in_epsilon(self, m, epss, delta):
         e1, e2 = sorted(epss)
         assert binomial_quantile_k(m, e1, delta) <= binomial_quantile_k(m, e2, delta)
@@ -309,6 +345,15 @@ class TestCalibrateSplitProperties:
             assert pred.threshold == pac_threshold_argmin_oracle(scores, epsilon, delta)
             assert diag.k == binomial_quantile_k(m_cal, epsilon, delta)
             assert diag.tie_flag == (np.unique(scores).size < m_cal)
+
+    def test_tie_flag_marks_a_repeated_score(self):
+        rng = np.random.default_rng(3)
+        train, cal = _random_rs(rng, 40, 1, ties=False), _random_rs(rng, 30, 1, ties=False)
+        repeated = RsDataset(np.vstack([cal.contexts, cal.contexts[:1]]),
+                             np.append(cal.rewards, cal.rewards[0]), np.arange(31))
+        flags = [calibrate_split(RsSplit(train, c, violations=0, bound=2.0), PARAMS).diagnostics.tie_flag
+                 for c in (cal, repeated)]
+        assert flags == [False, True]
 
     def test_non_finite_scores_rejected(self):
         train = _random_rs(np.random.default_rng(0), 20, 1, ties=False)

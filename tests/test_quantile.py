@@ -106,7 +106,7 @@ def _assert_matches_oracle(ctx, y, levels):
     """The shared solve agrees with one oracle fit per level; returns their counts."""
     x1 = np.hstack([np.ones((len(y), 1)), ctx])
     fits = [_oracle_fit(x1, y, level) for level in levels]
-    weights = quantile._fit_levels(ctx, y, levels)
+    weights, _ = quantile._fit_levels(ctx, y, levels)
     scale = float(np.mean(np.abs(y)))
     for level, w, (w_oracle, _, _) in zip(levels, weights, fits):
         assert np.max(np.abs(w - w_oracle)) <= 1e-9 * scale
@@ -286,7 +286,7 @@ class TestSharedSolve:
         target = sample_target(300, child_rng(16, 0))
         x1 = np.hstack([np.ones((300, 1)), target.contexts])
         oracle = np.array([_oracle_fit(x1, target.rewards, level)[0] for level in (0.1, 0.9)])
-        weights = quantile._fit_levels(target.contexts, target.rewards, (0.1, 0.9))
+        weights, _ = quantile._fit_levels(target.contexts, target.rewards, (0.1, 0.9))
         assert weights.tobytes() == oracle.tobytes()
 
     def test_levels_converging_at_different_steps_match_solo_fits(self):
@@ -294,10 +294,10 @@ class TestSharedSolve:
         levels = (0.01, 0.55)
         counts = _assert_matches_oracle(target.contexts, target.rewards, levels)
         assert counts[0][0] != counts[1][0]
-        pair = quantile._fit_levels(target.contexts, target.rewards, levels)
+        pair, _ = quantile._fit_levels(target.contexts, target.rewards, levels)
         scale = float(np.mean(np.abs(target.rewards)))
         for level, w in zip(levels, pair):
-            solo = quantile._fit_levels(target.contexts, target.rewards, (level,))[0]
+            solo = quantile._fit_levels(target.contexts, target.rewards, (level,))[0][0]
             assert np.max(np.abs(w - solo)) <= 1e-12 * scale
 
     def test_traced_peak_stays_within_thirty_vectors(self):
@@ -311,6 +311,113 @@ class TestSharedSolve:
         finally:
             tracemalloc.stop()
         assert peak <= 30 * 8 * n
+
+
+def _full_certificate(ctx, y, w, a, level):
+    """Duality gap and equality residual of ``(w, a)`` on the full problem, in
+    the units of the stop rule; ``a`` must lie in the unit box."""
+    assert np.all((0.0 <= a) & (a <= 1.0))
+    n = len(y)
+    x1 = np.hstack([np.ones((n, 1)), ctx])
+    loss = float(np.sum(pinball_loss(y - x1 @ w, level)))
+    gap = (loss - float(y @ a) + (1.0 - level) * float(np.sum(y))) / (n * float(np.mean(np.abs(y))))
+    u, sv, _ = np.linalg.svd(x1, full_matrices=False)
+    q = u[:, : int(np.sum(sv > sv[0] * n * np.finfo(float).eps))]
+    residual = float(np.max(np.abs((1.0 - level) * q.sum(axis=0) - q.T @ a)))
+    return gap, residual / math.sqrt(n)
+
+
+def _tall_problem(seed, n=6000, dim=1, noise="normal", ties=False, equal_contexts=False):
+    rng = np.random.default_rng(seed)
+    ctx = rng.normal(size=(n, dim))
+    if equal_contexts:
+        ctx[:] = 0.7
+    eps = rng.standard_cauchy(n) if noise == "cauchy" else 3.0 * rng.normal(size=n)
+    y = 2.0 * ctx[:, 0] + eps
+    return ctx, np.round(y) if ties else y
+
+
+def _assert_certified_like_full(ctx, y, levels):
+    """The reduced fit passes the full stop rule and matches the full fit's loss."""
+    weights, duals = quantile._fit_reduced(ctx, y, levels)
+    full, _ = quantile._fit_levels(ctx, y, levels)
+    x1 = np.hstack([np.ones((len(y), 1)), ctx])
+    scale = float(np.mean(np.abs(y)))
+    for level, w, a, w_full in zip(levels, weights, duals, full):
+        gap, residual = _full_certificate(ctx, y, w, a, level)
+        assert gap <= quantile._LP_GAP_TOL and residual <= quantile._LP_GAP_TOL
+        loss, loss_full = (float(np.mean(pinball_loss(y - x1 @ v, level))) for v in (w, w_full))
+        assert abs(loss - loss_full) <= quantile._LP_GAP_TOL * scale
+
+
+class TestReducedFit:
+    """Tall pairs go through the Portnoy-Koenker reduced problems."""
+
+    @pytest.mark.parametrize("levels", [(0.01, 0.99), (0.1, 0.9), (0.45, 0.55)])
+    def test_certified_and_matches_full_fit(self, levels):
+        ctx, y = _tall_problem(1)
+        assert len(y) >= quantile._LP_PREPROCESS_ROWS
+        _assert_certified_like_full(ctx, y, levels)
+
+    @pytest.mark.parametrize("case", [
+        dict(noise="cauchy"),
+        dict(ties=True),
+        dict(dim=2),  # p = 3 design columns
+        dict(equal_contexts=True),  # a rank-deficient design
+        dict(equal_contexts=True, ties=True),
+    ])
+    def test_stress_cases(self, case):
+        ctx, y = _tall_problem(2, **case)
+        _assert_certified_like_full(ctx, y, (0.1, 0.9))
+
+    def test_narrow_bands_free_wrong_signs_and_double_m(self, monkeypatch):
+        # Narrow bands fix rows on the wrong side of the fit: some are freed
+        # and solved again on the same subsample, and others send the level
+        # back to a subsample twice as large. Every answer is still certified.
+        target = sample_target(6000, child_rng(1, 0))
+        ctx, y = target.contexts, target.rewards
+        solve, calls = quantile._fit_levels, []
+
+        def recorded(c, yy, levels, rhs=None, units=None):
+            calls.append((len(yy), levels, rhs is not None))
+            return solve(c, yy, levels, rhs, units)
+
+        monkeypatch.setattr(quantile, "_fit_levels", recorded)
+        freed = doubled = False
+        for band in (0.1, 0.05, 0.03):
+            monkeypatch.setattr(quantile, "_LP_PREPROCESS_BAND", band)
+            calls.clear()
+            weights, duals = quantile._fit_reduced(ctx, y, (0.1, 0.9))
+            for level, w, a in zip((0.1, 0.9), weights, duals):
+                gap, residual = _full_certificate(ctx, y, w, a, level)
+                assert gap <= quantile._LP_GAP_TOL and residual <= quantile._LP_GAP_TOL
+            subsamples = [rows for rows, _, reduced in calls if not reduced]
+            assert all(b == 2 * a for a, b in zip(subsamples, subsamples[1:]))
+            doubled |= len(subsamples) > 1
+            freed |= any(c[2] and d[2] and c[1] == d[1] and d[0] > c[0] for c, d in zip(calls, calls[1:]))
+        assert freed and doubled
+
+    def test_falls_back_to_full_solve(self, monkeypatch):
+        # A band of no rows never certifies, so m doubles until it reaches n.
+        monkeypatch.setattr(quantile, "_LP_PREPROCESS_BAND", 1e-6)
+        ctx, y = _tall_problem(4)
+        weights, _ = quantile._fit_reduced(ctx, y, (0.1, 0.9))
+        assert weights.tobytes() == quantile._fit_levels(ctx, y, (0.1, 0.9))[0].tobytes()
+
+    def test_pair_fit_is_deterministic_above_cutoff(self):
+        n = quantile._LP_PREPROCESS_ROWS
+        train = _as_train(sample_target(n, child_rng(17, 0)))
+        m1, m2 = (fit_quantile_pair(train, PARAMS_10_90) for _ in range(2))
+        assert m1.w_lo.tobytes() == m2.w_lo.tobytes() and m1.w_up.tobytes() == m2.w_up.tobytes()
+        reduced, _ = quantile._fit_reduced(train.contexts, train.rewards, (0.1, 0.9))
+        assert np.concatenate([m1.w_lo, m1.w_up]).tobytes() == reduced.tobytes()
+
+    def test_below_cutoff_is_the_full_solve(self):
+        n = quantile._LP_PREPROCESS_ROWS - 1
+        train = _as_train(sample_target(n, child_rng(18, 0)))
+        model = fit_quantile_pair(train, PARAMS_10_90)
+        full, _ = quantile._fit_levels(train.contexts, train.rewards, (0.1, 0.9))
+        assert np.concatenate([model.w_lo, model.w_up]).tobytes() == full.tobytes()
 
 
 class TestCrossingFix:
