@@ -70,8 +70,6 @@ from .synthenv import (
     oracle_quantiles,
     sample_logged,
     sample_target,
-    sample_target_rewards_at,
-    symmetric_difference_measure,
     target_reward_cdf,
     theorem_constants,
 )

@@ -266,12 +266,17 @@ class AggregateTable:
 # evaluation
 # ---------------------------------------------------------------------------
 
+def _mean_length(lo: np.ndarray, hi: np.ndarray, threshold: float) -> float:
+    """Mean length of the intervals ``[lo, hi]``, an empty one (``lo > hi``)
+    counting 0; ``inf`` for a trivial (infinite) threshold."""
+    return math.inf if math.isinf(threshold) else float(np.mean(np.maximum(hi - lo, 0.0)))
+
+
 def _predictor_metrics(pred: CalibratedPredictor, test: TargetDataset) -> tuple[float, float]:
     lo, hi = pred.interval_batch(test.contexts)
     r = test.rewards
     miscoverage = float(np.mean((r < lo) | (r > hi)))
-    length = math.inf if math.isinf(pred.threshold) else float(np.mean(np.maximum(hi - lo, 0.0)))
-    return miscoverage, length
+    return miscoverage, _mean_length(lo, hi, pred.threshold)
 
 
 def _report(
@@ -438,24 +443,23 @@ def _figure2_trial(args) -> list[TrialReport]:
     scores_cal = nonconformity(pred.model, split.cal.contexts, split.cal.rewards)
     qlo_t, qup_t = pred.model.quantiles(test.contexts)
     scores_test = np.maximum(qlo_t - test.rewards, test.rewards - qup_t)
-    base_length = float(np.mean(qup_t - qlo_t))
     reports: list[TrialReport] = []
     for delta in config.figure2_deltas:
         threshold = pac_threshold(scores_cal, eps, delta)
         k = binomial_quantile_k(diag.m_cal, eps, delta)
         trivial = math.isinf(threshold)
         coverage = float(np.mean(scores_test <= threshold))
-        length = math.inf if trivial else base_length + 2.0 * threshold
         reports.append(TrialReport(
             method="PACOPP", delta=delta, miscoverage=1.0 - coverage,
-            mean_length=length, trivial=trivial, threshold=threshold, k=k, **common,
+            mean_length=_mean_length(qlo_t - threshold, qup_t + threshold, threshold),
+            trivial=trivial, threshold=threshold, k=k, **common,
         ))
     threshold = split_cp_threshold(scores_cal, 1.0 - eps)
     trivial = math.isinf(threshold)
     coverage = float(np.mean(scores_test <= threshold))
     reports.append(TrialReport(
         method="COPP-RS", delta=float("nan"), miscoverage=1.0 - coverage,
-        mean_length=math.inf if trivial else base_length + 2.0 * threshold,
+        mean_length=_mean_length(qlo_t - threshold, qup_t + threshold, threshold),
         trivial=trivial, threshold=threshold, k=-1, **common,
     ))
 

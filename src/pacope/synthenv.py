@@ -37,13 +37,11 @@ __all__ = [
     "TheoremConstants",
     "sample_logged",
     "sample_target",
-    "sample_target_rewards_at",
     "target_reward_cdf",
     "oracle_quantile",
     "oracle_quantiles",
     "oracle_interval",
     "theorem_constants",
-    "symmetric_difference_measure",
 ]
 
 
@@ -124,15 +122,6 @@ def sample_target(
     actions = env.target_policy().sample(contexts, rng)
     rewards = s + actions + _sample_mixture_noise(m, rng, env)
     return TargetDataset(contexts, rewards)
-
-
-def sample_target_rewards_at(
-    s: float, m: int, rng: np.random.Generator, env: SynthEnvSpec = DEFAULT_ENV
-) -> np.ndarray:
-    """Draw ``m`` rewards from the target-conditional law at a fixed context."""
-    contexts = np.full((m, 1), float(s))
-    actions = env.target_policy().sample(contexts, rng)
-    return s + actions + _sample_mixture_noise(m, rng, env)
 
 
 def target_reward_cdf(
@@ -268,28 +257,3 @@ def theorem_constants(
         c_upper=c_upper,
         c_band=c_band,
     )
-
-
-def symmetric_difference_measure(
-    iv1: PredictionInterval, iv2: PredictionInterval
-) -> float:
-    """Lebesgue measure of the symmetric difference of two closed intervals.
-
-    Infinite when exactly one interval is unbounded on a side where the other
-    is not; matching unbounded sides contribute zero.
-    """
-    lo_gap = _endpoint_gap(iv1.lo, iv2.lo)
-    hi_gap = _endpoint_gap(iv1.hi, iv2.hi)
-    if math.isinf(lo_gap) or math.isinf(hi_gap):
-        return math.inf
-    overlap = min(iv1.hi, iv2.hi) - max(iv1.lo, iv2.lo)
-    if overlap >= 0.0 or math.isnan(overlap):
-        # Intersecting (or both unbounded): the difference is two edge strips.
-        return lo_gap + hi_gap
-    return iv1.length() + iv2.length()
-
-
-def _endpoint_gap(a: float, b: float) -> float:
-    if math.isinf(a) and math.isinf(b) and a == b:
-        return 0.0
-    return abs(a - b)

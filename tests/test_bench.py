@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pacope import bench
 from pacope.behavior import pacopp_unknown
 from pacope.bench import (
     BenchConfig,
@@ -24,12 +25,8 @@ from pacope.bench import (
 from pacope.calibrate import CalibratedPredictor, CalibrationDiagnostics
 from pacope.core import PacParams, PredictionInterval, TargetDataset, child_rng
 from pacope.quantile import QuantilePairModel
-from pacope.synthenv import (
-    oracle_quantiles,
-    sample_logged,
-    sample_target,
-    symmetric_difference_measure,
-)
+from pacope.synthenv import oracle_quantiles, sample_logged, sample_target
+from test_synthenv import symmetric_difference_measure
 
 SMALL = BenchConfig(
     n=400,
@@ -143,6 +140,30 @@ class TestFigure2:
             assert (row.k, row.m_cal, row.n_rs, row.weight_violations) == (
                 diag.k, diag.m_cal, diag.n_rs, diag.weight_violations
             )
+
+    def test_band_narrower_than_minus_two_tau_has_length_zero(self, monkeypatch):
+        # The band [-1, 1 + s] (collapsed below s = -2 by the crossing fix)
+        # at threshold -0.5 gives intervals of length 1 + s: empty below
+        # s = -1, which counts 0, not a negative width.
+        calibrate_split = bench.calibrate_split
+
+        def with_band(split, params):
+            pred = calibrate_split(split, params)
+            band = QuantilePairModel(np.array([-1.0, 0.0]), np.array([1.0, 1.0]), pred.model.levels)
+            return replace(pred, model=band)
+
+        monkeypatch.setattr(bench, "calibrate_split", with_band)
+        monkeypatch.setattr(bench, "pac_threshold", lambda scores, epsilon, delta: -0.5)
+        monkeypatch.setattr(bench, "split_cp_threshold", lambda scores, level: -0.5)
+        cfg = replace(SMALL, runs=1)
+        table = run_figure2(cfg, 7)
+        s = sample_target(cfg.test_points, child_rng(7, _TAG_FIGURE2, 0, 1), cfg.env).contexts[:, 0]
+        assert np.any(s < -1.0) and np.any(s > -1.0)
+        expected = float(np.mean(np.maximum(1.0 + s, 0.0)))
+        rows = [t for t in table.trials if t.method != "COPP"]
+        assert len(rows) == len(cfg.figure2_deltas) + 1
+        for t in rows:
+            assert not t.trivial and t.mean_length == pytest.approx(expected, rel=1e-12)
 
     def test_overflowing_ratio_bound_gives_trivial_rows(self):
         # At n = 4 the Gaussian fit sees two samples; at seed 11 the ratio

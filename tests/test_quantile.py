@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
 from pacope import quantile
 from pacope.core import PacParams, child_rng
@@ -24,95 +26,46 @@ def _as_train(target):
     return RsDataset(target.contexts, target.rewards, np.arange(len(target)))
 
 
-# Reference oracle: the same Frisch-Newton fit for one level at a time, with
-# fresh arrays for every expression. It reads the tolerances from the module
-# at call time, so a monkeypatched constant reaches it too, and it returns
-# its Newton-step and centring-step counts.
+def _highs_fit(ctx, y, level):
+    """Weights and optimal total loss of the primal pinball LP
+    ``min level 1'u + (1 - level) 1'v  s.t.  X w + u - v = y,  u, v >= 0``,
+    solved by HiGHS's dual simplex: an oracle independent of the fitter."""
+    n = len(y)
+    x1 = np.hstack([np.ones((n, 1)), ctx])
+    p = x1.shape[1]
+    eye = sparse.identity(n, format="csr")
+    result = linprog(
+        np.concatenate([np.zeros(p), np.full(n, level), np.full(n, 1.0 - level)]),
+        A_eq=sparse.hstack([sparse.csr_matrix(x1), eye, -eye], format="csr"), b_eq=y,
+        bounds=[(None, None)] * p + [(0.0, None)] * (2 * n), method="highs-ds",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert result.status == 0, result.message
+    return result.x[:p], result.fun
 
 
-def _max_step(v, dv):
-    ratio = np.divide(v, -dv, out=np.full(v.shape, np.inf), where=dv < 0.0)
-    return min(1.0, quantile._LP_STEP_FRACTION * float(ratio.min()))
+def _certificate(ctx, y, w, a, level):
+    """Duality gap and equality residual of ``(w, a)`` in the units of the stop
+    rule, computed from scratch; ``a`` must lie in the unit box."""
+    assert np.all((0.0 <= a) & (a <= 1.0))
+    n = len(y)
+    x1 = np.hstack([np.ones((n, 1)), ctx])
+    loss = float(np.sum(pinball_loss(y - x1 @ w, level)))
+    scale = float(np.mean(np.abs(y))) or 1.0
+    gap = (loss - float(y @ a) + (1.0 - level) * float(np.sum(y))) / (n * scale)
+    u, sv, _ = np.linalg.svd(x1, full_matrices=False)
+    q = u[:, : int(np.sum(sv > sv[0] * n * np.finfo(float).eps))]
+    residual = float(np.max(np.abs((1.0 - level) * q.sum(axis=0) - q.T @ a)))
+    return gap, residual / math.sqrt(n)
 
 
-def _solve_small(m, rhs):
-    try:
-        return np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(m, rhs, rcond=None)[0]
-
-
-def _newton_direction(q, m, d, rho, a, s, z, w, mu, corr_z, corr_w):
-    xi = mu * (1.0 / a - 1.0 / s)
-    r = z - w
-    dg = _solve_small(m, rho + q.T @ (d * (r + corr_z - corr_w - xi)))
-    da = d * (q @ dg + xi - r - corr_z + corr_w)
-    dz = mu / a - z - z / a * da - corr_z
-    dw = mu / s - w + w / s * da - corr_w
-    fp = min(_max_step(a, da), _max_step(s, -da))
-    fd = min(_max_step(z, dz), _max_step(w, dw))
-    return da, dg, dz, dw, fp, fd
-
-
-def _oracle_fit(x1, y, level):
-    """``(weights, Newton steps, centring steps)`` of one level's fit."""
-    n = y.shape[0]
-    scale = float(np.mean(np.abs(y)))
-    if scale == 0.0:
-        return np.zeros(x1.shape[1]), 0, 0
-    u, sv, vt = np.linalg.svd(x1, full_matrices=False)
-    rank = int(np.sum(sv > sv[0] * max(x1.shape) * np.finfo(float).eps))
-    q, sv, vt = u[:, :rank], sv[:rank], vt[:rank]
-    yn = y / scale
-    b = (1.0 - level) * q.sum(axis=0)
-    offset = (1.0 - level) * float(np.mean(yn))
-    a = np.full(n, 0.5)
-    s = 1.0 - a
-    g = -(q.T @ yn)
-    r = -yn - q @ g
-    z = np.maximum(r, 0.0) + 1e-3
-    w = z - r
-    centrings = 0
-    for step in range(quantile._LP_MAX_STEPS + 1):
-        rho = b - q.T @ a
-        gap = float(np.mean(pinball_loss(yn + q @ g, level))) - (float(yn @ a) / n - offset)
-        residual = float(np.max(np.abs(rho)))
-        if gap <= quantile._LP_GAP_TOL and residual <= quantile._LP_GAP_TOL * math.sqrt(n):
-            break
-        if step == quantile._LP_MAX_STEPS:
-            raise ValueError(f"affine quantile fit at level {level}: relative duality gap {gap:.3g} "
-                             f"did not close within {quantile._LP_MAX_STEPS} Newton steps")
-        d = 1.0 / (z / a + w / s)
-        m = (q * d[:, None]).T @ q
-        state = (q, m, d, rho, a, s, z, w)
-        da, dg, dz, dw, fp, fd = _newton_direction(*state, 0.0, 0.0, 0.0)
-        if min(fp, fd) < 1.0:
-            mu = float(z @ a + w @ s)
-            mu_aff = float((z + fd * dz) @ (a + fp * da) + (w + fd * dw) @ (s - fp * da))
-            target = mu * (mu_aff / mu) ** 3 / (2.0 * n)
-            da, dg, dz, dw, fp, fd = _newton_direction(*state, target, da * dz, -da * dw)
-            if min(fp, fd) < quantile._LP_MIN_STEP:
-                centrings += 1
-                da, dg, dz, dw, fp, fd = _newton_direction(*state, 0.25 * mu / n, 0.0, 0.0)
-        a = a + fp * da
-        s = s - fp * da
-        g = g + fd * dg
-        z = z + fd * dz
-        w = w + fd * dw
-    return vt.T @ (-g / sv) * scale, step, centrings
-
-
-def _assert_matches_oracle(ctx, y, levels):
-    """The shared solve agrees with one oracle fit per level; returns their counts."""
-    x1 = np.hstack([np.ones((len(y), 1)), ctx])
-    fits = [_oracle_fit(x1, y, level) for level in levels]
-    weights, _ = quantile._fit_levels(ctx, y, levels)
-    scale = float(np.mean(np.abs(y)))
-    for level, w, (w_oracle, _, _) in zip(levels, weights, fits):
-        assert np.max(np.abs(w - w_oracle)) <= 1e-9 * scale
-        loss, loss_oracle = (float(np.mean(pinball_loss(y - x1 @ v, level))) for v in (w, w_oracle))
-        assert abs(loss - loss_oracle) <= quantile._LP_GAP_TOL * scale
-    return [fit[1:] for fit in fits]
+def _assert_certified(ctx, y, levels):
+    """Each level's weights and duals pass the stop rule; returns the weights."""
+    weights, duals = quantile._fit_levels(ctx, y, levels)
+    for level, w, a in zip(levels, weights, duals):
+        gap, residual = _certificate(ctx, y, w, a, level)
+        assert gap <= quantile._LP_GAP_TOL and residual <= quantile._LP_GAP_TOL
+    return weights
 
 
 class TestPinballLoss:
@@ -213,13 +166,6 @@ class TestAffineFit:
             resid = y - fit
             assert np.mean(resid < -1e-7) <= level <= np.mean(resid <= 1e-7)
 
-    def test_step_cap_raises_with_gap(self, monkeypatch):
-        monkeypatch.setattr(quantile, "_LP_MAX_STEPS", 1)
-        target = sample_target(200, child_rng(12, 0))
-        with pytest.raises(ValueError, match="duality gap .* did not close within 1 Newton steps"):
-            fit_quantile_pair(_as_train(target), PARAMS_10_90)
-
-
     def test_fits_and_orders_levels(self):
         target = sample_target(600, child_rng(6, 0))
         model = fit_quantile_pair(_as_train(target), PARAMS_10_90)
@@ -244,89 +190,6 @@ class TestAffineFit:
         assert lo[0] == 0.0 and up[0] == 0.0
 
 
-class TestSharedSolve:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(2, 2000),
-        dim=st.integers(1, 2),
-        equal_contexts=st.booleans(),
-        ties=st.booleans(),
-        levels=st.sampled_from([(0.01, 0.99), (0.45, 0.55)]),
-    )
-    def test_matches_per_level_oracle(self, seed, n, dim, equal_contexts, ties, levels):
-        rng = np.random.default_rng(seed)
-        ctx = rng.normal(size=(n, dim))
-        if equal_contexts:
-            ctx[:] = ctx[0]
-        y = 2.0 * ctx[:, 0] + 3.0 * rng.normal(size=n)
-        _assert_matches_oracle(ctx, np.round(y) if ties else y, levels)
-
-    def test_centring_fallback_matches_oracle(self, monkeypatch):
-        # Raising the minimum corrected step sends most steps through the
-        # pure centring direction, including its mu / (2n) target.
-        monkeypatch.setattr(quantile, "_LP_MIN_STEP", 0.9)
-        target = sample_target(300, child_rng(13, 0))
-        counts = _assert_matches_oracle(target.contexts, target.rewards, (0.1, 0.9))
-        assert all(centrings > 0 for _, centrings in counts)
-
-    @pytest.mark.parametrize("singular", ["batch", "every"])
-    def test_singular_solve_falls_back_level_by_level(self, monkeypatch, singular):
-        # A batched solve that raises is redone one level at a time: a level
-        # whose own solve succeeds keeps it, one whose solve raises takes
-        # lstsq, exactly as the oracle does under the same solve.
-        solve = np.linalg.solve
-
-        def flaky_solve(m, rhs):
-            if m.ndim > 2 or singular == "every":
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve(m, rhs)
-
-        monkeypatch.setattr(np.linalg, "solve", flaky_solve)
-        target = sample_target(300, child_rng(16, 0))
-        x1 = np.hstack([np.ones((300, 1)), target.contexts])
-        oracle = np.array([_oracle_fit(x1, target.rewards, level)[0] for level in (0.1, 0.9)])
-        weights, _ = quantile._fit_levels(target.contexts, target.rewards, (0.1, 0.9))
-        assert weights.tobytes() == oracle.tobytes()
-
-    def test_levels_converging_at_different_steps_match_solo_fits(self):
-        target = sample_target(400, child_rng(14, 0))
-        levels = (0.01, 0.55)
-        counts = _assert_matches_oracle(target.contexts, target.rewards, levels)
-        assert counts[0][0] != counts[1][0]
-        pair, _ = quantile._fit_levels(target.contexts, target.rewards, levels)
-        scale = float(np.mean(np.abs(target.rewards)))
-        for level, w in zip(levels, pair):
-            solo = quantile._fit_levels(target.contexts, target.rewards, (level,))[0][0]
-            assert np.max(np.abs(w - solo)) <= 1e-12 * scale
-
-    def test_traced_peak_stays_within_thirty_vectors(self):
-        n = 20_000
-        train = _as_train(sample_target(n, child_rng(15, 0)))
-        fit_quantile_pair(train, PARAMS_10_90)
-        tracemalloc.start()
-        try:
-            fit_quantile_pair(train, PARAMS_10_90)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 30 * 8 * n
-
-
-def _full_certificate(ctx, y, w, a, level):
-    """Duality gap and equality residual of ``(w, a)`` on the full problem, in
-    the units of the stop rule; ``a`` must lie in the unit box."""
-    assert np.all((0.0 <= a) & (a <= 1.0))
-    n = len(y)
-    x1 = np.hstack([np.ones((n, 1)), ctx])
-    loss = float(np.sum(pinball_loss(y - x1 @ w, level)))
-    gap = (loss - float(y @ a) + (1.0 - level) * float(np.sum(y))) / (n * float(np.mean(np.abs(y))))
-    u, sv, _ = np.linalg.svd(x1, full_matrices=False)
-    q = u[:, : int(np.sum(sv > sv[0] * n * np.finfo(float).eps))]
-    residual = float(np.max(np.abs((1.0 - level) * q.sum(axis=0) - q.T @ a)))
-    return gap, residual / math.sqrt(n)
-
-
 def _tall_problem(seed, n=6000, dim=1, noise="normal", ties=False, equal_contexts=False):
     rng = np.random.default_rng(seed)
     ctx = rng.normal(size=(n, dim))
@@ -337,27 +200,78 @@ def _tall_problem(seed, n=6000, dim=1, noise="normal", ties=False, equal_context
     return ctx, np.round(y) if ties else y
 
 
-def _assert_certified_like_full(ctx, y, levels):
-    """The reduced fit passes the full stop rule and matches the full fit's loss."""
-    weights, duals = quantile._fit_reduced(ctx, y, levels)
-    full, _ = quantile._fit_levels(ctx, y, levels)
-    x1 = np.hstack([np.ones((len(y), 1)), ctx])
-    scale = float(np.mean(np.abs(y)))
-    for level, w, a, w_full in zip(levels, weights, duals, full):
-        gap, residual = _full_certificate(ctx, y, w, a, level)
-        assert gap <= quantile._LP_GAP_TOL and residual <= quantile._LP_GAP_TOL
-        loss, loss_full = (float(np.mean(pinball_loss(y - x1 @ v, level))) for v in (w, w_full))
-        assert abs(loss - loss_full) <= quantile._LP_GAP_TOL * scale
+class TestSimplexFit:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 2000),
+        dim=st.integers(1, 2),
+        equal_contexts=st.booleans(),
+        ties=st.booleans(),
+        cauchy=st.booleans(),
+        levels=st.sampled_from([(0.01, 0.99), (0.45, 0.55), (0.1, 0.9)]),
+    )
+    def test_matches_highs_oracle(self, seed, n, dim, equal_contexts, ties, cauchy, levels):
+        rng = np.random.default_rng(seed)
+        ctx = rng.normal(size=(n, dim))
+        if equal_contexts:
+            ctx[:] = ctx[0]
+        y = 2.0 * ctx[:, 0] + (rng.standard_cauchy(n) if cauchy else 3.0 * rng.normal(size=n))
+        if ties:
+            y = np.round(y)
+        weights = _assert_certified(ctx, y, levels)
+        x1 = np.hstack([np.ones((n, 1)), ctx])
+        scale = float(np.mean(np.abs(y)))
+        # Continuous rewards and a full-rank design have one optimal vertex.
+        unique = not (equal_contexts or ties) and n > dim
+        for level, w in zip(levels, weights):
+            w_highs, loss_highs = _highs_fit(ctx, y, level)
+            loss = float(np.sum(pinball_loss(y - x1 @ w, level)))
+            # Beyond 1e-12 relative, allow the rounding of the residuals, which
+            # decides when the optimal loss is 0 (as many rows as weights).
+            rounding = 1e-14 * float(np.sum(np.abs(y) + np.abs(x1) @ np.abs(w_highs)))
+            assert abs(loss - loss_highs) <= 1e-12 * loss_highs + rounding
+            if unique:
+                # An ill-conditioned design (a few rows) can give weights far
+                # above the rewards, known to both solvers to relative precision.
+                assert np.max(np.abs(w - w_highs)) <= 1e-12 * max(scale, np.max(np.abs(w_highs)))
 
+    def test_pivot_cap_raises_naming_level(self, monkeypatch):
+        target = sample_target(200, child_rng(12, 0))
+        monkeypatch.setattr(quantile, "_LP_MAX_PIVOTS", 0)
+        with pytest.raises(ValueError, match="at level 0.1: no optimal basis within 0 pivots"):
+            fit_quantile_pair(_as_train(target), PARAMS_10_90)
 
-class TestReducedFit:
-    """Tall pairs go through the Portnoy-Koenker reduced problems."""
+    def test_heavily_tied_design_takes_few_pivots(self, monkeypatch):
+        # Binary rewards put thousands of rows on the optimal fit. Without the
+        # reward offsets that break those ties, the pivots stall on degenerate
+        # vertices (48 to 60 pivots a level here); with them a level takes 10 to 24.
+        rng = np.random.default_rng(3)
+        ctx = rng.normal(size=(20_000, 2))
+        y = (rng.random(20_000) < 0.3).astype(float)
+        monkeypatch.setattr(quantile, "_LP_MAX_PIVOTS", 40)
+        weights = _assert_certified(ctx, y, (0.1, 0.5, 0.9))
+        x1 = np.hstack([np.ones((len(y), 1)), ctx])
+        for level, w in zip((0.1, 0.5, 0.9), weights):
+            resid = y - x1 @ w
+            assert np.mean(resid < -1e-9) <= level <= np.mean(resid <= 1e-9)
+
+    def test_start_rows_that_do_not_span_fall_back_to_all_rows(self):
+        # At level 0.9 the rows nearest the shifted least-squares fit all
+        # have context 0, so the first basis is sought among all rows. The
+        # fit is the level's quantile at each of the two contexts.
+        rng = np.random.default_rng(4)
+        ctx = np.zeros((200, 1))
+        ctx[:3] = 1.0
+        y = rng.normal(size=200)
+        y[:3] = [100.0, 101.0, 102.0]
+        weights = _assert_certified(ctx, y, (0.1, 0.9))
+        top = np.quantile(y[3:], 0.9, method="inverted_cdf")
+        assert weights[1] == pytest.approx([top, 102.0 - top], abs=1e-9)
 
     @pytest.mark.parametrize("levels", [(0.01, 0.99), (0.1, 0.9), (0.45, 0.55)])
-    def test_certified_and_matches_full_fit(self, levels):
-        ctx, y = _tall_problem(1)
-        assert len(y) >= quantile._LP_PREPROCESS_ROWS
-        _assert_certified_like_full(ctx, y, levels)
+    def test_tall_fit_is_certified(self, levels):
+        _assert_certified(*_tall_problem(1), levels)
 
     @pytest.mark.parametrize("case", [
         dict(noise="cauchy"),
@@ -366,58 +280,33 @@ class TestReducedFit:
         dict(equal_contexts=True),  # a rank-deficient design
         dict(equal_contexts=True, ties=True),
     ])
-    def test_stress_cases(self, case):
-        ctx, y = _tall_problem(2, **case)
-        _assert_certified_like_full(ctx, y, (0.1, 0.9))
+    def test_tall_stress_cases(self, case):
+        _assert_certified(*_tall_problem(2, **case), (0.1, 0.9))
 
-    def test_narrow_bands_free_wrong_signs_and_double_m(self, monkeypatch):
-        # Narrow bands fix rows on the wrong side of the fit: some are freed
-        # and solved again on the same subsample, and others send the level
-        # back to a subsample twice as large. Every answer is still certified.
-        target = sample_target(6000, child_rng(1, 0))
-        ctx, y = target.contexts, target.rewards
-        solve, calls = quantile._fit_levels, []
-
-        def recorded(c, yy, levels, rhs=None, units=None):
-            calls.append((len(yy), levels, rhs is not None))
-            return solve(c, yy, levels, rhs, units)
-
-        monkeypatch.setattr(quantile, "_fit_levels", recorded)
-        freed = doubled = False
-        for band in (0.1, 0.05, 0.03):
-            monkeypatch.setattr(quantile, "_LP_PREPROCESS_BAND", band)
-            calls.clear()
-            weights, duals = quantile._fit_reduced(ctx, y, (0.1, 0.9))
-            for level, w, a in zip((0.1, 0.9), weights, duals):
-                gap, residual = _full_certificate(ctx, y, w, a, level)
-                assert gap <= quantile._LP_GAP_TOL and residual <= quantile._LP_GAP_TOL
-            subsamples = [rows for rows, _, reduced in calls if not reduced]
-            assert all(b == 2 * a for a, b in zip(subsamples, subsamples[1:]))
-            doubled |= len(subsamples) > 1
-            freed |= any(c[2] and d[2] and c[1] == d[1] and d[0] > c[0] for c, d in zip(calls, calls[1:]))
-        assert freed and doubled
-
-    def test_falls_back_to_full_solve(self, monkeypatch):
-        # A band of no rows never certifies, so m doubles until it reaches n.
-        monkeypatch.setattr(quantile, "_LP_PREPROCESS_BAND", 1e-6)
-        ctx, y = _tall_problem(4)
-        weights, _ = quantile._fit_reduced(ctx, y, (0.1, 0.9))
-        assert weights.tobytes() == quantile._fit_levels(ctx, y, (0.1, 0.9))[0].tobytes()
-
-    def test_pair_fit_is_deterministic_above_cutoff(self):
-        n = quantile._LP_PREPROCESS_ROWS
-        train = _as_train(sample_target(n, child_rng(17, 0)))
+    def test_tall_pair_fit_is_deterministic(self):
+        train = _as_train(sample_target(45_000, child_rng(17, 0)))
         m1, m2 = (fit_quantile_pair(train, PARAMS_10_90) for _ in range(2))
         assert m1.w_lo.tobytes() == m2.w_lo.tobytes() and m1.w_up.tobytes() == m2.w_up.tobytes()
-        reduced, _ = quantile._fit_reduced(train.contexts, train.rewards, (0.1, 0.9))
-        assert np.concatenate([m1.w_lo, m1.w_up]).tobytes() == reduced.tobytes()
 
-    def test_below_cutoff_is_the_full_solve(self):
-        n = quantile._LP_PREPROCESS_ROWS - 1
-        train = _as_train(sample_target(n, child_rng(18, 0)))
-        model = fit_quantile_pair(train, PARAMS_10_90)
-        full, _ = quantile._fit_levels(train.contexts, train.rewards, (0.1, 0.9))
-        assert np.concatenate([model.w_lo, model.w_up]).tobytes() == full.tobytes()
+    def test_pair_matches_solo_fits(self):
+        target = sample_target(400, child_rng(14, 0))
+        levels = (0.01, 0.55)
+        pair, duals = quantile._fit_levels(target.contexts, target.rewards, levels)
+        for level, w, a in zip(levels, pair, duals):
+            solo, solo_duals = quantile._fit_levels(target.contexts, target.rewards, (level,))
+            assert w.tobytes() == solo[0].tobytes() and a.tobytes() == solo_duals[0].tobytes()
+
+    def test_traced_peak_stays_within_twelve_vectors(self):
+        n = 20_000
+        train = _as_train(sample_target(n, child_rng(15, 0)))
+        fit_quantile_pair(train, PARAMS_10_90)
+        tracemalloc.start()
+        try:
+            fit_quantile_pair(train, PARAMS_10_90)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * n
 
 
 class TestCrossingFix:

@@ -14,11 +14,41 @@ from pacope.synthenv import (
     oracle_quantiles,
     sample_logged,
     sample_target,
-    sample_target_rewards_at,
-    symmetric_difference_measure,
     target_reward_cdf,
     theorem_constants,
+    _sample_mixture_noise,
 )
+
+
+def sample_target_rewards_at(s, m, rng, env=DEFAULT_ENV):
+    """Draw ``m`` rewards from the target-conditional law at a fixed context."""
+    contexts = np.full((m, 1), float(s))
+    actions = env.target_policy().sample(contexts, rng)
+    return s + actions + _sample_mixture_noise(m, rng, env)
+
+
+def symmetric_difference_measure(iv1: PredictionInterval, iv2: PredictionInterval) -> float:
+    """Lebesgue measure of the symmetric difference of two closed intervals:
+    the scalar oracle of ``bench._symdiff_finite``.
+
+    Infinite when exactly one interval is unbounded on a side where the other
+    is not; matching unbounded sides contribute zero.
+    """
+    lo_gap = _endpoint_gap(iv1.lo, iv2.lo)
+    hi_gap = _endpoint_gap(iv1.hi, iv2.hi)
+    if math.isinf(lo_gap) or math.isinf(hi_gap):
+        return math.inf
+    overlap = min(iv1.hi, iv2.hi) - max(iv1.lo, iv2.lo)
+    if overlap >= 0.0 or math.isnan(overlap):
+        # Intersecting (or both unbounded): the difference is two edge strips.
+        return lo_gap + hi_gap
+    return iv1.length() + iv2.length()
+
+
+def _endpoint_gap(a: float, b: float) -> float:
+    if math.isinf(a) and math.isinf(b) and a == b:
+        return 0.0
+    return abs(a - b)
 
 
 class TestSampling:
