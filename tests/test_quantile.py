@@ -200,7 +200,47 @@ def _tall_problem(seed, n=6000, dim=1, noise="normal", ties=False, equal_context
     return ctx, np.round(y) if ties else y
 
 
-class TestSimplexFit:
+def _pivots_needed(ctx, y, level, monkeypatch):
+    """The fewest pivots under which the level's fit succeeds."""
+    for cap in range(quantile._LP_MAX_PIVOTS + 1):
+        with monkeypatch.context() as m:
+            m.setattr(quantile, "_LP_MAX_PIVOTS", cap)
+            try:
+                quantile._fit_levels(ctx, y, (level,))
+            except ValueError:
+                continue
+        return cap
+    raise AssertionError(f"level {level} needs more than {quantile._LP_MAX_PIVOTS} pivots")
+
+
+def _highs_loss(ctx, y, level):
+    """Optimal total loss of the pinball LP by strong duality: HiGHS's dual
+    simplex on ``max y'a - (1 - level) 1'y  s.t.  q'a = (1 - level) q'1,
+    0 <= a <= 1``, with ``q`` an orthonormal basis of the design's columns."""
+    n = len(y)
+    u, sv, _ = np.linalg.svd(np.hstack([np.ones((n, 1)), ctx]), full_matrices=False)
+    q = u[:, : int(np.sum(sv > sv[0] * n * np.finfo(float).eps))]
+    result = linprog(
+        -y, A_eq=q.T, b_eq=(1.0 - level) * q.sum(axis=0), bounds=(0.0, 1.0), method="highs-ds",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert result.status == 0, result.message
+    return -result.fun - (1.0 - level) * float(np.sum(y))
+
+
+def _assert_certified_like_full(ctx, y, levels):
+    """The fit passes the stop rule, and its loss matches HiGHS's optimum."""
+    weights = _assert_certified(ctx, y, levels)
+    x1 = np.hstack([np.ones((len(y), 1)), ctx])
+    scale = float(np.mean(np.abs(y)))
+    for level, w in zip(levels, weights):
+        loss = float(np.mean(pinball_loss(y - x1 @ w, level)))
+        assert abs(loss - _highs_loss(ctx, y, level) / len(y)) <= quantile._LP_GAP_TOL * scale
+
+
+class TestSharedSolve:
+    """A pair's levels are fitted in one call, on one shared basis ``q`` of the design."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -211,7 +251,7 @@ class TestSimplexFit:
         cauchy=st.booleans(),
         levels=st.sampled_from([(0.01, 0.99), (0.45, 0.55), (0.1, 0.9)]),
     )
-    def test_matches_highs_oracle(self, seed, n, dim, equal_contexts, ties, cauchy, levels):
+    def test_matches_per_level_oracle(self, seed, n, dim, equal_contexts, ties, cauchy, levels):
         rng = np.random.default_rng(seed)
         ctx = rng.normal(size=(n, dim))
         if equal_contexts:
@@ -236,6 +276,19 @@ class TestSimplexFit:
                 # above the rewards, known to both solvers to relative precision.
                 assert np.max(np.abs(w - w_highs)) <= 1e-12 * max(scale, np.max(np.abs(w_highs)))
 
+    def test_levels_converging_at_different_steps_match_solo_fits(self, monkeypatch):
+        target = sample_target(400, child_rng(14, 0))
+        ctx, y = target.contexts, target.rewards
+        levels = (0.01, 0.5)  # 1 and 3 pivots
+        steps = [_pivots_needed(ctx, y, level, monkeypatch) for level in levels]
+        assert steps[0] != steps[1]
+        pair, duals = quantile._fit_levels(ctx, y, levels)
+        for level, w, a in zip(levels, pair, duals):
+            solo, solo_duals = quantile._fit_levels(ctx, y, (level,))
+            assert w.tobytes() == solo[0].tobytes() and a.tobytes() == solo_duals[0].tobytes()
+
+
+class TestSimplexFit:
     def test_pivot_cap_raises_naming_level(self, monkeypatch):
         target = sample_target(200, child_rng(12, 0))
         monkeypatch.setattr(quantile, "_LP_MAX_PIVOTS", 0)
@@ -269,32 +322,10 @@ class TestSimplexFit:
         top = np.quantile(y[3:], 0.9, method="inverted_cdf")
         assert weights[1] == pytest.approx([top, 102.0 - top], abs=1e-9)
 
-    @pytest.mark.parametrize("levels", [(0.01, 0.99), (0.1, 0.9), (0.45, 0.55)])
-    def test_tall_fit_is_certified(self, levels):
-        _assert_certified(*_tall_problem(1), levels)
-
-    @pytest.mark.parametrize("case", [
-        dict(noise="cauchy"),
-        dict(ties=True),
-        dict(dim=2),  # p = 3 design columns
-        dict(equal_contexts=True),  # a rank-deficient design
-        dict(equal_contexts=True, ties=True),
-    ])
-    def test_tall_stress_cases(self, case):
-        _assert_certified(*_tall_problem(2, **case), (0.1, 0.9))
-
     def test_tall_pair_fit_is_deterministic(self):
         train = _as_train(sample_target(45_000, child_rng(17, 0)))
         m1, m2 = (fit_quantile_pair(train, PARAMS_10_90) for _ in range(2))
         assert m1.w_lo.tobytes() == m2.w_lo.tobytes() and m1.w_up.tobytes() == m2.w_up.tobytes()
-
-    def test_pair_matches_solo_fits(self):
-        target = sample_target(400, child_rng(14, 0))
-        levels = (0.01, 0.55)
-        pair, duals = quantile._fit_levels(target.contexts, target.rewards, levels)
-        for level, w, a in zip(levels, pair, duals):
-            solo, solo_duals = quantile._fit_levels(target.contexts, target.rewards, (level,))
-            assert w.tobytes() == solo[0].tobytes() and a.tobytes() == solo_duals[0].tobytes()
 
     def test_traced_peak_stays_within_twelve_vectors(self):
         n = 20_000
@@ -307,6 +338,25 @@ class TestSimplexFit:
         finally:
             tracemalloc.stop()
         assert peak <= 12 * 8 * n
+
+
+class TestReducedFit:
+    """Tall problems: the first basis is sought among the few rows nearest the
+    shifted least-squares fit, and the fit is certified on the full problem."""
+
+    @pytest.mark.parametrize("levels", [(0.01, 0.99), (0.1, 0.9), (0.45, 0.55)])
+    def test_certified_and_matches_full_fit(self, levels):
+        _assert_certified_like_full(*_tall_problem(1), levels)
+
+    @pytest.mark.parametrize("case", [
+        dict(noise="cauchy"),
+        dict(ties=True),
+        dict(dim=2),  # p = 3 design columns
+        dict(equal_contexts=True),  # a rank-deficient design
+        dict(equal_contexts=True, ties=True),
+    ])
+    def test_stress_cases(self, case):
+        _assert_certified_like_full(*_tall_problem(2, **case), (0.1, 0.9))
 
 
 class TestCrossingFix:
