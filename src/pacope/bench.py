@@ -17,9 +17,15 @@ weights are exact and draw no randomness: one calibration, the test-set log
 weights and thresholds, and one batched hull sweep over the
 ``length_subsample`` first test contexts.
 
-Desk-scale defaults (500 runs, 10,000 test points) replace the full-scale run
-counts of the original experiments; every asserted frequency carries a
-3-sigma Monte Carlo tolerance. Full scale is reachable through the config.
+Known and unknown trials draw no test set: their miscoverage and mean length
+are exact, from ``synthenv.exact_interval_metrics``. Only figure 2 draws
+``test_points`` target pairs per run: its COPP row has no exact form yet, and
+its rows share one statistic.
+
+Desk-scale defaults (500 runs; 10,000 test points per figure-2 run) replace
+the full-scale run counts of the original experiments; every asserted
+frequency carries a 3-sigma Monte Carlo tolerance. Full scale is reachable
+through the config.
 """
 
 from __future__ import annotations
@@ -57,7 +63,6 @@ from .calibrate import (
 from .core import (
     GaussianLinearPolicy,
     PacParams,
-    TargetDataset,
     child_rng,
     split_dataset,
 )
@@ -66,6 +71,7 @@ from .rejection import RsDataset, gaussian_ratio_bound
 from .synthenv import (
     DEFAULT_ENV,
     SynthEnvSpec,
+    exact_interval_metrics,
     oracle_quantiles,
     sample_logged,
     sample_target,
@@ -202,7 +208,11 @@ def _parse_value(raw: str, type_name: str):
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Per-run record: empirical miscoverage, interval length, diagnostics.
+    """Per-run record: miscoverage, mean interval length, diagnostics.
+
+    Known and unknown trials report the exact miscoverage and mean length
+    under the synthetic target law; figure-2 rows report them over its test
+    set (COPP's length over the ``length_subsample`` first test contexts).
 
     ``weight_violations`` counts density ratios above the rejection-sampling
     bound; COPP does not rejection-sample, so it is 0 on COPP rows.
@@ -272,11 +282,10 @@ def _mean_length(lo: np.ndarray, hi: np.ndarray, threshold: float) -> float:
     return math.inf if math.isinf(threshold) else float(np.mean(np.maximum(hi - lo, 0.0)))
 
 
-def _predictor_metrics(pred: CalibratedPredictor, test: TargetDataset) -> tuple[float, float]:
-    lo, hi = pred.interval_batch(test.contexts)
-    r = test.rewards
-    miscoverage = float(np.mean((r < lo) | (r > hi)))
-    return miscoverage, _mean_length(lo, hi, pred.threshold)
+def _predictor_metrics(pred: CalibratedPredictor, env: SynthEnvSpec) -> tuple[float, float]:
+    """Exact miscoverage and mean length of ``pred`` under ``env``'s target law."""
+    model = pred.model
+    return exact_interval_metrics(model.w_lo, model.w_up, pred.threshold, env)
 
 
 def _report(
@@ -287,10 +296,10 @@ def _report(
     delta: float,
     gamma: float,
     pred: CalibratedPredictor,
-    test: TargetDataset,
+    env: SynthEnvSpec,
     delta_w_hat: float = float("nan"),
 ) -> TrialReport:
-    miscoverage, length = _predictor_metrics(pred, test)
+    miscoverage, length = _predictor_metrics(pred, env)
     d = pred.diagnostics
     return TrialReport(
         method=method,
@@ -336,8 +345,7 @@ def _known_trial(args) -> TrialReport:
         params,
         child_rng(master_seed, _TAG_KNOWN, n, run, 1),
     )
-    test = sample_target(config.test_points, child_rng(master_seed, _TAG_KNOWN, n, run, 2), env)
-    return _report("PACOPP", run, n, config.epsilon, config.delta, config.gamma, pred, test)
+    return _report("PACOPP", run, n, config.epsilon, config.delta, config.gamma, pred, env)
 
 
 def _known_sweep(config: BenchConfig, master_seed: int, n_values) -> list[TrialReport]:
@@ -589,11 +597,9 @@ def _unknown_trial(args) -> TrialReport:
     params = config.pac_params()
     rng_data = child_rng(master_seed, _TAG_UNKNOWN, subtag, run, 0)
     rng_algo = child_rng(master_seed, _TAG_UNKNOWN, subtag, run, 1)
-    rng_test = child_rng(master_seed, _TAG_UNKNOWN, subtag, run, 2)
     d = sample_logged(config.n, rng_data, env)
     split = rs_split_unknown(d, pe, params.gamma, config.policy_fit_config(method), rng_algo)
     pred = calibrate_split(split, params)
-    test = sample_target(config.test_points, rng_test, env)
     delta_w = float("nan")
     if config.weight_error_mc > 0 and split.behavior is not None:
         sampler = lambda m, rng: (
@@ -605,7 +611,7 @@ def _unknown_trial(args) -> TrialReport:
         )
     return _report(
         f"PACOPP-{method}", run, config.n, config.epsilon, config.delta,
-        config.gamma, pred, test, delta_w_hat=delta_w,
+        config.gamma, pred, env, delta_w_hat=delta_w,
     )
 
 

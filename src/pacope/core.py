@@ -288,20 +288,8 @@ class PredictionInterval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @staticmethod
-    def whole_line() -> "PredictionInterval":
-        return PredictionInterval(-math.inf, math.inf)
-
-    def contains(self, r: float) -> bool:
-        """Closed membership test."""
-        return self.lo <= r <= self.hi
-
     def length(self) -> float:
         return self.hi - self.lo
-
-    @property
-    def is_trivial(self) -> bool:
-        return math.isinf(self.lo) and math.isinf(self.hi)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ target-conditional reward law is available in closed form as a Gaussian
 convolution: with target action variance ``v_e`` and slope ``t``,
 ``R | s ~ sum_j w_j N(s (1 + t), v_e + v_j)``. For the default parameters that
 is ``0.2 N(1.25 s, 2) + 0.8 N(1.25 s, 17)``. This exact law powers the oracle
-quantiles, the oracle prediction interval, and the distributional tests; no
-nested sampling is involved.
+quantiles, the oracle prediction interval, the exact miscoverage and length
+of an affine interval map (:func:`exact_interval_metrics`), and the
+distributional tests; no nested sampling is involved.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, owens_t
 
 from .core import (
     GaussianLinearPolicy,
@@ -38,6 +39,7 @@ __all__ = [
     "sample_logged",
     "sample_target",
     "target_reward_cdf",
+    "exact_interval_metrics",
     "oracle_quantile",
     "oracle_quantiles",
     "oracle_interval",
@@ -89,7 +91,11 @@ DEFAULT_ENV = SynthEnvSpec()
 
 
 def _sample_mixture_noise(n: int, rng: np.random.Generator, env: SynthEnvSpec) -> np.ndarray:
-    comp = rng.choice(len(env.mixture_weights), size=n, p=np.asarray(env.mixture_weights))
+    # The draw of ``rng.choice(len(weights), size=n, p=weights)`` without its
+    # argument checks: the same uniforms, the same labels, the same stream.
+    cdf = np.cumsum(np.asarray(env.mixture_weights, dtype=float))
+    cdf /= cdf[-1]
+    comp = np.searchsorted(cdf, rng.random(n), side="right")
     sigmas = np.sqrt(np.asarray(env.component_variances))[comp]
     return sigmas * rng.standard_normal(n)
 
@@ -134,6 +140,106 @@ def target_reward_cdf(
     for w, v in zip(env.mixture_weights, env.target_component_variances()):
         out = out + w * ndtr((r_arr - mean) / math.sqrt(v))
     return out if r_arr.ndim else float(out)
+
+
+def _bvn_cdf(h: np.ndarray, k: float, rho: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``P(X <= h, Y <= k)`` for standard normals with correlation ``rho``.
+
+    Owen's (1956) T-function form; ``r = sqrt(1 - rho**2)`` is passed in,
+    so it stays positive where ``rho`` rounds to +-1. At ``h = 0`` (or
+    ``k = 0``) the formula takes its limit from the positive side, which
+    ``+ 0.0`` makes of a negative zero; at ``h = k = 0`` it is
+    ``1/4 + asin(rho) / (2 pi)``.
+    """
+    h = h + 0.0
+    k = k + 0.0
+    with np.errstate(all="ignore"):  # an argument of T may be +-inf, its limit
+        out = (
+            0.5 * (ndtr(h) + ndtr(k))
+            - owens_t(h, (k - rho * h) / (h * r))
+            - owens_t(k, (h - rho * k) / (k * r))
+            - 0.5 * ((h < 0) != (k < 0))
+        )
+    if k == 0:
+        out = np.where(h == 0, 0.25 + np.arcsin(rho) / (2.0 * np.pi), out)
+    return out
+
+
+def exact_interval_metrics(
+    w_lo, w_up, threshold: float, env: SynthEnvSpec = DEFAULT_ENV
+) -> tuple[float, float]:
+    """Exact miscoverage and mean length of an affine interval map.
+
+    The map is the one a calibrated predictor gives: the quantile lines
+    ``lo(s) = w_lo[0] + w_lo[1] s`` and ``up(s) = w_up[0] + w_up[1] s``, both
+    moved to their midpoint where they cross, widened by the threshold
+    ``tau`` on each side. Returns ``E_S[P(R outside [lo - tau, up + tau] | S)]``
+    and ``E_S[max(up - lo + 2 tau, 0)]`` with ``S ~ N(0, context_variance)``
+    and ``R | s`` the target law of :func:`target_reward_cdf`; an empty
+    interval misses with probability 1. An infinite threshold gives
+    ``(0.0, inf)``.
+
+    The gap ``up - lo`` is affine in ``s``. Where it is at least
+    ``c = max(0, -2 tau)`` the interval is ``[lo - tau, up + tau]``; elsewhere
+    it is ``mid -+ tau`` for ``tau >= 0`` and empty for ``tau < 0``. So the
+    line splits at one point, and on each half-line the miss is a mixture sum
+    of ``Phi(alpha + beta S)`` terms, whose mean is a bivariate normal
+    probability; the length is ``E[(gap - c)^+] + max(2 tau, 0)``.
+    """
+    w_lo = np.asarray(w_lo, dtype=float)
+    w_up = np.asarray(w_up, dtype=float)
+    if w_lo.shape != (2,) or w_up.shape != (2,):
+        raise ValueError("exact metrics need 1-d contexts: affine weights of length 2")
+    tau = float(threshold)
+    if math.isinf(tau):
+        return 0.0, math.inf
+    var = env.context_variance
+    sd_s = math.sqrt(var)
+    mean_slope = 1.0 + env.target_slope
+    sigma = np.sqrt(env.target_component_variances())
+    weights = np.asarray(env.mixture_weights, dtype=float)
+
+    (a_lo, b_lo), (a_up, b_up) = w_lo.tolist(), w_up.tolist()
+    c = max(0.0, -2.0 * tau)
+    gap, gap_slope = a_up - a_lo - c, b_up - b_lo
+    spread = abs(gap_slope) * sd_s
+    if spread > 0:
+        z = gap / spread
+        length = gap * ndtr(z) + spread * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    else:
+        length = max(gap, 0.0)
+    length += max(2.0 * tau, 0.0)
+
+    # The band holds on {S > t}, or on {S < t} when the gap falls with s.
+    band_below = gap_slope < 0
+    if gap_slope != 0:
+        t = -gap / gap_slope
+    else:
+        t = -math.inf if gap >= 0 else math.inf
+    # Miss terms Phi((alpha + beta s) / sigma_j), one row per end: the band's
+    # two ends, then the midpoint interval's (used off the band when
+    # tau >= 0; off the band an interval with tau < 0 is empty).
+    a_mid, b_mid = 0.5 * (a_lo + a_up), 0.5 * (b_lo + b_up)
+    alpha = np.array([a_lo - tau, -a_up - tau, a_mid - tau, -a_mid - tau])[:, None] / sigma
+    beta = np.array(
+        [b_lo - mean_slope, mean_slope - b_up, b_mid - mean_slope, mean_slope - b_mid]
+    )[:, None] / sigma
+    root = np.sqrt(1.0 + beta * beta * var)
+    h = alpha / root
+    whole = ndtr(h)
+    if math.isinf(t):
+        below = whole if t > 0 else np.zeros_like(whole)
+    else:
+        below = _bvn_cdf(h, t / sd_s, -beta * sd_s / root, 1.0 / root)
+    above = whole - below
+    band, rest = (below, above) if band_below else (above, below)
+    miss = float(weights @ (band[0] + band[1]))
+    if tau >= 0:
+        miss += float(weights @ (rest[2] + rest[3]))
+    else:
+        k = t / sd_s
+        miss += float(ndtr(-k if band_below else k))
+    return min(max(miss, 0.0), 1.0), float(length)
 
 
 _BRACKET_HALF_WIDTH = 40.0

@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion at its stated tolerance, one per test.
 
-The heavy sweeps (500 seeded runs, 10,000 test points each) are shared
+The heavy sweeps (500 seeded runs each; exact miscoverage for the known- and
+unknown-policy trials, 10,000 test points per figure-2 run) are shared
 across criteria through module-scoped fixtures. Frequencies carry 3-sigma
 binomial Monte Carlo tolerances at the nominal levels. Run with ``-s`` to see
 one pass/fail line per criterion.

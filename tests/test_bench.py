@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import ndtr
+from scipy.stats import norm
 
 from pacope import bench
 from pacope.behavior import pacopp_unknown
@@ -23,9 +26,15 @@ from pacope.bench import (
     _symdiff_finite,
 )
 from pacope.calibrate import CalibratedPredictor, CalibrationDiagnostics
-from pacope.core import PacParams, PredictionInterval, TargetDataset, child_rng
+from pacope.core import PacParams, PredictionInterval, child_rng
 from pacope.quantile import QuantilePairModel
-from pacope.synthenv import oracle_quantiles, sample_logged, sample_target
+from pacope.synthenv import (
+    DEFAULT_ENV,
+    oracle_quantiles,
+    sample_logged,
+    sample_target,
+    target_reward_cdf,
+)
 from test_synthenv import symmetric_difference_measure
 
 SMALL = BenchConfig(
@@ -57,14 +66,19 @@ class TestEvaluateMiscoverage:
 class TestPredictorMetrics:
     def test_empty_intervals_have_length_zero(self):
         # Band [-s, s], collapsed to 0 for s < 0 by the crossing fix, with
-        # threshold -0.5: empty below s = 0.5, of length 2 s - 1 above it.
+        # threshold -0.5: empty (a sure miss) for S < 0.5 and [1/2 - s, s - 1/2]
+        # above, so the mean length is E[(2 S - 1)^+] with 2 S - 1 ~ N(-1, 16).
         model = QuantilePairModel(np.array([0.0, -1.0]), np.array([0.0, 1.0]), (0.1, 0.9))
         diag = CalibrationDiagnostics(20, 10, 0, False, 0, False, 2.0)
         pred = CalibratedPredictor(model, -0.5, PacParams(0.2, 0.5, 0.5), diag)
-        test = TargetDataset(np.array([-3.0, -0.5, 0.0, 0.25, 2.0]), np.zeros(5))
-        miscoverage, length = _predictor_metrics(pred, test)
-        assert miscoverage == 0.8
-        assert length == pytest.approx(3.0 / 5)
+        miscoverage, length = _predictor_metrics(pred, DEFAULT_ENV)
+        assert length == pytest.approx(-ndtr(-0.25) + 4.0 * norm.pdf(0.25), rel=1e-12)
+
+        def miss(s):
+            return target_reward_cdf(0.5 - s, s) + 1.0 - target_reward_cdf(s - 0.5, s)
+
+        tail, _ = quad(lambda s: miss(s) * norm.pdf(s, scale=2.0), 0.5, np.inf, epsabs=1e-13)
+        assert miscoverage == pytest.approx(ndtr(0.25) + tail, abs=1e-10)
 
 
 class TestFigure1:

@@ -263,7 +263,7 @@ class TestPredict:
         diag = CalibrationDiagnostics(0, 0, -1, False, 0, True, 1.0)
         p = CalibratedPredictor(_band_model(), math.inf, PARAMS, diag)
         iv = p.predict(0.0)
-        assert iv.is_trivial
+        assert iv.lo == -math.inf and iv.hi == math.inf
 
     def test_half_threshold(self):
         p = self._predictor(0.5)
@@ -391,7 +391,8 @@ class TestPacoppKnown:
             PARAMS, child_rng(0),
         )
         assert pred.diagnostics.trivial
-        assert pred.predict(0.0).is_trivial
+        iv = pred.predict(0.0)
+        assert iv.lo == -math.inf and iv.hi == math.inf
 
     def test_diagnostics_populated(self):
         d = sample_logged(2000, child_rng(50, 0))

@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad, simpson
 from scipy.optimize import brentq
-from scipy.stats import kstest
+from scipy.stats import kstest, norm
 
-from pacope.core import PredictionInterval, child_rng
+from pacope.calibrate import CalibratedPredictor, CalibrationDiagnostics, pacopp_known
+from pacope.core import PacParams, PredictionInterval, child_rng
+from pacope.quantile import QuantilePairModel
 from pacope.synthenv import (
     DEFAULT_ENV,
     SynthEnvSpec,
+    exact_interval_metrics,
     oracle_interval,
     oracle_quantile,
     oracle_quantiles,
@@ -16,6 +22,7 @@ from pacope.synthenv import (
     sample_target,
     target_reward_cdf,
     theorem_constants,
+    _bvn_cdf,
     _sample_mixture_noise,
 )
 
@@ -49,6 +56,135 @@ def _endpoint_gap(a: float, b: float) -> float:
     if math.isinf(a) and math.isinf(b) and a == b:
         return 0.0
     return abs(a - b)
+
+
+def _interval_predictor(w_lo, w_up, threshold) -> CalibratedPredictor:
+    """A predictor with the given affine quantile lines and threshold."""
+    model = QuantilePairModel(np.asarray(w_lo, float), np.asarray(w_up, float), (0.1, 0.9))
+    diag = CalibrationDiagnostics(20, 10, 0, False, 0, False, 2.0)
+    return CalibratedPredictor(model, threshold, PacParams(0.2, 0.5, 0.5), diag)
+
+
+def _metrics(pred: CalibratedPredictor, env=DEFAULT_ENV) -> tuple[float, float]:
+    return exact_interval_metrics(pred.model.w_lo, pred.model.w_up, pred.threshold, env)
+
+
+def grid_reference(pred: CalibratedPredictor, env=DEFAULT_ENV, points=100_001):
+    """Miscoverage and mean length of ``pred`` by composite Simpson over
+    +-14 sd of S, from ``interval_batch`` and ``target_reward_cdf`` pointwise
+    (an empty interval: miss 1, length 0). The stretches between the map's
+    kinks, where the lines cross and where the band empties, are integrated
+    apart, so each integrand is smooth."""
+    w_lo, w_up, tau = pred.model.w_lo, pred.model.w_up, pred.threshold
+    sd = math.sqrt(env.context_variance)
+    gap, gap_slope = w_up[0] - w_lo[0], w_up[1] - w_lo[1]
+    kinks = [] if gap_slope == 0 else [(c - gap) / gap_slope for c in (0.0, -2.0 * tau)]
+    edges = sorted([-14 * sd, 14 * sd] + [x for x in kinks if abs(x) < 14 * sd])
+    miss_total = length_total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        s = np.linspace(a, b, points)
+        lo, hi = pred.interval_batch(s)
+        miss = np.where(
+            lo > hi, 1.0, target_reward_cdf(lo, s, env) + 1.0 - target_reward_cdf(hi, s, env)
+        )
+        density = np.exp(-0.5 * s * s / env.context_variance) / (sd * math.sqrt(2.0 * math.pi))
+        miss_total += simpson(miss * density, x=s)
+        length_total += simpson(np.maximum(hi - lo, 0.0) * density, x=s)
+    return miss_total, length_total
+
+
+class TestExactIntervalMetrics:
+    ENV3 = SynthEnvSpec(
+        context_variance=1.0, mixture_weights=(0.5, 0.3, 0.2),
+        component_variances=(1.0, 4.0, 9.0),
+    )
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_fitted_predictors_match_grid_reference(self, n):
+        for seed in range(3):
+            d = sample_logged(n, child_rng(70 + seed, 0))
+            pred = pacopp_known(
+                d, DEFAULT_ENV.behavior_policy(), DEFAULT_ENV.target_policy(),
+                PacParams(0.2, 0.1, 0.5), child_rng(70 + seed, 1),
+            )
+            assert np.allclose(_metrics(pred), grid_reference(pred), rtol=0, atol=1e-10)
+
+    # Lines crossing at s = 0.8 and at s = 0 (within +-3 sd of S), a band
+    # that is narrow everywhere, and parallel lines (no crossing; empty
+    # everywhere at tau = -0.4), each widened, kept and narrowed.
+    @pytest.mark.parametrize("w_lo,w_up", [
+        ((-1.0, 1.5), (1.0, -1.0)),
+        ((0.0, -1.0), (0.0, 1.0)),
+        ((-0.3, 1.25), (0.3, 1.3)),
+        ((-0.3, 1.25), (0.3, 1.25)),
+    ])
+    @pytest.mark.parametrize("tau", [0.7, 0.0, -0.4])
+    def test_crossing_pairs_match_grid_reference(self, w_lo, w_up, tau):
+        pred = _interval_predictor(w_lo, w_up, tau)
+        assert np.allclose(_metrics(pred), grid_reference(pred), rtol=0, atol=1e-10)
+        assert np.allclose(
+            _metrics(pred, self.ENV3), grid_reference(pred, self.ENV3), rtol=0, atol=1e-10
+        )
+
+    def test_sampled_estimate_within_four_standard_errors(self):
+        d = sample_logged(2000, child_rng(81, 0))
+        pred = pacopp_known(
+            d, DEFAULT_ENV.behavior_policy(), DEFAULT_ENV.target_policy(),
+            PacParams(0.2, 0.1, 0.5), child_rng(81, 1),
+        )
+        miss, length = _metrics(pred)
+        test = sample_target(1_000_000, child_rng(81, 2))
+        lo, hi = pred.interval_batch(test.contexts)
+        missed = (test.rewards < lo) | (test.rewards > hi)
+        widths = np.maximum(hi - lo, 0.0)
+        assert abs(missed.mean() - miss) <= 4.0 * math.sqrt(miss * (1.0 - miss) / missed.size)
+        assert abs(widths.mean() - length) <= 4.0 * widths.std() / math.sqrt(widths.size)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        w=st.tuples(*[st.floats(-4.0, 4.0) for _ in range(4)]),
+        taus=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    )
+    def test_miss_falls_and_length_rises_with_threshold(self, w, taus):
+        small, large = sorted(taus)
+        miss_s, length_s = exact_interval_metrics(w[:2], w[2:], small)
+        miss_l, length_l = exact_interval_metrics(w[:2], w[2:], large)
+        assert 0.0 <= miss_s <= 1.0 and 0.0 <= miss_l <= 1.0
+        assert miss_s - miss_l >= -1e-12
+        assert length_l - length_s >= -1e-12
+
+    @pytest.mark.parametrize("k", [-1.3, -0.0, 0.0, 0.7])
+    @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5])
+    def test_bivariate_normal_cdf_matches_quadrature(self, k, rho):
+        # P(X <= h, Y <= k) = int_{-inf}^k phi(y) Phi((h - rho y) / r) dy,
+        # at signed zeros too, where the T-function form takes limits.
+        h = np.array([-1.3, -0.0, 0.0, 0.7])
+        r = math.sqrt(1.0 - rho * rho)
+        got = _bvn_cdf(h, k, np.full(4, rho), np.full(4, r))
+        for hi, g in zip(h, got):
+            ref, _ = quad(lambda y: norm.pdf(y) * norm.cdf((hi - rho * y) / r), -np.inf, k,
+                          epsabs=1e-14)
+            assert g == pytest.approx(ref, abs=1e-12)
+
+    def test_infinite_threshold_and_other_dimensions(self):
+        assert exact_interval_metrics([0.0, 1.0], [1.0, 1.0], math.inf) == (0.0, math.inf)
+        with pytest.raises(ValueError):
+            exact_interval_metrics([0.0, 1.0, 0.5], [1.0, 1.0, 0.5], 0.3)
+
+
+class TestMixtureNoise:
+    @pytest.mark.parametrize("weights", [(0.2, 0.8), (0.5, 0.3, 0.2)])
+    def test_labels_and_stream_match_generator_choice(self, weights):
+        # Distinct component variances, so each draw's scale names its label.
+        variances = tuple(float(j + 1) ** 2 for j in range(len(weights)))
+        env = SynthEnvSpec(mixture_weights=weights, component_variances=variances)
+        for seed in range(20):
+            rng, ref = child_rng(seed, 90), child_rng(seed, 90)
+            noise = _sample_mixture_noise(1000, rng, env)
+            labels = ref.choice(len(weights), size=1000, p=np.asarray(weights))
+            expected = np.sqrt(np.asarray(variances))[labels] * ref.standard_normal(1000)
+            assert np.array_equal(noise, expected)
+            assert rng.random() == ref.random()
 
 
 class TestSampling:
@@ -166,14 +302,14 @@ class TestSymmetricDifference:
 
     def test_one_sided_unbounded(self):
         a = PredictionInterval(0.0, 1.0)
-        assert symmetric_difference_measure(a, PredictionInterval.whole_line()) == math.inf
+        assert symmetric_difference_measure(a, PredictionInterval(-math.inf, math.inf)) == math.inf
 
     def test_matching_unbounded_sides(self):
         a = PredictionInterval(-math.inf, 0.0)
         b = PredictionInterval(-math.inf, 5.0)
         assert symmetric_difference_measure(a, b) == 5.0
         assert symmetric_difference_measure(
-            PredictionInterval.whole_line(), PredictionInterval.whole_line()
+            PredictionInterval(-math.inf, math.inf), PredictionInterval(-math.inf, math.inf)
         ) == 0.0
 
     def test_disjoint(self):
