@@ -18,7 +18,7 @@ from pacope import (
     DEFAULT_ENV,
     PacParams,
     child_rng,
-    oracle_interval,
+    oracle_quantiles,
     pacopp_known,
     sample_logged,
     sample_target,
@@ -43,11 +43,13 @@ print(f"calibration set M = {d.m_cal}, binomial cutoff k = {d.k}, "
       f"threshold = {predictor.threshold:+.4f}\n")
 
 print("intervals at a few contexts (vs the analytic oracle interval):")
-for s in (-4.0, -1.0, 0.0, 2.0, 5.0):
+contexts = np.array([-4.0, -1.0, 0.0, 2.0, 5.0])
+oracle_lo = oracle_quantiles(contexts, params.eps_lo, env)
+oracle_up = oracle_quantiles(contexts, params.eps_up, env)
+for s, o_lo, o_up in zip(contexts, oracle_lo, oracle_up):
     iv = predictor.predict(s)
-    oracle = oracle_interval(s, params.eps_lo, params.eps_up, env)
     print(f"  s = {s:+.1f}: predicted [{iv.lo:+7.3f}, {iv.hi:+7.3f}]   "
-          f"oracle [{oracle.lo:+7.3f}, {oracle.hi:+7.3f}]")
+          f"oracle [{o_lo:+7.3f}, {o_up:+7.3f}]")
 
 print("\nevaluating on 10,000 fresh target-policy draws...")
 test = sample_target(10000, child_rng(SEED, 2), env)

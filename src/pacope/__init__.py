@@ -5,7 +5,6 @@ harness with analytic oracles.
 """
 
 from .core import (
-    Context,
     GaussianLinearPolicy,
     LoggedDataset,
     PacParams,
@@ -26,7 +25,6 @@ from .rejection import (
 from .quantile import (
     QuantilePairModel,
     fit_quantile_pair,
-    pinball_loss,
 )
 from .calibrate import (
     CalibratedPredictor,
@@ -42,7 +40,6 @@ from .calibrate import (
 )
 from .baselines import (
     CoppCalibration,
-    CoppConfig,
     CoppHulls,
     RewardModelGaussian,
     copp_calibrate,
@@ -65,8 +62,6 @@ from .synthenv import (
     DEFAULT_ENV,
     SynthEnvSpec,
     TheoremConstants,
-    oracle_interval,
-    oracle_quantile,
     oracle_quantiles,
     sample_logged,
     sample_target,

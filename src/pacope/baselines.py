@@ -20,6 +20,9 @@ holding the sorted scores and their cumulative weights.
 :func:`copp_thresholds` turns candidate log weights into weighted-quantile
 thresholds. :func:`copp_hull_batch` sweeps the reward grid at a batch of
 test contexts and returns the hull of the accepted candidates per context.
+The grid's one setting is its size, the ``grid_size`` argument of
+:func:`copp_calibrate`; it spans the calibration rewards' range widened by a
+quarter of that range on each side.
 
 COPP-RS needs no code of its own: it shares the rejection-sampling front end
 and the quantile pair of the PAC pipeline but uses the plain ``1 - eps``
@@ -46,7 +49,6 @@ from .quantile import QuantilePairModel
 
 __all__ = [
     "RewardModelGaussian",
-    "CoppConfig",
     "CoppCalibration",
     "CoppHulls",
     "fit_reward_model",
@@ -57,6 +59,9 @@ __all__ = [
 ]
 
 _SIGMA_FLOOR = 1e-3
+# The reward grid extends the calibration rewards' range by this share of its
+# span on each side.
+_GRID_MARGIN = 0.25
 _SNAP = 1e-9
 # Largest x with exp(x) finite.
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -102,20 +107,6 @@ def fit_reward_model(train: LoggedDataset) -> RewardModelGaussian:
     x1 = np.hstack([np.ones((len(train), 1)), train.contexts, train.actions.reshape(-1, 1)])
     w, variance = fit_gaussian_affine(x1, train.rewards)
     return RewardModelGaussian(w, max(math.sqrt(variance), _SIGMA_FLOOR))
-
-
-@dataclass(frozen=True)
-class CoppConfig:
-    """Reward-grid resolution for the weighted-CP baseline."""
-
-    grid_size: int = 400
-    grid_margin: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.grid_size < 2:
-            raise ValueError("grid_size must be >= 2")
-        if not (math.isfinite(self.grid_margin) and self.grid_margin >= 0):
-            raise ValueError("grid_margin must be finite and nonnegative")
 
 
 def copp_log_weights(
@@ -164,8 +155,9 @@ class CoppCalibration:
     ``log_shift`` the largest calibration log weight, so the largest is one
     and none overflows; the weighted quantile is unchanged when every weight,
     the candidate's included, is scaled by one constant. ``r_min`` and
-    ``r_max`` are the calibration rewards' range, which the candidate grid
-    extends by ``cfg.grid_margin`` of its span on each side.
+    ``r_max`` are the calibration rewards' range; the candidate grid holds
+    ``grid_size`` rewards evenly spaced over that range extended by
+    ``_GRID_MARGIN`` of its span on each side.
     """
 
     sorted_scores: np.ndarray
@@ -175,7 +167,7 @@ class CoppCalibration:
     rm: RewardModelGaussian
     pbhat: StochasticPolicy
     pe: StochasticPolicy
-    cfg: CoppConfig
+    grid_size: int
     r_min: float
     r_max: float
 
@@ -192,8 +184,8 @@ class CoppCalibration:
     def grid(self) -> np.ndarray:
         """The reward candidates every test context is swept over."""
         span = max(self.r_max - self.r_min, 1e-12)
-        margin = self.cfg.grid_margin * span
-        return np.linspace(self.r_min - margin, self.r_max + margin, self.cfg.grid_size)
+        margin = _GRID_MARGIN * span
+        return np.linspace(self.r_min - margin, self.r_max + margin, self.grid_size)
 
 
 def copp_calibrate(
@@ -202,15 +194,17 @@ def copp_calibrate(
     rm: RewardModelGaussian,
     pbhat: StochasticPolicy,
     pe: StochasticPolicy,
-    cfg: CoppConfig,
+    grid_size: int,
 ) -> CoppCalibration:
-    """Score and weight the calibration half."""
+    """Score and weight the calibration half; hulls sweep ``grid_size`` reward candidates."""
     if len(cal) == 0:
         raise ValueError("COPP needs at least one calibration sample")
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
     scores = np.asarray(nonconformity(model, cal.contexts, cal.rewards))
     log_weights = copp_log_weights(rm, pbhat, pe, cal.contexts, cal.rewards)
     return CoppCalibration.from_scores(
-        scores, log_weights, model=model, rm=rm, pbhat=pbhat, pe=pe, cfg=cfg,
+        scores, log_weights, model=model, rm=rm, pbhat=pbhat, pe=pe, grid_size=grid_size,
         r_min=float(np.min(cal.rewards)), r_max=float(np.max(cal.rewards)),
     )
 

@@ -232,8 +232,8 @@ def pacopp_unknown(
     d: LoggedDataset,
     pe: GaussianLinearPolicy,
     params: PacParams,
-    pcfg: PolicyFitConfig | None = None,
-    rng: np.random.Generator | None = None,
+    pcfg: PolicyFitConfig,
+    rng: np.random.Generator,
 ) -> CalibratedPredictor:
     """Full pipeline with an estimated behavior policy.
 
@@ -242,8 +242,4 @@ def pacopp_unknown(
     :func:`rs_split_unknown`) gives the trivial predictor of the data's
     context dimension.
     """
-    if rng is None:
-        raise ValueError("an rng is required")
-    return calibrate_split(
-        rs_split_unknown(d, pe, params.gamma, pcfg or PolicyFitConfig(), rng), params
-    )
+    return calibrate_split(rs_split_unknown(d, pe, params.gamma, pcfg, rng), params)

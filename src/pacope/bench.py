@@ -37,7 +37,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .baselines import (
-    CoppConfig,
     copp_calibrate,
     copp_hull_batch,
     copp_log_weights,
@@ -156,11 +155,11 @@ class BenchConfig:
     def pac_params(self, delta: float | None = None) -> PacParams:
         return PacParams(self.epsilon, self.delta if delta is None else delta, self.gamma)
 
-    def copp_config(self) -> CoppConfig:
-        return CoppConfig(self.copp_grid_size)
-
     def policy_fit_config(self, method: str = "gaussian") -> PolicyFitConfig:
-        """Behavior-policy estimator; ``mle`` selects from :func:`default_finite_class`."""
+        """Behavior-policy estimator: ``gaussian`` fits one, ``mle`` selects from
+        :func:`default_finite_class`; any other method raises ``ValueError``."""
+        if method not in ("gaussian", "mle"):
+            raise ValueError("method must be 'gaussian' or 'mle'")
         return PolicyFitConfig(
             finite_class=default_finite_class(self.env) if method == "mle" else None,
             min_variance_margin=self.policy_margin,
@@ -476,7 +475,7 @@ def _figure2_trial(args) -> list[TrialReport]:
     d1, d2 = split_dataset(d, gamma)
     rm = fit_reward_model(d1)
     qm_raw = fit_quantile_pair(RsDataset(d1.contexts, d1.rewards, np.arange(len(d1))), params)
-    calib = copp_calibrate(d2, qm_raw, rm, pbhat, pe, config.copp_config())
+    calib = copp_calibrate(d2, qm_raw, rm, pbhat, pe, config.copp_grid_size)
     test_log_weights = copp_log_weights(rm, pbhat, pe, test.contexts, test.rewards)
     thresholds = copp_thresholds(calib, test_log_weights, 1.0 - eps)
     qlo_r, qup_r = qm_raw.quantiles(test.contexts)
@@ -624,8 +623,7 @@ def run_unknown_sweep(
     finite class). Set ``config.weight_error_mc`` to also estimate the mean
     absolute weight error per run (synthetic mode diagnostic).
     """
-    if method not in ("gaussian", "mle"):
-        raise ValueError("method must be 'gaussian' or 'mle'")
+    config.policy_fit_config(method)  # raises for an unknown method
     subtag = 0 if method == "gaussian" else 1
     args = [(config, master_seed, run, method, subtag) for run in range(config.runs)]
     trials = _map_trials(_unknown_trial, args, config.n_jobs)

@@ -11,6 +11,9 @@ numerically.
 :func:`calibrate_split` is the calibration core of every pipeline: given a
 ``rejection.RsSplit`` (the rejection-sampled training and calibration halves)
 it fits the quantile pair, scores the calibration pairs and picks the
+threshold. It is also the one home of the trivial predictor: a split with
+fewer than two training pairs or no calibration pairs, an empty dataset's
+included, gets a zero model of its context dimension and an infinite
 threshold. The known-policy pipeline :func:`pacopp_known` lives here: it
 rejection-samples with the oracle ratio, then splits the accepted pairs. The
 estimated-policy pipeline is ``behavior.pacopp_unknown``, whose sampling
@@ -42,7 +45,7 @@ from .core import (
     ceil_scaled,
 )
 from .quantile import QuantilePairModel, fit_quantile_pair, trivial_quantile_model
-from .rejection import RsSplit, gaussian_ratio_bound, rejection_sample
+from .rejection import RsDataset, RsSplit, gaussian_ratio_bound, rejection_sample
 
 __all__ = [
     "CalibrationDiagnostics",
@@ -379,29 +382,6 @@ class CalibratedPredictor:
             raise ValueError(f"predictor file: {exc}") from None
 
 
-def _trivial_predictor(
-    params: PacParams,
-    context_dim: int,
-    n_rs: int,
-    m_cal: int,
-    violations: int,
-    bound: float,
-    variance_clamped: bool = False,
-) -> CalibratedPredictor:
-    diagnostics = CalibrationDiagnostics(
-        n_rs=n_rs,
-        m_cal=m_cal,
-        k=-1,
-        tie_flag=False,
-        weight_violations=violations,
-        trivial=True,
-        bound=bound,
-        variance_clamped=variance_clamped,
-    )
-    model = trivial_quantile_model((params.eps_lo, params.eps_up), context_dim)
-    return CalibratedPredictor(model, math.inf, params, diagnostics)
-
-
 def calibrate_split(split: RsSplit, params: PacParams) -> CalibratedPredictor:
     """Fit the quantile pair on ``split.train`` and calibrate its threshold on ``split.cal``.
 
@@ -414,26 +394,26 @@ def calibrate_split(split: RsSplit, params: PacParams) -> CalibratedPredictor:
     diagnostics as given.
     """
     train, cal = split.train, split.cal
-    if len(train) < 2 or len(cal) == 0:
-        return _trivial_predictor(
-            params, train.contexts.shape[1], n_rs=split.n_rs, m_cal=len(cal),
-            violations=split.violations, bound=split.bound,
-            variance_clamped=split.variance_clamped,
-        )
-    model = fit_quantile_pair(train, params)
-    scores = nonconformity(model, cal.contexts, cal.rewards)
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
-    k = binomial_quantile_k(len(cal), params.epsilon, params.delta)
-    ordered = np.sort(scores, kind="stable")
-    threshold = _order_statistic(ordered, k)
+    trivial = len(train) < 2 or len(cal) == 0
+    if trivial:
+        model = trivial_quantile_model((params.eps_lo, params.eps_up), train.contexts.shape[1])
+        k, threshold, tie_flag = -1, math.inf, False
+    else:
+        model = fit_quantile_pair(train, params)
+        scores = nonconformity(model, cal.contexts, cal.rewards)
+        if not np.all(np.isfinite(scores)):
+            raise ValueError("scores must be finite")
+        k = binomial_quantile_k(len(cal), params.epsilon, params.delta)
+        ordered = np.sort(scores, kind="stable")
+        threshold = _order_statistic(ordered, k)
+        tie_flag = bool(np.any(ordered[1:] == ordered[:-1]))
     diagnostics = CalibrationDiagnostics(
         n_rs=split.n_rs,
         m_cal=len(cal),
         k=k,
-        tie_flag=bool(np.any(ordered[1:] == ordered[:-1])),
+        tie_flag=tie_flag,
         weight_violations=split.violations,
-        trivial=False,
+        trivial=trivial,
         bound=split.bound,
         variance_clamped=split.variance_clamped,
     )
@@ -445,23 +425,21 @@ def pacopp_known(
     pb: StochasticPolicy,
     pe: StochasticPolicy,
     params: PacParams,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> CalibratedPredictor:
     """Full pipeline with a known behavior policy.
 
     Rejection-sample the logged data with the oracle density ratio, split the
     accepted pairs into a training prefix and calibration tail, and hand both
-    to :func:`calibrate_split`.
+    to :func:`calibrate_split`. An empty dataset gives an empty split with
+    bound 1, and so the trivial predictor of the data's context dimension.
 
     The stream supplies the acceptance variates, one per sample in dataset
     index order.
     """
-    if rng is None:
-        raise ValueError("an rng is required")
     if len(d) == 0:
-        return _trivial_predictor(
-            params, d.context_dim, n_rs=0, m_cal=0, violations=0, bound=1.0
-        )
+        empty = RsDataset.empty(d.context_dim)
+        return calibrate_split(RsSplit(empty, empty, violations=0, bound=1.0), params)
     if not isinstance(pb, GaussianLinearPolicy) or not isinstance(pe, GaussianLinearPolicy):
         raise ValueError(
             "automatic weight bounds are available for Gaussian policies only; "

@@ -26,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "Context",
     "LoggedDataset",
     "TargetDataset",
     "StochasticPolicy",
@@ -39,9 +38,6 @@ __all__ = [
     "save_csv",
     "ceil_scaled",
 ]
-
-Context = np.ndarray  # shape (d,), finite entries
-
 
 # ---------------------------------------------------------------------------
 # randomness
@@ -296,6 +292,14 @@ class PredictionInterval:
 # dataset operations
 # ---------------------------------------------------------------------------
 
+def _train_size(n: int, gamma: float) -> int:
+    """Length of the training prefix of ``n`` ordered samples: the calibration
+    tail is the last ``ceil(gamma * n)``. The one split rule of every dataset."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError("gamma must lie in (0, 1)")
+    return n - ceil_scaled(gamma * n)
+
+
 def split_dataset(d: LoggedDataset, gamma: float) -> tuple[LoggedDataset, LoggedDataset]:
     """Split into a training prefix and a calibration tail.
 
@@ -304,12 +308,8 @@ def split_dataset(d: LoggedDataset, gamma: float) -> tuple[LoggedDataset, Logged
     samples are i.i.d., so any fixed split is exchangeable, and determinism
     keeps reruns bit-identical.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    n = len(d)
-    n_cal = ceil_scaled(gamma * n)
-    cut = n - n_cal
-    idx = np.arange(n)
+    cut = _train_size(len(d), gamma)
+    idx = np.arange(len(d))
     return d.take(idx[:cut]), d.take(idx[cut:])
 
 

@@ -13,8 +13,7 @@ offsets of at most ``_LP_PERTURBATION`` of their mean magnitude, so tied
 rewards make no degenerate vertex; the last vertex is then fitted to the true
 rewards and certified before it is returned: its dual lies in the unit box,
 and its duality gap and equality residual pass the stop rule
-``_LP_GAP_TOL``. The model's ``train_losses`` hold the final training loss
-alone. Quantile crossing is repaired pointwise at evaluation time: wherever
+``_LP_GAP_TOL``. Quantile crossing is repaired pointwise at evaluation time: wherever
 the fitted lower quantile exceeds the upper one, both are replaced by their
 midpoint, so the induced interval family stays well-formed. The model is
 written to and read from disk only as part of the predictor file, whose
@@ -33,18 +32,9 @@ from .rejection import RsDataset
 
 __all__ = [
     "QuantilePairModel",
-    "pinball_loss",
     "fit_quantile_pair",
     "trivial_quantile_model",
 ]
-
-def pinball_loss(u: float | np.ndarray, level: float) -> float | np.ndarray:
-    """Check-function loss: ``u * level`` if ``u >= 0`` else ``u * (level - 1)``."""
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
-    arr = np.asarray(u, dtype=float)
-    out = np.where(arr >= 0.0, arr * level, arr * (level - 1.0))
-    return float(out) if np.isscalar(u) or arr.ndim == 0 else out
 
 
 # A fit is accepted once its dual lies in the unit box, and the duality gap of
@@ -223,7 +213,6 @@ class QuantilePairModel:
     w_lo: np.ndarray
     w_up: np.ndarray
     levels: tuple[float, float]
-    train_losses: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def context_dim(self) -> int:
@@ -269,9 +258,4 @@ def fit_quantile_pair(train: RsDataset, params: PacParams) -> QuantilePairModel:
     ctx = _as_context_matrix(train.contexts)
     y = np.asarray(train.rewards, dtype=float)
     (w_lo, w_up), _ = _fit_levels(ctx, y, (eps_lo, eps_up))
-    x1 = _design(ctx)
-    losses = tuple(
-        np.array([np.mean(pinball_loss(y - x1 @ w, level))])
-        for w, level in ((w_lo, eps_lo), (w_up, eps_up))
-    )
-    return QuantilePairModel(w_lo, w_up, (eps_lo, eps_up), losses)
+    return QuantilePairModel(w_lo, w_up, (eps_lo, eps_up))

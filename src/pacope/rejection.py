@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianLinearPolicy, LoggedDataset, StochasticPolicy, _as_context_matrix, ceil_scaled
+from .core import GaussianLinearPolicy, LoggedDataset, StochasticPolicy, _as_context_matrix, _train_size
 
 __all__ = [
     "RsDataset",
@@ -108,11 +108,8 @@ class RsDataset:
         return RsDataset(np.empty((0, context_dim)), np.empty(0), np.empty(0, dtype=int))
 
     def split(self, gamma: float) -> tuple["RsDataset", "RsDataset"]:
-        """Training prefix / calibration tail split, mirroring ``split_dataset``."""
-        if not 0.0 < gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        n = len(self)
-        cut = n - ceil_scaled(gamma * n)
+        """Training prefix / calibration tail split, by the rule of ``split_dataset``."""
+        cut = _train_size(len(self), gamma)
         return (
             RsDataset(self.contexts[:cut], self.rewards[:cut], self.source_indices[:cut], self.n_violations),
             RsDataset(self.contexts[cut:], self.rewards[cut:], self.source_indices[cut:], self.n_violations),

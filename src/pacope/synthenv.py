@@ -11,9 +11,10 @@ target-conditional reward law is available in closed form as a Gaussian
 convolution: with target action variance ``v_e`` and slope ``t``,
 ``R | s ~ sum_j w_j N(s (1 + t), v_e + v_j)``. For the default parameters that
 is ``0.2 N(1.25 s, 2) + 0.8 N(1.25 s, 17)``. This exact law powers the oracle
-quantiles, the oracle prediction interval, the exact miscoverage and length
-of an affine interval map (:func:`exact_interval_metrics`), and the
-distributional tests; no nested sampling is involved.
+quantiles (:func:`oracle_quantiles`, from which the oracle interval
+``[q_lo(s), q_up(s)]`` is built), the exact miscoverage and length of an
+affine interval map (:func:`exact_interval_metrics`), and the distributional
+tests; no nested sampling is involved.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from scipy.special import ndtr, owens_t
 from .core import (
     GaussianLinearPolicy,
     LoggedDataset,
-    PredictionInterval,
     TargetDataset,
     _as_context_matrix,
 )
@@ -40,9 +40,7 @@ __all__ = [
     "sample_target",
     "target_reward_cdf",
     "exact_interval_metrics",
-    "oracle_quantile",
     "oracle_quantiles",
-    "oracle_interval",
     "theorem_constants",
 ]
 
@@ -243,58 +241,38 @@ def exact_interval_metrics(
 
 
 _BRACKET_HALF_WIDTH = 40.0
+# Absolute tolerance of the bisection in :func:`oracle_quantiles`.
+_ORACLE_TOL = 1e-8
 
 
-def oracle_quantile(
-    s: float, q: float, env: SynthEnvSpec = DEFAULT_ENV, tol: float = 1e-8
-) -> float:
-    """Quantile of the exact target-conditional reward law, by bisection.
+def oracle_quantiles(contexts, q: float, env: SynthEnvSpec = DEFAULT_ENV) -> np.ndarray:
+    """Level-``q`` quantile of the exact target-conditional reward law at each context.
 
-    The bracket is ``mean(s) +- 40`` (beyond nine standard deviations of the
-    widest default component) and doubles until it straddles the root. The CDF
-    is strictly increasing, so bisection to absolute tolerance ``tol``
-    converges unconditionally.
+    ``R - (1 + target_slope) s`` has the same law at every context, so its
+    quantile is found once, at ``s = 0``, and shifted. It is found by
+    bisection to absolute tolerance ``_ORACLE_TOL``: the bracket is ``+-40``
+    (beyond nine standard deviations of the widest default component) and
+    doubles until it straddles the root. The CDF is strictly increasing, so
+    the bisection converges unconditionally.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    mean = (1.0 + env.target_slope) * s
     half = _BRACKET_HALF_WIDTH
-    lo, hi = mean - half, mean + half
-    while target_reward_cdf(lo, s, env) > q:
+    lo, hi = -half, half
+    while target_reward_cdf(lo, 0.0, env) > q:
         half *= 2.0
-        lo = mean - half
-    while target_reward_cdf(hi, s, env) < q:
+        lo = -half
+    while target_reward_cdf(hi, 0.0, env) < q:
         half *= 2.0
-        hi = mean + half
-    while hi - lo > tol:
+        hi = half
+    while hi - lo > _ORACLE_TOL:
         mid = 0.5 * (lo + hi)
-        if target_reward_cdf(mid, s, env) < q:
+        if target_reward_cdf(mid, 0.0, env) < q:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
-
-
-def oracle_quantiles(
-    contexts: np.ndarray, q: float, env: SynthEnvSpec = DEFAULT_ENV, tol: float = 1e-8
-) -> np.ndarray:
-    """Vectorized :func:`oracle_quantile` over an array of contexts."""
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
     ctx = _as_context_matrix(contexts)[:, 0]
-    mean = (1.0 + env.target_slope) * ctx
-    # The centered law is context-free: solve once at s = 0 and shift.
-    centered = oracle_quantile(0.0, q, env, tol)
-    return mean + centered
-
-
-def oracle_interval(
-    s: float, eps_lo: float, eps_up: float, env: SynthEnvSpec = DEFAULT_ENV
-) -> PredictionInterval:
-    """Ideal interval ``[q_lo(s), q_up(s)]`` under the exact target law."""
-    return PredictionInterval(
-        oracle_quantile(s, eps_lo, env), oracle_quantile(s, eps_up, env)
-    )
+    return (1.0 + env.target_slope) * ctx + 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

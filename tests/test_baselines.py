@@ -6,7 +6,6 @@ import pytest
 
 from pacope.baselines import (
     CoppCalibration,
-    CoppConfig,
     RewardModelGaussian,
     copp_calibrate,
     copp_hull_batch,
@@ -54,12 +53,12 @@ def _policy(intercept, variance=1e-6):
     return GaussianLinearPolicy(np.array([0.0]), intercept, variance)
 
 
-def _calibration(scores, log_weights, model=None, rm=None, pb=PB, pe=PE, cfg=CoppConfig(),
+def _calibration(scores, log_weights, model=None, rm=None, pb=PB, pe=PE, grid_size=400,
                  r_min=-1.0, r_max=1.0):
     return CoppCalibration.from_scores(
         scores, log_weights, model=model or _band_model(),
         rm=rm or RewardModelGaussian(np.array([0.0, 1.0, 1.0]), 1.0),
-        pbhat=pb, pe=pe, cfg=cfg, r_min=r_min, r_max=r_max,
+        pbhat=pb, pe=pe, grid_size=grid_size, r_min=r_min, r_max=r_max,
     )
 
 
@@ -132,7 +131,7 @@ class TestCoppWeight:
             with pytest.raises(ValueError, match="Gaussian policies only"):
                 copp_calibrate(
                     LoggedDataset(np.zeros((2, 1)), np.zeros(2), np.zeros(2)),
-                    _band_model(), rm, pb, pe, CoppConfig(),
+                    _band_model(), rm, pb, pe, 400,
                 )
 
     def test_batch_matches_marginal_statistics(self):
@@ -303,7 +302,7 @@ class TestCoppPredict:
 
     def test_returns_interval_with_flags(self):
         _, d2, rm, model = self._setup()
-        calib = copp_calibrate(d2, model, rm, PB, PE, CoppConfig(grid_size=80))
+        calib = copp_calibrate(d2, model, rm, PB, PE, 80)
         hulls = copp_hull_batch(calib, [[0.0]], 0.2)
         assert hulls.lo.shape == hulls.non_contiguous.shape == (1,)
         assert not hulls.empty[0]
@@ -315,7 +314,7 @@ class TestCoppPredict:
         # hull is the hull of the plain split-CP membership on the grid.
         _, d2, rm, model = self._setup()
         cal_scores = np.asarray(nonconformity(model, d2.contexts, d2.rewards))
-        calib = copp_calibrate(d2, model, rm, PE, PE, CoppConfig(grid_size=120))
+        calib = copp_calibrate(d2, model, rm, PE, PE, 120)
         assert np.array_equal(calib.cum_weights, np.arange(1.0, len(d2) + 1.0))
         grid = calib.grid()
         member = np.asarray(
@@ -336,7 +335,7 @@ class TestCoppPredict:
         model = QuantilePairModel(np.array([5.0, 10.0]), np.array([6.0, 10.0]), (0.1, 0.9))
         rm = RewardModelGaussian(np.array([0.0, 0.0, 1.0]), 1.0)
         pe = GaussianLinearPolicy(np.array([1000.0]), 1000.0, 1e-6)
-        calib = copp_calibrate(cal, model, rm, _policy(0.0, 1.0), pe, CoppConfig(grid_size=30))
+        calib = copp_calibrate(cal, model, rm, _policy(0.0, 1.0), pe, 30)
         hulls = copp_hull_batch(calib, [[0.0]], 0.2)
         assert hulls.empty[0] and not hulls.non_contiguous[0]
         assert np.isnan(hulls.lo[0]) and np.isnan(hulls.hi[0])
@@ -352,10 +351,12 @@ class TestCoppPredict:
         cal_scores = np.array([0.1, 9.0, 9.5, 10.0])
         cal_weights = np.array([3.9, 0.01, 0.01, 0.08])
         rm = RewardModelGaussian(np.array([0.0, 0.0, 1.0]), 0.5)
+        # Rewards over [-4/3, 4/3] give the grid [-2, 2] with its quarter-span margins.
         calib = _calibration(
             cal_scores, np.log(cal_weights), _band_model(-1.0, 1.0), rm,
-            _policy(0.0), _policy(3.0), CoppConfig(grid_size=81, grid_margin=0.0), -2.0, 2.0,
+            _policy(0.0), _policy(3.0), 81, -4.0 / 3.0, 4.0 / 3.0,
         )
+        assert np.array_equal(calib.grid(), np.linspace(-2.0, 2.0, 81))
         hulls = copp_hull_batch(calib, [0.0], 0.2)
         assert hulls.non_contiguous[0]
         assert not hulls.empty[0]
@@ -389,7 +390,7 @@ class TestCoppHullBatch:
     def test_gaussian_matches_per_context_oracle(self, policies, n):
         d2, model, rm, pbhat = self._fitted()
         pb = PB if policies == "true" else pbhat
-        calib = copp_calibrate(d2, model, rm, pb, PE, CoppConfig(grid_size=200))
+        calib = copp_calibrate(d2, model, rm, pb, PE, 200)
         contexts = sample_target(n, child_rng(31)).contexts
         hulls = self._assert_matches_one_context_calls(calib, contexts, 0.2)
         assert not hulls.empty.any()
@@ -403,8 +404,9 @@ class TestCoppHullBatch:
             np.array([0.1, 9.0, 9.5, 10.0]), np.log([3.9, 0.01, 0.01, 0.08]),
             _band_model(-1.0, 1.0, slope=2.0),
             RewardModelGaussian(np.array([0.0, 1.0, 1.0]), 0.5),
-            _policy(0.0), _policy(3.0), CoppConfig(grid_size=41, grid_margin=0.0), -2.0, 2.0,
+            _policy(0.0), _policy(3.0), 41, -4.0 / 3.0, 4.0 / 3.0,
         )
+        assert np.array_equal(calib.grid(), np.linspace(-2.0, 2.0, 41))
         contexts = np.linspace(-3.0, 3.0, 7).reshape(-1, 1)
         hulls = self._assert_matches_one_context_calls(calib, contexts, 0.2)
         assert hulls.empty.any() and hulls.non_contiguous.any()
@@ -413,7 +415,14 @@ class TestCoppHullBatch:
     def test_empty_calibration_rejected(self):
         rm = RewardModelGaussian(np.array([0.0, 1.0, 1.0]), 1.0)
         with pytest.raises(ValueError):
-            copp_calibrate(LoggedDataset.empty(), _band_model(), rm, PB, PE, CoppConfig())
+            copp_calibrate(LoggedDataset.empty(), _band_model(), rm, PB, PE, 400)
+
+    @pytest.mark.parametrize("grid_size", [1, 0, -1])
+    def test_grid_size_below_two_rejected(self, grid_size):
+        rm = RewardModelGaussian(np.array([0.0, 1.0, 1.0]), 1.0)
+        cal = LoggedDataset(np.zeros((2, 1)), np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="grid_size must be >= 2"):
+            copp_calibrate(cal, _band_model(), rm, PB, PE, grid_size)
 
 
 class TestCoppRsPredict:
@@ -432,13 +441,3 @@ class TestCoppRsPredict:
             thr = split_cp_threshold(scores, 0.8)
             coverages[i] = 1.0 - exact_interval_metrics(qm.w_lo, qm.w_up, thr)[0]
         assert 0.79 <= coverages.mean() <= 0.81
-
-
-class TestCoppConfig:
-    @pytest.mark.parametrize("kwargs", [
-        dict(grid_size=1), dict(grid_margin=-0.1), dict(grid_margin=math.inf),
-        dict(grid_margin=math.nan),
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            CoppConfig(**kwargs)

@@ -12,7 +12,7 @@ from pacope.behavior import (
     mle_policy,
     pacopp_unknown,
 )
-from pacope.calibrate import pacopp_known
+from pacope.calibrate import CalibrationDiagnostics, pacopp_known
 from pacope.core import GaussianLinearPolicy, LoggedDataset, PacParams, StochasticPolicy, child_rng
 from pacope.synthenv import DEFAULT_ENV, sample_logged
 
@@ -258,12 +258,18 @@ class TestPacoppUnknown:
         assert hits / runs >= 0.9 - 3 * math.sqrt(0.09 / runs)
 
     def test_empty_dataset_trivial(self):
-        pred = pacopp_unknown(
-            LoggedDataset.empty(), PE, PARAMS, PolicyFitConfig(), child_rng(0)
+        expected = CalibrationDiagnostics(
+            n_rs=0, m_cal=0, k=-1, tie_flag=False, weight_violations=0, trivial=True, bound=1.0,
         )
-        assert pred.diagnostics.trivial
-        iv = pred.predict(0.0)
-        assert iv.lo == -math.inf and iv.hi == math.inf
+        for dim in (1, 2):
+            pe = GaussianLinearPolicy(np.zeros(dim), 0.0, 1.0)
+            pred = pacopp_unknown(
+                LoggedDataset.empty(dim), pe, PARAMS, PolicyFitConfig(), child_rng(0)
+            )
+            assert pred.diagnostics == expected
+            assert pred.model.context_dim == dim
+            iv = pred.predict(np.zeros(dim))
+            assert iv.lo == -math.inf and iv.hi == math.inf
 
     def test_gaussian_estimate_records_clamp(self):
         contexts = np.linspace(-1, 1, 200).reshape(-1, 1)

@@ -359,7 +359,11 @@ class TestConfig:
             {"epochs": "60", "policy_epochs": "60", "copp_mc_samples": "5"}
         )
         assert (cfg.epochs, cfg.policy_epochs, cfg.copp_mc_samples) == (60, 60, 5)
-        assert cfg.copp_config() == BenchConfig().copp_config()
+
+    @pytest.mark.parametrize("method", ["bogus", "", "Gaussian"])
+    def test_policy_fit_config_rejects_unknown_method(self, method):
+        with pytest.raises(ValueError, match="method must be 'gaussian' or 'mle'"):
+            BenchConfig().policy_fit_config(method)
 
     @pytest.mark.parametrize("key", ["learning_rate", "hidden_width", "model_kind"])
     def test_quantile_network_keys_rejected(self, key):

@@ -384,15 +384,19 @@ class TestPacoppKnown:
         assert hits / runs >= 0.9 - 3 * math.sqrt(0.09 / runs)
 
     def test_empty_dataset_trivial(self):
-        from pacope.core import LoggedDataset
+        from pacope.core import GaussianLinearPolicy, LoggedDataset
 
-        pred = pacopp_known(
-            LoggedDataset.empty(), self.ENV.behavior_policy(), self.ENV.target_policy(),
-            PARAMS, child_rng(0),
+        expected = CalibrationDiagnostics(
+            n_rs=0, m_cal=0, k=-1, tie_flag=False, weight_violations=0, trivial=True, bound=1.0,
         )
-        assert pred.diagnostics.trivial
-        iv = pred.predict(0.0)
-        assert iv.lo == -math.inf and iv.hi == math.inf
+        for dim in (1, 2):
+            pb = GaussianLinearPolicy(np.zeros(dim), 0.0, 4.0)
+            pe = GaussianLinearPolicy(np.zeros(dim), 0.0, 1.0)
+            pred = pacopp_known(LoggedDataset.empty(dim), pb, pe, PARAMS, child_rng(0))
+            assert pred.diagnostics == expected
+            assert pred.model.context_dim == dim
+            iv = pred.predict(np.zeros(dim))
+            assert iv.lo == -math.inf and iv.hi == math.inf
 
     def test_diagnostics_populated(self):
         d = sample_logged(2000, child_rng(50, 0))
@@ -502,9 +506,8 @@ class TestPredictorSerialization:
         assert back.model.w_up.tobytes() == model.w_up.tobytes()
 
     def test_trivial_round_trip(self):
-        from pacope.calibrate import _trivial_predictor
-
-        pred = _trivial_predictor(PARAMS, 1, n_rs=0, m_cal=0, violations=0, bound=1.0)
+        empty = RsDataset.empty(1)
+        pred = calibrate_split(RsSplit(empty, empty, violations=0, bound=1.0), PARAMS)
         back = CalibratedPredictor.load(pred.dump())
         assert math.isinf(back.threshold)
         assert back.diagnostics.trivial

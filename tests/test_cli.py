@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from pacope.calibrate import CalibratedPredictor, CalibrationDiagnostics, _trivial_predictor
+from pacope.calibrate import CalibratedPredictor, CalibrationDiagnostics, calibrate_split
 from pacope.cli import cli
 from pacope.core import PacParams, child_rng, save_csv
 from pacope.quantile import QuantilePairModel
+from pacope.rejection import RsDataset, RsSplit
 from pacope.synthenv import sample_logged
 
 FAST_CONFIG = """
@@ -195,8 +196,14 @@ def test_predict_rejects_nan_context(tmp_path, capsys):
     assert "NaN" in captured.err
 
 
+def _trivial_predictor():
+    """The predictor of an empty split: no model, an infinite threshold."""
+    empty = RsDataset.empty(1)
+    return calibrate_split(RsSplit(empty, empty, violations=0, bound=1.0), PacParams(0.2, 0.1, 0.5))
+
+
 def test_predict_trivial_model_prints_infinite_interval(tmp_path, capsys):
-    predictor = _trivial_predictor(PacParams(0.2, 0.1, 0.5), 1, 0, 0, 0, 1.0)
+    predictor = _trivial_predictor()
     path = tmp_path / "trivial.txt"
     path.write_text(predictor.dump())
     assert cli(["predict", "--model", str(path), "--s", "0.0"]) == 0
@@ -204,7 +211,7 @@ def test_predict_trivial_model_prints_infinite_interval(tmp_path, capsys):
 
 
 def test_predict_rejects_context_of_wrong_dimension(tmp_path, capsys):
-    predictor = _trivial_predictor(PacParams(0.2, 0.1, 0.5), 1, 0, 0, 0, 1.0)
+    predictor = _trivial_predictor()
     path = tmp_path / "p.txt"
     path.write_text(predictor.dump())
     assert cli(["predict", "--model", str(path), "--s", "0.5 0.7"]) == 2
@@ -215,7 +222,7 @@ def test_predict_rejects_context_of_wrong_dimension(tmp_path, capsys):
 
 @pytest.mark.parametrize("keep", [0, 3, 10, -1])
 def test_predict_rejects_truncated_predictor_file(tmp_path, capsys, keep):
-    text = _trivial_predictor(PacParams(0.2, 0.1, 0.5), 1, 0, 0, 0, 1.0).dump()
+    text = _trivial_predictor().dump()
     path = tmp_path / "p.txt"
     path.write_text("\n".join(text.splitlines()[:keep]) + "\n")
     assert cli(["predict", "--model", str(path), "--s", "0.5"]) == 2
@@ -223,7 +230,7 @@ def test_predict_rejects_truncated_predictor_file(tmp_path, capsys, keep):
 
 
 def test_predict_rejects_malformed_predictor_field(tmp_path, capsys):
-    text = _trivial_predictor(PacParams(0.2, 0.1, 0.5), 1, 0, 0, 0, 1.0).dump()
+    text = _trivial_predictor().dump()
     path = tmp_path / "p.txt"
     path.write_text(text.replace("m_cal=0", "m_cal=zero"))
     assert cli(["predict", "--model", str(path), "--s", "0.5"]) == 2
@@ -238,7 +245,7 @@ def test_predict_rejects_malformed_predictor_field(tmp_path, capsys):
      "model.up.0.shape=3\nmodel.up.0.values=0.0 0.0 0.0"),
 ], ids=["mlp-kind", "extra-parameter", "shape-mismatch"])
 def test_predict_rejects_model_it_cannot_build(tmp_path, capsys, old, new):
-    text = _trivial_predictor(PacParams(0.2, 0.1, 0.5), 1, 0, 0, 0, 1.0).dump()
+    text = _trivial_predictor().dump()
     assert old in text
     path = tmp_path / "p.txt"
     path.write_text(text.replace(old, new))
@@ -265,7 +272,7 @@ def _fitted_predictor_text():
         "repeated-key", "unknown-key", "model-eps-lo", "model-eps-up"])
 def test_predict_rejects_invalid_predictor_file(tmp_path, capsys, trivial, old, new):
     if trivial:
-        text = _trivial_predictor(PacParams(0.2, 0.1, 0.5), 1, 0, 0, 0, 1.0).dump()
+        text = _trivial_predictor().dump()
     else:
         text = _fitted_predictor_text()
     assert old in text

@@ -15,8 +15,6 @@ from pacope.synthenv import (
     DEFAULT_ENV,
     SynthEnvSpec,
     exact_interval_metrics,
-    oracle_interval,
-    oracle_quantile,
     oracle_quantiles,
     sample_logged,
     sample_target,
@@ -223,49 +221,49 @@ class TestSampling:
 
 class TestOracleQuantile:
     def test_median_at_zero_is_zero(self):
-        assert abs(oracle_quantile(0.0, 0.5)) < 1e-7
+        assert abs(oracle_quantiles(0.0, 0.5)[0]) < 1e-7
 
     def test_low_quantile_matches_root_finder(self):
         expected = brentq(lambda x: target_reward_cdf(x, 0.0) - 0.1, -40, 40, xtol=1e-12)
-        assert oracle_quantile(0.0, 0.1) == pytest.approx(expected, abs=1e-6)
-        assert oracle_quantile(0.0, 0.1) == pytest.approx(-4.745, abs=0.01)
+        (x,) = oracle_quantiles(0.0, 0.1)
+        assert x == pytest.approx(expected, abs=1e-6)
+        assert x == pytest.approx(-4.745, abs=0.01)
 
     def test_symmetry(self):
-        assert oracle_quantile(0.0, 0.9) == pytest.approx(-oracle_quantile(0.0, 0.1), abs=1e-6)
+        assert oracle_quantiles(0.0, 0.9)[0] == pytest.approx(-oracle_quantiles(0.0, 0.1)[0], abs=1e-6)
 
     def test_strictly_increasing_in_level(self):
-        for s in (-4.0, 0.0, 4.0):
-            qs = [oracle_quantile(s, q) for q in np.linspace(0.01, 0.99, 99)]
-            assert all(a < b for a, b in zip(qs, qs[1:]))
+        contexts = np.array([-4.0, 0.0, 4.0])
+        qs = np.array([oracle_quantiles(contexts, q) for q in np.linspace(0.01, 0.99, 99)])
+        assert np.all(np.diff(qs, axis=0) > 0)
 
     def test_cdf_inverts_quantile(self):
-        for s in (-4.0, 0.0, 4.0):
-            for q in (0.05, 0.3, 0.7, 0.95):
-                x = oracle_quantile(s, q)
+        contexts = np.array([-4.0, 0.0, 4.0])
+        for q in (0.05, 0.3, 0.7, 0.95):
+            for s, x in zip(contexts, oracle_quantiles(contexts, q)):
                 assert abs(target_reward_cdf(x, s) - q) < 1e-7
 
-    def test_vectorized_matches_scalar(self):
-        contexts = np.array([-3.0, 0.0, 2.5])
-        batch = oracle_quantiles(contexts, 0.2)
-        for i, s in enumerate(contexts):
-            assert batch[i] == pytest.approx(oracle_quantile(float(s), 0.2), abs=1e-6)
-
     def test_domain(self):
-        with pytest.raises(ValueError):
-            oracle_quantile(0.0, 0.0)
+        for q in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                oracle_quantiles(0.0, q)
 
     def test_bracket_expands_for_extreme_levels(self):
         # The default bracket spans +-40, where the CDF is ~1e-22; a deeper
         # tail level forces the expansion loop and must still invert.
         q = 1e-26
-        x = oracle_quantile(0.0, q)
+        (x,) = oracle_quantiles(0.0, q)
         assert x < -40.0
         assert target_reward_cdf(x, 0.0) == pytest.approx(q, rel=1e-3)
 
     def test_oracle_interval(self):
-        iv = oracle_interval(0.0, 0.1, 0.9)
-        assert iv.lo == pytest.approx(-4.745, abs=0.01)
-        assert iv.hi == pytest.approx(4.745, abs=0.01)
+        # The oracle interval [q_lo(s), q_up(s)] at s = 0 and its shift to s = 4.
+        lo = oracle_quantiles(np.array([0.0, 4.0]), 0.1)
+        hi = oracle_quantiles(np.array([0.0, 4.0]), 0.9)
+        assert lo[0] == pytest.approx(-4.745, abs=0.01)
+        assert hi[0] == pytest.approx(4.745, abs=0.01)
+        assert lo[1] - lo[0] == pytest.approx(5.0, abs=1e-12)
+        assert hi[1] - hi[0] == pytest.approx(5.0, abs=1e-12)
 
 
 class TestTheoremConstants:
