@@ -12,6 +12,11 @@ behavior policy:
 * The PAC pipeline at several confidence levels: coverage at least 80% in
   roughly a (1 - delta) fraction of reruns, trading a little width for it.
 
+Each row's coverage and mean length are expectations over the context and
+reward under the target policy, computed without a test set: exactly for the
+rejection-sampling rows, and for COPP from its exact accepted sets at 32
+Gauss-Hermite context nodes.
+
 This is a reduced run (60 seeds); the benchmark CLI runs the full table.
 """
 
@@ -19,7 +24,7 @@ import numpy as np
 
 from pacope import BenchConfig, run_figure2
 
-config = BenchConfig(runs=60, test_points=4000, n_jobs=2)
+config = BenchConfig(runs=60, n_jobs=2)
 print(f"running {config.runs} seeded comparisons at n = {config.n} "
       f"(a few seconds of compute)...\n")
 table = run_figure2(config, master_seed=20260810)

@@ -40,11 +40,11 @@ from .calibrate import (
 )
 from .baselines import (
     CoppCalibration,
-    CoppHulls,
+    CoppSets,
     RewardModelGaussian,
     copp_calibrate,
-    copp_hull_batch,
     copp_log_weights,
+    copp_sets,
     copp_thresholds,
     fit_reward_model,
 )

@@ -7,22 +7,21 @@ marginals of a fitted conditional reward model,
 ``w(s, r) = integral pi_e(a|s) P_hat(r|s,a) da / integral pi_hat_b(a|s) P_hat(r|s,a) da``.
 The reward model is Gaussian with an affine mean and both policies are
 Gaussian-linear, so each marginal is a Gaussian density in closed form and
-the weights are exact; they travel as log weights. Because the weight
-depends on the candidate reward, COPP must sweep a grid of reward values to
-emit an interval; the inclusion rule for a candidate is that its
-non-conformity score lies below the ``1 - eps`` quantile of the weighted
-empirical distribution of calibration scores plus an infinity atom.
+the weights are exact; they travel as log weights. A candidate reward is
+accepted when its non-conformity score lies below the ``1 - eps`` quantile
+of the weighted empirical distribution of calibration scores plus an
+infinity atom carrying the candidate's own weight.
 
 The public COPP API runs in three steps. :func:`copp_calibrate` scores and
 weights the calibration half once and returns a :class:`CoppCalibration`
 holding the sorted scores and their cumulative weights.
 :func:`copp_log_weights` gives the log weights at any ``(s, r)`` pairs and
 :func:`copp_thresholds` turns candidate log weights into weighted-quantile
-thresholds. :func:`copp_hull_batch` sweeps the reward grid at a batch of
-test contexts and returns the hull of the accepted candidates per context.
-The grid's one setting is its size, the ``grid_size`` argument of
-:func:`copp_calibrate`; it spans the calibration rewards' range widened by a
-quarter of that range on each side.
+thresholds. :func:`copp_sets` gives the accepted set at a batch of contexts
+in closed form, as a :class:`CoppSets` of disjoint intervals: the log weight
+is a quadratic in ``r`` and the threshold a step function of it, so the set
+is a union of intervals bounded by quadratic roots and band ends, with no
+reward grid.
 
 COPP-RS needs no code of its own: it shares the rejection-sampling front end
 and the quantile pair of the PAC pipeline but uses the plain ``1 - eps``
@@ -50,18 +49,15 @@ from .quantile import QuantilePairModel
 __all__ = [
     "RewardModelGaussian",
     "CoppCalibration",
-    "CoppHulls",
+    "CoppSets",
     "fit_reward_model",
     "copp_log_weights",
     "copp_calibrate",
     "copp_thresholds",
-    "copp_hull_batch",
+    "copp_sets",
 ]
 
 _SIGMA_FLOOR = 1e-3
-# The reward grid extends the calibration rewards' range by this share of its
-# span on each side.
-_GRID_MARGIN = 0.25
 _SNAP = 1e-9
 # Largest x with exp(x) finite.
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -109,6 +105,14 @@ def fit_reward_model(train: LoggedDataset) -> RewardModelGaussian:
     return RewardModelGaussian(w, max(math.sqrt(variance), _SIGMA_FLOOR))
 
 
+def _reward_marginal(
+    rm: RewardModelGaussian, policy: GaussianLinearPolicy, ctx: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Mean per context and variance of the model's reward marginal under ``policy``."""
+    slope = rm.coef[-1]
+    return rm.mean(ctx, policy.mean(ctx)), rm.sigma**2 + slope * slope * policy.variance
+
+
 def copp_log_weights(
     rm: RewardModelGaussian,
     pbhat: StochasticPolicy,
@@ -123,8 +127,7 @@ def copp_log_weights(
     ``N(r; c0 + c_s.s + c_a mu(s), sigma^2 + c_a^2 v)``, and ``log w`` is the
     target marginal's log density minus the behavior marginal's. Row ``i`` of
     ``contexts`` pairs with ``rewards[i]``; ``rewards`` may carry trailing
-    axes (or a leading axis of one) that broadcast, such as a reward grid
-    shared by every context.
+    axes (or a leading axis of one) that broadcast.
     """
     if not isinstance(pbhat, GaussianLinearPolicy) or not isinstance(pe, GaussianLinearPolicy):
         raise ValueError(
@@ -134,12 +137,11 @@ def copp_log_weights(
     ctx = _as_context_matrix(contexts)
     r = np.asarray(rewards, dtype=float)
     lead = (slice(None),) + (None,) * (r.ndim - 1)
-    slope = rm.coef[-1]
 
     def log_marginal(policy: GaussianLinearPolicy) -> np.ndarray:
         # The common -log(2 pi) / 2 cancels in the difference.
-        var = rm.sigma**2 + slope * slope * policy.variance
-        resid = r - rm.mean(ctx, policy.mean(ctx))[lead]
+        mean, var = _reward_marginal(rm, policy, ctx)
+        resid = r - mean[lead]
         return -0.5 * (resid * resid / var + math.log(var))
 
     return log_marginal(pe) - log_marginal(pbhat)
@@ -154,10 +156,7 @@ class CoppCalibration:
     in that order. The weights are ``exp(log_w - log_shift)`` with
     ``log_shift`` the largest calibration log weight, so the largest is one
     and none overflows; the weighted quantile is unchanged when every weight,
-    the candidate's included, is scaled by one constant. ``r_min`` and
-    ``r_max`` are the calibration rewards' range; the candidate grid holds
-    ``grid_size`` rewards evenly spaced over that range extended by
-    ``_GRID_MARGIN`` of its span on each side.
+    the candidate's included, is scaled by one constant.
     """
 
     sorted_scores: np.ndarray
@@ -167,9 +166,6 @@ class CoppCalibration:
     rm: RewardModelGaussian
     pbhat: StochasticPolicy
     pe: StochasticPolicy
-    grid_size: int
-    r_min: float
-    r_max: float
 
     @staticmethod
     def from_scores(scores, log_weights, **fields) -> "CoppCalibration":
@@ -181,12 +177,6 @@ class CoppCalibration:
         cum = np.cumsum(np.exp(log_weights[order] - shift))
         return CoppCalibration(scores[order], cum, shift, **fields)
 
-    def grid(self) -> np.ndarray:
-        """The reward candidates every test context is swept over."""
-        span = max(self.r_max - self.r_min, 1e-12)
-        margin = _GRID_MARGIN * span
-        return np.linspace(self.r_min - margin, self.r_max + margin, self.grid_size)
-
 
 def copp_calibrate(
     cal: LoggedDataset,
@@ -194,18 +184,14 @@ def copp_calibrate(
     rm: RewardModelGaussian,
     pbhat: StochasticPolicy,
     pe: StochasticPolicy,
-    grid_size: int,
 ) -> CoppCalibration:
-    """Score and weight the calibration half; hulls sweep ``grid_size`` reward candidates."""
+    """Score and weight the calibration half once."""
     if len(cal) == 0:
         raise ValueError("COPP needs at least one calibration sample")
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
     scores = np.asarray(nonconformity(model, cal.contexts, cal.rewards))
     log_weights = copp_log_weights(rm, pbhat, pe, cal.contexts, cal.rewards)
     return CoppCalibration.from_scores(
-        scores, log_weights, model=model, rm=rm, pbhat=pbhat, pe=pe, grid_size=grid_size,
-        r_min=float(np.min(cal.rewards)), r_max=float(np.max(cal.rewards)),
+        scores, log_weights, model=model, rm=rm, pbhat=pbhat, pe=pe
     )
 
 
@@ -234,41 +220,149 @@ def copp_thresholds(calib: CoppCalibration, cand_log_weights, level: float) -> n
 
 
 @dataclass(frozen=True)
-class CoppHulls:
-    """Per-context hulls of the accepted grid candidates, one row per context.
+class CoppSets:
+    """COPP's accepted reward sets at a batch of contexts, as disjoint pieces.
 
-    ``lo`` and ``hi`` are NaN where ``empty`` (no candidate accepted);
-    ``non_contiguous`` flags an accepted set with gaps, whose hull is a
-    conservative closure.
+    Piece ``i`` is the interval ``[lo[i], hi[i]]`` of row ``row[i]``, one row
+    per context. Pieces are sorted by row and then by position, and no two
+    pieces of a row touch. An end is infinite where the set is unbounded,
+    which happens when the candidate weight grows without bound in the reward.
     """
 
     lo: np.ndarray
     hi: np.ndarray
-    empty: np.ndarray
-    non_contiguous: np.ndarray
+    row: np.ndarray
+    n_rows: int
 
-    def lengths(self) -> np.ndarray:
-        """Hull lengths, zero for an empty hull."""
-        return np.where(self.empty, 0.0, self.hi - self.lo)
+    def counts(self) -> np.ndarray:
+        """Pieces per row."""
+        return np.bincount(self.row, minlength=self.n_rows)
+
+    def empty(self) -> np.ndarray:
+        return self.counts() == 0
+
+    def non_contiguous(self) -> np.ndarray:
+        return self.counts() > 1
+
+    def measure(self) -> np.ndarray:
+        """Total length per row: 0 for an empty set, ``inf`` for an unbounded one."""
+        return np.bincount(self.row, weights=self.hi - self.lo, minlength=self.n_rows)
+
+    def hull(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row ends of the smallest interval holding the set; NaN where empty."""
+        counts = self.counts()
+        end = np.cumsum(counts)
+        some = counts > 0
+        lo = np.full(self.n_rows, math.nan)
+        hi = np.full(self.n_rows, math.nan)
+        lo[some] = self.lo[(end - counts)[some]]
+        hi[some] = self.hi[end[some] - 1]
+        return lo, hi
 
 
-def copp_hull_batch(calib: CoppCalibration, contexts, epsilon: float) -> CoppHulls:
-    """Weighted-CP hulls at a batch of contexts via the reward-candidate grid.
+def _log_weight_levels(calib: CoppCalibration, level: float) -> np.ndarray:
+    """Log weights ``L[j]`` at which the threshold leaves ``sorted_scores[j]``.
 
-    Contexts do not interact: each row depends only on its own context, and
-    a one-row batch gives the interval at one context.
+    :func:`copp_thresholds` gives ``sorted_scores[j]`` for a candidate log
+    weight in ``(L[j-1], L[j]]`` and the infinity atom above ``L[m-1]``.
+    ``L[j]`` solves "snapped target ``= cum_weights[j]``" for the candidate
+    weight; it is ``-inf`` where even a zero weight overshoots, and at most
+    the atom's float-range cut.
+    """
+    cum = calib.cum_weights
+    # Undo the snap: targets of at least one lose a relative _SNAP, smaller
+    # ones an absolute _SNAP.
+    targets = np.where(cum >= 1.0 - _SNAP, cum / (1.0 - _SNAP), cum + _SNAP)
+    weights = targets / level - cum[-1]
+    with np.errstate(divide="ignore"):
+        shifted = np.log(np.maximum(weights, 0.0))
+    return np.minimum(shifted, _LOG_FLOAT_MAX) + calib.log_shift
+
+
+def _superlevel_ends(a: float, b: np.ndarray, c: np.ndarray, levels: np.ndarray):
+    """Ends ``(p, q)`` of ``{r : a r^2 + b r + c > L}`` for each row and level.
+
+    For ``a <= 0`` the set is the interval ``(p, q)``; for ``a > 0`` it is
+    the complement of ``[p, q]``. An empty interval (or a complement of one
+    point) has ``p = q``. With ``a = 0`` one end is infinite and the other is
+    the linear root, or ``-inf`` / ``+inf`` for a constant that is above /
+    not above ``L``. ``levels`` may hold ``-inf`` and ``+inf``.
+    """
+    b = b[:, None]
+    g = c[:, None] - levels
+    if a == 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.where(b == 0.0, np.where(g > 0.0, -math.inf, math.inf), -g / b)
+        return np.where(b < 0.0, -math.inf, root), np.where(b < 0.0, root, math.inf)
+    # The roots are vertex -+ half-width; an infinite level gives an infinite
+    # or zero half-width, as the set is then everything or nothing.
+    vertex = -b / (2.0 * a)
+    width = np.sqrt(np.maximum(b * b - 4.0 * a * g, 0.0)) / (2.0 * abs(a))
+    return vertex - width, vertex + width
+
+
+def _quantile_band(model: QuantilePairModel, ctx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``model.quantiles`` from elementwise products, so a row's band does not
+    depend on the batch (a matrix-vector product may round rows differently)."""
+    lo = model.w_lo[0] + (ctx * model.w_lo[1:]).sum(axis=1)
+    up = model.w_up[0] + (ctx * model.w_up[1:]).sum(axis=1)
+    crossed = lo > up
+    mid = 0.5 * (lo + up)
+    return np.where(crossed, mid, lo), np.where(crossed, mid, up)
+
+
+def copp_sets(calib: CoppCalibration, contexts, epsilon: float) -> CoppSets:
+    """COPP's accepted reward sets at a batch of contexts, in closed form.
+
+    A candidate ``r`` at context ``s`` is accepted when its score
+    ``max(q_lo - r, r - q_up)`` is at most the :func:`copp_thresholds` value
+    of its log weight. The log weight is a quadratic ``a r^2 + b r + c`` in
+    ``r`` (``a`` is shared by every context, since both policy variances
+    are constant), and the threshold is ``sorted_scores[j]`` while the log
+    weight lies in ``(L[j-1], L[j]]`` (:func:`_log_weight_levels`). So the set
+    is the union over ``j`` of the level shell ``{L[j-1] < log w <= L[j]}``,
+    at most two intervals, cut to the band
+    ``[q_lo - sorted_scores[j], q_up + sorted_scores[j]]``, together with
+    ``{log w > L[m-1]}`` whole. Touching pieces are merged.
+
+    The set is bounded for ``a < 0``. For ``a > 0`` (a behavior marginal
+    narrower than the target's) and for ``a = 0`` with a slope, the weight
+    grows without bound in a tail and the set is unbounded. With identical
+    policies every weight is one and the set is the split-CP interval.
+    Contexts do not interact: each row depends only on its own context, and a
+    one-row batch gives the set at one context.
     """
     ctx = _as_context_matrix(contexts)
-    grid = calib.grid()
-    log_weights = copp_log_weights(calib.rm, calib.pbhat, calib.pe, ctx, grid[None, :])
-    thresholds = copp_thresholds(calib, log_weights, 1.0 - epsilon)
-    q_lo, q_up = calib.model.quantiles(ctx)
-    scores = np.maximum(q_lo[:, None] - grid, grid - q_up[:, None])
-    included = scores <= thresholds
-    empty = ~included.any(axis=1)
-    first = np.argmax(included, axis=1)
-    last = grid.size - 1 - np.argmax(included[:, ::-1], axis=1)
-    non_contiguous = ~empty & (last - first + 1 != included.sum(axis=1))
-    lo = np.where(empty, math.nan, grid[first])
-    hi = np.where(empty, math.nan, grid[last])
-    return CoppHulls(lo, hi, empty, non_contiguous)
+    mean_e, var_e = _reward_marginal(calib.rm, calib.pe, ctx)
+    mean_b, var_b = _reward_marginal(calib.rm, calib.pbhat, ctx)
+    a = 0.5 / var_b - 0.5 / var_e
+    b = mean_e / var_e - mean_b / var_b
+    c = 0.5 * (mean_b * mean_b / var_b - mean_e * mean_e / var_e + math.log(var_b / var_e))
+    levels = _log_weight_levels(calib, 1.0 - epsilon)
+    # The shells below the first finite level are empty: skip their scores.
+    skip = int(np.count_nonzero(levels == -math.inf))
+    p, q = _superlevel_ends(a, b, c, np.concatenate(([-math.inf], levels[skip:], [math.inf])))
+    # Shell j lies between the ends at levels j - 1 and j; the atom's shell
+    # (the last) takes every score.
+    scores = np.append(calib.sorted_scores[skip:], math.inf)
+    lower, upper = _quantile_band(calib.model, ctx)
+    band_lo = lower[:, None] - scores
+    band_hi = upper[:, None] + scores
+    # Columns run by level. Along them the p side moves left when a > 0 and
+    # the q side moves left otherwise; that side is reversed so that each row
+    # reads left to right.
+    los, his = [], []
+    for ends, reverse in ((p, a > 0.0), (q, a <= 0.0)):
+        step = -1 if reverse else 1
+        los.append(np.maximum(np.minimum(ends[:, :-1], ends[:, 1:]), band_lo)[:, ::step])
+        his.append(np.minimum(np.maximum(ends[:, :-1], ends[:, 1:]), band_hi)[:, ::step])
+    lo, hi = np.hstack(los), np.hstack(his)
+    keep = lo < hi
+    row = np.nonzero(keep)[0]
+    lo, hi = lo[keep], hi[keep]
+    # Merge touching pieces: a piece starts a new one at a new row or a gap.
+    start = np.ones(lo.size, dtype=bool)
+    start[1:] = (row[1:] != row[:-1]) | (lo[1:] > hi[:-1])
+    stop = np.ones(lo.size, dtype=bool)
+    stop[:-1] = start[1:]
+    return CoppSets(lo[start], hi[stop], row[start], ctx.shape[0])

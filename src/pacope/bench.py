@@ -13,34 +13,34 @@ to ``calibrate.calibrate_split``, so they compute exactly what
 ``pacopp_unknown`` does on the same streams. Figure 2's COPP-RS row reuses
 that split's quantile pair and scores, and its COPP row comes from the public
 COPP API of ``baselines`` with the split's behavior estimate; the COPP
-weights are exact and draw no randomness: one calibration, the test-set log
-weights and thresholds, and one batched hull sweep over the
-``length_subsample`` first test contexts.
+weights are exact and draw no randomness.
 
-Known and unknown trials draw no test set: their miscoverage and mean length
-are exact, from ``synthenv.exact_interval_metrics``. Only figure 2 draws
-``test_points`` target pairs per run: its COPP row has no exact form yet, and
-its rows share one statistic.
+Known, unknown and figure-2 trials draw no test set. The miscoverage and
+mean length of every rejection-sampling row (known, unknown, and figure 2's
+PAC and COPP-RS rows) are exact, from ``synthenv.exact_interval_metrics``.
+Figure 2's COPP row integrates the target law's mass on COPP's exact sets
+(``baselines.copp_sets``) and their measure over the context by a
+``_COPP_NODES``-point Gauss-Hermite rule.
 
-Desk-scale defaults (500 runs; 10,000 test points per figure-2 run) replace
-the full-scale run counts of the original experiments; every asserted
-frequency carries a 3-sigma Monte Carlo tolerance. Full scale is reachable
-through the config.
+Desk-scale defaults (500 runs) replace the full-scale run counts of the
+original experiments; every asserted frequency carries a 3-sigma Monte Carlo
+tolerance. Full scale is reachable through the config.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 
 from .baselines import (
+    CoppCalibration,
     copp_calibrate,
-    copp_hull_batch,
-    copp_log_weights,
-    copp_thresholds,
+    copp_sets,
     fit_reward_model,
 )
 from .behavior import (
@@ -73,7 +73,7 @@ from .synthenv import (
     exact_interval_metrics,
     oracle_quantiles,
     sample_logged,
-    sample_target,
+    target_reward_cdf,
     theorem_constants,
 )
 
@@ -95,6 +95,10 @@ _TAG_FIGURE2 = 2
 _TAG_THEOREM4 = 3
 _TAG_UNKNOWN = 4
 
+# Nodes of the Gauss-Hermite rule for figure 2's COPP expectations over the
+# context.
+_COPP_NODES = 32
+
 FIGURE1_HEADER = ("n", "delta_eps", "runs", "band_freq", "stderr")
 FIGURE1_TRIALS_HEADER = ("n", "run", "miscoverage", "mean_length", "trivial_flag")
 FIGURE2_HEADER = ("method", "delta", "run", "coverage", "mean_length", "trivial_flag")
@@ -109,7 +113,9 @@ class BenchConfig:
     ``epochs`` and ``policy_epochs`` are accepted and ignored: the quantile,
     behavior-policy and COPP reward fits are exact, with no epochs to set.
     ``copp_mc_samples`` is accepted and ignored too: the COPP weights are
-    exact, with no Monte Carlo draws to set.
+    exact, with no Monte Carlo draws to set. So are ``test_points``,
+    ``copp_grid_size`` and ``length_subsample``: every trial's coverage and
+    length are exact or by quadrature, with no test set or reward grid.
     """
 
     n: int = 2000
@@ -138,8 +144,6 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if self.test_points < 1:
-            raise ValueError("test_points must be >= 1")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         if not 0.0 < self.delta < 1.0:
@@ -148,7 +152,7 @@ class BenchConfig:
             raise ValueError("gamma must lie in (0, 1)")
         if self.n < 0:
             raise ValueError("n must be nonnegative")
-        for name in ("length_subsample", "theorem4_runs", "theorem4_contexts"):
+        for name in ("theorem4_runs", "theorem4_contexts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -209,9 +213,11 @@ def _parse_value(raw: str, type_name: str):
 class TrialReport:
     """Per-run record: miscoverage, mean interval length, diagnostics.
 
-    Known and unknown trials report the exact miscoverage and mean length
-    under the synthetic target law; figure-2 rows report them over its test
-    set (COPP's length over the ``length_subsample`` first test contexts).
+    Known and unknown trials and figure 2's PAC and COPP-RS rows report the
+    exact miscoverage and mean length under the synthetic target law. Figure
+    2's COPP rows report them by Gauss-Hermite quadrature over the context of
+    COPP's exact sets; an unbounded set makes the row trivial, with infinite
+    length.
 
     ``weight_violations`` counts density ratios above the rejection-sampling
     bound; COPP does not rejection-sample, so it is 0 on COPP rows.
@@ -274,12 +280,6 @@ class AggregateTable:
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-
-def _mean_length(lo: np.ndarray, hi: np.ndarray, threshold: float) -> float:
-    """Mean length of the intervals ``[lo, hi]``, an empty one (``lo > hi``)
-    counting 0; ``inf`` for a trivial (infinite) threshold."""
-    return math.inf if math.isinf(threshold) else float(np.mean(np.maximum(hi - lo, 0.0)))
-
 
 def _predictor_metrics(pred: CalibratedPredictor, env: SynthEnvSpec) -> tuple[float, float]:
     """Exact miscoverage and mean length of ``pred`` under ``env``'s target law."""
@@ -412,16 +412,46 @@ def check_theorem_bounds(config: BenchConfig, master_seed: int) -> AggregateTabl
 # figure 2: method comparison on shared per-seed datasets
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of a standard normal and their probability weights.
+
+    numpy's rule is ``scipy.special.roots_hermitenorm``'s without importing
+    ``scipy.linalg``; it is built once per process, on first use.
+    """
+    nodes, weights = hermegauss(_COPP_NODES)
+    return nodes, weights / weights.sum()
+
+
+def _copp_metrics(
+    calib: CoppCalibration, epsilon: float, env: SynthEnvSpec
+) -> tuple[float, float]:
+    """Coverage and mean measure of COPP's sets under ``env``'s target law.
+
+    Both are expectations over ``S ~ N(0, context_variance)``, taken by the
+    ``_COPP_NODES``-point Gauss-Hermite rule over the exact sets at the nodes;
+    the coverage at a node is the target law's mass on its set. An unbounded
+    set gives an infinite mean measure. The rule is not exact, because the
+    set ends have kinks in ``s``: on ten default figure-2 runs it was within
+    5e-6 in coverage and 1e-4 in length of a 48,001-point trapezoid rule.
+    """
+    nodes, weights = _hermite_rule()
+    nodes = math.sqrt(env.context_variance) * nodes
+    sets = copp_sets(calib, nodes, epsilon)
+    s = nodes[sets.row]
+    mass = target_reward_cdf(sets.hi, s, env) - target_reward_cdf(sets.lo, s, env)
+    coverage = float(weights @ np.bincount(sets.row, weights=mass, minlength=nodes.size))
+    return min(max(coverage, 0.0), 1.0), float(weights @ sets.measure())
+
+
 def _figure2_trial(args) -> list[TrialReport]:
     config, master_seed, run = args
     env = config.env
     pe = env.target_policy()
     eps, gamma, n = config.epsilon, config.gamma, config.n
     rng_data = child_rng(master_seed, _TAG_FIGURE2, run, 0)
-    rng_test = child_rng(master_seed, _TAG_FIGURE2, run, 1)
     rng_algo = child_rng(master_seed, _TAG_FIGURE2, run, 2)
     d = sample_logged(n, rng_data, env)
-    test = sample_target(config.test_points, rng_test, env)
     params = config.pac_params()
 
     # Shared behavior-policy estimate (all methods run with estimated ratios).
@@ -447,45 +477,33 @@ def _figure2_trial(args) -> list[TrialReport]:
         ]
 
     # The other deltas and COPP-RS reuse the quantile pair and its scores.
-    scores_cal = nonconformity(pred.model, split.cal.contexts, split.cal.rewards)
-    qlo_t, qup_t = pred.model.quantiles(test.contexts)
-    scores_test = np.maximum(qlo_t - test.rewards, test.rewards - qup_t)
+    model = pred.model
+    scores_cal = nonconformity(model, split.cal.contexts, split.cal.rewards)
     reports: list[TrialReport] = []
     for delta in config.figure2_deltas:
         threshold = pac_threshold(scores_cal, eps, delta)
-        k = binomial_quantile_k(diag.m_cal, eps, delta)
-        trivial = math.isinf(threshold)
-        coverage = float(np.mean(scores_test <= threshold))
+        miscoverage, length = exact_interval_metrics(model.w_lo, model.w_up, threshold, env)
         reports.append(TrialReport(
-            method="PACOPP", delta=delta, miscoverage=1.0 - coverage,
-            mean_length=_mean_length(qlo_t - threshold, qup_t + threshold, threshold),
-            trivial=trivial, threshold=threshold, k=k, **common,
+            method="PACOPP", delta=delta, miscoverage=miscoverage, mean_length=length,
+            trivial=math.isinf(threshold), threshold=threshold,
+            k=binomial_quantile_k(diag.m_cal, eps, delta), **common,
         ))
     threshold = split_cp_threshold(scores_cal, 1.0 - eps)
-    trivial = math.isinf(threshold)
-    coverage = float(np.mean(scores_test <= threshold))
+    miscoverage, length = exact_interval_metrics(model.w_lo, model.w_up, threshold, env)
     reports.append(TrialReport(
-        method="COPP-RS", delta=float("nan"), miscoverage=1.0 - coverage,
-        mean_length=_mean_length(qlo_t - threshold, qup_t + threshold, threshold),
-        trivial=trivial, threshold=threshold, k=-1, **common,
+        method="COPP-RS", delta=float("nan"), miscoverage=miscoverage, mean_length=length,
+        trivial=math.isinf(threshold), threshold=threshold, k=-1, **common,
     ))
 
     # COPP: weighted CP on the raw calibration half, no rejection sampling.
-    pbhat = split.behavior
     d1, d2 = split_dataset(d, gamma)
-    rm = fit_reward_model(d1)
     qm_raw = fit_quantile_pair(RsDataset(d1.contexts, d1.rewards, np.arange(len(d1))), params)
-    calib = copp_calibrate(d2, qm_raw, rm, pbhat, pe, config.copp_grid_size)
-    test_log_weights = copp_log_weights(rm, pbhat, pe, test.contexts, test.rewards)
-    thresholds = copp_thresholds(calib, test_log_weights, 1.0 - eps)
-    qlo_r, qup_r = qm_raw.quantiles(test.contexts)
-    scores_test_raw = np.maximum(qlo_r - test.rewards, test.rewards - qup_r)
-    coverage = float(np.mean(scores_test_raw <= thresholds))
-    hulls = copp_hull_batch(calib, test.contexts[:config.length_subsample], eps)
+    calib = copp_calibrate(d2, qm_raw, fit_reward_model(d1), split.behavior, pe)
+    coverage, length = _copp_metrics(calib, eps, env)
     reports.append(TrialReport(
         method="COPP", run=run, n=n, epsilon=eps, delta=float("nan"), gamma=gamma,
-        miscoverage=1.0 - coverage, mean_length=float(np.mean(hulls.lengths())),
-        trivial=False, threshold=float("nan"), n_rs=0, m_cal=len(d2), k=-1,
+        miscoverage=1.0 - coverage, mean_length=length, trivial=math.isinf(length),
+        threshold=float("nan"), n_rs=0, m_cal=len(d2), k=-1,
         tie_flag=False, weight_violations=0,
     ))
     return reports

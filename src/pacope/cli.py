@@ -11,8 +11,7 @@ Subcommands::
     predict    load a predictor file and print the interval at a context
                (``empty`` where the interval is empty)
 
-Shared flags: ``--seed``, ``--runs``, ``--tests`` (figure 2's test points per
-run), ``--out DIR``, and
+Shared flags: ``--seed``, ``--runs``, ``--out DIR``, ``--jobs``, and
 ``--config FILE`` (flat ``key=value`` lines; CLI flags win). Tables are CSV
 with fixed headers; each figure panel also gets a plot-data CSV with
 ``x,y,yerr`` columns so any external plotter can render it.
@@ -63,8 +62,6 @@ def _build_config(args) -> BenchConfig:
     overrides = {}
     if getattr(args, "runs", None) is not None:
         overrides["runs"] = args.runs
-    if getattr(args, "tests", None) is not None:
-        overrides["test_points"] = args.tests
     if getattr(args, "n", None) is not None:
         overrides["n"] = args.n
     if getattr(args, "jobs", None) is not None:
@@ -231,10 +228,6 @@ def _add_common(parser: argparse.ArgumentParser, *, runs: bool = True) -> None:
     parser.add_argument("--jobs", type=int, default=None, help="parallel worker count")
     if runs:
         parser.add_argument("--runs", type=int, default=None, help="number of seeded runs")
-        parser.add_argument(
-            "--tests", type=int, default=None,
-            help="test points per figure-2 run (simulate, figure1 and bounds use none)",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -248,6 +248,9 @@ _ORACLE_TOL = 1e-8
 def oracle_quantiles(contexts, q: float, env: SynthEnvSpec = DEFAULT_ENV) -> np.ndarray:
     """Level-``q`` quantile of the exact target-conditional reward law at each context.
 
+    Contexts are 1-d, as in the environment; more than one column raises
+    ``ValueError``.
+
     ``R - (1 + target_slope) s`` has the same law at every context, so its
     quantile is found once, at ``s = 0``, and shifted. It is found by
     bisection to absolute tolerance ``_ORACLE_TOL``: the bracket is ``+-40``
@@ -257,6 +260,9 @@ def oracle_quantiles(contexts, q: float, env: SynthEnvSpec = DEFAULT_ENV) -> np.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
+    ctx = _as_context_matrix(contexts)
+    if ctx.shape[1] != 1:
+        raise ValueError("oracle quantiles need 1-d contexts: one column")
     half = _BRACKET_HALF_WIDTH
     lo, hi = -half, half
     while target_reward_cdf(lo, 0.0, env) > q:
@@ -271,8 +277,7 @@ def oracle_quantiles(contexts, q: float, env: SynthEnvSpec = DEFAULT_ENV) -> np.
             lo = mid
         else:
             hi = mid
-    ctx = _as_context_matrix(contexts)[:, 0]
-    return (1.0 + env.target_slope) * ctx + 0.5 * (lo + hi)
+    return (1.0 + env.target_slope) * ctx[:, 0] + 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

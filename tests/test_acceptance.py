@@ -1,8 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance, one per test.
 
 The heavy sweeps (500 seeded runs each; exact miscoverage for the known- and
-unknown-policy trials, 10,000 test points per figure-2 run) are shared
-across criteria through module-scoped fixtures. Frequencies carry 3-sigma
+unknown-policy trials and the figure-2 PAC and COPP-RS rows, Gauss-Hermite
+quadrature of exact sets for the COPP rows, no test sets) are shared across
+criteria through module-scoped fixtures. Frequencies carry 3-sigma
 binomial Monte Carlo tolerances at the nominal levels. Run with ``-s`` to see
 one pass/fail line per criterion.
 """

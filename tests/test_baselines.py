@@ -8,8 +8,8 @@ from pacope.baselines import (
     CoppCalibration,
     RewardModelGaussian,
     copp_calibrate,
-    copp_hull_batch,
     copp_log_weights,
+    copp_sets,
     copp_thresholds,
     fit_reward_model,
 )
@@ -53,12 +53,11 @@ def _policy(intercept, variance=1e-6):
     return GaussianLinearPolicy(np.array([0.0]), intercept, variance)
 
 
-def _calibration(scores, log_weights, model=None, rm=None, pb=PB, pe=PE, grid_size=400,
-                 r_min=-1.0, r_max=1.0):
+def _calibration(scores, log_weights, model=None, rm=None, pb=PB, pe=PE):
     return CoppCalibration.from_scores(
         scores, log_weights, model=model or _band_model(),
         rm=rm or RewardModelGaussian(np.array([0.0, 1.0, 1.0]), 1.0),
-        pbhat=pb, pe=pe, grid_size=grid_size, r_min=r_min, r_max=r_max,
+        pbhat=pb, pe=pe,
     )
 
 
@@ -131,7 +130,7 @@ class TestCoppWeight:
             with pytest.raises(ValueError, match="Gaussian policies only"):
                 copp_calibrate(
                     LoggedDataset(np.zeros((2, 1)), np.zeros(2), np.zeros(2)),
-                    _band_model(), rm, pb, pe, 400,
+                    _band_model(), rm, pb, pe,
                 )
 
     def test_batch_matches_marginal_statistics(self):
@@ -290,8 +289,67 @@ class TestFitRewardModel:
             RewardModelGaussian(np.array([0.0, 1.0, 1.0]), 0.0)
 
 
+def copp_accepted(calib, contexts, rewards, epsilon):
+    """COPP's acceptance rule, candidate by candidate, at one context or at
+    one context per candidate reward."""
+    rewards = np.asarray(rewards, dtype=float)
+    contexts = np.full((rewards.size, 1), contexts)
+    log_weights = copp_log_weights(calib.rm, calib.pbhat, calib.pe, contexts, rewards)
+    lo, up = calib.model.quantiles(contexts)
+    thresholds = copp_thresholds(calib, log_weights, 1.0 - epsilon)
+    return np.maximum(lo - rewards, rewards - up) <= thresholds
+
+
+def _grid_pieces(calib, s, epsilon, lo, hi, points=100_000):
+    """Runs of accepted candidates on an evenly spaced grid, and its spacing."""
+    grid = np.linspace(lo, hi, points)
+    inside = np.concatenate(([False], copp_accepted(calib, s, grid, epsilon), [False]))
+    edges = np.flatnonzero(np.diff(inside.astype(int)))
+    return grid[edges[0::2]], grid[edges[1::2] - 1], grid[1] - grid[0]
+
+
+def _assert_ends_confirmed(calib, contexts, epsilon):
+    """Every finite end holds an accepted candidate just inside and a
+    rejected one just outside, by the acceptance rule itself."""
+    sets = copp_sets(calib, contexts, epsilon)
+    ctx = np.asarray(contexts, dtype=float).reshape(-1)
+    for ends, inward in ((sets.lo, 1.0), (sets.hi, -1.0)):
+        finite = np.isfinite(ends)
+        s, end = ctx[sets.row[finite]], ends[finite]
+        step = 1e-7 * np.maximum(1.0, np.abs(end))
+        for j in range(end.size):
+            assert copp_accepted(calib, s[j], [end[j] + inward * step[j]], epsilon)[0]
+            assert not copp_accepted(calib, s[j], [end[j] - inward * step[j]], epsilon)[0]
+    return sets
+
+
+def _gapped_calibration(slope=0.0, context_coef=0.0):
+    # Candidate weights increase sharply in r (log w = 12 r - 18 up to the
+    # tiny policy variance), so the weighted quantile jumps from the smallest
+    # calibration score to infinity: with most calibration mass parked on the
+    # smallest score, candidates just above the band are rejected while
+    # high-r candidates pass via the infinity atom.
+    return _calibration(
+        np.array([0.1, 9.0, 9.5, 10.0]), np.log([3.9, 0.01, 0.01, 0.08]),
+        _band_model(-1.0, 1.0, slope), RewardModelGaussian(np.array([0.0, context_coef, 1.0]), 0.5),
+        _policy(0.0), _policy(3.0),
+    )
+
+
+def _far_target_calibration():
+    # The target policy puts its actions near 0 at the calibration context
+    # -1 but near 1000 at the context 0. There every candidate near the band
+    # has a vanishing weight and meets the calibration score 4, while
+    # candidates near 1000 carry enough weight to reach the infinity atom.
+    cal = LoggedDataset(np.full((4, 1), -1.0), np.zeros(4), np.zeros(4))
+    model = QuantilePairModel(np.array([5.0, 10.0]), np.array([6.0, 10.0]), (0.1, 0.9))
+    rm = RewardModelGaussian(np.array([0.0, 0.0, 1.0]), 1.0)
+    pe = GaussianLinearPolicy(np.array([1000.0]), 1000.0, 1e-6)
+    return copp_calibrate(cal, model, rm, _policy(0.0, 1.0), pe)
+
+
 class TestCoppPredict:
-    """COPP prediction at one context: a one-row :func:`copp_hull_batch`."""
+    """COPP prediction at one context: a one-row :func:`copp_sets`."""
 
     def _setup(self, seed=10, n=800):
         d = sample_logged(n, child_rng(seed, 0))
@@ -302,69 +360,88 @@ class TestCoppPredict:
 
     def test_returns_interval_with_flags(self):
         _, d2, rm, model = self._setup()
-        calib = copp_calibrate(d2, model, rm, PB, PE, 80)
-        hulls = copp_hull_batch(calib, [[0.0]], 0.2)
-        assert hulls.lo.shape == hulls.non_contiguous.shape == (1,)
-        assert not hulls.empty[0]
-        assert hulls.lo[0] < hulls.hi[0]
-        assert hulls.lengths()[0] == hulls.hi[0] - hulls.lo[0]
+        sets = copp_sets(copp_calibrate(d2, model, rm, PB, PE), [[0.0]], 0.2)
+        lo, hi = sets.hull()
+        assert lo.shape == hi.shape == sets.measure().shape == sets.non_contiguous().shape == (1,)
+        assert not sets.empty()[0] and not sets.non_contiguous()[0]
+        assert lo[0] < hi[0]
+        assert sets.measure()[0] == hi[0] - lo[0]
 
     def test_uniform_weights_match_split_cp_membership(self):
-        # Identical policies give every weight exactly one, so the one-context
-        # hull is the hull of the plain split-CP membership on the grid.
+        # Identical policies give every weight exactly one, so the set is the
+        # split-CP interval [q_lo - T, q_up + T], bit for bit. At m = 4 and
+        # m = 9 the level times m + 1 is a whole number of calibration weights.
         _, d2, rm, model = self._setup()
-        cal_scores = np.asarray(nonconformity(model, d2.contexts, d2.rewards))
-        calib = copp_calibrate(d2, model, rm, PE, PE, 120)
-        assert np.array_equal(calib.cum_weights, np.arange(1.0, len(d2) + 1.0))
-        grid = calib.grid()
-        member = np.asarray(
-            nonconformity(model, np.zeros((grid.size, 1)), grid)
-        ) <= split_cp_threshold(cal_scores, 0.8)
-        where = np.flatnonzero(member)
-        hulls = copp_hull_batch(calib, [[0.0]], 0.2)
-        assert (hulls.lo[0], hulls.hi[0]) == (grid[where[0]], grid[where[-1]])
-        assert not hulls.non_contiguous[0]
+        contexts = np.array([[-3.0], [0.0], [2.5]])
+        q_lo, q_up = model.quantiles(contexts)
+        for m in (len(d2), 4, 9):
+            cal = LoggedDataset(d2.contexts[:m], d2.actions[:m], d2.rewards[:m])
+            calib = copp_calibrate(cal, model, rm, PE, PE)
+            assert np.array_equal(calib.cum_weights, np.arange(1.0, m + 1.0))
+            threshold = split_cp_threshold(nonconformity(model, cal.contexts, cal.rewards), 0.8)
+            assert math.isfinite(threshold)
+            sets = copp_sets(calib, contexts, 0.2)
+            assert sets.row.tolist() == [0, 1, 2]
+            assert sets.lo.tobytes() == (q_lo - threshold).tobytes()
+            assert sets.hi.tobytes() == (q_up + threshold).tobytes()
 
     def test_empty_acceptance_sentinel(self):
-        # Calibration pairs score 4 while every grid candidate scores 5, and
-        # the target policy puts its actions near 0 at the calibration
-        # context but near 1000 at the test context, so the candidates'
-        # weights vanish next to the calibration weights and the weighted
-        # quantile stays at the calibration score: no candidate is accepted.
-        cal = LoggedDataset(np.full((4, 1), -1.0), np.zeros(4), np.zeros(4))
-        model = QuantilePairModel(np.array([5.0, 10.0]), np.array([6.0, 10.0]), (0.1, 0.9))
+        # Every calibration pair scores -1 (reward 0 inside the band [-1, 1]
+        # at context 0), and the candidate weights peak at the calibration
+        # weight, so the threshold is -1 for every candidate. At context 1
+        # the band [-1, 0] is narrower than 2: no candidate is accepted.
+        cal = LoggedDataset(np.zeros((4, 1)), np.zeros(4), np.zeros(4))
+        model = QuantilePairModel(np.array([-1.0, 0.0]), np.array([1.0, -1.0]), (0.1, 0.9))
         rm = RewardModelGaussian(np.array([0.0, 0.0, 1.0]), 1.0)
-        pe = GaussianLinearPolicy(np.array([1000.0]), 1000.0, 1e-6)
-        calib = copp_calibrate(cal, model, rm, _policy(0.0, 1.0), pe, 30)
-        hulls = copp_hull_batch(calib, [[0.0]], 0.2)
-        assert hulls.empty[0] and not hulls.non_contiguous[0]
-        assert np.isnan(hulls.lo[0]) and np.isnan(hulls.hi[0])
-        assert hulls.lengths()[0] == 0.0
+        calib = copp_calibrate(cal, model, rm, _policy(0.0, 1.0), _policy(0.0))
+        sets = copp_sets(calib, [[1.0]], 0.2)
+        assert sets.lo.size == 0 and sets.empty()[0] and not sets.non_contiguous()[0]
+        lo, hi = sets.hull()
+        assert np.isnan(lo[0]) and np.isnan(hi[0])
+        assert sets.measure()[0] == 0.0
+        grid = np.linspace(-5.0, 5.0, 10_001)
+        assert not copp_accepted(calib, 1.0, grid, 0.2).any()
 
     def test_hull_flags_non_contiguous_acceptance(self):
-        # Candidate weights increase sharply in r (log w = 12 r - 18 up to the
-        # tiny policy variance), so the weighted quantile jumps from the
-        # smallest calibration score to infinity along the grid. With most
-        # calibration mass parked on the smallest score, candidates just
-        # above the band are rejected while high-r candidates pass via the
-        # infinity atom: acceptance has a gap.
-        cal_scores = np.array([0.1, 9.0, 9.5, 10.0])
-        cal_weights = np.array([3.9, 0.01, 0.01, 0.08])
-        rm = RewardModelGaussian(np.array([0.0, 0.0, 1.0]), 0.5)
-        # Rewards over [-4/3, 4/3] give the grid [-2, 2] with its quarter-span margins.
-        calib = _calibration(
-            cal_scores, np.log(cal_weights), _band_model(-1.0, 1.0), rm,
-            _policy(0.0), _policy(3.0), 81, -4.0 / 3.0, 4.0 / 3.0,
-        )
-        assert np.array_equal(calib.grid(), np.linspace(-2.0, 2.0, 81))
-        hulls = copp_hull_batch(calib, [0.0], 0.2)
-        assert hulls.non_contiguous[0]
-        assert not hulls.empty[0]
-        assert hulls.hi[0] == 2.0
+        # The band [-1.1, 1.1] and, past a gap, the atom's unbounded tail.
+        calib = _gapped_calibration()
+        sets = _assert_ends_confirmed(calib, [0.0], 0.2)
+        assert sets.non_contiguous()[0] and not sets.empty()[0]
+        assert sets.lo.size == 2 and sets.hi[-1] == math.inf
+        assert sets.measure()[0] == math.inf
+        lo, hi, spacing = _grid_pieces(calib, 0.0, 0.2, -5.0, 5.0)
+        assert lo.size == 2 and hi[-1] == 5.0
+        assert np.all(np.abs(sets.lo - lo) <= spacing)
+        assert abs(sets.hi[0] - hi[0]) <= spacing
+
+    def test_concave_weights_give_bounded_far_piece(self):
+        # A behavior marginal wider than the target's bounds the set: the
+        # band [1, 10] of the calibration score 4, and a far piece around the
+        # target's reward mean 1000 where the weight reaches the atom.
+        calib = _far_target_calibration()
+        sets = _assert_ends_confirmed(calib, [[0.0]], 0.2)
+        assert sets.lo.size == 2 and np.all(np.isfinite(sets.hi))
+        assert sets.lo[0] == 1.0 and sets.hi[0] == 10.0
+        assert sets.lo[1] < 1000.0 < sets.hi[1]
+        lo, hi, spacing = _grid_pieces(calib, 0.0, 0.2, -100.0, 4000.0)
+        assert lo.size == 2
+        assert np.all(np.abs(sets.lo - lo) <= spacing) and np.all(np.abs(sets.hi - hi) <= spacing)
+        assert sets.measure()[0] == pytest.approx(float(np.sum(sets.hi - sets.lo)), rel=1e-15)
+
+    def test_narrow_behavior_marginal_gives_infinite_measure(self):
+        # A behavior marginal narrower than the target's makes the weight
+        # grow without bound in both tails, so both tails reach the atom.
+        _, d2, rm, model = self._setup()
+        narrow = GaussianLinearPolicy(np.array([0.25]), 0.0, 0.5 * PE.variance)
+        calib = copp_calibrate(d2, model, rm, narrow, PE)
+        sets = _assert_ends_confirmed(calib, [[-2.0], [0.0], [3.0]], 0.2)
+        assert np.all(sets.measure() == math.inf)
+        assert np.all(sets.lo[sets.counts().cumsum() - sets.counts()] == -math.inf)
+        assert np.all(sets.hi[sets.counts().cumsum() - 1] == math.inf)
 
 
 class TestCoppHullBatch:
-    """The batched hull against one-context calls on the same calibration."""
+    """The batched sets against one-context calls on the same calibration."""
 
     def _fitted(self, seed=30, n=800):
         d1, d2 = split_dataset(sample_logged(n, child_rng(seed, 0)), 0.5)
@@ -378,51 +455,42 @@ class TestCoppHullBatch:
 
     @staticmethod
     def _assert_matches_one_context_calls(calib, contexts, epsilon):
-        hulls = copp_hull_batch(calib, contexts, epsilon)
-        rows = [copp_hull_batch(calib, contexts[j:j + 1], epsilon) for j in range(len(contexts))]
-        for field in ("lo", "hi", "empty", "non_contiguous"):
+        sets = copp_sets(calib, contexts, epsilon)
+        rows = [copp_sets(calib, contexts[j:j + 1], epsilon) for j in range(len(contexts))]
+        for field in ("lo", "hi"):
             expected = np.concatenate([getattr(row, field) for row in rows])
-            assert getattr(hulls, field).tobytes() == expected.tobytes()
-        return hulls
+            assert getattr(sets, field).tobytes() == expected.tobytes()
+        expected = np.concatenate([np.full(row.lo.size, j) for j, row in enumerate(rows)])
+        assert np.array_equal(sets.row, expected)
+        assert sets.measure().tobytes() == np.concatenate([r.measure() for r in rows]).tobytes()
+        return sets
 
     @pytest.mark.parametrize("policies", ["true", "estimated"])
     @pytest.mark.parametrize("n", [50, 2])
     def test_gaussian_matches_per_context_oracle(self, policies, n):
         d2, model, rm, pbhat = self._fitted()
         pb = PB if policies == "true" else pbhat
-        calib = copp_calibrate(d2, model, rm, pb, PE, 200)
+        calib = copp_calibrate(d2, model, rm, pb, PE)
         contexts = sample_target(n, child_rng(31)).contexts
-        hulls = self._assert_matches_one_context_calls(calib, contexts, 0.2)
-        assert not hulls.empty.any()
-        assert np.all(hulls.lengths() > 0.0)
+        sets = self._assert_matches_one_context_calls(calib, contexts, 0.2)
+        assert not sets.empty().any()
+        assert np.all((sets.measure() > 0.0) & np.isfinite(sets.measure()))
+        _assert_ends_confirmed(calib, contexts[:2], 0.2)
 
     def test_mixed_acceptance_matches_per_context_calls(self):
-        # The calibration of the non-contiguity test above, with a sloped
-        # band and a reward mean that rises in the context, gives contiguous,
-        # gapped and empty acceptance across contexts.
-        calib = _calibration(
-            np.array([0.1, 9.0, 9.5, 10.0]), np.log([3.9, 0.01, 0.01, 0.08]),
-            _band_model(-1.0, 1.0, slope=2.0),
-            RewardModelGaussian(np.array([0.0, 1.0, 1.0]), 0.5),
-            _policy(0.0), _policy(3.0), 41, -4.0 / 3.0, 4.0 / 3.0,
-        )
-        assert np.array_equal(calib.grid(), np.linspace(-2.0, 2.0, 41))
+        # The gapped calibration with a sloped band and a reward mean that
+        # rises in the context gives contiguous and gapped sets across
+        # contexts.
+        calib = _gapped_calibration(slope=2.0, context_coef=1.0)
         contexts = np.linspace(-3.0, 3.0, 7).reshape(-1, 1)
-        hulls = self._assert_matches_one_context_calls(calib, contexts, 0.2)
-        assert hulls.empty.any() and hulls.non_contiguous.any()
-        assert not (hulls.empty | hulls.non_contiguous).all()
+        sets = self._assert_matches_one_context_calls(calib, contexts, 0.2)
+        assert sets.non_contiguous().any() and not sets.non_contiguous().all()
+        _assert_ends_confirmed(calib, contexts, 0.2)
 
     def test_empty_calibration_rejected(self):
         rm = RewardModelGaussian(np.array([0.0, 1.0, 1.0]), 1.0)
         with pytest.raises(ValueError):
-            copp_calibrate(LoggedDataset.empty(), _band_model(), rm, PB, PE, 400)
-
-    @pytest.mark.parametrize("grid_size", [1, 0, -1])
-    def test_grid_size_below_two_rejected(self, grid_size):
-        rm = RewardModelGaussian(np.array([0.0, 1.0, 1.0]), 1.0)
-        cal = LoggedDataset(np.zeros((2, 1)), np.zeros(2), np.zeros(2))
-        with pytest.raises(ValueError, match="grid_size must be >= 2"):
-            copp_calibrate(cal, _band_model(), rm, PB, PE, grid_size)
+            copp_calibrate(LoggedDataset.empty(), _band_model(), rm, PB, PE)
 
 
 class TestCoppRsPredict:

@@ -9,7 +9,8 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from pacope import bench
-from pacope.behavior import pacopp_unknown
+from pacope.baselines import copp_calibrate, copp_sets, fit_reward_model
+from pacope.behavior import PolicyFitConfig, estimate_behavior, pacopp_unknown
 from pacope.bench import (
     BenchConfig,
     TrialReport,
@@ -22,31 +23,38 @@ from pacope.bench import (
     simulate_trial,
     _TAG_FIGURE2,
     _TAG_UNKNOWN,
+    _copp_metrics,
     _predictor_metrics,
     _symdiff_finite,
 )
 from pacope.calibrate import CalibratedPredictor, CalibrationDiagnostics
-from pacope.core import PacParams, PredictionInterval, child_rng
-from pacope.quantile import QuantilePairModel
+from pacope.core import (
+    GaussianLinearPolicy,
+    PacParams,
+    PredictionInterval,
+    child_rng,
+    split_dataset,
+)
+from pacope.quantile import QuantilePairModel, fit_quantile_pair
+from pacope.rejection import RsDataset
 from pacope.synthenv import (
     DEFAULT_ENV,
+    exact_interval_metrics,
     oracle_quantiles,
     sample_logged,
     sample_target,
     target_reward_cdf,
 )
+from test_baselines import copp_accepted
 from test_synthenv import symmetric_difference_measure
 
 SMALL = BenchConfig(
     n=400,
     runs=8,
-    test_points=500,
     epochs=150,
     n_grid=(200, 400),
     delta_eps_grid=(0.05, 1.0),
     copp_mc_samples=8,
-    copp_grid_size=40,
-    length_subsample=20,
     theorem4_n_grid=(200, 400),
     theorem4_runs=3,
     theorem4_contexts=50,
@@ -155,6 +163,72 @@ class TestFigure2:
                 diag.k, diag.m_cal, diag.n_rs, diag.weight_violations
             )
 
+    def test_pac_and_copp_rs_rows_are_exact_metrics(self):
+        # Every PAC row and the COPP-RS row report exact_interval_metrics of
+        # the run's quantile pair at the row's threshold.
+        cfg = replace(SMALL, runs=2)
+        table = run_figure2(cfg, 7)
+        for run in range(cfg.runs):
+            d = sample_logged(cfg.n, child_rng(7, _TAG_FIGURE2, run, 0), cfg.env)
+            model = pacopp_unknown(
+                d, cfg.env.target_policy(), cfg.pac_params(), cfg.policy_fit_config(),
+                child_rng(7, _TAG_FIGURE2, run, 2),
+            ).model
+            rows = [t for t in table.trials if t.run == run and t.method != "COPP"]
+            assert len(rows) == len(cfg.figure2_deltas) + 1
+            for t in rows:
+                assert (t.miscoverage, t.mean_length) == exact_interval_metrics(
+                    model.w_lo, model.w_up, t.threshold, cfg.env
+                )
+
+    def test_copp_quadrature_matches_sampled_estimate(self):
+        # One fitted calibration. Coverage: the share of 10^6 target pairs
+        # that COPP's acceptance rule takes. Length: the accepted share of
+        # 10^6 uniform candidates in a window of half-width 20 around each
+        # context's band midpoint, times the window's width. The quadrature
+        # lies within 3 sigma of both.
+        d1, d2 = split_dataset(sample_logged(2000, child_rng(41, 0)), 0.5)
+        pe = DEFAULT_ENV.target_policy()
+        pbhat, _ = estimate_behavior(d1, pe, PolicyFitConfig())
+        model = fit_quantile_pair(RsDataset(d1.contexts, d1.rewards, np.arange(len(d1))),
+                                  PacParams(0.2, 0.1, 0.5))
+        calib = copp_calibrate(d2, model, fit_reward_model(d1), pbhat, pe)
+        coverage, length = _copp_metrics(calib, 0.2, DEFAULT_ENV)
+
+        def accepted(contexts, rewards):
+            return copp_accepted(calib, contexts, rewards, 0.2)
+
+        m = 1_000_000
+        target = sample_target(m, child_rng(42, 0))
+        p = float(np.mean(accepted(target.contexts, target.rewards)))
+        assert abs(coverage - p) <= 3.0 * math.sqrt(p * (1.0 - p) / m)
+
+        half = 20.0
+        rng = child_rng(42, 1)
+        contexts = (2.0 * rng.standard_normal(m)).reshape(-1, 1)
+        mid = 0.5 * np.add(*model.quantiles(contexts))
+        # The window holds every set, checked at the sampled extremes and a
+        # spread of contexts between them.
+        probe = np.sort(contexts[:, 0])[np.linspace(0, m - 1, 201).astype(int)]
+        lo, hi = copp_sets(calib, probe, 0.2).hull()
+        probe_mid = 0.5 * np.add(*model.quantiles(probe))
+        assert np.all(lo > probe_mid - half) and np.all(hi < probe_mid + half)
+        p = float(np.mean(accepted(contexts, mid + rng.uniform(-half, half, m))))
+        assert abs(length - 2.0 * half * p) <= 3.0 * 2.0 * half * math.sqrt(p * (1.0 - p) / m)
+
+    def test_narrow_behavior_estimate_gives_trivial_copp_row(self, monkeypatch):
+        # A behavior marginal narrower than the target's makes COPP's sets
+        # unbounded: the COPP row is trivial, with infinite length and k = -1.
+        narrow = GaussianLinearPolicy(np.array([0.25]), 0.0, 0.5)
+        copp_calibrate_ = bench.copp_calibrate
+        monkeypatch.setattr(
+            bench, "copp_calibrate",
+            lambda cal, model, rm, pbhat, pe: copp_calibrate_(cal, model, rm, narrow, pe),
+        )
+        (row,) = [t for t in run_figure2(replace(SMALL, runs=1), 7).trials if t.method == "COPP"]
+        assert row.trivial and row.mean_length == math.inf and row.k == -1
+        assert 0.0 <= row.miscoverage <= 1.0
+
     def test_band_narrower_than_minus_two_tau_has_length_zero(self, monkeypatch):
         # The band [-1, 1 + s] (collapsed below s = -2 by the crossing fix)
         # at threshold -0.5 gives intervals of length 1 + s: empty below
@@ -171,9 +245,8 @@ class TestFigure2:
         monkeypatch.setattr(bench, "split_cp_threshold", lambda scores, level: -0.5)
         cfg = replace(SMALL, runs=1)
         table = run_figure2(cfg, 7)
-        s = sample_target(cfg.test_points, child_rng(7, _TAG_FIGURE2, 0, 1), cfg.env).contexts[:, 0]
-        assert np.any(s < -1.0) and np.any(s > -1.0)
-        expected = float(np.mean(np.maximum(1.0 + s, 0.0)))
+        # E[(1 + S)^+] for S ~ N(0, 4), that is, 1 + 2 Z with Z standard normal.
+        expected = ndtr(0.5) + 2.0 * norm.pdf(0.5)
         rows = [t for t in table.trials if t.method != "COPP"]
         assert len(rows) == len(cfg.figure2_deltas) + 1
         for t in rows:
@@ -183,7 +256,7 @@ class TestFigure2:
         # At n = 4 the Gaussian fit sees two samples; at seed 11 the ratio
         # bound overflows to inf on runs 1, 3 and 4, and figure 2 then gives
         # the trivial rows that pacopp_unknown gives on the same data.
-        cfg = BenchConfig(n=4, runs=6, test_points=200, length_subsample=5)
+        cfg = BenchConfig(n=4, runs=6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = run_figure2(cfg, 11)
@@ -205,7 +278,7 @@ class TestFigure2:
     def test_too_little_data_gives_trivial_rows(self, n):
         # Below four samples the Gaussian fit has fewer than two training
         # samples; figure 2 gives the trivial rows pacopp_unknown gives.
-        cfg = BenchConfig(n=n, runs=2, test_points=200, length_subsample=5)
+        cfg = BenchConfig(n=n, runs=2)
         table = run_figure2(cfg, 11)
         assert len(table.trials) == 6 * cfg.runs
         assert all(t.trivial and t.n_rs == 0 and t.k == -1 for t in table.trials)
@@ -296,7 +369,7 @@ class TestUnknownSweep:
     def test_weight_error_reported_whenever_a_policy_is_estimated(self):
         # At n = 3 the mle estimator still selects a member, so the weight
         # error is reported; the Gaussian fit has too little data, so not.
-        cfg = BenchConfig(n=3, runs=2, test_points=200, weight_error_mc=500)
+        cfg = BenchConfig(n=3, runs=2, weight_error_mc=500)
         mle = run_unknown_sweep(cfg, 17, method="mle")
         gaussian = run_unknown_sweep(cfg, 17, method="gaussian")
         assert all(t.trivial and np.isfinite(t.delta_w_hat) for t in mle.trials)
@@ -354,11 +427,20 @@ class TestConfig:
 
     def test_ignored_epoch_keys_accepted(self):
         # The benchmark's tiny config.txt still sets both epoch keys, and its
-        # method_compare workload still passes copp_mc_samples.
-        cfg = BenchConfig.from_mapping(
-            {"epochs": "60", "policy_epochs": "60", "copp_mc_samples": "5"}
-        )
+        # workloads still pass copp_mc_samples and the figure-2 test-set and
+        # grid sizes, whatever their value.
+        cfg = BenchConfig.from_mapping({
+            "epochs": "60", "policy_epochs": "60", "copp_mc_samples": "5",
+            "test_points": "0", "copp_grid_size": "1", "length_subsample": "-3",
+        })
         assert (cfg.epochs, cfg.policy_epochs, cfg.copp_mc_samples) == (60, 60, 5)
+        assert (cfg.test_points, cfg.copp_grid_size, cfg.length_subsample) == (0, 1, -3)
+        ignored = replace(SMALL, runs=1, test_points=0, copp_grid_size=1, length_subsample=-3)
+        metrics = [
+            [(t.method, t.miscoverage, t.mean_length) for t in run_figure2(c, 7).trials]
+            for c in (replace(SMALL, runs=1), ignored)
+        ]
+        assert metrics[0] == metrics[1]
 
     @pytest.mark.parametrize("method", ["bogus", "", "Gaussian"])
     def test_policy_fit_config_rejects_unknown_method(self, method):
@@ -375,7 +457,7 @@ class TestConfig:
             BenchConfig(runs=0)
         with pytest.raises(ValueError):
             BenchConfig(epsilon=1.5)
-        for name in ("length_subsample", "theorem4_contexts", "theorem4_runs"):
+        for name in ("theorem4_contexts", "theorem4_runs"):
             for value in (0, -5):
                 with pytest.raises(ValueError, match=name):
                     BenchConfig(**{name: value})

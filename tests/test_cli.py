@@ -13,15 +13,12 @@ from pacope.synthenv import sample_logged
 
 FAST_CONFIG = """
 runs=3
-test_points=400
 n=300
 epochs=120
 policy_epochs=150
 n_grid=150,300
 delta_eps_grid=0.05,1.0
 copp_mc_samples=6
-copp_grid_size=30
-length_subsample=10
 theorem4_n_grid=150,300
 theorem4_runs=2
 theorem4_contexts=30
@@ -37,6 +34,11 @@ def fast_config(tmp_path):
 
 def test_unknown_flag_returns_nonzero():
     assert cli(["simulate", "--bogus"]) != 0
+
+
+def test_figure2_takes_no_test_point_flag():
+    # Figure 2 draws no test set, so it has no test-point count to set.
+    assert cli(["figure2", "--tests", "100"]) != 0
 
 
 def test_unknown_command_returns_nonzero():

@@ -248,6 +248,12 @@ class TestOracleQuantile:
             with pytest.raises(ValueError):
                 oracle_quantiles(0.0, q)
 
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 4)])
+    def test_multi_column_contexts_rejected(self, shape):
+        # The environment's contexts are 1-d; a second column would be ignored.
+        with pytest.raises(ValueError, match="1-d contexts"):
+            oracle_quantiles(np.zeros(shape), 0.1)
+
     def test_bracket_expands_for_extreme_levels(self):
         # The default bracket spans +-40, where the CDF is ~1e-22; a deeper
         # tail level forces the expansion loop and must still invert.
