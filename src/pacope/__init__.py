@@ -10,7 +10,6 @@ from .core import (
     PacParams,
     PredictionInterval,
     StochasticPolicy,
-    TargetDataset,
     child_rng,
     load_csv,
     save_csv,
@@ -52,7 +51,6 @@ from .behavior import (
     FinitePolicyClass,
     PolicyFitConfig,
     estimate_behavior,
-    estimate_weight_error,
     finite_policy_class,
     mle_policy,
     pacopp_unknown,
@@ -62,6 +60,7 @@ from .synthenv import (
     DEFAULT_ENV,
     SynthEnvSpec,
     TheoremConstants,
+    estimate_weight_error,
     oracle_quantiles,
     sample_logged,
     sample_target,

@@ -301,16 +301,6 @@ def _superlevel_ends(a: float, b: np.ndarray, c: np.ndarray, levels: np.ndarray)
     return vertex - width, vertex + width
 
 
-def _quantile_band(model: QuantilePairModel, ctx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``model.quantiles`` from elementwise products, so a row's band does not
-    depend on the batch (a matrix-vector product may round rows differently)."""
-    lo = model.w_lo[0] + (ctx * model.w_lo[1:]).sum(axis=1)
-    up = model.w_up[0] + (ctx * model.w_up[1:]).sum(axis=1)
-    crossed = lo > up
-    mid = 0.5 * (lo + up)
-    return np.where(crossed, mid, lo), np.where(crossed, mid, up)
-
-
 def copp_sets(calib: CoppCalibration, contexts, epsilon: float) -> CoppSets:
     """COPP's accepted reward sets at a batch of contexts, in closed form.
 
@@ -345,7 +335,7 @@ def copp_sets(calib: CoppCalibration, contexts, epsilon: float) -> CoppSets:
     # Shell j lies between the ends at levels j - 1 and j; the atom's shell
     # (the last) takes every score.
     scores = np.append(calib.sorted_scores[skip:], math.inf)
-    lower, upper = _quantile_band(calib.model, ctx)
+    lower, upper = calib.model.quantiles(ctx)
     band_lo = lower[:, None] - scores
     band_hi = upper[:, None] + scores
     # Columns run by level. Along them the p side moves left when a > 0 and

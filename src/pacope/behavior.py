@@ -13,16 +13,14 @@ split, estimate, bound, and rejection-sample both halves.
 :func:`pacopp_unknown` hands its ``RsSplit`` to
 :func:`calibrate.calibrate_split`.
 
-The weight-estimation error ``E |w_hat(S, A) - w(S, A)|`` over the true
-logging distribution is an experiment-side diagnostic: it requires the true
-behavior policy and is only computable in synthetic mode.
+The weight-estimation error against the true policy is a synthetic-mode
+diagnostic, :func:`synthenv.estimate_weight_error`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,7 +31,6 @@ from .core import (
     LoggedDataset,
     PacParams,
     StochasticPolicy,
-    _as_context_matrix,
     split_dataset,
 )
 from .rejection import RsDataset, RsSplit, gaussian_ratio_bound, rejection_sample
@@ -44,7 +41,6 @@ __all__ = [
     "finite_policy_class",
     "mle_policy",
     "estimate_behavior",
-    "estimate_weight_error",
     "rs_split_unknown",
     "pacopp_unknown",
 ]
@@ -72,30 +68,14 @@ class FinitePolicyClass:
         return len(self.policies)
 
 
-def finite_policy_class(
-    policies,
-    pe: GaussianLinearPolicy,
-    probe_contexts,
-    probe_actions=None,
-) -> FinitePolicyClass:
+def finite_policy_class(policies, pe: GaussianLinearPolicy, probe_contexts) -> FinitePolicyClass:
     """Build a class with its uniform ratio bound from Gaussian members.
 
     The bound is the maximum over members of the closed-form per-context
-    supremum on the probe grid. When probe actions are supplied, the ratio is
-    additionally verified against the bound at every probe pair.
+    supremum on the probe grid.
     """
     members = tuple(policies)
-    bounds = [gaussian_ratio_bound(pe, member, probe_contexts) for member in members]
-    b_pi = max(bounds)
-    if probe_actions is not None:
-        ctx = _as_context_matrix(probe_contexts)
-        actions = np.asarray(probe_actions, dtype=float).reshape(-1)
-        if actions.shape[0] != ctx.shape[0]:
-            raise ValueError("probe actions must align with probe contexts")
-        for member in members:
-            ratio = pe.density(ctx, actions) / member.density(ctx, actions)
-            if np.any(ratio > b_pi * (1.0 + 1e-12)):
-                raise ValueError("ratio bound violated on the probe grid")
+    b_pi = max(gaussian_ratio_bound(pe, member, probe_contexts) for member in members)
     return FinitePolicyClass(members, b_pi)
 
 
@@ -115,34 +95,6 @@ def mle_policy(pclass: FinitePolicyClass, d1: LoggedDataset) -> StochasticPolicy
     if np.all(np.isneginf(totals)):
         raise ValueError("every policy-class member has zero likelihood on the data")
     return pclass.policies[int(np.argmax(totals))]
-
-
-def estimate_weight_error(
-    pbhat: StochasticPolicy,
-    pb_true: StochasticPolicy,
-    pe: StochasticPolicy,
-    mc: int,
-    rng: np.random.Generator,
-    context_sampler: Callable[[int, np.random.Generator], np.ndarray],
-) -> float:
-    """Monte Carlo average of ``|w_hat - w|`` over the true logging law.
-
-    ``context_sampler(m, rng)`` must draw ``m`` contexts from the context
-    distribution; actions are then drawn from the true behavior policy.
-    Synthetic mode only: the true behavior policy is required. The result is
-    ``inf`` when an estimated ratio exceeds the float range.
-    """
-    if mc < 1:
-        raise ValueError("mc must be >= 1")
-    contexts = _as_context_matrix(context_sampler(mc, rng))
-    actions = pb_true.sample(contexts, rng)
-    den_true = pb_true.density(contexts, actions)
-    den_hat = pbhat.density(contexts, actions)
-    num = pe.density(contexts, actions)
-    with np.errstate(over="ignore"):
-        w = np.where(den_true > 0, num / np.where(den_true > 0, den_true, 1.0), 0.0)
-        w_hat = np.where(den_hat > 0, num / np.where(den_hat > 0, den_hat, 1.0), 0.0)
-    return float(np.mean(np.abs(w_hat - w)))
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,6 @@ from .baselines import (
 from .behavior import (
     FinitePolicyClass,
     PolicyFitConfig,
-    estimate_weight_error,
     finite_policy_class,
     rs_split_unknown,
 )
@@ -66,10 +65,11 @@ from .core import (
     split_dataset,
 )
 from .quantile import fit_quantile_pair
-from .rejection import RsDataset, gaussian_ratio_bound
+from .rejection import gaussian_ratio_bound
 from .synthenv import (
     DEFAULT_ENV,
     SynthEnvSpec,
+    estimate_weight_error,
     exact_interval_metrics,
     oracle_quantiles,
     sample_logged,
@@ -144,20 +144,20 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
+        self.pac_params()  # raises for epsilon, delta or gamma outside (0, 1)
         if self.n < 0:
             raise ValueError("n must be nonnegative")
+        for name in ("n_grid", "delta_eps_grid"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be non-empty")
+        if min(self.n_grid) < 1:
+            raise ValueError("n_grid entries must be >= 1")
         for name in ("theorem4_runs", "theorem4_contexts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
-    def pac_params(self, delta: float | None = None) -> PacParams:
-        return PacParams(self.epsilon, self.delta if delta is None else delta, self.gamma)
+    def pac_params(self) -> PacParams:
+        return PacParams(self.epsilon, self.delta, self.gamma)
 
     def policy_fit_config(self, method: str = "gaussian") -> PolicyFitConfig:
         """Behavior-policy estimator: ``gaussian`` fits one, ``mle`` selects from
@@ -497,7 +497,7 @@ def _figure2_trial(args) -> list[TrialReport]:
 
     # COPP: weighted CP on the raw calibration half, no rejection sampling.
     d1, d2 = split_dataset(d, gamma)
-    qm_raw = fit_quantile_pair(RsDataset(d1.contexts, d1.rewards, np.arange(len(d1))), params)
+    qm_raw = fit_quantile_pair(d1, params)
     calib = copp_calibrate(d2, qm_raw, fit_reward_model(d1), split.behavior, pe)
     coverage, length = _copp_metrics(calib, eps, env)
     reports.append(TrialReport(
@@ -532,10 +532,13 @@ def run_figure2(config: BenchConfig, master_seed: int) -> AggregateTable:
 # ---------------------------------------------------------------------------
 
 def _symdiff_finite(lo1, hi1, lo2, hi2) -> np.ndarray:
-    """Vectorized symmetric-difference measure for finite interval arrays."""
+    """Vectorized symmetric-difference measure for finite interval arrays.
+
+    An empty first interval (``lo1 > hi1``, from a negative threshold) has length 0.
+    """
     edge = np.abs(lo1 - lo2) + np.abs(hi1 - hi2)
     disjoint = np.minimum(hi1, hi2) < np.maximum(lo1, lo2)
-    lengths = (hi1 - lo1) + (hi2 - lo2)
+    lengths = np.maximum(hi1 - lo1, 0.0) + (hi2 - lo2)
     return np.where(disjoint, lengths, edge)
 
 
@@ -619,12 +622,9 @@ def _unknown_trial(args) -> TrialReport:
     pred = calibrate_split(split, params)
     delta_w = float("nan")
     if config.weight_error_mc > 0 and split.behavior is not None:
-        sampler = lambda m, rng: (
-            math.sqrt(env.context_variance) * rng.standard_normal(m)
-        ).reshape(-1, 1)
         delta_w = estimate_weight_error(
-            split.behavior, env.behavior_policy(), pe, config.weight_error_mc,
-            child_rng(master_seed, _TAG_UNKNOWN, subtag, run, 3), sampler,
+            split.behavior, config.weight_error_mc,
+            child_rng(master_seed, _TAG_UNKNOWN, subtag, run, 3), env,
         )
     return _report(
         f"PACOPP-{method}", run, config.n, config.epsilon, config.delta,

@@ -27,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "LoggedDataset",
-    "TargetDataset",
     "StochasticPolicy",
     "GaussianLinearPolicy",
     "PacParams",
@@ -60,14 +59,15 @@ def child_rng(master_seed: int, *path: int) -> np.random.Generator:
 # numeric helpers
 # ---------------------------------------------------------------------------
 
-def ceil_scaled(x: float, tol: float = 1e-9) -> int:
+def ceil_scaled(x: float) -> int:
     """Ceiling with a snap tolerance for decimal levels stored as floats.
 
     ``fl(0.8) * 10`` is slightly above 8, so a naive ceiling would return 9
-    where the intended real arithmetic gives 8. Values within ``tol`` (scaled)
-    of an integer are snapped down before taking the ceiling.
+    where the intended real arithmetic gives 8. Values within ``1e-9``
+    (scaled by ``max(1, |x|)``) of an integer are snapped down before taking
+    the ceiling.
     """
-    return int(math.ceil(x - tol * max(1.0, abs(x))))
+    return int(math.ceil(x - 1e-9 * max(1.0, abs(x))))
 
 
 def _as_context_matrix(values: np.ndarray | Sequence[float] | float) -> np.ndarray:
@@ -142,27 +142,6 @@ class LoggedDataset:
         return LoggedDataset(
             np.empty((0, context_dim)), np.empty(0), np.empty(0)
         )
-
-
-@dataclass(frozen=True)
-class TargetDataset:
-    """Ordered ``(context, reward)`` pairs from the target-policy joint law."""
-
-    contexts: np.ndarray
-    rewards: np.ndarray
-
-    def __post_init__(self) -> None:
-        contexts = _as_context_matrix(self.contexts)
-        rewards = np.asarray(self.rewards, dtype=float).reshape(-1)
-        if contexts.shape[0] != rewards.shape[0]:
-            raise ValueError("contexts and rewards must have equal length")
-        _check_finite("contexts", contexts)
-        _check_finite("rewards", rewards)
-        object.__setattr__(self, "contexts", _freeze(contexts))
-        object.__setattr__(self, "rewards", _freeze(rewards))
-
-    def __len__(self) -> int:
-        return self.contexts.shape[0]
 
 
 # ---------------------------------------------------------------------------

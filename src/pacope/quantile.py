@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PacParams, _as_context_matrix
-from .rejection import RsDataset
 
 __all__ = [
     "QuantilePairModel",
@@ -190,15 +189,12 @@ def _spanning_rows(q: np.ndarray, rows: np.ndarray) -> np.ndarray | None:
 
 
 def _basis(contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(q, sv, vt)``: the design's thin SVD cut to its numerical rank."""
-    u, sv, vt = np.linalg.svd(_design(contexts), full_matrices=False)
+    """``(q, sv, vt)``: the thin SVD of the affine design (an intercept column,
+    then the contexts) cut to its numerical rank."""
+    design = np.hstack([np.ones((contexts.shape[0], 1)), contexts])
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
     rank = int(np.sum(sv > sv[0] * max(u.shape[0], vt.shape[1]) * np.finfo(float).eps))
     return np.ascontiguousarray(u[:, :rank]), sv[:rank], vt[:rank]
-
-
-def _design(contexts: np.ndarray) -> np.ndarray:
-    """The affine design: an intercept column, then the contexts."""
-    return np.hstack([np.ones((contexts.shape[0], 1)), contexts])
 
 
 @dataclass(frozen=True)
@@ -220,15 +216,19 @@ class QuantilePairModel:
         return int(np.shape(self.w_lo)[0]) - 1
 
     def quantiles(self, contexts) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate ``(q_lo, q_up)`` with the midpoint crossing fix applied."""
+        """Evaluate ``(q_lo, q_up)`` with the midpoint crossing fix applied.
+
+        The band is taken from elementwise products, not a matrix-vector
+        product, which may round a row differently by batch size: so a row's
+        band does not depend on the other rows of its batch.
+        """
         ctx = _as_context_matrix(contexts)
         if ctx.shape[1] != self.context_dim:
             raise ValueError(
                 f"contexts have dimension {ctx.shape[1]}, the model takes {self.context_dim}"
             )
-        x1 = _design(ctx)
-        lo = x1 @ self.w_lo
-        up = x1 @ self.w_up
+        lo = self.w_lo[0] + (ctx * self.w_lo[1:]).sum(axis=1)
+        up = self.w_up[0] + (ctx * self.w_up[1:]).sum(axis=1)
         crossed = lo > up
         if np.any(crossed):
             mid = 0.5 * (lo[crossed] + up[crossed])
@@ -243,11 +243,12 @@ def trivial_quantile_model(levels: tuple[float, float], context_dim: int = 1) ->
     return QuantilePairModel(w, w.copy(), levels)
 
 
-def fit_quantile_pair(train: RsDataset, params: PacParams) -> QuantilePairModel:
-    """Fit the lower and upper conditional quantiles on accepted pairs.
+def fit_quantile_pair(train, params: PacParams) -> QuantilePairModel:
+    """Fit the lower and upper conditional quantiles on ``(context, reward)`` pairs.
 
-    The levels are ``(params.eps_lo, params.eps_up)``; the fit is
-    deterministic.
+    ``train`` is any dataset with ``contexts`` and ``rewards``: the accepted
+    pairs of rejection sampling, or a logged dataset. The levels are
+    ``(params.eps_lo, params.eps_up)``; the fit is deterministic.
     """
     if len(train) < 2:
         raise ValueError("insufficient training data: need at least 2 samples")

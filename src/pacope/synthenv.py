@@ -15,6 +15,9 @@ quantiles (:func:`oracle_quantiles`, from which the oracle interval
 ``[q_lo(s), q_up(s)]`` is built), the exact miscoverage and length of an
 affine interval map (:func:`exact_interval_metrics`), and the distributional
 tests; no nested sampling is involved.
+
+The unknown-policy setting's weight error ``E |w_hat(S, A) - w(S, A)|`` needs
+the true behavior policy, so it is estimated here (:func:`estimate_weight_error`).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from scipy.special import ndtr, owens_t
 from .core import (
     GaussianLinearPolicy,
     LoggedDataset,
-    TargetDataset,
+    StochasticPolicy,
     _as_context_matrix,
 )
 
@@ -38,6 +41,7 @@ __all__ = [
     "TheoremConstants",
     "sample_logged",
     "sample_target",
+    "estimate_weight_error",
     "target_reward_cdf",
     "exact_interval_metrics",
     "oracle_quantiles",
@@ -98,34 +102,63 @@ def _sample_mixture_noise(n: int, rng: np.random.Generator, env: SynthEnvSpec) -
     return sigmas * rng.standard_normal(n)
 
 
+def _contexts_and_actions(
+    n: int, rng: np.random.Generator, env: SynthEnvSpec, policy: GaussianLinearPolicy
+) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` contexts ``(n, 1)`` from ``env``'s context law, and actions from ``policy``."""
+    contexts = (math.sqrt(env.context_variance) * rng.standard_normal(n)).reshape(-1, 1)
+    return contexts, policy.sample(contexts, rng)
+
+
+def _sample(
+    n: int, rng: np.random.Generator, env: SynthEnvSpec, policy: GaussianLinearPolicy
+) -> LoggedDataset:
+    """Draw ``n`` i.i.d. triples with actions from ``policy``."""
+    if n < 0:
+        raise ValueError("the sample size must be nonnegative")
+    contexts, actions = _contexts_and_actions(n, rng, env, policy)
+    rewards = contexts[:, 0] + actions + _sample_mixture_noise(n, rng, env)
+    return LoggedDataset(contexts, actions, rewards)
+
+
 def sample_logged(
     n: int, rng: np.random.Generator, env: SynthEnvSpec = DEFAULT_ENV
 ) -> LoggedDataset:
     """Draw ``n`` i.i.d. logged triples under the behavior policy."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return LoggedDataset.empty(1)
-    s = math.sqrt(env.context_variance) * rng.standard_normal(n)
-    contexts = s.reshape(-1, 1)
-    actions = env.behavior_policy().sample(contexts, rng)
-    rewards = s + actions + _sample_mixture_noise(n, rng, env)
-    return LoggedDataset(contexts, actions, rewards)
+    return _sample(n, rng, env, env.behavior_policy())
 
 
 def sample_target(
     m: int, rng: np.random.Generator, env: SynthEnvSpec = DEFAULT_ENV
-) -> TargetDataset:
-    """Draw ``m`` i.i.d. ``(context, reward)`` pairs from the target joint law."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m == 0:
-        return TargetDataset(np.empty((0, 1)), np.empty(0))
-    s = math.sqrt(env.context_variance) * rng.standard_normal(m)
-    contexts = s.reshape(-1, 1)
-    actions = env.target_policy().sample(contexts, rng)
-    rewards = s + actions + _sample_mixture_noise(m, rng, env)
-    return TargetDataset(contexts, rewards)
+) -> LoggedDataset:
+    """Draw ``m`` i.i.d. triples under the target policy.
+
+    Their ``(context, reward)`` pairs are draws from the target joint law.
+    """
+    return _sample(m, rng, env, env.target_policy())
+
+
+def estimate_weight_error(
+    pbhat: StochasticPolicy, mc: int, rng: np.random.Generator, env: SynthEnvSpec = DEFAULT_ENV
+) -> float:
+    """Monte Carlo average of ``|w_hat - w|`` over ``env``'s logging law.
+
+    ``w = pi_e / pi_b`` is the ratio of ``env``'s target and behavior
+    policies and ``w_hat = pi_e / pbhat``, at ``mc`` logged contexts and
+    actions. The result is ``inf`` when an estimated ratio exceeds the float
+    range.
+    """
+    if mc < 1:
+        raise ValueError("mc must be >= 1")
+    pb, pe = env.behavior_policy(), env.target_policy()
+    contexts, actions = _contexts_and_actions(mc, rng, env, pb)
+    den_true = pb.density(contexts, actions)
+    den_hat = pbhat.density(contexts, actions)
+    num = pe.density(contexts, actions)
+    with np.errstate(over="ignore"):
+        w = np.where(den_true > 0, num / np.where(den_true > 0, den_true, 1.0), 0.0)
+        w_hat = np.where(den_hat > 0, num / np.where(den_hat > 0, den_hat, 1.0), 0.0)
+    return float(np.mean(np.abs(w_hat - w)))
 
 
 def target_reward_cdf(

@@ -7,24 +7,19 @@ from pacope.behavior import (
     FinitePolicyClass,
     PolicyFitConfig,
     estimate_behavior,
-    estimate_weight_error,
     finite_policy_class,
     mle_policy,
     pacopp_unknown,
 )
 from pacope.calibrate import CalibrationDiagnostics, pacopp_known
 from pacope.core import GaussianLinearPolicy, LoggedDataset, PacParams, StochasticPolicy, child_rng
-from pacope.synthenv import DEFAULT_ENV, sample_logged
+from pacope.synthenv import DEFAULT_ENV, estimate_weight_error, sample_logged
 
 ENV = DEFAULT_ENV
 PE = ENV.target_policy()
 PB = ENV.behavior_policy()
 PARAMS = PacParams(0.2, 0.1, 0.5)
 PROBE = np.linspace(-10.0, 10.0, 41).reshape(-1, 1)
-
-
-def _context_sampler(m, rng):
-    return (2.0 * rng.standard_normal(m)).reshape(-1, 1)
 
 
 def _given(policy, pe=PE):
@@ -181,7 +176,7 @@ class TestFinitePolicyClass:
             GaussianLinearPolicy(np.array([0.25]), 0.0, 6.0),
         )
         actions = np.linspace(-15, 15, 41)
-        pclass = finite_policy_class(members, PE, PROBE, probe_actions=actions)
+        pclass = finite_policy_class(members, PE, PROBE)
         for member in members:
             ratio = PE.density(PROBE, actions) / member.density(PROBE, actions)
             assert np.all(ratio <= pclass.ratio_bound * (1 + 1e-12))
@@ -193,7 +188,7 @@ class TestFinitePolicyClass:
 
 class TestEstimateWeightError:
     def test_exact_policy_gives_zero(self):
-        assert estimate_weight_error(PB, PB, PE, 1000, child_rng(4), _context_sampler) == 0.0
+        assert estimate_weight_error(PB, 1000, child_rng(4)) == 0.0
 
     def test_matches_quadrature_oracle(self):
         # Variance-mismatched estimate; oracle by Gauss-Hermite quadrature
@@ -209,11 +204,10 @@ class TestEstimateWeightError:
             w_hat = PE.density(ctx, a) / pbhat.density(ctx, a)
             total += swi * float(np.sum(node_w * np.abs(w_hat - w)))
         mc = 10**6
-        delta_w_hat = estimate_weight_error(pbhat, PB, PE, mc, child_rng(31, 0), _context_sampler)
+        delta_w_hat = estimate_weight_error(pbhat, mc, child_rng(31, 0))
         # Standard error estimated from an independent replicate.
-        rng = child_rng(31, 1)
-        ctx = _context_sampler(20000, rng)
-        actions = PB.sample(ctx, rng)
+        d = sample_logged(20000, child_rng(31, 1))
+        ctx, actions = d.contexts, d.actions
         values = np.abs(
             PE.density(ctx, actions) / pbhat.density(ctx, actions)
             - PE.density(ctx, actions) / PB.density(ctx, actions)
@@ -223,7 +217,7 @@ class TestEstimateWeightError:
 
     def test_mc_domain(self):
         with pytest.raises(ValueError):
-            estimate_weight_error(PB, PB, PE, 0, child_rng(0), _context_sampler)
+            estimate_weight_error(PB, 0, child_rng(0))
 
 
 class TestPacoppUnknown:

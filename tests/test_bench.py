@@ -36,7 +36,6 @@ from pacope.core import (
     split_dataset,
 )
 from pacope.quantile import QuantilePairModel, fit_quantile_pair
-from pacope.rejection import RsDataset
 from pacope.synthenv import (
     DEFAULT_ENV,
     exact_interval_metrics,
@@ -190,8 +189,7 @@ class TestFigure2:
         d1, d2 = split_dataset(sample_logged(2000, child_rng(41, 0)), 0.5)
         pe = DEFAULT_ENV.target_policy()
         pbhat, _ = estimate_behavior(d1, pe, PolicyFitConfig())
-        model = fit_quantile_pair(RsDataset(d1.contexts, d1.rewards, np.arange(len(d1))),
-                                  PacParams(0.2, 0.1, 0.5))
+        model = fit_quantile_pair(d1, PacParams(0.2, 0.1, 0.5))
         calib = copp_calibrate(d2, model, fit_reward_model(d1), pbhat, pe)
         coverage, length = _copp_metrics(calib, 0.2, DEFAULT_ENV)
 
@@ -336,6 +334,12 @@ class TestTheorem4:
                 PredictionInterval(lo1[i], hi1[i]), PredictionInterval(lo2[i], hi2[i])
             )
             assert batch[i] == pytest.approx(scalar, abs=1e-12)
+
+    def test_empty_fitted_interval_measures_the_oracle_length(self):
+        # A negative threshold can give lo1 > hi1, inside or outside C*.
+        lo1, hi1 = np.array([0.5, 3.0]), np.array([-0.5, 2.0])
+        lo2, hi2 = np.array([-1.0, -1.5]), np.array([1.0, 1.0])
+        assert np.array_equal(_symdiff_finite(lo1, hi1, lo2, hi2), hi2 - lo2)
 
     def test_identical_intervals_measure_zero(self):
         contexts = np.linspace(-3, 3, 11)

@@ -295,6 +295,30 @@ class TestPredict:
             lo, up = p.model.quantiles(s)
             assert iv.length() == pytest.approx(float(up[0] - lo[0]) + 2 * 0.37)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 2))
+    def test_row_does_not_depend_on_its_batch(self, data, dim):
+        # Each row of a batch, and predict at its context, equal the one-row call bit for bit.
+        values = st.floats(-1e3, 1e3)
+        w_lo, w_up = (np.array(data.draw(st.lists(values, min_size=dim + 1, max_size=dim + 1)))
+                      for _ in range(2))
+        ctx = np.array(data.draw(st.lists(
+            st.lists(values, min_size=dim, max_size=dim), min_size=1, max_size=80,
+        )))
+        diag = CalibrationDiagnostics(20, 10, 0, False, 0, False, 2.0)
+        model = QuantilePairModel(w_lo, w_up, (0.1, 0.9))
+        p = CalibratedPredictor(model, data.draw(st.floats(-10.0, 10.0)), PARAMS, diag)
+        lo, hi = p.interval_batch(ctx)
+        for i, row in enumerate(ctx):
+            one_lo, one_hi = p.interval_batch(row[None, :])
+            assert one_lo.tobytes() == lo[i:i + 1].tobytes()
+            assert one_hi.tobytes() == hi[i:i + 1].tobytes()
+            iv = p.predict(row)
+            if lo[i] > hi[i]:
+                assert iv is None
+            else:
+                assert (iv.lo, iv.hi) == (lo[i], hi[i])
+
     def test_context_dimension_must_match_model(self):
         model = QuantilePairModel(
             np.array([-1.0, 1.0, 2.0]), np.array([1.0, 1.0, 2.0]), (0.1, 0.9)
@@ -424,6 +448,24 @@ class TestPacoppKnown:
         assert lo > hi
         assert pred.predict(s) is None
         assert pred.predict(0.0) == PredictionInterval(*(float(v[0]) for v in pred.interval_batch([0.0])))
+
+    def test_interval_of_a_context_does_not_depend_on_its_batch(self):
+        # 20 fitted predictors, 64 target contexts each: every one-row call
+        # equals its row of the 64-row call bit for bit.
+        mismatches = 0
+        for seed in range(20):
+            d = sample_logged(2000, child_rng(seed, 0))
+            pred = pacopp_known(
+                d, self.ENV.behavior_policy(), self.ENV.target_policy(), PARAMS,
+                child_rng(seed, 1),
+            )
+            ctx = sample_target(64, child_rng(seed, 2)).contexts
+            lo, hi = pred.interval_batch(ctx)
+            for i in range(len(ctx)):
+                one_lo, one_hi = pred.interval_batch(ctx[i:i + 1])
+                mismatches += one_lo.tobytes() != lo[i:i + 1].tobytes()
+                mismatches += one_hi.tobytes() != hi[i:i + 1].tobytes()
+        assert mismatches == 0
 
     def test_deterministic(self):
         d = sample_logged(500, child_rng(51, 0))

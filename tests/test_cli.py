@@ -291,6 +291,18 @@ def test_bad_config_key_reports_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(("command", "line", "message"), [
+    ("figure1", "n_grid=", "n_grid must be non-empty"),
+    ("figure1", "delta_eps_grid=", "delta_eps_grid must be non-empty"),
+    ("bounds", "n_grid=0", "n_grid entries must be >= 1"),
+])
+def test_empty_grid_or_zero_n_reports_error(tmp_path, capsys, command, line, message):
+    path = tmp_path / "config.txt"
+    path.write_text(FAST_CONFIG + line + "\n")
+    assert cli([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_bad_policy_spec_reports_error(tmp_path, capsys):
     data = sample_logged(50, child_rng(24))
     csv_path = tmp_path / "logged.csv"

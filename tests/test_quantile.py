@@ -390,8 +390,9 @@ class TestCrossingFix:
         )))
         lo, up = QuantilePairModel(w_lo, w_up, (0.1, 0.9)).quantiles(ctx)
         assert np.all(lo <= up)
-        x1 = np.hstack([np.ones((len(ctx), 1)), ctx])
-        kept = x1 @ w_lo <= x1 @ w_up
-        assert np.array_equal(lo[kept], (x1 @ w_lo)[kept])
-        assert np.array_equal(up[kept], (x1 @ w_up)[kept])
+        ref_lo = w_lo[0] + (ctx * w_lo[1:]).sum(axis=1)
+        ref_up = w_up[0] + (ctx * w_up[1:]).sum(axis=1)
+        kept = ref_lo <= ref_up
+        assert np.array_equal(lo[kept], ref_lo[kept])
+        assert np.array_equal(up[kept], ref_up[kept])
 

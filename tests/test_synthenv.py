@@ -190,6 +190,13 @@ class TestSampling:
         assert len(sample_logged(0, child_rng(0))) == 0
         assert len(sample_target(0, child_rng(0))) == 0
 
+    def test_logged_and_target_draws_share_contexts(self):
+        # One sampler: on the same stream only the acting policy differs.
+        logged, target = sample_logged(500, child_rng(110)), sample_target(500, child_rng(110))
+        assert np.array_equal(logged.contexts, target.contexts)
+        s = target.contexts[:, 0]
+        assert np.allclose(logged.actions - s / 4, 2.0 * (target.actions - s / 4), rtol=0, atol=1e-12)
+
     def test_context_moments(self):
         d = sample_logged(100000, child_rng(111, 0))
         s = d.contexts[:, 0]
