@@ -3,8 +3,9 @@
 The logged data is split first; ``estimate_behavior`` fits a Gaussian policy
 (affine mean, constant variance) on the training half, and both halves are
 rejection-sampled with the *estimated* density ratio. The coverage guarantee then degrades by
-the mean absolute weight error, which this synthetic setting can estimate
-by Monte Carlo against the true policy (``synthenv.estimate_weight_error``).
+the mean absolute weight error, which this synthetic setting computes
+against the true policy, in closed form over the action and by quadrature
+over the context (``synthenv.weight_error``).
 
 Also shown: maximum-likelihood selection from a finite policy class that
 contains the truth, where the degradation admits an explicit bound.
@@ -20,12 +21,12 @@ from pacope import (
     PolicyFitConfig,
     child_rng,
     estimate_behavior,
-    estimate_weight_error,
     mle_policy,
     pacopp_unknown,
     sample_logged,
     sample_target,
     split_dataset,
+    weight_error,
 )
 from pacope.bench import default_finite_class
 
@@ -41,7 +42,7 @@ pbhat, _ = estimate_behavior(d1, pe, PolicyFitConfig())
 print(f"fitted from {len(d1)} samples: slope {pbhat.slope[0]:+.4f}, "
       f"intercept {pbhat.intercept:+.4f}, variance {pbhat.variance:.4f}")
 
-delta_w_hat = estimate_weight_error(pbhat, 10**5, child_rng(SEED, 1), env)
+delta_w_hat = weight_error(pbhat, env)
 print(f"mean absolute weight error (vs truth): {delta_w_hat:.4f}")
 print("-> nominal miscoverage 0.2 is guaranteed with slack of that size\n")
 

@@ -60,12 +60,12 @@ from .synthenv import (
     DEFAULT_ENV,
     SynthEnvSpec,
     TheoremConstants,
-    estimate_weight_error,
     oracle_quantiles,
     sample_logged,
     sample_target,
     target_reward_cdf,
     theorem_constants,
+    weight_error,
 )
 from .bench import (
     AggregateTable,

@@ -126,8 +126,7 @@ def copp_log_weights(
     ``integral pi(a|s) p(r|s,a) da`` of the model is
     ``N(r; c0 + c_s.s + c_a mu(s), sigma^2 + c_a^2 v)``, and ``log w`` is the
     target marginal's log density minus the behavior marginal's. Row ``i`` of
-    ``contexts`` pairs with ``rewards[i]``; ``rewards`` may carry trailing
-    axes (or a leading axis of one) that broadcast.
+    ``contexts`` pairs with ``rewards[i]``.
     """
     if not isinstance(pbhat, GaussianLinearPolicy) or not isinstance(pe, GaussianLinearPolicy):
         raise ValueError(
@@ -136,12 +135,11 @@ def copp_log_weights(
         )
     ctx = _as_context_matrix(contexts)
     r = np.asarray(rewards, dtype=float)
-    lead = (slice(None),) + (None,) * (r.ndim - 1)
 
     def log_marginal(policy: GaussianLinearPolicy) -> np.ndarray:
         # The common -log(2 pi) / 2 cancels in the difference.
         mean, var = _reward_marginal(rm, policy, ctx)
-        resid = r - mean[lead]
+        resid = r - mean
         return -0.5 * (resid * resid / var + math.log(var))
 
     return log_marginal(pe) - log_marginal(pbhat)

@@ -14,7 +14,7 @@ split, estimate, bound, and rejection-sample both halves.
 :func:`calibrate.calibrate_split`.
 
 The weight-estimation error against the true policy is a synthetic-mode
-diagnostic, :func:`synthenv.estimate_weight_error`.
+diagnostic, in closed form over the action: :func:`synthenv.weight_error`.
 """
 
 from __future__ import annotations
@@ -86,12 +86,7 @@ def mle_policy(pclass: FinitePolicyClass, d1: LoggedDataset) -> StochasticPolicy
     and therefore returns the first. A member putting zero density on any
     logged pair scores minus infinity; if all members do, this is an error.
     """
-    totals = np.empty(len(pclass))
-    for i, policy in enumerate(pclass.policies):
-        if len(d1) == 0:
-            totals[i] = 0.0
-        else:
-            totals[i] = float(np.sum(policy.log_density(d1.contexts, d1.actions)))
+    totals = np.array([np.sum(p.log_density(d1.contexts, d1.actions)) for p in pclass.policies])
     if np.all(np.isneginf(totals)):
         raise ValueError("every policy-class member has zero likelihood on the data")
     return pclass.policies[int(np.argmax(totals))]

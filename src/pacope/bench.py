@@ -15,12 +15,14 @@ that split's quantile pair and scores, and its COPP row comes from the public
 COPP API of ``baselines`` with the split's behavior estimate; the COPP
 weights are exact and draw no randomness.
 
-Known, unknown and figure-2 trials draw no test set. The miscoverage and
-mean length of every rejection-sampling row (known, unknown, and figure 2's
-PAC and COPP-RS rows) are exact, from ``synthenv.exact_interval_metrics``.
-Figure 2's COPP row integrates the target law's mass on COPP's exact sets
-(``baselines.copp_sets``) and their measure over the context by a
-``_COPP_NODES``-point Gauss-Hermite rule.
+A trial draws only its data and its acceptance variates, no test set. The
+miscoverage and mean length of every rejection-sampling row (known, unknown,
+and figure 2's PAC and COPP-RS rows) are exact, from
+``synthenv.exact_interval_metrics``, and so is theorem 4's measure, on figure
+1's trials. Figure 2's COPP row integrates the target law's mass on COPP's
+exact sets (``baselines.copp_sets``) and their measure over the context, and
+``synthenv.weight_error`` the weight error of unknown trials, by
+``synthenv``'s 32-node Gauss-Hermite rule.
 
 Desk-scale defaults (500 runs) replace the full-scale run counts of the
 original experiments; every asserted frequency carries a 3-sigma Monte Carlo
@@ -29,13 +31,11 @@ tolerance. Full scale is reachable through the config.
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
 from .baselines import (
     CoppCalibration,
@@ -69,12 +69,14 @@ from .rejection import gaussian_ratio_bound
 from .synthenv import (
     DEFAULT_ENV,
     SynthEnvSpec,
-    estimate_weight_error,
     exact_interval_metrics,
     oracle_quantiles,
     sample_logged,
     target_reward_cdf,
     theorem_constants,
+    weight_error,
+    _hermite_rule,
+    _mean_piecewise_affine,
 )
 
 __all__ = [
@@ -92,18 +94,13 @@ __all__ = [
 
 _TAG_KNOWN = 1
 _TAG_FIGURE2 = 2
-_TAG_THEOREM4 = 3
 _TAG_UNKNOWN = 4
-
-# Nodes of the Gauss-Hermite rule for figure 2's COPP expectations over the
-# context.
-_COPP_NODES = 32
 
 FIGURE1_HEADER = ("n", "delta_eps", "runs", "band_freq", "stderr")
 FIGURE1_TRIALS_HEADER = ("n", "run", "miscoverage", "mean_length", "trivial_flag")
 FIGURE2_HEADER = ("method", "delta", "run", "coverage", "mean_length", "trivial_flag")
 BOUNDS_HEADER = ("n", "freq", "lower", "upper", "vacuous", "pass")
-THEOREM4_HEADER = ("n", "runs", "contexts", "n_trivial", "median_measure")
+THEOREM4_HEADER = ("n", "runs", "n_trivial", "median_measure")
 
 
 @dataclass(frozen=True)
@@ -134,16 +131,15 @@ class BenchConfig:
     length_subsample: int = 500
     theorem4_n_grid: tuple[int, ...] = (500, 2000, 8000)
     theorem4_runs: int = 40
-    theorem4_contexts: int = 250
     policy_margin: float = 0.05
     policy_epochs: int = 600
-    weight_error_mc: int = 0
     n_jobs: int = 1
     env: SynthEnvSpec = DEFAULT_ENV
 
     def __post_init__(self) -> None:
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        for name in ("runs", "theorem4_runs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         self.pac_params()  # raises for epsilon, delta or gamma outside (0, 1)
         if self.n < 0:
             raise ValueError("n must be nonnegative")
@@ -152,9 +148,6 @@ class BenchConfig:
                 raise ValueError(f"{name} must be non-empty")
         if min(self.n_grid) < 1:
             raise ValueError("n_grid entries must be >= 1")
-        for name in ("theorem4_runs", "theorem4_contexts"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
 
     def pac_params(self) -> PacParams:
         return PacParams(self.epsilon, self.delta, self.gamma)
@@ -332,19 +325,18 @@ def _map_trials(fn, argslist, n_jobs: int) -> list:
 # known-policy trials (figure 1 and bound checks share these streams)
 # ---------------------------------------------------------------------------
 
+def _known_predictor(config, master_seed, n, run) -> CalibratedPredictor:
+    """The known-policy pipeline on the data and acceptance streams of trial ``(n, run)``."""
+    env = config.env
+    d = sample_logged(n, child_rng(master_seed, _TAG_KNOWN, n, run, 0), env)
+    return pacopp_known(d, env.behavior_policy(), env.target_policy(), config.pac_params(),
+                        child_rng(master_seed, _TAG_KNOWN, n, run, 1))
+
+
 def _known_trial(args) -> TrialReport:
     config, master_seed, n, run = args
-    env = config.env
-    params = config.pac_params()
-    d = sample_logged(n, child_rng(master_seed, _TAG_KNOWN, n, run, 0), env)
-    pred = pacopp_known(
-        d,
-        env.behavior_policy(),
-        env.target_policy(),
-        params,
-        child_rng(master_seed, _TAG_KNOWN, n, run, 1),
-    )
-    return _report("PACOPP", run, n, config.epsilon, config.delta, config.gamma, pred, env)
+    pred = _known_predictor(*args)
+    return _report("PACOPP", run, n, config.epsilon, config.delta, config.gamma, pred, config.env)
 
 
 def _known_sweep(config: BenchConfig, master_seed: int, n_values) -> list[TrialReport]:
@@ -412,24 +404,13 @@ def check_theorem_bounds(config: BenchConfig, master_seed: int) -> AggregateTabl
 # figure 2: method comparison on shared per-seed datasets
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of a standard normal and their probability weights.
-
-    numpy's rule is ``scipy.special.roots_hermitenorm``'s without importing
-    ``scipy.linalg``; it is built once per process, on first use.
-    """
-    nodes, weights = hermegauss(_COPP_NODES)
-    return nodes, weights / weights.sum()
-
-
 def _copp_metrics(
     calib: CoppCalibration, epsilon: float, env: SynthEnvSpec
 ) -> tuple[float, float]:
     """Coverage and mean measure of COPP's sets under ``env``'s target law.
 
-    Both are expectations over ``S ~ N(0, context_variance)``, taken by the
-    ``_COPP_NODES``-point Gauss-Hermite rule over the exact sets at the nodes;
+    Both are expectations over ``S ~ N(0, context_variance)``, taken by
+    ``synthenv``'s Gauss-Hermite rule over the exact sets at the nodes;
     the coverage at a node is the target law's mass on its set. An unbounded
     set gives an infinite mean measure. The rule is not exact, because the
     set ends have kinks in ``s``: on ten default figure-2 runs it was within
@@ -542,46 +523,46 @@ def _symdiff_finite(lo1, hi1, lo2, hi2) -> np.ndarray:
     return np.where(disjoint, lengths, edge)
 
 
-def _theorem4_trial(args):
-    config, master_seed, n, run = args
-    env = config.env
-    params = config.pac_params()
-    d = sample_logged(n, child_rng(master_seed, _TAG_THEOREM4, n, run, 0), env)
-    pred = pacopp_known(
-        d, env.behavior_policy(), env.target_policy(), params,
-        child_rng(master_seed, _TAG_THEOREM4, n, run, 1),
-    )
-    rng_ctx = child_rng(master_seed, _TAG_THEOREM4, n, run, 2)
-    contexts = (
-        math.sqrt(env.context_variance) * rng_ctx.standard_normal(config.theorem4_contexts)
-    ).reshape(-1, 1)
-    if math.isinf(pred.threshold):
-        return n, True, None
-    lo, hi = pred.interval_batch(contexts)
-    olo = oracle_quantiles(contexts, params.eps_lo, env)
-    oup = oracle_quantiles(contexts, params.eps_up, env)
-    return n, False, _symdiff_finite(lo, hi, olo, oup)
+def _theorem4_measure(pred: CalibratedPredictor, env: SynthEnvSpec) -> float:
+    """Exact mean over the context of ``|C(S) symmetric-difference C*(S)|``, for a finite threshold.
+
+    ``C`` is ``pred``'s interval and ``C*`` the oracle's. Their ends lie on six lines,
+    ``lo - tau``, ``up + tau``, ``mid -+ tau`` (where the band crosses) and the two
+    oracle lines, so the measure is affine between the lines' pairwise crossings.
+    """
+    tau, slope = pred.threshold, 1.0 + env.target_slope
+    (a_lo, b_lo), (a_up, b_up) = pred.model.w_lo.tolist(), pred.model.w_up.tolist()
+    a_mid, b_mid = 0.5 * (a_lo + a_up), 0.5 * (b_lo + b_up)
+    o_lo, o_up = (float(oracle_quantiles(np.zeros(1), q, env)[0]) for q in pred.model.levels)
+    c = np.array([a_lo - tau, a_up + tau, a_mid - tau, a_mid + tau, o_lo, o_up])
+    d = np.array([b_lo, b_up, b_mid, b_mid, slope, slope])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        knots = (c[:, None] - c) / (d - d[:, None])
+
+    def measure(contexts):  # the oracle lines as oracle_quantiles writes them
+        s = contexts[:, 0]
+        return _symdiff_finite(*pred.interval_batch(contexts), slope * s + o_lo, slope * s + o_up)
+
+    return _mean_piecewise_affine(measure, knots, env)
+
+
+def _theorem4_trial(args) -> float:
+    pred = _known_predictor(*args)
+    return math.inf if math.isinf(pred.threshold) else _theorem4_measure(pred, args[0].env)
 
 
 def run_theorem4_convergence(config: BenchConfig, master_seed: int) -> AggregateTable:
-    """Median symmetric difference to the oracle interval, per sample size.
+    """Median over runs of the exact mean symmetric difference to the oracle interval.
 
-    Trivial-interval trials (infinite measure) are tallied separately and
-    excluded from the median.
+    The trials at each ``n`` are figure 1's; trivial ones (infinite measure) are tallied apart.
     """
-    args = [
-        (config, master_seed, n, run)
-        for n in config.theorem4_n_grid
-        for run in range(config.theorem4_runs)
-    ]
-    results = _map_trials(_theorem4_trial, args, config.n_jobs)
+    runs = config.theorem4_runs
+    args = [(config, master_seed, n, run) for n in config.theorem4_n_grid for run in range(runs)]
+    measures = np.reshape(_map_trials(_theorem4_trial, args, config.n_jobs), (-1, runs))
     rows = []
-    for n in config.theorem4_n_grid:
-        measures = [m for (nn, trivial, m) in results if nn == n and not trivial]
-        n_trivial = sum(1 for (nn, trivial, _) in results if nn == n and trivial)
-        pooled = np.concatenate(measures) if measures else np.empty(0)
-        median = float(np.median(pooled)) if pooled.size else math.inf
-        rows.append((n, config.theorem4_runs, config.theorem4_contexts, n_trivial, median))
+    for n, row in zip(config.theorem4_n_grid, measures):
+        finite = row[np.isfinite(row)]
+        rows.append((n, runs, runs - finite.size, np.median(finite) if finite.size else math.inf))
     return AggregateTable(THEOREM4_HEADER, tuple(rows))
 
 
@@ -620,12 +601,7 @@ def _unknown_trial(args) -> TrialReport:
     d = sample_logged(config.n, rng_data, env)
     split = rs_split_unknown(d, pe, params.gamma, config.policy_fit_config(method), rng_algo)
     pred = calibrate_split(split, params)
-    delta_w = float("nan")
-    if config.weight_error_mc > 0 and split.behavior is not None:
-        delta_w = estimate_weight_error(
-            split.behavior, config.weight_error_mc,
-            child_rng(master_seed, _TAG_UNKNOWN, subtag, run, 3), env,
-        )
+    delta_w = float("nan") if split.behavior is None else weight_error(split.behavior, env)
     return _report(
         f"PACOPP-{method}", run, config.n, config.epsilon, config.delta,
         config.gamma, pred, env, delta_w_hat=delta_w,
@@ -638,8 +614,8 @@ def run_unknown_sweep(
     """Seeded trials of the estimated-behavior-policy pipeline.
 
     ``method`` selects the estimator ("gaussian" or "mle" over the default
-    finite class). Set ``config.weight_error_mc`` to also estimate the mean
-    absolute weight error per run (synthetic mode diagnostic).
+    finite class). Each run reports the mean absolute weight error of its
+    estimate (``synthenv.weight_error``), or NaN when the run estimated none.
     """
     config.policy_fit_config(method)  # raises for an unknown method
     subtag = 0 if method == "gaussian" else 1

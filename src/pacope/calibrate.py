@@ -288,7 +288,7 @@ class CalibratedPredictor:
     The threshold is ``+inf`` exactly when the cutoff is -1 or the calibration
     set is empty, in which case every interval is the whole real line, and
     finite otherwise. The model's quantile levels are the parameters'
-    ``(eps_lo, eps_up)``.
+    ``(eps_lo, eps_up)``, and the diagnostics agree with themselves.
     """
 
     model: QuantilePairModel
@@ -297,7 +297,11 @@ class CalibratedPredictor:
     diagnostics: CalibrationDiagnostics
 
     def __post_init__(self) -> None:
-        degenerate = self.diagnostics.k == -1 or self.diagnostics.m_cal == 0
+        d = self.diagnostics
+        if not (0 <= d.m_cal <= d.n_rs and -1 <= d.k < d.m_cal and (d.k == -1 or not d.trivial)):
+            raise ValueError("diagnostics must have 0 <= m_cal <= n_rs, -1 <= k < m_cal, and k == -1 when "
+                             f"trivial; got n_rs={d.n_rs}, m_cal={d.m_cal}, k={d.k}, trivial={d.trivial}")
+        degenerate = d.k == -1 or d.m_cal == 0
         if not (self.threshold == math.inf if degenerate else math.isfinite(self.threshold)):
             raise ValueError("threshold must be +inf iff k == -1 or the calibration set "
                              f"is empty, and finite otherwise; got {self.threshold!r}")

@@ -188,9 +188,9 @@ def _cmd_theorem4(args) -> int:
     out = _out_dir(args)
     table = run_theorem4_convergence(config, args.seed)
     table.write_csv(out / "theorem4.csv")
-    for n, runs, contexts, n_trivial, median in table.rows:
+    for n, runs, n_trivial, median in table.rows:
         print(f"n={n}: median symmetric difference {median:.4f} "
-              f"({runs} runs x {contexts} contexts, {n_trivial} trivial)")
+              f"({runs} runs, {n_trivial} trivial)")
     return 0
 
 

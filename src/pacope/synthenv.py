@@ -17,23 +17,21 @@ affine interval map (:func:`exact_interval_metrics`), and the distributional
 tests; no nested sampling is involved.
 
 The unknown-policy setting's weight error ``E |w_hat(S, A) - w(S, A)|`` needs
-the true behavior policy, so it is estimated here (:func:`estimate_weight_error`).
+the true behavior policy, so it lives here too (:func:`weight_error`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import ndtr, owens_t
 
-from .core import (
-    GaussianLinearPolicy,
-    LoggedDataset,
-    StochasticPolicy,
-    _as_context_matrix,
-)
+from .baselines import _superlevel_ends
+from .core import GaussianLinearPolicy, LoggedDataset, _as_context_matrix
 
 __all__ = [
     "SynthEnvSpec",
@@ -41,7 +39,7 @@ __all__ = [
     "TheoremConstants",
     "sample_logged",
     "sample_target",
-    "estimate_weight_error",
+    "weight_error",
     "target_reward_cdf",
     "exact_interval_metrics",
     "oracle_quantiles",
@@ -102,21 +100,14 @@ def _sample_mixture_noise(n: int, rng: np.random.Generator, env: SynthEnvSpec) -
     return sigmas * rng.standard_normal(n)
 
 
-def _contexts_and_actions(
-    n: int, rng: np.random.Generator, env: SynthEnvSpec, policy: GaussianLinearPolicy
-) -> tuple[np.ndarray, np.ndarray]:
-    """``n`` contexts ``(n, 1)`` from ``env``'s context law, and actions from ``policy``."""
-    contexts = (math.sqrt(env.context_variance) * rng.standard_normal(n)).reshape(-1, 1)
-    return contexts, policy.sample(contexts, rng)
-
-
 def _sample(
     n: int, rng: np.random.Generator, env: SynthEnvSpec, policy: GaussianLinearPolicy
 ) -> LoggedDataset:
     """Draw ``n`` i.i.d. triples with actions from ``policy``."""
     if n < 0:
         raise ValueError("the sample size must be nonnegative")
-    contexts, actions = _contexts_and_actions(n, rng, env, policy)
+    contexts = (math.sqrt(env.context_variance) * rng.standard_normal(n)).reshape(-1, 1)
+    actions = policy.sample(contexts, rng)
     rewards = contexts[:, 0] + actions + _sample_mixture_noise(n, rng, env)
     return LoggedDataset(contexts, actions, rewards)
 
@@ -138,27 +129,68 @@ def sample_target(
     return _sample(m, rng, env, env.target_policy())
 
 
-def estimate_weight_error(
-    pbhat: StochasticPolicy, mc: int, rng: np.random.Generator, env: SynthEnvSpec = DEFAULT_ENV
-) -> float:
-    """Monte Carlo average of ``|w_hat - w|`` over ``env``'s logging law.
+@functools.cache
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """32 nodes of a standard normal and their probability weights: the one rule for
+    expectations over the context. numpy's rule is ``scipy.special.roots_hermitenorm``'s
+    without importing ``scipy.linalg``; it is built once per process, on first use."""
+    nodes, weights = hermegauss(32)
+    return nodes, weights / weights.sum()
 
-    ``w = pi_e / pi_b`` is the ratio of ``env``'s target and behavior
-    policies and ``w_hat = pi_e / pbhat``, at ``mc`` logged contexts and
-    actions. The result is ``inf`` when an estimated ratio exceeds the float
-    range.
+
+def weight_error(pbhat: GaussianLinearPolicy, env: SynthEnvSpec = DEFAULT_ENV) -> float:
+    """Mean ``|w_hat - w|``, ``w_hat = pi_e / pbhat`` and ``w = pi_e / pi_b``, over the logging law.
+
+    At a context ``pi_b |w_hat - w| = |g - pi_e|``, and ``g = pi_e pi_b / pbhat`` is a
+    Gaussian in the action of mass ``K``. It exceeds ``pi_e`` on the set ``U`` where
+    the quadratic ``log pi_b - log pbhat`` is positive, so the integral over the
+    action is ``2 (g(U) - pi_e(U)) - (K - 1)``. :func:`_hermite_rule` takes the mean
+    over the context, not exactly: the integrand has a kink where the quadratic
+    gains its roots. ``inf`` when ``g`` does not normalize or ``K`` overflows.
     """
-    if mc < 1:
-        raise ValueError("mc must be >= 1")
-    pb, pe = env.behavior_policy(), env.target_policy()
-    contexts, actions = _contexts_and_actions(mc, rng, env, pb)
-    den_true = pb.density(contexts, actions)
-    den_hat = pbhat.density(contexts, actions)
-    num = pe.density(contexts, actions)
-    with np.errstate(over="ignore"):
-        w = np.where(den_true > 0, num / np.where(den_true > 0, den_true, 1.0), 0.0)
-        w_hat = np.where(den_hat > 0, num / np.where(den_hat > 0, den_hat, 1.0), 0.0)
-    return float(np.mean(np.abs(w_hat - w)))
+    nodes, weights = _hermite_rule()
+    ctx = math.sqrt(env.context_variance) * nodes.reshape(-1, 1)
+    pe, pb = env.target_policy(), env.behavior_policy()
+    (m_e, v_e), (m_b, v_b), (m_h, v_h) = ((pol.mean(ctx), pol.variance) for pol in (pe, pb, pbhat))
+    # log pi_b - log pbhat = a x^2 + b x + c in the action x; t is g's
+    # precision over pi_e's, and K = E[exp(a X^2 + b X + c)] for X ~ pi_e.
+    a, b = 0.5 / v_h - 0.5 / v_b, m_b / v_b - m_h / v_h
+    c = 0.5 * (m_h * m_h / v_h - m_b * m_b / v_b + math.log(v_h / v_b))
+    t = 1.0 - 2.0 * a * v_e
+    with np.errstate(all="ignore"):  # t <= 0 gives a NaN or infinite K
+        k = np.exp(c + (b + a * m_e) * m_e + (b + 2.0 * a * m_e) ** 2 * v_e / (2.0 * t)
+                   - 0.5 * np.log(t))
+    if not np.all(np.isfinite(k)):
+        return math.inf
+    p, q = _superlevel_ends(a, b, c, np.zeros(1))
+    # The masses of g / K and of pi_e on U, one row each.
+    mean, sd = np.stack(((m_e + b * v_e) / t, m_e)), np.sqrt([[v_e / t], [v_e]])
+    inside = ndtr((q[:, 0] - mean) / sd) - ndtr((p[:, 0] - mean) / sd)
+    g_u, e_u = 1.0 - inside if a > 0.0 else inside
+    return max(float(weights @ (k * (2.0 * g_u - 1.0) - 2.0 * e_u + 1.0)), 0.0)
+
+
+def _mean_piecewise_affine(fn, knots, env: SynthEnvSpec = DEFAULT_ENV) -> float:
+    """Exact mean of ``fn(S)``, ``S ~ N(0, context_variance)``, with ``fn`` affine between knots.
+
+    ``fn`` maps contexts ``(m, 1)`` to ``m`` values; non-finite ``knots`` are ignored. It is
+    evaluated once, at two points in each piece. On a piece ``(u, v)`` in standard units the
+    mean of ``f0 + slope (Z - z0)`` is ``f0 P + slope (phi(u) - phi(v) - z0 P)`` with
+    ``P = Phi(v) - Phi(u)``.
+    """
+    sd = math.sqrt(env.context_variance)
+    # A knot at 0 bounds every piece on one side at least.
+    z = np.unique([k / sd for k in np.ravel(knots) if math.isfinite(k)] + [0.0])
+    u, v = np.append(-math.inf, z), np.append(z, math.inf)
+    # Probes a third and two thirds across each piece, an unbounded piece cut
+    # to width 3 at its finite end.
+    start = np.where(np.isfinite(u), u, v - 3.0)
+    width = (np.where(np.isfinite(v), v, u + 3.0) - start) / 3.0
+    z0 = start + width
+    f0, f1 = np.split(np.asarray(fn(sd * np.append(z0, z0 + width).reshape(-1, 1)), dtype=float), 2)
+    mass = ndtr(v) - ndtr(u)
+    partial = (np.exp(-0.5 * u * u) - np.exp(-0.5 * v * v)) / math.sqrt(2.0 * math.pi)
+    return float(np.sum(f0 * mass + (f1 - f0) / width * (partial - z0 * mass)))
 
 
 def target_reward_cdf(

@@ -24,8 +24,11 @@ from pacope.bench import (
     _TAG_FIGURE2,
     _TAG_UNKNOWN,
     _copp_metrics,
+    _known_predictor,
     _predictor_metrics,
     _symdiff_finite,
+    _theorem4_measure,
+    _theorem4_trial,
 )
 from pacope.calibrate import CalibratedPredictor, CalibrationDiagnostics
 from pacope.core import (
@@ -56,7 +59,6 @@ SMALL = BenchConfig(
     copp_mc_samples=8,
     theorem4_n_grid=(200, 400),
     theorem4_runs=3,
-    theorem4_contexts=50,
     policy_epochs=200,
 )
 
@@ -349,16 +351,60 @@ class TestTheorem4:
 
     def test_report_shape(self):
         table = run_theorem4_convergence(SMALL, 13)
+        assert table.header == ("n", "runs", "n_trivial", "median_measure")
         assert [row[0] for row in table.rows] == list(SMALL.theorem4_n_grid)
-        for _, runs, contexts, n_trivial, median in table.rows:
+        for _, runs, n_trivial, median in table.rows:
             assert runs == SMALL.theorem4_runs
             assert n_trivial >= 0
             assert median >= 0.0
 
+    def test_rows_are_medians_of_figure1_trials(self):
+        # Theorem 4 measures the predictors of figure 1's trials at the same n.
+        table = run_theorem4_convergence(SMALL, 13)
+        figure1 = run_figure1(replace(SMALL, runs=SMALL.theorem4_runs), 13).trials
+        for n, _, _, median in table.rows:
+            preds = [_known_predictor(SMALL, 13, n, run) for run in range(SMALL.theorem4_runs)]
+            assert [_predictor_metrics(p, SMALL.env)[0] for p in preds] == [
+                t.miscoverage for t in figure1 if t.n == n
+            ]
+            assert median == float(np.median([_theorem4_measure(p, SMALL.env) for p in preds]))
+
+    @pytest.mark.parametrize("w_lo, w_up, threshold", [
+        ((-2.0, 1.1), (2.5, 1.4), 0.3),
+        # Crossing at s = 4, and empty where the band is narrower than 1.
+        ((-2.0, 1.5), (2.0, 0.5), -0.5),
+        # Crossing at s = 0; the midpoint band carries C beyond it.
+        ((0.0, 2.0), (0.0, 0.5), 0.4),
+        # Every line has the oracle's slope: no finite knot.
+        ((-1.7, 1.25), (1.9, 1.25), 0.1),
+    ], ids=["tau-positive", "tau-negative-empty", "crossing-band", "parallel"])
+    def test_exact_mean_matches_trapezoid_rule(self, w_lo, w_up, threshold):
+        model = QuantilePairModel(np.array(w_lo), np.array(w_up), (0.1, 0.9))
+        diag = CalibrationDiagnostics(20, 10, 0, False, 0, False, 2.0)
+        pred = CalibratedPredictor(model, threshold, PacParams(0.2, 0.1, 0.5), diag)
+        s = np.linspace(-40.0, 40.0, 800001)
+        lo, hi = pred.interval_batch(s)
+        values = _symdiff_finite(lo, hi, oracle_quantiles(s, 0.1), oracle_quantiles(s, 0.9))
+        y = values * norm.pdf(s, scale=2.0)
+        trapezoid = float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(s)))
+        assert _theorem4_measure(pred, DEFAULT_ENV) == pytest.approx(trapezoid, abs=1e-8)
+
+    def test_trial_mean_matches_drawn_contexts(self):
+        exact = _theorem4_trial((SMALL, 5, 400, 0))
+        pred = _known_predictor(SMALL, 5, 400, 0)
+        contexts = 2.0 * child_rng(5, 99).standard_normal(10**5)
+        lo, hi = pred.interval_batch(contexts)
+        values = _symdiff_finite(
+            lo, hi, oracle_quantiles(contexts, 0.1), oracle_quantiles(contexts, 0.9)
+        )
+        se = float(values.std()) / math.sqrt(values.size)
+        assert math.isfinite(exact)
+        assert abs(exact - float(values.mean())) <= 3 * se
+
 
 class TestUnknownSweep:
     def test_gaussian_and_mle_methods_run(self):
-        cfg = replace(SMALL, runs=3, weight_error_mc=2000)
+        cfg = replace(SMALL, runs=3)
         for method in ("gaussian", "mle"):
             table = run_unknown_sweep(cfg, 17, method=method)
             assert len(table.trials) == 3
@@ -373,7 +419,7 @@ class TestUnknownSweep:
     def test_weight_error_reported_whenever_a_policy_is_estimated(self):
         # At n = 3 the mle estimator still selects a member, so the weight
         # error is reported; the Gaussian fit has too little data, so not.
-        cfg = BenchConfig(n=3, runs=2, weight_error_mc=500)
+        cfg = BenchConfig(n=3, runs=2)
         mle = run_unknown_sweep(cfg, 17, method="mle")
         gaussian = run_unknown_sweep(cfg, 17, method="gaussian")
         assert all(t.trivial and np.isfinite(t.delta_w_hat) for t in mle.trials)
@@ -381,13 +427,16 @@ class TestUnknownSweep:
 
     def test_overflowing_ratio_bound_gives_trivial_rows(self):
         # Two training samples give wild Gaussian fits; on runs 1 and 2 the
-        # ratio bound overflows to inf, so nothing can be accepted.
-        cfg = BenchConfig(n=4, runs=6, weight_error_mc=2000)
+        # ratio bound overflows to inf, so nothing can be accepted. Four of
+        # their weight errors overflow, and are inf with no warning.
+        cfg = BenchConfig(n=4, runs=6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = run_unknown_sweep(cfg, 11, "gaussian")
         assert len(table.trials) == 6
         assert all(t.trivial and t.n_rs == 0 for t in table.trials)
+        assert not any(math.isnan(t.delta_w_hat) for t in table.trials)
+        assert [math.isinf(t.delta_w_hat) for t in table.trials].count(True) == 4
         bounds = [
             pacopp_unknown(
                 sample_logged(cfg.n, child_rng(11, _TAG_UNKNOWN, 0, run, 0), cfg.env),
@@ -461,10 +510,9 @@ class TestConfig:
             BenchConfig(runs=0)
         with pytest.raises(ValueError):
             BenchConfig(epsilon=1.5)
-        for name in ("theorem4_contexts", "theorem4_runs"):
-            for value in (0, -5):
-                with pytest.raises(ValueError, match=name):
-                    BenchConfig(**{name: value})
+        for value in (0, -5):
+            with pytest.raises(ValueError, match="theorem4_runs"):
+                BenchConfig(theorem4_runs=value)
 
     def test_trial_report_validation(self):
         with pytest.raises(ValueError):

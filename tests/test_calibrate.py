@@ -510,9 +510,10 @@ class TestPredictorSerialization:
         k = data.draw(st.integers(-1, m_cal - 1))
         degenerate = k == -1 or m_cal == 0
         threshold = math.inf if degenerate else data.draw(st.floats(0.0, allow_infinity=False))
+        # Consistent diagnostics: n_rs >= m_cal, and trivial only with k = -1.
         tie_flag, trivial, clamped = flags
         diag = CalibrationDiagnostics(
-            counts[0], m_cal, k, tie_flag, counts[1], trivial, bound, clamped
+            m_cal + counts[0], m_cal, k, tie_flag, counts[1], trivial and k == -1, bound, clamped
         )
         pred = CalibratedPredictor(model, threshold, params, diag)
         back = CalibratedPredictor.load(pred.dump())

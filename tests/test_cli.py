@@ -21,7 +21,6 @@ delta_eps_grid=0.05,1.0
 copp_mc_samples=6
 theorem4_n_grid=150,300
 theorem4_runs=2
-theorem4_contexts=30
 """
 
 
@@ -284,11 +283,40 @@ def test_predict_rejects_invalid_predictor_file(tmp_path, capsys, trivial, old, 
     assert "predictor file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new", [
+    ("trivial=0", "trivial=1"),
+    ("k=0", "k=10"),
+    ("k=0", "k=-2"),
+    ("n_rs=20", "n_rs=3"),
+    ("m_cal=10", "m_cal=-1"),
+], ids=["trivial-with-cutoff", "k-not-below-m-cal", "k-below-minus-one",
+        "m-cal-above-n-rs", "negative-m-cal"])
+def test_predict_rejects_inconsistent_diagnostics(tmp_path, capsys, old, new):
+    text = _fitted_predictor_text()
+    assert f"\n{old}\n" in text
+    edited = text.replace(f"\n{old}\n", f"\n{new}\n")
+    with pytest.raises(ValueError, match="predictor file: diagnostics"):
+        CalibratedPredictor.load(edited)
+    path = tmp_path / "p.txt"
+    path.write_text(edited)
+    assert cli(["predict", "--model", str(path), "--s", "0.5"]) == 2
+    assert "predictor file" in capsys.readouterr().err
+
+
 def test_bad_config_key_reports_error(tmp_path, capsys):
     path = tmp_path / "config.txt"
     path.write_text("not_a_key=3\n")
     assert cli(["simulate", "--config", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["theorem4_contexts=250", "weight_error_mc=100000"])
+def test_removed_monte_carlo_keys_report_error(tmp_path, capsys, line):
+    # Theorem 4's measure and the weight error are exact: nothing to draw.
+    path = tmp_path / "config.txt"
+    path.write_text(FAST_CONFIG + line + "\n")
+    assert cli(["theorem4", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert f"unknown config key: {line.split('=')[0]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(("command", "line", "message"), [

@@ -21,6 +21,7 @@ from pacope.synthenv import (
     target_reward_cdf,
     theorem_constants,
     _bvn_cdf,
+    _mean_piecewise_affine,
     _sample_mixture_noise,
 )
 
@@ -342,6 +343,20 @@ class TestSymmetricDifference:
             in_b = (grid >= b.lo) & (grid <= b.hi)
             approx = float(np.sum(in_a ^ in_b)) * dx
             assert symmetric_difference_measure(a, b) == pytest.approx(approx, abs=5 * dx)
+
+
+class TestMeanPiecewiseAffine:
+    def test_closed_form_means(self):
+        # S ~ N(0, 4): E|S| = 2 sqrt(2 / pi), E[(S - 1)^+] = 2 phi(1/2) - Phi(-1/2);
+        # a knot twice over, a NaN knot and an infinite one change nothing.
+        sd = 2.0
+        hinge = sd * norm.pdf(0.5) - norm.sf(0.5)
+        assert _mean_piecewise_affine(lambda c: np.abs(c[:, 0]), [0.0]) == pytest.approx(
+            sd * math.sqrt(2.0 / math.pi), rel=1e-13)
+        assert _mean_piecewise_affine(
+            lambda c: np.maximum(c[:, 0] - 1.0, 0.0), [1.0, 1.0, math.nan, math.inf]
+        ) == pytest.approx(hinge, rel=1e-13)
+        assert _mean_piecewise_affine(lambda c: 3.0 + 2.0 * c[:, 0], []) == pytest.approx(3.0)
 
 
 class TestEnvSpecValidation:
