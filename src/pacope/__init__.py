@@ -29,6 +29,7 @@ from .calibrate import (
     CalibratedPredictor,
     CalibrationDiagnostics,
     binomial_quantile_k,
+    calibrate_model,
     calibrate_split,
     nonconformity,
     pac_threshold,

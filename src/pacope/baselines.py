@@ -203,8 +203,11 @@ def copp_thresholds(calib: CoppCalibration, cand_log_weights, level: float) -> n
     the atom). A shifted candidate weight beyond the float range outweighs
     the at most ``m`` calibration weights of at most one each, so its
     quantile is the atom. A relative 1e-9 slack keeps decimal levels stored
-    as floats from selecting the next order statistic.
+    as floats from selecting the next order statistic. A level outside
+    ``(0, 1]`` raises ``ValueError``.
     """
+    if not 0.0 < level <= 1.0:
+        raise ValueError("level must lie in (0, 1]")
     shifted = np.asarray(cand_log_weights, dtype=float) - calib.log_shift
     atom = shifted > _LOG_FLOAT_MAX
     cum = calib.cum_weights
@@ -318,8 +321,11 @@ def copp_sets(calib: CoppCalibration, contexts, epsilon: float) -> CoppSets:
     grows without bound in a tail and the set is unbounded. With identical
     policies every weight is one and the set is the split-CP interval.
     Contexts do not interact: each row depends only on its own context, and a
-    one-row batch gives the set at one context.
+    one-row batch gives the set at one context. An ``epsilon`` outside
+    ``(0, 1)`` raises ``ValueError``.
     """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
     ctx = _as_context_matrix(contexts)
     mean_e, var_e = _reward_marginal(calib.rm, calib.pe, ctx)
     mean_b, var_b = _reward_marginal(calib.rm, calib.pbhat, ctx)

@@ -10,10 +10,12 @@ Trials call the library pipelines and add no statistics of their own: known
 trials run ``pacopp_known``; unknown trials and figure 2 build the
 unknown-policy sampling stage with ``behavior.rs_split_unknown`` and hand it
 to ``calibrate.calibrate_split``, so they compute exactly what
-``pacopp_unknown`` does on the same streams. Figure 2's COPP-RS row reuses
-that split's quantile pair and scores, and its COPP row comes from the public
-COPP API of ``baselines`` with the split's behavior estimate; the COPP
-weights are exact and draw no randomness.
+``pacopp_unknown`` does on the same streams. Every PAC row is one
+``CalibratedPredictor`` through ``_report``: figure 2 recalibrates the split's
+quantile pair at each of its deltas with ``calibrate.calibrate_model``. Its
+COPP-RS row reuses that pair on the same calibration half, and its COPP row
+comes from the public COPP API of ``baselines`` with the split's behavior
+estimate; the COPP weights are exact and draw no randomness.
 
 A trial draws only its data and its acceptance variates, no test set. The
 miscoverage and mean length of every rejection-sampling row (known, unknown,
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -51,10 +53,9 @@ from .behavior import (
 )
 from .calibrate import (
     CalibratedPredictor,
-    binomial_quantile_k,
+    calibrate_model,
     calibrate_split,
     nonconformity,
-    pac_threshold,
     pacopp_known,
     split_cp_threshold,
 )
@@ -265,10 +266,6 @@ class AggregateTable:
             for row in self.rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
 
-    def column(self, name: str) -> list:
-        i = self.header.index(name)
-        return [row[i] for row in self.rows]
-
 
 # ---------------------------------------------------------------------------
 # evaluation
@@ -284,22 +281,20 @@ def _report(
     method: str,
     run: int,
     n: int,
-    epsilon: float,
-    delta: float,
-    gamma: float,
     pred: CalibratedPredictor,
     env: SynthEnvSpec,
     delta_w_hat: float = float("nan"),
 ) -> TrialReport:
+    """The trial record of one calibrated predictor, at its own PAC parameters."""
     miscoverage, length = _predictor_metrics(pred, env)
-    d = pred.diagnostics
+    d, params = pred.diagnostics, pred.params
     return TrialReport(
         method=method,
         run=run,
         n=n,
-        epsilon=epsilon,
-        delta=delta,
-        gamma=gamma,
+        epsilon=params.epsilon,
+        delta=params.delta,
+        gamma=params.gamma,
         miscoverage=miscoverage,
         mean_length=length,
         trivial=d.trivial or math.isinf(pred.threshold),
@@ -335,8 +330,7 @@ def _known_predictor(config, master_seed, n, run) -> CalibratedPredictor:
 
 def _known_trial(args) -> TrialReport:
     config, master_seed, n, run = args
-    pred = _known_predictor(*args)
-    return _report("PACOPP", run, n, config.epsilon, config.delta, config.gamma, pred, config.env)
+    return _report("PACOPP", run, n, _known_predictor(*args), config.env)
 
 
 def _known_sweep(config: BenchConfig, master_seed: int, n_values) -> list[TrialReport]:
@@ -436,58 +430,42 @@ def _figure2_trial(args) -> list[TrialReport]:
     params = config.pac_params()
 
     # Shared behavior-policy estimate (all methods run with estimated ratios).
-    # The PAC row at config.delta is pacopp_unknown's predictor on these
-    # streams; every row is trivial when it is.
+    # Each PAC row recalibrates the run's quantile pair at its delta; the row
+    # at config.delta is pacopp_unknown's predictor on these streams. Every
+    # row is trivial when the split is degenerate.
     split = rs_split_unknown(d, pe, gamma, config.policy_fit_config(), rng_algo)
     pred = calibrate_split(split, params)
-    diag = pred.diagnostics
-    common = dict(
-        run=run, n=n, epsilon=eps, gamma=gamma, n_rs=diag.n_rs, m_cal=diag.m_cal,
-        tie_flag=diag.tie_flag, weight_violations=diag.weight_violations,
-    )
-    if diag.trivial:
-        methods = [("PACOPP", delta) for delta in config.figure2_deltas]
-        methods += [("COPP-RS", float("nan")), ("COPP", float("nan"))]
-        return [
-            TrialReport(
-                method=method, delta=delta, miscoverage=0.0, mean_length=math.inf,
-                trivial=True, threshold=math.inf, k=-1,
-                **(dict(common, weight_violations=0) if method == "COPP" else common),
-            )
-            for method, delta in methods
-        ]
+    reports = [
+        _report("PACOPP", run, n, calibrate_model(pred.model, split, replace(params, delta=delta)), env)
+        for delta in config.figure2_deltas
+    ]
+    if pred.diagnostics.trivial:
+        copp_rs = replace(_report("COPP-RS", run, n, pred, env), delta=float("nan"))
+        return reports + [copp_rs, replace(copp_rs, method="COPP", weight_violations=0)]
 
-    # The other deltas and COPP-RS reuse the quantile pair and its scores.
-    model = pred.model
+    # COPP-RS: the split-CP threshold of the same quantile pair's scores.
+    model, diag = pred.model, pred.diagnostics
     scores_cal = nonconformity(model, split.cal.contexts, split.cal.rewards)
-    reports: list[TrialReport] = []
-    for delta in config.figure2_deltas:
-        threshold = pac_threshold(scores_cal, eps, delta)
-        miscoverage, length = exact_interval_metrics(model.w_lo, model.w_up, threshold, env)
-        reports.append(TrialReport(
-            method="PACOPP", delta=delta, miscoverage=miscoverage, mean_length=length,
-            trivial=math.isinf(threshold), threshold=threshold,
-            k=binomial_quantile_k(diag.m_cal, eps, delta), **common,
-        ))
     threshold = split_cp_threshold(scores_cal, 1.0 - eps)
     miscoverage, length = exact_interval_metrics(model.w_lo, model.w_up, threshold, env)
-    reports.append(TrialReport(
-        method="COPP-RS", delta=float("nan"), miscoverage=miscoverage, mean_length=length,
-        trivial=math.isinf(threshold), threshold=threshold, k=-1, **common,
-    ))
+    copp_rs = TrialReport(
+        method="COPP-RS", run=run, n=n, epsilon=eps, delta=float("nan"), gamma=gamma,
+        miscoverage=miscoverage, mean_length=length, trivial=math.isinf(threshold),
+        threshold=threshold, n_rs=diag.n_rs, m_cal=diag.m_cal, k=-1,
+        tie_flag=diag.tie_flag, weight_violations=diag.weight_violations,
+    )
 
     # COPP: weighted CP on the raw calibration half, no rejection sampling.
     d1, d2 = split_dataset(d, gamma)
     qm_raw = fit_quantile_pair(d1, params)
     calib = copp_calibrate(d2, qm_raw, fit_reward_model(d1), split.behavior, pe)
     coverage, length = _copp_metrics(calib, eps, env)
-    reports.append(TrialReport(
-        method="COPP", run=run, n=n, epsilon=eps, delta=float("nan"), gamma=gamma,
-        miscoverage=1.0 - coverage, mean_length=length, trivial=math.isinf(length),
-        threshold=float("nan"), n_rs=0, m_cal=len(d2), k=-1,
+    copp = replace(
+        copp_rs, method="COPP", miscoverage=1.0 - coverage, mean_length=length,
+        trivial=math.isinf(length), threshold=float("nan"), n_rs=0, m_cal=len(d2),
         tie_flag=False, weight_violations=0,
-    ))
-    return reports
+    )
+    return reports + [copp_rs, copp]
 
 
 def run_figure2(config: BenchConfig, master_seed: int) -> AggregateTable:
@@ -602,10 +580,7 @@ def _unknown_trial(args) -> TrialReport:
     split = rs_split_unknown(d, pe, params.gamma, config.policy_fit_config(method), rng_algo)
     pred = calibrate_split(split, params)
     delta_w = float("nan") if split.behavior is None else weight_error(split.behavior, env)
-    return _report(
-        f"PACOPP-{method}", run, config.n, config.epsilon, config.delta,
-        config.gamma, pred, env, delta_w_hat=delta_w,
-    )
+    return _report(f"PACOPP-{method}", run, config.n, pred, env, delta_w_hat=delta_w)
 
 
 def run_unknown_sweep(

@@ -10,11 +10,11 @@ numerically.
 
 :func:`calibrate_split` is the calibration core of every pipeline: given a
 ``rejection.RsSplit`` (the rejection-sampled training and calibration halves)
-it fits the quantile pair, scores the calibration pairs and picks the
-threshold. It is also the one home of the trivial predictor: a split with
-fewer than two training pairs or no calibration pairs, an empty dataset's
-included, gets a zero model of its context dimension and an infinite
-threshold. The known-policy pipeline :func:`pacopp_known` lives here: it
+it fits the quantile pair and hands it to :func:`calibrate_model`, which
+scores the calibration pairs and picks the threshold; that stage alone
+recalibrates a fitted band at another ``delta``. A degenerate split, an empty
+dataset's included, gets a zero model and an infinite threshold: the one home
+of the trivial predictor. The known-policy pipeline :func:`pacopp_known`
 rejection-samples with the oracle ratio, then splits the accepted pairs. The
 estimated-policy pipeline is ``behavior.pacopp_unknown``, whose sampling
 stage is ``behavior.rs_split_unknown``.
@@ -57,6 +57,7 @@ __all__ = [
     "split_cp_inflated_level",
     "split_cp_min_calibration_size",
     "calibrate_split",
+    "calibrate_model",
     "pacopp_known",
 ]
 
@@ -206,10 +207,7 @@ def split_cp_threshold(scores, level: float) -> float:
     values = np.asarray(scores, dtype=float).reshape(-1)
     m = values.shape[0]
     j = max(1, ceil_scaled(level * (m + 1)))
-    if j >= m + 1:
-        return math.inf
-    order = np.argsort(values, kind="stable")
-    return float(values[order[j - 1]])
+    return _order_statistic(np.sort(values, kind="stable"), m - j)
 
 
 def split_cp_inflated_level(epsilon: float, delta: float, m: int) -> float:
@@ -386,24 +384,33 @@ class CalibratedPredictor:
             raise ValueError(f"predictor file: {exc}") from None
 
 
-def calibrate_split(split: RsSplit, params: PacParams) -> CalibratedPredictor:
-    """Fit the quantile pair on ``split.train`` and calibrate its threshold on ``split.cal``.
+def _degenerate(split: RsSplit) -> bool:
+    """The trivial predictor's split: fewer than two training pairs or no calibration pairs."""
+    return len(split.train) < 2 or len(split.cal) == 0
 
-    The calibration core shared by every pipeline: it takes the sampling
-    stage's two rejection-sampled halves, fits the quantile pair, scores the
-    calibration pairs, and picks the PAC threshold. A degenerate split (fewer
-    than two training pairs or no calibration pairs) yields the trivial
-    predictor instead of an error, so Monte Carlo sweeps stay total. The
-    split's size, violations, bound and clamp flag are recorded in the
-    diagnostics as given.
-    """
-    train, cal = split.train, split.cal
-    trivial = len(train) < 2 or len(cal) == 0
+
+def calibrate_split(split: RsSplit, params: PacParams) -> CalibratedPredictor:
+    """Fit the quantile pair on ``split.train``, then :func:`calibrate_model` on ``split.cal``.
+
+    A degenerate split gets a zero model and so the trivial predictor, not an
+    error, so Monte Carlo sweeps stay total."""
+    if _degenerate(split):
+        model = trivial_quantile_model((params.eps_lo, params.eps_up), split.train.contexts.shape[1])
+    else:
+        model = fit_quantile_pair(split.train, params)
+    return calibrate_model(model, split, params)
+
+
+def calibrate_model(model: QuantilePairModel, split: RsSplit, params: PacParams) -> CalibratedPredictor:
+    """Score ``split.cal`` with a fitted quantile pair and pick the PAC threshold at ``params``.
+
+    It recalibrates a band at another ``delta`` without refitting. A degenerate
+    split gets ``k = -1`` and an infinite threshold, whatever the model. The
+    split's size, violations, bound and clamp flag go into the diagnostics."""
+    cal, trivial = split.cal, _degenerate(split)
     if trivial:
-        model = trivial_quantile_model((params.eps_lo, params.eps_up), train.contexts.shape[1])
         k, threshold, tie_flag = -1, math.inf, False
     else:
-        model = fit_quantile_pair(train, params)
         scores = nonconformity(model, cal.contexts, cal.rewards)
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores must be finite")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.special import ndtr, owens_t
+from scipy.special import ndtr, ndtri, owens_t
 
 from .baselines import _superlevel_ends
 from .core import GaussianLinearPolicy, LoggedDataset, _as_context_matrix
@@ -60,6 +60,8 @@ class SynthEnvSpec:
     component_variances: tuple[float, ...] = (1.0, 16.0)
 
     def __post_init__(self) -> None:
+        for name in ("mixture_weights", "component_variances"):  # tuples hash, lists do not
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.mixture_weights) != len(self.component_variances):
             raise ValueError("mixture weights and component variances must align")
         if abs(sum(self.mixture_weights) - 1.0) > 1e-12:
@@ -239,8 +241,9 @@ def exact_interval_metrics(
     ``tau`` on each side. Returns ``E_S[P(R outside [lo - tau, up + tau] | S)]``
     and ``E_S[max(up - lo + 2 tau, 0)]`` with ``S ~ N(0, context_variance)``
     and ``R | s`` the target law of :func:`target_reward_cdf`; an empty
-    interval misses with probability 1. An infinite threshold gives
-    ``(0.0, inf)``.
+    interval misses with probability 1. A threshold of ``+inf`` gives
+    ``(0.0, inf)`` and one of ``-inf``, empty everywhere, ``(1.0, 0.0)``; a
+    NaN threshold or a non-finite weight raises ``ValueError``.
 
     The gap ``up - lo`` is affine in ``s``. Where it is at least
     ``c = max(0, -2 tau)`` the interval is ``[lo - tau, up + tau]``; elsewhere
@@ -254,8 +257,10 @@ def exact_interval_metrics(
     if w_lo.shape != (2,) or w_up.shape != (2,):
         raise ValueError("exact metrics need 1-d contexts: affine weights of length 2")
     tau = float(threshold)
+    if math.isnan(tau) or not np.all(np.isfinite([w_lo, w_up])):
+        raise ValueError("exact metrics need finite weights and a threshold that is not NaN")
     if math.isinf(tau):
-        return 0.0, math.inf
+        return (0.0, math.inf) if tau > 0 else (1.0, 0.0)
     var = env.context_variance
     sd_s = math.sqrt(var)
     mean_slope = 1.0 + env.target_slope
@@ -305,9 +310,25 @@ def exact_interval_metrics(
     return min(max(miss, 0.0), 1.0), float(length)
 
 
-_BRACKET_HALF_WIDTH = 40.0
-# Absolute tolerance of the bisection in :func:`oracle_quantiles`.
+# Absolute tolerance of the bisection in :func:`_oracle_offset`.
 _ORACLE_TOL = 1e-8
+
+
+@functools.cache
+def _oracle_offset(q: float, env: SynthEnvSpec) -> float:
+    """Level-``q`` quantile of ``R - (1 + target_slope) s``: a mixture of centred normals, so it
+    lies between its components' quantiles ``sigma_j z_q``, and bisecting that bracket to
+    ``_ORACLE_TOL`` finds it, or to adjacent floats where they are farther apart."""
+    sigma_z = np.sqrt(env.target_component_variances()) * ndtri(q)
+    lo, hi = float(sigma_z.min()), float(sigma_z.max())
+    mid = 0.5 * (lo + hi)
+    while hi - lo > _ORACLE_TOL and lo < mid < hi:
+        if target_reward_cdf(mid, 0.0, env) < q:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def oracle_quantiles(contexts, q: float, env: SynthEnvSpec = DEFAULT_ENV) -> np.ndarray:
@@ -317,32 +338,15 @@ def oracle_quantiles(contexts, q: float, env: SynthEnvSpec = DEFAULT_ENV) -> np.
     ``ValueError``.
 
     ``R - (1 + target_slope) s`` has the same law at every context, so its
-    quantile is found once, at ``s = 0``, and shifted. It is found by
-    bisection to absolute tolerance ``_ORACLE_TOL``: the bracket is ``+-40``
-    (beyond nine standard deviations of the widest default component) and
-    doubles until it straddles the root. The CDF is strictly increasing, so
-    the bisection converges unconditionally.
+    quantile is found once per ``(q, env)``, at ``s = 0``, by
+    :func:`_oracle_offset`, and shifted.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
     ctx = _as_context_matrix(contexts)
     if ctx.shape[1] != 1:
         raise ValueError("oracle quantiles need 1-d contexts: one column")
-    half = _BRACKET_HALF_WIDTH
-    lo, hi = -half, half
-    while target_reward_cdf(lo, 0.0, env) > q:
-        half *= 2.0
-        lo = -half
-    while target_reward_cdf(hi, 0.0, env) < q:
-        half *= 2.0
-        hi = half
-    while hi - lo > _ORACLE_TOL:
-        mid = 0.5 * (lo + hi)
-        if target_reward_cdf(mid, 0.0, env) < q:
-            lo = mid
-        else:
-            hi = mid
-    return (1.0 + env.target_slope) * ctx[:, 0] + 0.5 * (lo + hi)
+    return (1.0 + env.target_slope) * ctx[:, 0] + _oracle_offset(q, env)
 
 
 @dataclass(frozen=True)

@@ -214,6 +214,15 @@ class TestWeightedQuantile:
         assert np.isfinite(base).any() and np.isinf(base).any()
         assert shifted.tobytes() == base.tobytes()
 
+    @pytest.mark.parametrize("level", [0.0, -1.0, 1.5, math.nan])
+    def test_level_outside_unit_interval_rejected(self, level):
+        # Like split_cp_threshold: a level in (0, 1], or ValueError, never a
+        # score or inf for a level no quantile has.
+        calib = _calibration(np.array([0.0, 1.0, 2.0]), np.zeros(3))
+        with pytest.raises(ValueError, match="level"):
+            copp_thresholds(calib, np.zeros(2), level)
+        assert copp_thresholds(calib, np.zeros(2), 1.0).tolist() == [math.inf, math.inf]
+
     def test_overflowing_candidate_weight_lands_on_atom(self):
         # A candidate whose shifted weight exceeds the float range puts all
         # but a negligible mass on the infinity atom.
@@ -366,6 +375,15 @@ class TestCoppPredict:
         assert not sets.empty()[0] and not sets.non_contiguous()[0]
         assert lo[0] < hi[0]
         assert sets.measure()[0] == hi[0] - lo[0]
+
+    @pytest.mark.parametrize("epsilon", [-0.5, 0.0, 1.0, 1.5, math.nan])
+    def test_epsilon_outside_unit_interval_rejected(self, epsilon):
+        # No infinite measures, empty sets or division by zero: a miscoverage
+        # level outside (0, 1) raises.
+        _, d2, rm, model = self._setup()
+        calib = copp_calibrate(d2, model, rm, PB, PE)
+        with pytest.raises(ValueError, match="epsilon"):
+            copp_sets(calib, [[0.0]], epsilon)
 
     def test_uniform_weights_match_split_cp_membership(self):
         # Identical policies give every weight exactly one, so the set is the

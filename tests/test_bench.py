@@ -104,7 +104,7 @@ class TestFigure1:
 
     def test_single_run_frequency_is_indicator(self):
         table = run_figure1(replace(SMALL, runs=1), 5)
-        for freq in table.column("band_freq"):
+        for _, _, _, freq, _ in table.rows:
             assert freq in (0.0, 1.0)
 
     def test_aggregate_recomputes_from_trials_csv(self, tmp_path):
@@ -143,26 +143,27 @@ class TestFigure2:
         assert all(t.weight_violations == 0 for t in a.trials if t.method == "COPP")
 
     def test_pac_rows_match_pacopp_unknown(self):
-        # Figure 2 and pacopp_unknown run one path: the PAC row at
-        # config.delta is the pipeline's predictor on that run's streams.
+        # Figure 2 and pacopp_unknown run one path: the PAC row at each delta
+        # is the pipeline's predictor at that delta on that run's streams.
         cfg = replace(SMALL, runs=2)
         table = run_figure2(cfg, 7)
         for run in range(cfg.runs):
             d = sample_logged(cfg.n, child_rng(7, _TAG_FIGURE2, run, 0), cfg.env)
-            pred = pacopp_unknown(
-                d, cfg.env.target_policy(), cfg.pac_params(), cfg.policy_fit_config(),
-                child_rng(7, _TAG_FIGURE2, run, 2),
-            )
-            (row,) = [
-                t for t in table.trials
-                if t.run == run and t.method == "PACOPP" and t.delta == cfg.delta
-            ]
-            diag = pred.diagnostics
-            assert not diag.trivial
-            assert row.threshold == pred.threshold
-            assert (row.k, row.m_cal, row.n_rs, row.weight_violations) == (
-                diag.k, diag.m_cal, diag.n_rs, diag.weight_violations
-            )
+            for delta in cfg.figure2_deltas:
+                pred = pacopp_unknown(
+                    d, cfg.env.target_policy(), replace(cfg.pac_params(), delta=delta),
+                    cfg.policy_fit_config(), child_rng(7, _TAG_FIGURE2, run, 2),
+                )
+                (row,) = [
+                    t for t in table.trials
+                    if t.run == run and t.method == "PACOPP" and t.delta == delta
+                ]
+                diag = pred.diagnostics
+                assert not diag.trivial
+                assert row.threshold == pred.threshold
+                assert (row.k, row.m_cal, row.n_rs, row.weight_violations, row.tie_flag) == (
+                    diag.k, diag.m_cal, diag.n_rs, diag.weight_violations, diag.tie_flag
+                )
 
     def test_pac_and_copp_rs_rows_are_exact_metrics(self):
         # Every PAC row and the COPP-RS row report exact_interval_metrics of
@@ -240,8 +241,10 @@ class TestFigure2:
             band = QuantilePairModel(np.array([-1.0, 0.0]), np.array([1.0, 1.0]), pred.model.levels)
             return replace(pred, model=band)
 
+        calibrate_model = bench.calibrate_model
         monkeypatch.setattr(bench, "calibrate_split", with_band)
-        monkeypatch.setattr(bench, "pac_threshold", lambda scores, epsilon, delta: -0.5)
+        monkeypatch.setattr(bench, "calibrate_model", lambda model, split, params: replace(
+            calibrate_model(model, split, params), threshold=-0.5))
         monkeypatch.setattr(bench, "split_cp_threshold", lambda scores, level: -0.5)
         cfg = replace(SMALL, runs=1)
         table = run_figure2(cfg, 7)

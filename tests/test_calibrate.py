@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+from pacope.behavior import PolicyFitConfig, rs_split_unknown
 from pacope.calibrate import (
     CalibratedPredictor,
     CalibrationDiagnostics,
     binomial_quantile_k,
+    calibrate_model,
     calibrate_split,
     nonconformity,
     pac_threshold,
@@ -22,7 +25,7 @@ from pacope.calibrate import (
 )
 from pacope.core import PacParams, PredictionInterval, child_rng
 from pacope.quantile import QuantilePairModel
-from pacope.rejection import RsDataset, RsSplit
+from pacope.rejection import RsDataset, RsSplit, gaussian_ratio_bound, rejection_sample
 from pacope.synthenv import DEFAULT_ENV, sample_logged, sample_target
 
 PARAMS = PacParams(0.2, 0.1, 0.5)
@@ -384,6 +387,58 @@ class TestCalibrateSplitProperties:
         cal = RsDataset(np.zeros((2, 1)), np.array([0.0, math.nan]), np.arange(2))
         with pytest.raises(ValueError, match="scores must be finite"):
             calibrate_split(RsSplit(train, cal, violations=0, bound=2.0), PARAMS)
+
+
+def _known_split(seed):
+    """``pacopp_known``'s sampling stage on 2000 default logged triples."""
+    d = sample_logged(2000, child_rng(seed, 0))
+    pe, pb = DEFAULT_ENV.target_policy(), DEFAULT_ENV.behavior_policy()
+    bound = gaussian_ratio_bound(pe, pb, d.contexts)
+    rs = rejection_sample(d, pe, pb, bound, child_rng(seed, 1))
+    return RsSplit(*rs.split(PARAMS.gamma), rs.n_violations, bound)
+
+
+def _unknown_split(seed):
+    d = sample_logged(2000, child_rng(seed, 0))
+    return rs_split_unknown(d, DEFAULT_ENV.target_policy(), PARAMS.gamma, PolicyFitConfig(),
+                            child_rng(seed, 1))
+
+
+class TestCalibrateModel:
+    @pytest.mark.parametrize("make_split", [_known_split, _unknown_split], ids=["known", "unknown"])
+    def test_equals_calibrate_split(self, make_split):
+        for seed in range(3):
+            split = make_split(seed)
+            pred = calibrate_split(split, PARAMS)
+            again = calibrate_model(pred.model, split, PARAMS)
+            assert again.model is pred.model
+            assert (again.threshold, again.params, again.diagnostics) == (
+                pred.threshold, pred.params, pred.diagnostics)
+
+    @pytest.mark.parametrize("delta", [0.5, 0.25, 0.01, 1e-6])
+    def test_other_delta_matches_cutoff_and_threshold(self, delta):
+        split = _unknown_split(4)
+        pred = calibrate_split(split, PARAMS)
+        params = PacParams(PARAMS.epsilon, delta, PARAMS.gamma)
+        again = calibrate_model(pred.model, split, params)
+        scores = nonconformity(pred.model, split.cal.contexts, split.cal.rewards)
+        m = len(split.cal)
+        assert again.params == params
+        assert again.threshold == pac_threshold(scores, PARAMS.epsilon, delta)
+        assert again.diagnostics.k == binomial_quantile_k(m, PARAMS.epsilon, delta)
+        assert again.diagnostics == replace(pred.diagnostics, k=again.diagnostics.k)
+
+    @pytest.mark.parametrize(("n_train", "m_cal"), [(0, 30), (1, 30), (40, 0)])
+    def test_degenerate_split_is_trivial_whatever_the_model(self, n_train, m_cal):
+        rng = np.random.default_rng(5)
+        split = RsSplit(_random_rs(rng, n_train, 1, ties=False), _random_rs(rng, m_cal, 1, ties=False),
+                        violations=2, bound=3.0)
+        model = QuantilePairModel(np.array([-1.5, 0.3]), np.array([2.0, 1.1]), (0.1, 0.9))
+        pred = calibrate_model(model, split, PARAMS)
+        diag = pred.diagnostics
+        assert pred.model is model
+        assert pred.threshold == math.inf and diag.k == -1 and diag.trivial
+        assert (diag.n_rs, diag.m_cal, diag.weight_violations, diag.bound) == (n_train + m_cal, m_cal, 2, 3.0)
 
 
 class TestPacoppKnown:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,24 @@ class TestExactIntervalMetrics:
                           epsabs=1e-14)
             assert g == pytest.approx(ref, abs=1e-12)
 
+    @pytest.mark.parametrize(("w_lo", "threshold", "expected"), [
+        ([0.0, 1.0], -math.inf, (1.0, 0.0)),
+        ([0.0, 1.0], math.nan, ValueError),
+        ([math.nan, 1.0], 0.3, ValueError),
+        ([0.0, math.inf], 0.3, ValueError),
+        ([-math.inf, 1.0], math.inf, ValueError),
+    ], ids=["empty-everywhere", "nan-threshold", "nan-weight", "inf-weight", "inf-weight-inf-threshold"])
+    def test_out_of_range_input(self, w_lo, threshold, expected):
+        # An interval empty everywhere misses surely and has length 0; NaN in
+        # or non-finite weights raise instead of giving NaN metrics.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if expected is ValueError:
+                with pytest.raises(ValueError):
+                    exact_interval_metrics(w_lo, [1.0, 1.0], threshold)
+            else:
+                assert exact_interval_metrics(w_lo, [1.0, 1.0], threshold) == expected
+
     def test_infinite_threshold_and_other_dimensions(self):
         assert exact_interval_metrics([0.0, 1.0], [1.0, 1.0], math.inf) == (0.0, math.inf)
         with pytest.raises(ValueError):
@@ -229,7 +248,9 @@ class TestSampling:
 
 class TestOracleQuantile:
     def test_median_at_zero_is_zero(self):
-        assert abs(oracle_quantiles(0.0, 0.5)[0]) < 1e-7
+        # The mixture is symmetric, so the bracket of its components'
+        # quantiles collapses to the point 0.
+        assert oracle_quantiles(0.0, 0.5)[0] == 0.0
 
     def test_low_quantile_matches_root_finder(self):
         expected = brentq(lambda x: target_reward_cdf(x, 0.0) - 0.1, -40, 40, xtol=1e-12)
@@ -263,12 +284,21 @@ class TestOracleQuantile:
             oracle_quantiles(np.zeros(shape), 0.1)
 
     def test_bracket_expands_for_extreme_levels(self):
-        # The default bracket spans +-40, where the CDF is ~1e-22; a deeper
-        # tail level forces the expansion loop and must still invert.
+        # The CDF at -40 is ~1e-22; a deeper tail level lies beyond it, in the
+        # bracket of the components' quantiles, and must still invert.
         q = 1e-26
         (x,) = oracle_quantiles(0.0, q)
         assert x < -40.0
         assert target_reward_cdf(x, 0.0) == pytest.approx(q, rel=1e-3)
+
+    def test_wide_component_stops_at_adjacent_floats(self):
+        # A quantile near 1.2e10 has floats 2e-6 apart, coarser than the
+        # bisection tolerance: the bisection stops when no float is left
+        # between the bracket's ends instead of looping for ever.
+        env = SynthEnvSpec(component_variances=(1.0, 1e20))
+        (x,) = oracle_quantiles(0.0, 0.9, env)
+        assert x == pytest.approx(1e10 * norm.ppf(0.875), rel=1e-9)
+        assert target_reward_cdf(x, 0.0, env) == pytest.approx(0.9, abs=1e-12)
 
     def test_oracle_interval(self):
         # The oracle interval [q_lo(s), q_up(s)] at s = 0 and its shift to s = 4.
@@ -367,6 +397,13 @@ class TestEnvSpecValidation:
     def test_positive_variances(self):
         with pytest.raises(ValueError):
             SynthEnvSpec(component_variances=(1.0, 0.0))
+
+    def test_lists_are_stored_as_tuples(self):
+        # A spec built from lists hashes, so the oracle cache can key on it.
+        env = SynthEnvSpec(mixture_weights=[0.2, 0.8], component_variances=[1.0, 16.0])
+        assert env.mixture_weights == (0.2, 0.8) and env.component_variances == (1.0, 16.0)
+        assert env == DEFAULT_ENV and hash(env) == hash(DEFAULT_ENV)
+        assert oracle_quantiles(0.0, 0.1, env)[0] == oracle_quantiles(0.0, 0.1)[0]
 
     def test_target_component_variances(self):
         env = DEFAULT_ENV
