@@ -34,7 +34,6 @@ tolerance. Full scale is reachable through the config.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -311,6 +310,8 @@ def _report(
 def _map_trials(fn, argslist, n_jobs: int) -> list:
     if n_jobs <= 1 or len(argslist) <= 1:
         return [fn(args) for args in argslist]
+    from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep pays its import
+
     chunk = max(1, len(argslist) // (4 * n_jobs))
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         return list(pool.map(fn, argslist, chunksize=chunk))

@@ -6,7 +6,8 @@ the ``(M - k)``-th smallest score as the threshold; ``k = -1`` (or ``M = 0``)
 yields an infinite threshold and the trivial whole-line interval. The binomial
 CDF is evaluated by exact incremental pmf summation in log space, never by a
 normal approximation: the coverage guarantee is exact and must not be eroded
-numerically.
+numerically. Its log-factorial table is numpy arithmetic (a ``math.lgamma``
+head and a Stirling series), so calibrating and predicting import no scipy.
 
 :func:`calibrate_split` is the calibration core of every pipeline: given a
 ``rejection.RsSplit`` (the rejection-sampled training and calibration halves)
@@ -33,7 +34,6 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import (
     GaussianLinearPolicy,
@@ -63,6 +63,25 @@ __all__ = [
 
 
 _TIE_LOG_TOL = 1e-9
+
+# ``log(j!)`` below the seam is ``math.lgamma``'s; from the seam up it is the
+# Stirling series of ``lgamma(x)``, ``x = j + 1``, through its ``x^-7`` term,
+# the form cephes' ``gammaln`` takes above 13. The first term left out,
+# ``1 / (1188 x^9)``, is below 2e-17 at ``x = 33``.
+_STIRLING_SEAM = 32
+_LOG_FACTORIAL_HEAD = np.array([math.lgamma(j + 1.0) for j in range(_STIRLING_SEAM)])
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_factorials(m: int) -> np.ndarray:
+    """``log(j!)`` for ``j = 0..m``, within a few ulp of ``math.lgamma(j + 1)``."""
+    if m < _STIRLING_SEAM:
+        return _LOG_FACTORIAL_HEAD[: m + 1].copy()
+    x = np.arange(_STIRLING_SEAM + 1, m + 2, dtype=float)
+    r = 1.0 / (x * x)
+    series = (((-1.0 / 1680.0 * r + 1.0 / 1260.0) * r - 1.0 / 360.0) * r + 1.0 / 12.0) / x
+    tail = (x - 0.5) * np.log(x) - x + (_HALF_LOG_2PI + series)
+    return np.concatenate((_LOG_FACTORIAL_HEAD, tail))
 
 
 def _trim(lo: int, hi: int, x: int, bits: int) -> tuple[int, int, int]:
@@ -136,8 +155,9 @@ def binomial_quantile_k(m: int, epsilon: float, delta: float) -> int:
     """Largest ``k`` in ``{-1, .., m-1}`` with ``F_Bin(m, epsilon)(k) <= delta``.
 
     Computed by summing binomial pmf terms incrementally in log space
-    (``logaddexp`` accumulation over lgamma-based log pmfs), which keeps tail
-    probabilities far below double underflow exact to machine precision.
+    (``logaddexp`` accumulation of log pmfs built from one table of
+    ``log(j!)``, :func:`_log_factorials`), which keeps tail probabilities far
+    below double underflow exact to machine precision.
     When the comparison at the candidate cutoff lands within floating error
     of the boundary, every ``k`` up to it is decided again by integer interval
     bounds of growing precision (``_cutoff_exact``), so the result always
@@ -153,10 +173,11 @@ def binomial_quantile_k(m: int, epsilon: float, delta: float) -> int:
     if m == 0:
         return -1
     ks = np.arange(m, dtype=float)
+    log_fact = _log_factorials(m)
     log_pmf = (
-        gammaln(m + 1.0)
-        - gammaln(ks + 1.0)
-        - gammaln(m - ks + 1.0)
+        log_fact[m]
+        - log_fact[:m]
+        - log_fact[m:0:-1]
         + ks * math.log(epsilon)
         + (m - ks) * math.log1p(-epsilon)
     )

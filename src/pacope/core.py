@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -303,20 +304,30 @@ def load_csv(path: str) -> LoggedDataset:
     non-finite row raises a ``ValueError`` naming its 1-based line number (the
     header is line 1; a record whose quoted field spans lines counts as one).
 
-    The body is parsed in one vectorized ``np.loadtxt`` call. When that call
-    fails, gives the wrong column count or a non-finite value, the file is
-    read again row by row with ``float()``, which either raises the
-    line-numbered error or accepts a spelling ``loadtxt`` does not (such as
-    ``1_0``). Both parses give the same bits for a value they both accept.
+    The body is parsed in one vectorized ``np.loadtxt`` call, which is given
+    the path (it reads a path in large chunks and a handle line by line) and
+    skips the physical lines the header took. When that call fails, gives the
+    wrong column count or a non-finite value, the file is read again row by
+    row with ``float()``, which either raises the line-numbered error or
+    accepts a spelling ``loadtxt`` does not (such as ``1_0``). Both parses
+    give the same bits for a value they both accept.
     """
     with open(path, newline="") as fh:
-        dim = _read_header(path, fh)
+        reader = csv.reader(fh)
+        dim = _read_header(path, reader)
+        encoding = fh.encoding
+    # numpy opens a path by suffix (it would decompress these) and as a URL
+    # when it has a scheme, which an absolute path never has.
+    source = os.path.abspath(path)
+    body = None
+    if not source.endswith(_COMPRESSED_SUFFIXES):
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             try:
-                body = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+                body = np.loadtxt(source, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                                  skiprows=reader.line_num, encoding=encoding)
             except ValueError:
-                body = None
+                pass
     if body is None or body.shape[1] != dim + 2 or not np.all(np.isfinite(body)):
         body = _load_csv_rows(path)
     if body.shape[0] == 0:
@@ -324,10 +335,13 @@ def load_csv(path: str) -> LoggedDataset:
     return LoggedDataset(body[:, :dim], body[:, dim], body[:, dim + 1])
 
 
-def _read_header(path: str, fh) -> int:
-    """Consume and check the header record; returns the context dimension."""
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _read_header(path: str, reader) -> int:
+    """Consume and check the header record of a ``csv.reader``; returns the context dimension."""
     try:
-        header = next(csv.reader(fh))
+        header = next(reader)
     except StopIteration:
         raise ValueError(f"{path}: empty file, expected a header row") from None
     except csv.Error as exc:
@@ -345,7 +359,7 @@ def _load_csv_rows(path: str) -> np.ndarray:
     """Row-by-row parse of the body with ``float()``: the reference semantics
     of :func:`load_csv`, and its error messages. Returns an ``(n, d + 2)`` array."""
     with open(path, newline="") as fh:
-        dim = _read_header(path, fh)
+        dim = _read_header(path, csv.reader(fh))
         rows: list[list[float]] = []
         lineno = 1
         try:

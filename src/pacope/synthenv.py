@@ -18,6 +18,9 @@ tests; no nested sampling is involved.
 
 The unknown-policy setting's weight error ``E |w_hat(S, A) - w(S, A)|`` needs
 the true behavior policy, so it lives here too (:func:`weight_error`).
+
+The functions that need ``scipy.special`` import it when called, so
+``import pacope`` and the calibrate/predict path load no scipy.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.special import ndtr, ndtri, owens_t
 
 from .baselines import _superlevel_ends
 from .core import GaussianLinearPolicy, LoggedDataset, _as_context_matrix
@@ -150,6 +152,8 @@ def weight_error(pbhat: GaussianLinearPolicy, env: SynthEnvSpec = DEFAULT_ENV) -
     over the context, not exactly: the integrand has a kink where the quadratic
     gains its roots. ``inf`` when ``g`` does not normalize or ``K`` overflows.
     """
+    from scipy.special import ndtr
+
     nodes, weights = _hermite_rule()
     ctx = math.sqrt(env.context_variance) * nodes.reshape(-1, 1)
     pe, pb = env.target_policy(), env.behavior_policy()
@@ -180,6 +184,8 @@ def _mean_piecewise_affine(fn, knots, env: SynthEnvSpec = DEFAULT_ENV) -> float:
     mean of ``f0 + slope (Z - z0)`` is ``f0 P + slope (phi(u) - phi(v) - z0 P)`` with
     ``P = Phi(v) - Phi(u)``.
     """
+    from scipy.special import ndtr
+
     sd = math.sqrt(env.context_variance)
     # A knot at 0 bounds every piece on one side at least.
     z = np.unique([k / sd for k in np.ravel(knots) if math.isfinite(k)] + [0.0])
@@ -199,6 +205,8 @@ def target_reward_cdf(
     r: np.ndarray | float, s: float, env: SynthEnvSpec = DEFAULT_ENV
 ) -> np.ndarray | float:
     """Exact CDF of ``R | s`` under the target policy (Gaussian convolution)."""
+    from scipy.special import ndtr
+
     r_arr = np.asarray(r, dtype=float)
     mean = (1.0 + env.target_slope) * s
     out = np.zeros_like(r_arr, dtype=float)
@@ -216,6 +224,8 @@ def _bvn_cdf(h: np.ndarray, k: float, rho: np.ndarray, r: np.ndarray) -> np.ndar
     ``+ 0.0`` makes of a negative zero; at ``h = k = 0`` it is
     ``1/4 + asin(rho) / (2 pi)``.
     """
+    from scipy.special import ndtr, owens_t
+
     h = h + 0.0
     k = k + 0.0
     with np.errstate(all="ignore"):  # an argument of T may be +-inf, its limit
@@ -252,6 +262,8 @@ def exact_interval_metrics(
     of ``Phi(alpha + beta S)`` terms, whose mean is a bivariate normal
     probability; the length is ``E[(gap - c)^+] + max(2 tau, 0)``.
     """
+    from scipy.special import ndtr
+
     w_lo = np.asarray(w_lo, dtype=float)
     w_up = np.asarray(w_up, dtype=float)
     if w_lo.shape != (2,) or w_up.shape != (2,):
@@ -319,6 +331,8 @@ def _oracle_offset(q: float, env: SynthEnvSpec) -> float:
     """Level-``q`` quantile of ``R - (1 + target_slope) s``: a mixture of centred normals, so it
     lies between its components' quantiles ``sigma_j z_q``, and bisecting that bracket to
     ``_ORACLE_TOL`` finds it, or to adjacent floats where they are farther apart."""
+    from scipy.special import ndtri
+
     sigma_z = np.sqrt(env.target_component_variances()) * ndtri(q)
     lo, hi = float(sigma_z.min()), float(sigma_z.max())
     mid = 0.5 * (lo + hi)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 from scipy.stats import binom
 
+from pacope import calibrate
 from pacope.behavior import PolicyFitConfig, rs_split_unknown
 from pacope.calibrate import (
     CalibratedPredictor,
@@ -70,6 +72,68 @@ def _k_oracle_exact(m, eps, delta):
         else:
             break
     return best
+
+
+def _k_gammaln(m, eps, delta):
+    """The cutoff from scipy's ``gammaln`` log pmf, with the same slack and exact tie rule."""
+    if m == 0:
+        return -1
+    ks = np.arange(m, dtype=float)
+    log_pmf = (gammaln(m + 1.0) - gammaln(ks + 1.0) - gammaln(m - ks + 1.0)
+               + ks * math.log(eps) + (m - ks) * math.log1p(-eps))
+    log_cdf = np.logaddexp.accumulate(log_pmf)
+    log_delta = math.log(delta)
+    slack = calibrate._TIE_LOG_TOL * (1.0 + np.abs(log_cdf) + abs(log_delta))
+    below = np.flatnonzero(log_cdf <= log_delta + slack)
+    k = int(below[-1]) if below.size else -1
+    if k >= 0 and abs(log_cdf[k] - log_delta) <= slack[k]:
+        k = calibrate._cutoff_exact(m, eps, delta, k)
+    return k
+
+
+class TestLogFactorials:
+    def test_within_four_ulp_of_lgamma(self):
+        m = 200_000
+        got = calibrate._log_factorials(m)
+        ref = np.array([math.lgamma(j + 1.0) for j in range(m + 1)])
+        assert got.shape == (m + 1,)
+        assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(ref))
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 31, 32, 33, 34, 1000])
+    def test_prefix_of_the_long_table_across_the_seam(self, m):
+        got = calibrate._log_factorials(m)
+        assert got.shape == (m + 1,)
+        assert got.tobytes() == calibrate._log_factorials(2000)[: m + 1].tobytes()
+        assert got[0] == 0.0 and (m < 1 or got[1] == 0.0)
+
+
+class TestCutoffMatchesGammaln:
+    def test_grid(self):
+        for m in (1, 2, 5, 31, 32, 33, 100, 2000, 45_000, 100_000):
+            for eps in (0.01, 0.1, 0.2, 0.5, 0.9):
+                for delta in (1e-9, 0.01, 0.1, 0.5, 0.9):
+                    assert binomial_quantile_k(m, eps, delta) == _k_gammaln(m, eps, delta)
+
+    def test_near_ties_reach_the_exact_rule(self, monkeypatch):
+        calls, exact = [], calibrate._cutoff_exact
+
+        def counted(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(calibrate, "_cutoff_exact", counted)
+        for m in (1, 7, 32, 33, 200, 2000):
+            for eps in (0.1, 0.2, 0.5):
+                for k in sorted({0, m // 10, m // 5, m // 2}):
+                    delta = float(binom.cdf(k, m, eps))
+                    if not np.finfo(float).tiny < delta < 1.0:  # a subnormal delta is no near tie
+                        continue
+                    for d in (delta, float(np.nextafter(delta, 0.0)), float(np.nextafter(delta, 1.0))):
+                        n = len(calls)
+                        got = binomial_quantile_k(m, eps, d)
+                        assert len(calls) > n
+                        assert got == _k_gammaln(m, eps, d)
+        assert calls
 
 
 class TestBinomialQuantileK:

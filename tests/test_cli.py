@@ -1,9 +1,15 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pacope
 from pacope.calibrate import CalibratedPredictor, CalibrationDiagnostics, calibrate_split
 from pacope.cli import cli
 from pacope.core import PacParams, child_rng, save_csv
@@ -103,6 +109,35 @@ def test_calibrate_then_predict_round_trip(tmp_path, fast_config):
     assert rc == 0
     predictor = CalibratedPredictor.load(model_path.read_text())
     assert math.isfinite(predictor.threshold)
+
+
+@pytest.mark.parametrize("known", [True, False])
+def test_calibrate_and_predict_load_no_scipy(tmp_path, fast_config, known):
+    # A fresh process imports the package, calibrates, reloads and predicts:
+    # neither scipy.special nor the process pool may be imported on the way.
+    csv_path = tmp_path / "logged.csv"
+    save_csv(sample_logged(600, child_rng(24)), str(csv_path))
+    pb = ["--pb", "gaussian:slope=0.25,intercept=0,variance=4"] if known else []
+    argv = ["calibrate", "--data", str(csv_path), "--pe", "gaussian:slope=0.25,intercept=0,variance=1",
+            *pb, "--model", str(tmp_path / "p.txt"), "--seed", "5", "--config", fast_config]
+    script = textwrap.dedent(f"""
+        import sys
+        from pathlib import Path
+        import numpy as np
+        import pacope
+        from pacope.cli import cli
+        assert cli({argv!r}) == 0
+        predictor = pacope.CalibratedPredictor.load(Path({str(tmp_path / "p.txt")!r}).read_text())
+        predictor.interval_batch(np.linspace(-2.0, 2.0, 5).reshape(-1, 1))
+        assert cli(["predict", "--model", {str(tmp_path / "p.txt")!r}, "--s", "0.5"]) == 0
+        loaded = [name for name in ("scipy.special", "concurrent.futures.process") if name in sys.modules]
+        assert not loaded, loaded
+    """)
+    src = str(Path(pacope.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_calibrate_estimates_behavior_policy_when_omitted(tmp_path, fast_config, capsys):

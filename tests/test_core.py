@@ -175,6 +175,24 @@ class TestCsvRoundTrip:
         monkeypatch.setattr(core, "_load_csv_rows", pytest.fail)
         assert len(load_csv(str(path))) == 40
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_header_over_two_lines_skips_both(self, tmp_path, monkeypatch, newline):
+        # A quoted header field may hold a line break: the vectorized parse
+        # skips every physical line of the header record.
+        path = tmp_path / "d.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(newline.join(['"s', '",a,r', "1,2,3", "4,5,6", ""]))
+        monkeypatch.setattr(core, "_load_csv_rows", pytest.fail)
+        d = load_csv(str(path))
+        assert d.contexts[:, 0].tolist() == [1.0, 4.0] and d.rewards.tolist() == [3.0, 6.0]
+
+    @pytest.mark.parametrize("name", ["d.csv.gz", "d.csv.bz2", "d.csv.xz", "d.csv.lzma"])
+    def test_plain_text_under_a_compression_suffix(self, tmp_path, name):
+        # numpy would decompress a path by its suffix; the file is plain text.
+        path = tmp_path / name
+        path.write_text("s,a,r\n0.1,0.2,0.3\n")
+        assert load_csv(str(path)).rewards.tolist() == [0.3]
+
     def test_float_spelling_outside_loadtxt_is_accepted(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("s,a,r\n1_0,0.2,0.3\n")
