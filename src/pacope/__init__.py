@@ -29,6 +29,7 @@ from .calibrate import (
     CalibratedPredictor,
     CalibrationDiagnostics,
     binomial_quantile_k,
+    calibrate_deltas,
     calibrate_model,
     calibrate_split,
     nonconformity,
@@ -45,7 +46,6 @@ from .baselines import (
     copp_calibrate,
     copp_log_weights,
     copp_sets,
-    copp_thresholds,
     fit_reward_model,
 )
 from .behavior import (

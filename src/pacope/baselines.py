@@ -15,13 +15,11 @@ infinity atom carrying the candidate's own weight.
 The public COPP API runs in three steps. :func:`copp_calibrate` scores and
 weights the calibration half once and returns a :class:`CoppCalibration`
 holding the sorted scores and their cumulative weights.
-:func:`copp_log_weights` gives the log weights at any ``(s, r)`` pairs and
-:func:`copp_thresholds` turns candidate log weights into weighted-quantile
-thresholds. :func:`copp_sets` gives the accepted set at a batch of contexts
-in closed form, as a :class:`CoppSets` of disjoint intervals: the log weight
-is a quadratic in ``r`` and the threshold a step function of it, so the set
-is a union of intervals bounded by quadratic roots and band ends, with no
-reward grid.
+:func:`copp_log_weights` gives the log weights at any ``(s, r)`` pairs, and
+:func:`copp_sets` the accepted set at a batch of contexts in closed form, as
+a :class:`CoppSets` of disjoint intervals: the log weight is a quadratic in
+``r`` and the threshold a step function of it, so the set is a union of
+intervals bounded by quadratic roots and band ends, with no reward grid.
 
 COPP-RS needs no code of its own: it shares the rejection-sampling front end
 and the quantile pair of the PAC pipeline but uses the plain ``1 - eps``
@@ -53,7 +51,6 @@ __all__ = [
     "fit_reward_model",
     "copp_log_weights",
     "copp_calibrate",
-    "copp_thresholds",
     "copp_sets",
 ]
 
@@ -193,33 +190,6 @@ def copp_calibrate(
     )
 
 
-def copp_thresholds(calib: CoppCalibration, cand_log_weights, level: float) -> np.ndarray:
-    """Per-candidate ``level``-quantile of the weighted score distribution.
-
-    The distribution puts mass ``w_i / (W + c)`` on each calibration score and
-    ``c / (W + c)`` on infinity, where ``c`` is the candidate's own weight,
-    all shifted by ``calib.log_shift``. Returns one threshold per candidate,
-    in the shape of ``cand_log_weights`` (``inf`` when the quantile lands on
-    the atom). A shifted candidate weight beyond the float range outweighs
-    the at most ``m`` calibration weights of at most one each, so its
-    quantile is the atom. A relative 1e-9 slack keeps decimal levels stored
-    as floats from selecting the next order statistic. A level outside
-    ``(0, 1]`` raises ``ValueError``.
-    """
-    if not 0.0 < level <= 1.0:
-        raise ValueError("level must lie in (0, 1]")
-    shifted = np.asarray(cand_log_weights, dtype=float) - calib.log_shift
-    atom = shifted > _LOG_FLOAT_MAX
-    cum = calib.cum_weights
-    targets = level * (cum[-1] + np.exp(np.where(atom, 0.0, shifted)))
-    targets = targets - _SNAP * np.maximum(1.0, np.abs(targets))
-    idx = np.searchsorted(cum, targets, side="left")
-    thresholds = np.full(targets.shape, math.inf)
-    hit = ~atom & (idx < calib.sorted_scores.shape[0])
-    thresholds[hit] = calib.sorted_scores[idx[hit]]
-    return thresholds
-
-
 @dataclass(frozen=True)
 class CoppSets:
     """COPP's accepted reward sets at a batch of contexts, as disjoint pieces.
@@ -239,36 +209,25 @@ class CoppSets:
         """Pieces per row."""
         return np.bincount(self.row, minlength=self.n_rows)
 
-    def empty(self) -> np.ndarray:
-        return self.counts() == 0
-
-    def non_contiguous(self) -> np.ndarray:
-        return self.counts() > 1
-
     def measure(self) -> np.ndarray:
         """Total length per row: 0 for an empty set, ``inf`` for an unbounded one."""
         return np.bincount(self.row, weights=self.hi - self.lo, minlength=self.n_rows)
-
-    def hull(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row ends of the smallest interval holding the set; NaN where empty."""
-        counts = self.counts()
-        end = np.cumsum(counts)
-        some = counts > 0
-        lo = np.full(self.n_rows, math.nan)
-        hi = np.full(self.n_rows, math.nan)
-        lo[some] = self.lo[(end - counts)[some]]
-        hi[some] = self.hi[end[some] - 1]
-        return lo, hi
 
 
 def _log_weight_levels(calib: CoppCalibration, level: float) -> np.ndarray:
     """Log weights ``L[j]`` at which the threshold leaves ``sorted_scores[j]``.
 
-    :func:`copp_thresholds` gives ``sorted_scores[j]`` for a candidate log
-    weight in ``(L[j-1], L[j]]`` and the infinity atom above ``L[m-1]``.
-    ``L[j]`` solves "snapped target ``= cum_weights[j]``" for the candidate
-    weight; it is ``-inf`` where even a zero weight overshoots, and at most
-    the atom's float-range cut.
+    A candidate whose weight, shifted by ``calib.log_shift``, is ``c`` gets
+    as threshold the ``level``-quantile of mass ``w_i / (W + c)`` on each
+    calibration score and ``c / (W + c)`` on an infinity atom: the first
+    ``sorted_scores[j]`` whose ``cum_weights[j]`` reaches ``level (W + c)``
+    (less a relative 1e-9 snap, so that decimal levels stored as floats do
+    not select the next order statistic), else the atom; a ``c`` beyond the
+    float range takes the atom outright. So the threshold is
+    ``sorted_scores[j]`` for a candidate log weight in ``(L[j-1], L[j]]`` and
+    the atom above ``L[m-1]``. ``L[j]`` solves "snapped target
+    ``= cum_weights[j]``" for the candidate weight; it is ``-inf`` where even
+    a zero weight overshoots, and at most the atom's float-range cut.
     """
     cum = calib.cum_weights
     # Undo the snap: targets of at least one lose a relative _SNAP, smaller
@@ -298,15 +257,18 @@ def _superlevel_ends(a: float, b: np.ndarray, c: np.ndarray, levels: np.ndarray)
     # The roots are vertex -+ half-width; an infinite level gives an infinite
     # or zero half-width, as the set is then everything or nothing.
     vertex = -b / (2.0 * a)
-    width = np.sqrt(np.maximum(b * b - 4.0 * a * g, 0.0)) / (2.0 * abs(a))
-    return vertex - width, vertex + width
+    width = np.multiply(g, -4.0 * a, out=g)
+    width += b * b
+    np.sqrt(np.maximum(width, 0.0, out=width), out=width)
+    width /= 2.0 * abs(a)
+    return vertex - width, np.add(width, vertex, out=width)
 
 
 def copp_sets(calib: CoppCalibration, contexts, epsilon: float) -> CoppSets:
     """COPP's accepted reward sets at a batch of contexts, in closed form.
 
     A candidate ``r`` at context ``s`` is accepted when its score
-    ``max(q_lo - r, r - q_up)`` is at most the :func:`copp_thresholds` value
+    ``max(q_lo - r, r - q_up)`` is at most the weighted-quantile threshold
     of its log weight. The log weight is a quadratic ``a r^2 + b r + c`` in
     ``r`` (``a`` is shared by every context, since both policy variances
     are constant), and the threshold is ``sorted_scores[j]`` while the log
@@ -343,14 +305,16 @@ def copp_sets(calib: CoppCalibration, contexts, epsilon: float) -> CoppSets:
     band_lo = lower[:, None] - scores
     band_hi = upper[:, None] + scores
     # Columns run by level. Along them the p side moves left when a > 0 and
-    # the q side moves left otherwise; that side is reversed so that each row
-    # reads left to right.
-    los, his = [], []
-    for ends, reverse in ((p, a > 0.0), (q, a <= 0.0)):
-        step = -1 if reverse else 1
-        los.append(np.maximum(np.minimum(ends[:, :-1], ends[:, 1:]), band_lo)[:, ::step])
-        his.append(np.minimum(np.maximum(ends[:, :-1], ends[:, 1:]), band_hi)[:, ::step])
-    lo, hi = np.hstack(los), np.hstack(his)
+    # the q side moves left otherwise; that side is written through reversed
+    # column views so that each row reads left to right, p side first.
+    shells = scores.size
+    lo, hi = np.empty((ctx.shape[0], 2 * shells)), np.empty((ctx.shape[0], 2 * shells))
+    for side, (ends, reverse) in enumerate(((p, a > 0.0), (q, a <= 0.0))):
+        cols, step = slice(side * shells, (side + 1) * shells), -1 if reverse else 1
+        out = lo[:, cols][:, ::step]
+        np.maximum(np.minimum(ends[:, :-1], ends[:, 1:], out=out), band_lo, out=out)
+        out = hi[:, cols][:, ::step]
+        np.minimum(np.maximum(ends[:, :-1], ends[:, 1:], out=out), band_hi, out=out)
     keep = lo < hi
     row = np.nonzero(keep)[0]
     lo, hi = lo[keep], hi[keep]

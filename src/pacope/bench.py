@@ -11,11 +11,13 @@ trials run ``pacopp_known``; unknown trials and figure 2 build the
 unknown-policy sampling stage with ``behavior.rs_split_unknown`` and hand it
 to ``calibrate.calibrate_split``, so they compute exactly what
 ``pacopp_unknown`` does on the same streams. Every PAC row is one
-``CalibratedPredictor`` through ``_report``: figure 2 recalibrates the split's
-quantile pair at each of its deltas with ``calibrate.calibrate_model``. Its
-COPP-RS row reuses that pair on the same calibration half, and its COPP row
-comes from the public COPP API of ``baselines`` with the split's behavior
-estimate; the COPP weights are exact and draw no randomness.
+``CalibratedPredictor`` through ``_report``: figure 2 fits the split's
+quantile pair once and calibrates it once, scoring and sorting the
+calibration half a single time for all its deltas (``calibrate_deltas``'
+pass). Its COPP-RS row takes the split-CP threshold from the same sorted
+scores, and its COPP row comes from the public COPP API of ``baselines``
+with the split's behavior estimate; the COPP weights are exact and draw no
+randomness.
 
 A trial draws only its data and its acceptance variates, no test set. The
 miscoverage and mean length of every rejection-sampling row (known, unknown,
@@ -52,11 +54,11 @@ from .behavior import (
 )
 from .calibrate import (
     CalibratedPredictor,
-    calibrate_model,
     calibrate_split,
-    nonconformity,
     pacopp_known,
-    split_cp_threshold,
+    _calibration_pass,
+    _fit_split,
+    _split_cp_sorted,
 )
 from .core import (
     GaussianLinearPolicy,
@@ -143,7 +145,7 @@ class BenchConfig:
         self.pac_params()  # raises for epsilon, delta or gamma outside (0, 1)
         if self.n < 0:
             raise ValueError("n must be nonnegative")
-        for name in ("n_grid", "delta_eps_grid"):
+        for name in ("n_grid", "delta_eps_grid", "figure2_deltas"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
         if min(self.n_grid) < 1:
@@ -431,23 +433,16 @@ def _figure2_trial(args) -> list[TrialReport]:
     params = config.pac_params()
 
     # Shared behavior-policy estimate (all methods run with estimated ratios).
-    # Each PAC row recalibrates the run's quantile pair at its delta; the row
-    # at config.delta is pacopp_unknown's predictor on these streams. Every
+    # One fit and one calibration pass give a PAC row per delta; the row at
+    # config.delta would be pacopp_unknown's predictor on these streams.
+    # COPP-RS takes the split-CP threshold of the same sorted scores. Every
     # row is trivial when the split is degenerate.
     split = rs_split_unknown(d, pe, gamma, config.policy_fit_config(), rng_algo)
-    pred = calibrate_split(split, params)
-    reports = [
-        _report("PACOPP", run, n, calibrate_model(pred.model, split, replace(params, delta=delta)), env)
-        for delta in config.figure2_deltas
-    ]
-    if pred.diagnostics.trivial:
-        copp_rs = replace(_report("COPP-RS", run, n, pred, env), delta=float("nan"))
-        return reports + [copp_rs, replace(copp_rs, method="COPP", weight_violations=0)]
-
-    # COPP-RS: the split-CP threshold of the same quantile pair's scores.
-    model, diag = pred.model, pred.diagnostics
-    scores_cal = nonconformity(model, split.cal.contexts, split.cal.rewards)
-    threshold = split_cp_threshold(scores_cal, 1.0 - eps)
+    model = _fit_split(split, params)
+    preds, ordered = _calibration_pass(model, split, params, config.figure2_deltas)
+    reports = [_report("PACOPP", run, n, pred, env) for pred in preds]
+    diag = preds[0].diagnostics
+    threshold = _split_cp_sorted(ordered, 1.0 - eps)
     miscoverage, length = exact_interval_metrics(model.w_lo, model.w_up, threshold, env)
     copp_rs = TrialReport(
         method="COPP-RS", run=run, n=n, epsilon=eps, delta=float("nan"), gamma=gamma,
@@ -455,6 +450,8 @@ def _figure2_trial(args) -> list[TrialReport]:
         threshold=threshold, n_rs=diag.n_rs, m_cal=diag.m_cal, k=-1,
         tie_flag=diag.tie_flag, weight_violations=diag.weight_violations,
     )
+    if diag.trivial:
+        return reports + [copp_rs, replace(copp_rs, method="COPP", weight_violations=0)]
 
     # COPP: weighted CP on the raw calibration half, no rejection sampling.
     d1, d2 = split_dataset(d, gamma)

@@ -13,7 +13,8 @@ head and a Stirling series), so calibrating and predicting import no scipy.
 ``rejection.RsSplit`` (the rejection-sampled training and calibration halves)
 it fits the quantile pair and hands it to :func:`calibrate_model`, which
 scores the calibration pairs and picks the threshold; that stage alone
-recalibrates a fitted band at another ``delta``. A degenerate split, an empty
+recalibrates a fitted band at another ``delta``, and :func:`calibrate_deltas`
+at many from one scoring and sort. A degenerate split, an empty
 dataset's included, gets a zero model and an infinite threshold: the one home
 of the trivial predictor. The known-policy pipeline :func:`pacopp_known`
 rejection-samples with the oracle ratio, then splits the accepted pairs. The
@@ -31,7 +32,7 @@ need for the same training-conditional guarantee.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -58,6 +59,7 @@ __all__ = [
     "split_cp_min_calibration_size",
     "calibrate_split",
     "calibrate_model",
+    "calibrate_deltas",
     "pacopp_known",
 ]
 
@@ -170,8 +172,11 @@ def binomial_quantile_k(m: int, epsilon: float, delta: float) -> int:
         raise ValueError("epsilon must lie in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if m == 0:
-        return -1
+    return _binomial_cutoff(_binomial_log_cdf(m, epsilon), epsilon, delta)
+
+
+def _binomial_log_cdf(m: int, epsilon: float) -> np.ndarray:
+    """``log F_Bin(m, epsilon)(k)`` for ``k = 0..m-1``: the table every cutoff at ``(m, epsilon)`` reads."""
     ks = np.arange(m, dtype=float)
     log_fact = _log_factorials(m)
     log_pmf = (
@@ -181,14 +186,18 @@ def binomial_quantile_k(m: int, epsilon: float, delta: float) -> int:
         + ks * math.log(epsilon)
         + (m - ks) * math.log1p(-epsilon)
     )
-    log_cdf = np.logaddexp.accumulate(log_pmf)
+    return np.logaddexp.accumulate(log_pmf)
+
+
+def _binomial_cutoff(log_cdf: np.ndarray, epsilon: float, delta: float) -> int:
+    """:func:`binomial_quantile_k` at ``delta`` from the table of :func:`_binomial_log_cdf`."""
     log_delta = math.log(delta)
     slack = _TIE_LOG_TOL * (1.0 + np.abs(log_cdf) + abs(log_delta))
     below = np.flatnonzero(log_cdf <= log_delta + slack)
     k = int(below[-1]) if below.size else -1
     # The true cutoff can only sit at or below the optimistic k.
     if k >= 0 and abs(log_cdf[k] - log_delta) <= slack[k]:
-        k = _cutoff_exact(m, epsilon, delta, k)
+        k = _cutoff_exact(log_cdf.shape[0], epsilon, delta, k)
     return k
 
 
@@ -223,12 +232,16 @@ def split_cp_threshold(scores, level: float) -> float:
     The plain split-conformal threshold at the given level; returns ``+inf``
     when the index lands on the appended atom.
     """
+    values = np.asarray(scores, dtype=float).reshape(-1)
+    return _split_cp_sorted(np.sort(values, kind="stable"), level)
+
+
+def _split_cp_sorted(ordered: np.ndarray, level: float) -> float:
+    """:func:`split_cp_threshold` of scores already sorted stably."""
     if not 0.0 < level <= 1.0:
         raise ValueError("level must lie in (0, 1]")
-    values = np.asarray(scores, dtype=float).reshape(-1)
-    m = values.shape[0]
-    j = max(1, ceil_scaled(level * (m + 1)))
-    return _order_statistic(np.sort(values, kind="stable"), m - j)
+    m = ordered.shape[0]
+    return _order_statistic(ordered, m - max(1, ceil_scaled(level * (m + 1))))
 
 
 def split_cp_inflated_level(epsilon: float, delta: float, m: int) -> float:
@@ -410,16 +423,19 @@ def _degenerate(split: RsSplit) -> bool:
     return len(split.train) < 2 or len(split.cal) == 0
 
 
+def _fit_split(split: RsSplit, params: PacParams) -> QuantilePairModel:
+    """The quantile pair fitted on ``split.train``, or the zero model of a degenerate split."""
+    if _degenerate(split):
+        return trivial_quantile_model((params.eps_lo, params.eps_up), split.train.contexts.shape[1])
+    return fit_quantile_pair(split.train, params)
+
+
 def calibrate_split(split: RsSplit, params: PacParams) -> CalibratedPredictor:
     """Fit the quantile pair on ``split.train``, then :func:`calibrate_model` on ``split.cal``.
 
     A degenerate split gets a zero model and so the trivial predictor, not an
     error, so Monte Carlo sweeps stay total."""
-    if _degenerate(split):
-        model = trivial_quantile_model((params.eps_lo, params.eps_up), split.train.contexts.shape[1])
-    else:
-        model = fit_quantile_pair(split.train, params)
-    return calibrate_model(model, split, params)
+    return calibrate_model(_fit_split(split, params), split, params)
 
 
 def calibrate_model(model: QuantilePairModel, split: RsSplit, params: PacParams) -> CalibratedPredictor:
@@ -427,29 +443,48 @@ def calibrate_model(model: QuantilePairModel, split: RsSplit, params: PacParams)
 
     It recalibrates a band at another ``delta`` without refitting. A degenerate
     split gets ``k = -1`` and an infinite threshold, whatever the model. The
-    split's size, violations, bound and clamp flag go into the diagnostics."""
+    split's size, violations, bound and clamp flag go into the diagnostics.
+    It is :func:`calibrate_deltas` at ``params.delta`` alone."""
+    return calibrate_deltas(model, split, params, (params.delta,))[0]
+
+
+def calibrate_deltas(model: QuantilePairModel, split: RsSplit, params: PacParams,
+                     deltas) -> list[CalibratedPredictor]:
+    """:func:`calibrate_model` at ``params`` with each of ``deltas`` in turn, one predictor each.
+
+    ``split.cal`` is scored and sorted once, and the binomial table at its
+    size and ``params.epsilon`` built once; each delta adds only its cutoff."""
+    return _calibration_pass(model, split, params, deltas)[0]
+
+
+def _calibration_pass(model: QuantilePairModel, split: RsSplit, params: PacParams,
+                      deltas) -> tuple[list[CalibratedPredictor], np.ndarray]:
+    """:func:`calibrate_deltas` and the stably sorted scores it read, empty for a degenerate split."""
     cal, trivial = split.cal, _degenerate(split)
-    if trivial:
-        k, threshold, tie_flag = -1, math.inf, False
-    else:
+    ordered = log_cdf = np.empty(0)
+    if not trivial:
         scores = nonconformity(model, cal.contexts, cal.rewards)
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores must be finite")
-        k = binomial_quantile_k(len(cal), params.epsilon, params.delta)
         ordered = np.sort(scores, kind="stable")
-        threshold = _order_statistic(ordered, k)
-        tie_flag = bool(np.any(ordered[1:] == ordered[:-1]))
-    diagnostics = CalibrationDiagnostics(
-        n_rs=split.n_rs,
-        m_cal=len(cal),
-        k=k,
-        tie_flag=tie_flag,
-        weight_violations=split.violations,
-        trivial=trivial,
-        bound=split.bound,
-        variance_clamped=split.variance_clamped,
-    )
-    return CalibratedPredictor(model, threshold, params, diagnostics)
+        log_cdf = _binomial_log_cdf(len(cal), params.epsilon)
+    tie_flag = bool(np.any(ordered[1:] == ordered[:-1]))
+    predictors = []
+    for delta in deltas:
+        at_delta = replace(params, delta=delta)
+        k = _binomial_cutoff(log_cdf, params.epsilon, delta)
+        diagnostics = CalibrationDiagnostics(
+            n_rs=split.n_rs,
+            m_cal=len(cal),
+            k=k,
+            tie_flag=tie_flag,
+            weight_violations=split.violations,
+            trivial=trivial,
+            bound=split.bound,
+            variance_clamped=split.variance_clamped,
+        )
+        predictors.append(CalibratedPredictor(model, _order_statistic(ordered, k), at_delta, diagnostics))
+    return predictors, ordered
 
 
 def pacopp_known(

@@ -80,9 +80,11 @@ def _fit_levels(
     ones, y_sum = sv * vt[:, 0], float(y.sum())
     offsets = np.arange(n) * 0.6180339887498949 % 1.0 - 0.5
     y_moved = np.add(y, np.multiply(offsets, _LP_PERTURBATION * scale, out=offsets), out=offsets)
+    # Every level starts from the least-squares residual of the moved rewards.
+    ls_resid = y_moved - q @ (q.T @ y_moved)
     weights, duals = np.empty((len(levels), vt.shape[1])), np.empty((len(levels), n))
     for level, w, a in zip(levels, weights, duals):
-        basis = _simplex(q, y_moved, level, a)
+        basis = _simplex(q, y_moved, level, a, ls_resid)
         theta = np.linalg.solve(q[basis], y[basis])
         resid = y - q @ theta
         loss = level * float(resid.sum()) - float(np.minimum(resid, 0.0).sum())
@@ -96,7 +98,8 @@ def _fit_levels(
     return weights, duals
 
 
-def _simplex(q: np.ndarray, y: np.ndarray, level: float, a: np.ndarray) -> np.ndarray:
+def _simplex(q: np.ndarray, y: np.ndarray, level: float, a: np.ndarray,
+             ls_resid: np.ndarray) -> np.ndarray:
     """The rows of one level's optimal basis; its dual goes into ``a``.
 
     A vertex is a basis of ``rank`` rows that the fit ``q theta`` passes
@@ -113,16 +116,16 @@ def _simplex(q: np.ndarray, y: np.ndarray, level: float, a: np.ndarray) -> np.nd
     median of the breakpoints. That row enters the basis, and the rows passed
     on the way change sign. The median is read off a sorted prefix of the
     breakpoints, picked by ``np.partition`` and grown until it holds the
-    median, so a pivot is O(n). Zero residuals are breakpoints at the step's
-    start, and equal breakpoints are passed in row order. The start is the
-    least-squares fit shifted to the level's quantile of its residuals, and
-    the first basis is ``rank`` independent rows among the
-    ``_LP_START_ROWS * rank`` rows nearest to it.
+    median, so a pivot is O(n). One inverse of the basis rows per pivot gives
+    the fit, the duals and the edge direction. Zero residuals are breakpoints
+    at the step's start, and equal breakpoints are passed in row order. The
+    start is the least-squares fit (residuals ``ls_resid``) shifted to the
+    level's quantile of its residuals, and the first basis is ``rank``
+    independent rows among the ``_LP_START_ROWS * rank`` rows nearest to it.
     """
     n, rank = q.shape
     k = min(int(level * n), n - 1)
-    near = y - q @ (q.T @ y)
-    near -= np.partition(near, k)[k]
+    near = ls_resid - np.partition(ls_resid, k)[k]
     m = min(_LP_START_ROWS * rank, n) - 1
     np.abs(near, out=near)
     basis = _spanning_rows(q, np.flatnonzero(near <= np.partition(near, m)[m]))
@@ -132,12 +135,12 @@ def _simplex(q: np.ndarray, y: np.ndarray, level: float, a: np.ndarray) -> np.nd
     # A box violation within tol keeps the clipped dual's residual in the stop rule.
     tol = _LP_GAP_TOL * math.sqrt(n) / (2 * rank)
     for pivot in range(_LP_MAX_PIVOTS + 1):
-        q_b = q[basis]
-        np.subtract(y, np.matmul(q, np.linalg.solve(q_b, y[basis]), out=resid), out=resid)
+        inv = np.linalg.inv(q[basis])
+        np.subtract(y, np.matmul(q, inv @ y[basis], out=resid), out=resid)
         if psi is None:
             psi = np.where(resid > 0.0, level, level - 1.0)
         psi[basis] = 0.0
-        a_b = (1.0 - level) - np.linalg.solve(q_b.T, q.T @ psi)
+        a_b = (1.0 - level) - (q.T @ psi) @ inv
         j = int(np.argmax(np.maximum(-a_b, a_b - 1.0)))
         if -tol <= a_b[j] <= 1.0 + tol:
             break
@@ -146,7 +149,7 @@ def _simplex(q: np.ndarray, y: np.ndarray, level: float, a: np.ndarray) -> np.nd
                              f"within {_LP_MAX_PIVOTS} pivots")
         # Along the edge the loss falls at rate ``need`` until breakpoints stop it.
         sign, need = (1.0, -a_b[j]) if a_b[j] < 0.0 else (-1.0, a_b[j] - 1.0)
-        np.matmul(q, np.linalg.solve(q_b, sign * np.eye(rank)[j]), out=move)
+        np.matmul(q, sign * inv[:, j], out=move)
         rows = np.flatnonzero(psi * move > _LP_EDGE_TOL)
         t = resid[rows]
         np.maximum(np.divide(t, move[rows], out=t), 0.0, out=t)

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from pacope.baselines import (
+    _LOG_FLOAT_MAX,
+    _SNAP,
     CoppCalibration,
     RewardModelGaussian,
+    _log_weight_levels,
     copp_calibrate,
     copp_log_weights,
     copp_sets,
-    copp_thresholds,
     fit_reward_model,
 )
 from pacope.behavior import PolicyFitConfig, estimate_behavior, rs_split_unknown
@@ -59,6 +61,34 @@ def _calibration(scores, log_weights, model=None, rm=None, pb=PB, pe=PE):
         rm=rm or RewardModelGaussian(np.array([0.0, 1.0, 1.0]), 1.0),
         pbhat=pb, pe=pe,
     )
+
+
+def copp_thresholds(calib, cand_log_weights, level):
+    """Per-candidate ``level``-quantile of the weighted score distribution.
+
+    The reference that :func:`copp_sets` and ``_log_weight_levels`` are
+    checked against. The distribution puts mass ``w_i / (W + c)`` on each
+    calibration score and ``c / (W + c)`` on infinity, where ``c`` is the
+    candidate's own weight, all shifted by ``calib.log_shift``. Returns one
+    threshold per candidate, in the shape of ``cand_log_weights`` (``inf``
+    when the quantile lands on the atom). A shifted candidate weight beyond
+    the float range outweighs the at most ``m`` calibration weights of at
+    most one each, so its quantile is the atom. A relative 1e-9 slack keeps
+    decimal levels stored as floats from selecting the next order statistic.
+    A level outside ``(0, 1]`` raises ``ValueError``.
+    """
+    if not 0.0 < level <= 1.0:
+        raise ValueError("level must lie in (0, 1]")
+    shifted = np.asarray(cand_log_weights, dtype=float) - calib.log_shift
+    atom = shifted > _LOG_FLOAT_MAX
+    cum = calib.cum_weights
+    targets = level * (cum[-1] + np.exp(np.where(atom, 0.0, shifted)))
+    targets = targets - _SNAP * np.maximum(1.0, np.abs(targets))
+    idx = np.searchsorted(cum, targets, side="left")
+    thresholds = np.full(targets.shape, math.inf)
+    hit = ~atom & (idx < calib.sorted_scores.shape[0])
+    thresholds[hit] = calib.sorted_scores[idx[hit]]
+    return thresholds
 
 
 def _oracle_thresholds(cal_scores, cal_log_weights, cand_log_weights, level):
@@ -235,6 +265,28 @@ class TestWeightedQuantile:
         assert np.all(np.isinf(thr[1:]))
 
 
+class TestLogWeightLevels:
+    @pytest.mark.parametrize("level", [0.5, 0.8, 0.95])
+    def test_levels_bound_the_reference_thresholds(self, level):
+        # The reference gives sorted_scores[j] to a candidate log weight in
+        # (L[j-1], L[j]], and the next score (the atom after the last) just
+        # above L[j]. A log weight 1e-6 inside or outside is far beyond the
+        # 1e-9 snap and far within the gaps between levels.
+        rng = np.random.default_rng(12)
+        calib = _calibration(rng.normal(size=40), np.log(rng.uniform(0.1, 2.0, size=40)))
+        levels = _log_weight_levels(calib, level)
+        nxt = np.append(calib.sorted_scores[1:], math.inf)
+        live = np.isfinite(levels)
+        assert live.any() and not live.all()
+        inside = copp_thresholds(calib, levels[live] - 1e-6, level)
+        above = copp_thresholds(calib, levels[live] + 1e-6, level)
+        assert inside.tobytes() == calib.sorted_scores[live].tobytes()
+        assert above.tobytes() == nxt[live].tobytes()
+        # Where L[j] is -inf, even a vanishing weight passes sorted_scores[j].
+        lightest = copp_thresholds(calib, np.array([calib.log_shift - 700.0]), level)
+        assert np.all(lightest > calib.sorted_scores[~live])
+
+
 class TestFitRewardModel:
     def test_noiseless_affine_recovery(self):
         rng = np.random.default_rng(5)
@@ -370,9 +422,9 @@ class TestCoppPredict:
     def test_returns_interval_with_flags(self):
         _, d2, rm, model = self._setup()
         sets = copp_sets(copp_calibrate(d2, model, rm, PB, PE), [[0.0]], 0.2)
-        lo, hi = sets.hull()
-        assert lo.shape == hi.shape == sets.measure().shape == sets.non_contiguous().shape == (1,)
-        assert not sets.empty()[0] and not sets.non_contiguous()[0]
+        assert sets.measure().shape == sets.counts().shape == (1,)
+        assert sets.counts()[0] == 1
+        lo, hi = sets.lo, sets.hi
         assert lo[0] < hi[0]
         assert sets.measure()[0] == hi[0] - lo[0]
 
@@ -413,9 +465,7 @@ class TestCoppPredict:
         rm = RewardModelGaussian(np.array([0.0, 0.0, 1.0]), 1.0)
         calib = copp_calibrate(cal, model, rm, _policy(0.0, 1.0), _policy(0.0))
         sets = copp_sets(calib, [[1.0]], 0.2)
-        assert sets.lo.size == 0 and sets.empty()[0] and not sets.non_contiguous()[0]
-        lo, hi = sets.hull()
-        assert np.isnan(lo[0]) and np.isnan(hi[0])
+        assert sets.lo.size == 0 and sets.counts().tolist() == [0]
         assert sets.measure()[0] == 0.0
         grid = np.linspace(-5.0, 5.0, 10_001)
         assert not copp_accepted(calib, 1.0, grid, 0.2).any()
@@ -424,7 +474,7 @@ class TestCoppPredict:
         # The band [-1.1, 1.1] and, past a gap, the atom's unbounded tail.
         calib = _gapped_calibration()
         sets = _assert_ends_confirmed(calib, [0.0], 0.2)
-        assert sets.non_contiguous()[0] and not sets.empty()[0]
+        assert sets.counts()[0] > 1
         assert sets.lo.size == 2 and sets.hi[-1] == math.inf
         assert sets.measure()[0] == math.inf
         lo, hi, spacing = _grid_pieces(calib, 0.0, 0.2, -5.0, 5.0)
@@ -491,7 +541,7 @@ class TestCoppHullBatch:
         calib = copp_calibrate(d2, model, rm, pb, PE)
         contexts = sample_target(n, child_rng(31)).contexts
         sets = self._assert_matches_one_context_calls(calib, contexts, 0.2)
-        assert not sets.empty().any()
+        assert np.all(sets.counts() > 0)
         assert np.all((sets.measure() > 0.0) & np.isfinite(sets.measure()))
         _assert_ends_confirmed(calib, contexts[:2], 0.2)
 
@@ -502,7 +552,7 @@ class TestCoppHullBatch:
         calib = _gapped_calibration(slope=2.0, context_coef=1.0)
         contexts = np.linspace(-3.0, 3.0, 7).reshape(-1, 1)
         sets = self._assert_matches_one_context_calls(calib, contexts, 0.2)
-        assert sets.non_contiguous().any() and not sets.non_contiguous().all()
+        assert (sets.counts() > 1).any() and not (sets.counts() > 1).all()
         _assert_ends_confirmed(calib, contexts, 0.2)
 
     def test_empty_calibration_rejected(self):

@@ -10,7 +10,7 @@ from scipy.stats import norm
 
 from pacope import bench
 from pacope.baselines import copp_calibrate, copp_sets, fit_reward_model
-from pacope.behavior import PolicyFitConfig, estimate_behavior, pacopp_unknown
+from pacope.behavior import PolicyFitConfig, estimate_behavior, pacopp_unknown, rs_split_unknown
 from pacope.bench import (
     BenchConfig,
     TrialReport,
@@ -30,7 +30,12 @@ from pacope.bench import (
     _theorem4_measure,
     _theorem4_trial,
 )
-from pacope.calibrate import CalibratedPredictor, CalibrationDiagnostics
+from pacope.calibrate import (
+    CalibratedPredictor,
+    CalibrationDiagnostics,
+    nonconformity,
+    split_cp_threshold,
+)
 from pacope.core import (
     GaussianLinearPolicy,
     PacParams,
@@ -165,6 +170,32 @@ class TestFigure2:
                     diag.k, diag.m_cal, diag.n_rs, diag.weight_violations, diag.tie_flag
                 )
 
+    def test_parallel_matches_serial(self, tmp_path):
+        serial = run_figure2(replace(SMALL, runs=4), 99)
+        parallel = run_figure2(replace(SMALL, runs=4, n_jobs=2), 99)
+        # NaN deltas: compare the serialized tables.
+        paths = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+        serial.write_csv(str(paths[0]))
+        parallel.write_csv(str(paths[1]))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_copp_rs_threshold_is_split_cp_of_the_scores(self):
+        # COPP-RS reads its threshold off the PAC pass's sorted scores; it is
+        # split_cp_threshold of the run's calibration scores at 1 - epsilon.
+        cfg = replace(SMALL, runs=3)
+        table = run_figure2(cfg, 7)
+        for run in range(cfg.runs):
+            d = sample_logged(cfg.n, child_rng(7, _TAG_FIGURE2, run, 0), cfg.env)
+            split = rs_split_unknown(d, cfg.env.target_policy(), cfg.gamma, cfg.policy_fit_config(),
+                                     child_rng(7, _TAG_FIGURE2, run, 2))
+            model = fit_quantile_pair(split.train, cfg.pac_params())
+            scores = nonconformity(model, split.cal.contexts, split.cal.rewards)
+            (row,) = [t for t in table.trials if t.run == run and t.method == "COPP-RS"]
+            expected = split_cp_threshold(scores, 1.0 - cfg.epsilon)
+            assert math.isfinite(expected)
+            assert np.float64(row.threshold).tobytes() == np.float64(expected).tobytes()
+            assert (row.m_cal, row.tie_flag) == (len(split.cal), np.unique(scores).size < len(scores))
+
     def test_pac_and_copp_rs_rows_are_exact_metrics(self):
         # Every PAC row and the COPP-RS row report exact_interval_metrics of
         # the run's quantile pair at the row's threshold.
@@ -211,9 +242,10 @@ class TestFigure2:
         # The window holds every set, checked at the sampled extremes and a
         # spread of contexts between them.
         probe = np.sort(contexts[:, 0])[np.linspace(0, m - 1, 201).astype(int)]
-        lo, hi = copp_sets(calib, probe, 0.2).hull()
-        probe_mid = 0.5 * np.add(*model.quantiles(probe))
-        assert np.all(lo > probe_mid - half) and np.all(hi < probe_mid + half)
+        sets = copp_sets(calib, probe, 0.2)
+        assert np.unique(sets.row).size == probe.size  # no set is empty
+        probe_mid = 0.5 * np.add(*model.quantiles(probe))[sets.row]
+        assert np.all(sets.lo > probe_mid - half) and np.all(sets.hi < probe_mid + half)
         p = float(np.mean(accepted(contexts, mid + rng.uniform(-half, half, m))))
         assert abs(length - 2.0 * half * p) <= 3.0 * 2.0 * half * math.sqrt(p * (1.0 - p) / m)
 
@@ -234,18 +266,17 @@ class TestFigure2:
         # The band [-1, 1 + s] (collapsed below s = -2 by the crossing fix)
         # at threshold -0.5 gives intervals of length 1 + s: empty below
         # s = -1, which counts 0, not a negative width.
-        calibrate_split = bench.calibrate_split
+        # Figure 2 fits through bench._fit_split and calibrates through
+        # bench._calibration_pass, whose sorted scores give COPP-RS's threshold.
+        monkeypatch.setattr(bench, "_fit_split", lambda split, params: QuantilePairModel(
+            np.array([-1.0, 0.0]), np.array([1.0, 1.0]), (params.eps_lo, params.eps_up)))
+        calibration_pass = bench._calibration_pass
 
-        def with_band(split, params):
-            pred = calibrate_split(split, params)
-            band = QuantilePairModel(np.array([-1.0, 0.0]), np.array([1.0, 1.0]), pred.model.levels)
-            return replace(pred, model=band)
+        def at_minus_half(model, split, params, deltas):
+            preds, ordered = calibration_pass(model, split, params, deltas)
+            return [replace(p, threshold=-0.5) for p in preds], np.full_like(ordered, -0.5)
 
-        calibrate_model = bench.calibrate_model
-        monkeypatch.setattr(bench, "calibrate_split", with_band)
-        monkeypatch.setattr(bench, "calibrate_model", lambda model, split, params: replace(
-            calibrate_model(model, split, params), threshold=-0.5))
-        monkeypatch.setattr(bench, "split_cp_threshold", lambda scores, level: -0.5)
+        monkeypatch.setattr(bench, "_calibration_pass", at_minus_half)
         cfg = replace(SMALL, runs=1)
         table = run_figure2(cfg, 7)
         # E[(1 + S)^+] for S ~ N(0, 4), that is, 1 + 2 Z with Z standard normal.

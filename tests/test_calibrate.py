@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 from scipy.stats import binom
@@ -16,6 +16,7 @@ from pacope.calibrate import (
     CalibratedPredictor,
     CalibrationDiagnostics,
     binomial_quantile_k,
+    calibrate_deltas,
     calibrate_model,
     calibrate_split,
     nonconformity,
@@ -503,6 +504,67 @@ class TestCalibrateModel:
         assert pred.model is model
         assert pred.threshold == math.inf and diag.k == -1 and diag.trivial
         assert (diag.n_rs, diag.m_cal, diag.weight_violations, diag.bound) == (n_train + m_cal, m_cal, 2, 3.0)
+
+
+class TestCalibrateDeltas:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_train=st.integers(0, 40),
+        m_cal=st.integers(1, 3000),
+        ties=st.booleans(),
+        epsilon=st.floats(0.02, 0.5),
+        boundary=st.booleans(),
+        below_first=st.booleans(),
+        deltas=st.lists(_OPEN_UNIT, min_size=0, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_train=1, m_cal=30, ties=True, epsilon=0.2, boundary=False, below_first=True,
+             deltas=[0.5, 0.1], seed=0)
+    @example(n_train=40, m_cal=5, ties=False, epsilon=0.2, boundary=False, below_first=False,
+             deltas=[0.1, 0.5], seed=1)
+    @example(n_train=40, m_cal=2999, ties=True, epsilon=0.2, boundary=True, below_first=True,
+             deltas=[0.25], seed=2)
+    def test_equals_calibrate_model_at_each_delta(
+        self, n_train, m_cal, ties, epsilon, boundary, below_first, deltas, seed
+    ):
+        # One pass at many deltas gives, delta by delta, what calibrate_model
+        # gives alone: the cutoff, the threshold's bits, the tie flag and every
+        # other diagnostic. The deltas may be the float neighbours of F(m // 5)
+        # at epsilon 0.2, where the exact tie-break decides the cutoff
+        # (TestBinomialQuantileK), or one below F(0), whose cutoff is -1.
+        if boundary:  # F(k) as a fraction stays cheap up to m = 300
+            m_cal, epsilon = 1 + m_cal % 300, 0.2
+            edge = float(_cdf_fraction(m_cal, epsilon, m_cal // 5))
+            deltas += [float(np.nextafter(edge, 0.0)), edge, float(np.nextafter(edge, 1.0))]
+        low = (1.0 - epsilon) ** m_cal / 2.0
+        if below_first and low > 0.0:
+            deltas.append(low)
+        rng = np.random.default_rng(seed)
+        split = RsSplit(_random_rs(rng, n_train, 1, ties), _random_rs(rng, m_cal, 1, ties),
+                        violations=3, bound=2.5)
+        params = PacParams(epsilon, 0.5)
+        # A flat band scores rounded rewards with ties.
+        model = QuantilePairModel(np.array([-1.0, 0.0]), np.array([1.0, 0.0]),
+                                  (params.eps_lo, params.eps_up))
+        preds = calibrate_deltas(model, split, params, deltas)
+        assert len(preds) == len(deltas)
+        trivial = n_train < 2
+        scores = nonconformity(model, split.cal.contexts, split.cal.rewards)
+        for delta, pred in zip(deltas, preds):
+            alone = calibrate_model(model, split, replace(params, delta=delta))
+            assert pred.model is model and pred.params == alone.params
+            assert pred.params.delta == delta
+            assert pred.diagnostics == alone.diagnostics
+            assert np.float64(pred.threshold).tobytes() == np.float64(alone.threshold).tobytes()
+            diag = pred.diagnostics
+            assert diag.trivial == trivial
+            if trivial:
+                assert diag.k == -1 and pred.threshold == math.inf and not diag.tie_flag
+                continue
+            assert diag.k == binomial_quantile_k(m_cal, epsilon, delta)
+            assert diag.k == -1 or delta != low
+            assert pred.threshold == pac_threshold(scores, epsilon, delta)
+            assert diag.tie_flag == (np.unique(scores).size < m_cal)
 
 
 class TestPacoppKnown:

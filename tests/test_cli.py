@@ -357,6 +357,7 @@ def test_removed_monte_carlo_keys_report_error(tmp_path, capsys, line):
 @pytest.mark.parametrize(("command", "line", "message"), [
     ("figure1", "n_grid=", "n_grid must be non-empty"),
     ("figure1", "delta_eps_grid=", "delta_eps_grid must be non-empty"),
+    ("figure2", "figure2_deltas=", "figure2_deltas must be non-empty"),
     ("bounds", "n_grid=0", "n_grid entries must be >= 1"),
 ])
 def test_empty_grid_or_zero_n_reports_error(tmp_path, capsys, command, line, message):
