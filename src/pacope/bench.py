@@ -145,11 +145,12 @@ class BenchConfig:
         self.pac_params()  # raises for epsilon, delta or gamma outside (0, 1)
         if self.n < 0:
             raise ValueError("n must be nonnegative")
-        for name in ("n_grid", "delta_eps_grid", "figure2_deltas"):
+        for name in ("n_grid", "delta_eps_grid", "figure2_deltas", "theorem4_n_grid"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
-        if min(self.n_grid) < 1:
-            raise ValueError("n_grid entries must be >= 1")
+        for name in ("n_grid", "theorem4_n_grid"):
+            if min(getattr(self, name)) < 1:
+                raise ValueError(f"{name} entries must be >= 1")
 
     def pac_params(self) -> PacParams:
         return PacParams(self.epsilon, self.delta, self.gamma)

@@ -11,10 +11,13 @@ Subcommands::
     predict    load a predictor file and print the interval at a context
                (``empty`` where the interval is empty)
 
-Shared flags: ``--seed``, ``--runs``, ``--out DIR``, ``--jobs``, and
-``--config FILE`` (flat ``key=value`` lines; CLI flags win). Tables are CSV
-with fixed headers; each figure panel also gets a plot-data CSV with
-``x,y,yerr`` columns so any external plotter can render it.
+Flags: every subcommand but ``predict`` takes ``--seed`` and ``--config FILE``
+(flat ``key=value`` lines; CLI flags win); ``figure1``, ``figure2`` and
+``bounds`` add ``--out DIR``, ``--jobs`` and ``--runs``; ``theorem4`` adds
+``--out DIR`` and ``--jobs`` (its run count is the config key
+``theorem4_runs``). Tables are CSV with fixed headers; each figure panel also
+gets a plot-data CSV with ``x,y,yerr`` columns so any external plotter can
+render it.
 """
 
 from __future__ import annotations
@@ -96,10 +99,7 @@ def _out_dir(args) -> Path:
 
 
 def _write_panel(path: Path, xs, ys, yerrs) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y,yerr\n")
-        for x, y, e in zip(xs, ys, yerrs):
-            fh.write(f"{x!r},{y!r},{e!r}\n")
+    AggregateTable(("x", "y", "yerr"), tuple(zip(xs, ys, yerrs))).write_csv(path)
 
 
 def _print_report(report: TrialReport) -> None:
@@ -221,11 +221,14 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, *, runs: bool = True) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, *, sweep: bool = False, runs: bool = False
+) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--config", type=str, default=None, help="flat key=value config file")
-    parser.add_argument("--out", type=str, default=".", help="output directory")
-    parser.add_argument("--jobs", type=int, default=None, help="parallel worker count")
+    if sweep:
+        parser.add_argument("--out", type=str, default=".", help="output directory")
+        parser.add_argument("--jobs", type=int, default=None, help="parallel worker count")
     if runs:
         parser.add_argument("--runs", type=int, default=None, help="number of seeded runs")
 
@@ -244,23 +247,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("figure1", help="band-frequency sweep over n and band width")
-    _add_common(p)
+    _add_common(p, sweep=True, runs=True)
     p.set_defaults(fn=_cmd_figure1)
 
     p = sub.add_parser("figure2", help="method comparison at fixed n")
-    _add_common(p)
+    _add_common(p, sweep=True, runs=True)
     p.set_defaults(fn=_cmd_figure2)
 
     p = sub.add_parser("bounds", help="check the frequency bounds")
-    _add_common(p)
+    _add_common(p, sweep=True, runs=True)
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("theorem4", help="oracle-interval convergence trend")
-    _add_common(p)
+    _add_common(p, sweep=True)
     p.set_defaults(fn=_cmd_theorem4)
 
     p = sub.add_parser("calibrate", help="fit a predictor from logged CSV data")
-    _add_common(p, runs=False)
+    _add_common(p)
     p.add_argument("--data", required=True, help="logged dataset CSV (s,a,r)")
     p.add_argument("--pe", required=True, help="target policy spec")
     p.add_argument("--pb", default=None, help="behavior policy spec (omit to estimate)")

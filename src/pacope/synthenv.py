@@ -373,11 +373,6 @@ class TheoremConstants:
     size at which the binomial cutoff exceeds -1, ``m1`` its band analogue.
     """
 
-    b: float
-    gamma: float
-    epsilon: float
-    delta: float
-    delta_eps: float
     m0: float
     m1: float
     c_upper: float
@@ -418,14 +413,4 @@ def theorem_constants(
         + (math.sqrt(-2.0 * math.log(delta)) + 1.0) * b / (2.0 * delta_eps * math.sqrt(gamma))
         + (1.0 - delta) * (math.sqrt(math.floor(m1 / gamma) * b) + b / 2.0)
     )
-    return TheoremConstants(
-        b=b,
-        gamma=gamma,
-        epsilon=epsilon,
-        delta=delta,
-        delta_eps=delta_eps,
-        m0=m0,
-        m1=m1,
-        c_upper=c_upper,
-        c_band=c_band,
-    )
+    return TheoremConstants(m0=m0, m1=m1, c_upper=c_upper, c_band=c_band)

@@ -46,6 +46,18 @@ def test_figure2_takes_no_test_point_flag():
     assert cli(["figure2", "--tests", "100"]) != 0
 
 
+@pytest.mark.parametrize(("command", "flag"), [
+    ("simulate", "--out"), ("simulate", "--jobs"), ("simulate", "--runs"),
+    ("theorem4", "--runs"), ("calibrate", "--out"), ("calibrate", "--jobs"),
+])
+def test_subcommand_rejects_flag_it_does_not_read(capsys, command, flag):
+    argv = [command, flag, "1"]
+    if command == "calibrate":
+        argv += ["--data", "logged.csv", "--pe", "gaussian:slope=0.25,variance=1"]
+    assert cli(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_unknown_command_returns_nonzero():
     assert cli(["frobnicate"]) != 0
 
@@ -66,6 +78,14 @@ def test_figure2_outputs_are_byte_identical(tmp_path, fast_config):
                 "--out", str(out2)]) == 0
     for name in ("figure2.csv", "figure2_panel_coverage.csv", "figure2_panel_length.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_figure2_jobs_flag_keeps_bytes(tmp_path, fast_config):
+    serial, parallel = tmp_path / "j1", tmp_path / "j2"
+    for jobs, out in (("1", serial), ("2", parallel)):
+        assert cli(["figure2", "--runs", "4", "--jobs", jobs, "--seed", "7",
+                    "--config", fast_config, "--out", str(out)]) == 0
+    assert (serial / "figure2.csv").read_bytes() == (parallel / "figure2.csv").read_bytes()
 
 
 def test_figure2_panels_follow_configured_deltas(tmp_path, capsys):
@@ -359,6 +379,8 @@ def test_removed_monte_carlo_keys_report_error(tmp_path, capsys, line):
     ("figure1", "delta_eps_grid=", "delta_eps_grid must be non-empty"),
     ("figure2", "figure2_deltas=", "figure2_deltas must be non-empty"),
     ("bounds", "n_grid=0", "n_grid entries must be >= 1"),
+    ("theorem4", "theorem4_n_grid=", "theorem4_n_grid must be non-empty"),
+    ("theorem4", "theorem4_n_grid=0", "theorem4_n_grid entries must be >= 1"),
 ])
 def test_empty_grid_or_zero_n_reports_error(tmp_path, capsys, command, line, message):
     path = tmp_path / "config.txt"
