@@ -139,7 +139,7 @@ class BenchConfig:
     env: SynthEnvSpec = DEFAULT_ENV
 
     def __post_init__(self) -> None:
-        for name in ("runs", "theorem4_runs"):
+        for name in ("runs", "theorem4_runs", "n_jobs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         self.pac_params()  # raises for epsilon, delta or gamma outside (0, 1)
@@ -273,10 +273,10 @@ class AggregateTable:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _predictor_metrics(pred: CalibratedPredictor, env: SynthEnvSpec) -> tuple[float, float]:
-    """Exact miscoverage and mean length of ``pred`` under ``env``'s target law."""
-    model = pred.model
-    return exact_interval_metrics(model.w_lo, model.w_up, pred.threshold, env)
+def _predictor_metrics(pred: CalibratedPredictor, env: SynthEnvSpec, thresholds=None):
+    """Exact (miscoverage, mean length) of ``pred`` under ``env``, or a list at ``thresholds``."""
+    tau = pred.threshold if thresholds is None else thresholds
+    return exact_interval_metrics(pred.model.w_lo, pred.model.w_up, tau, env)
 
 
 def _report(
@@ -286,9 +286,10 @@ def _report(
     pred: CalibratedPredictor,
     env: SynthEnvSpec,
     delta_w_hat: float = float("nan"),
+    metrics: tuple[float, float] | None = None,
 ) -> TrialReport:
     """The trial record of one calibrated predictor, at its own PAC parameters."""
-    miscoverage, length = _predictor_metrics(pred, env)
+    miscoverage, length = metrics or _predictor_metrics(pred, env)
     d, params = pred.diagnostics, pred.params
     return TrialReport(
         method=method,
@@ -441,10 +442,11 @@ def _figure2_trial(args) -> list[TrialReport]:
     split = rs_split_unknown(d, pe, gamma, config.policy_fit_config(), rng_algo)
     model = _fit_split(split, params)
     preds, ordered = _calibration_pass(model, split, params, config.figure2_deltas)
-    reports = [_report("PACOPP", run, n, pred, env) for pred in preds]
-    diag = preds[0].diagnostics
     threshold = _split_cp_sorted(ordered, 1.0 - eps)
-    miscoverage, length = exact_interval_metrics(model.w_lo, model.w_up, threshold, env)
+    thresholds = [pred.threshold for pred in preds] + [threshold]  # all widen one band
+    *metrics, (miscoverage, length) = _predictor_metrics(preds[0], env, thresholds)
+    reports = [_report("PACOPP", run, n, pred, env, metrics=m) for pred, m in zip(preds, metrics)]
+    diag = preds[0].diagnostics
     copp_rs = TrialReport(
         method="COPP-RS", run=run, n=n, epsilon=eps, delta=float("nan"), gamma=gamma,
         miscoverage=miscoverage, mean_length=length, trivial=math.isinf(threshold),

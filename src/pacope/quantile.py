@@ -6,15 +6,17 @@ Affine pinball regression is the linear program of regression quantiles
 simplex in the form Koenker & d'Orey (1987) give it for regression
 quantiles: the fit moves from vertex to vertex of the loss, where it passes
 through as many rows as the design has rank, and each pivot steps along an
-edge to the weighted median of the residual breakpoints. It starts from the
-least-squares fit shifted to the level's quantile of its residuals, which is
-a few pivots from the optimum. The pivots see the rewards moved by distinct
-offsets of at most ``_LP_PERTURBATION`` of their mean magnitude, so tied
-rewards make no degenerate vertex; the last vertex is then fitted to the true
-rewards and certified before it is returned: its dual lies in the unit box,
-and its duality gap and equality residual pass the stop rule
-``_LP_GAP_TOL``. Quantile crossing is repaired pointwise at evaluation time: wherever
-the fitted lower quantile exceeds the upper one, both are replaced by their
+edge to the weighted median of the residual breakpoints, moving the
+residuals along it and updating the basis inverse by rank one; a fresh
+inverse confirms the last vertex. It starts from the least-squares fit
+shifted to the level's quantile of its residuals, a few pivots from the
+optimum. The pivots see the rewards moved by distinct offsets of at most
+``_LP_PERTURBATION`` of their mean magnitude, so tied rewards make no
+degenerate vertex; the last vertex is then fitted to the true rewards and
+certified before it is returned: its dual lies in the unit box, and its
+duality gap and equality residual pass the stop rule ``_LP_GAP_TOL``.
+Quantile crossing is repaired pointwise at evaluation time: wherever the
+fitted lower quantile exceeds the upper one, both are replaced by their
 midpoint, so the induced interval family stays well-formed. The model is
 written to and read from disk only as part of the predictor file, whose
 format lives in ``calibrate.CalibratedPredictor.dump`` and ``load``.
@@ -50,6 +52,7 @@ _LP_START_ROWS = 8
 # A row whose residual moves by at most this much per unit step of the leaving
 # row (times its loss slope) lies on the edge: it is no breakpoint of it.
 _LP_EDGE_TOL = 1e-12
+_LP_PIVOT_TOL = 1e-6  # a smaller pivot element takes a fresh basis inverse
 
 
 def _fit_levels(
@@ -72,7 +75,7 @@ def _fit_levels(
     level. Returns the weights and the duals ``a``, one row per level.
     """
     n, lev = y.shape[0], np.array(levels, dtype=float)[:, None]
-    scale = float(np.mean(np.abs(y)))
+    scale = float(np.abs(y).sum()) / n
     if scale == 0.0:
         return np.zeros((len(levels), contexts.shape[1] + 1)), np.repeat(1.0 - lev, n, axis=1)
     q, sv, vt = _basis(contexts)
@@ -87,10 +90,10 @@ def _fit_levels(
         basis = _simplex(q, y_moved, level, a, ls_resid)
         theta = np.linalg.solve(q[basis], y[basis])
         resid = y - q @ theta
-        loss = level * float(resid.sum()) - float(np.minimum(resid, 0.0).sum())
+        loss = level * float(resid.sum()) - float(np.minimum(resid, 0.0, out=resid).sum())
         gap = (loss - float(y @ a) + (1.0 - level) * y_sum) / (n * scale)
         residual = float(np.abs((1.0 - level) * ones - q.T @ a).max())
-        if not (np.all((0.0 <= a) & (a <= 1.0)) and gap <= _LP_GAP_TOL
+        if not (0.0 <= a.min() and a.max() <= 1.0 and gap <= _LP_GAP_TOL
                 and residual <= _LP_GAP_TOL * math.sqrt(n)):
             raise ValueError(f"affine quantile fit at level {level}: the final basis fails its "
                              f"certificate (relative duality gap {gap:.3g}, residual {residual:.3g})")
@@ -103,8 +106,8 @@ def _simplex(q: np.ndarray, y: np.ndarray, level: float, a: np.ndarray,
     """The rows of one level's optimal basis; its dual goes into ``a``.
 
     A vertex is a basis of ``rank`` rows that the fit ``q theta`` passes
-    through. Every other row holds a sign, kept as its loss slope ``psi``
-    (``level`` above the fit, ``level - 1`` below): the sign of its residual,
+    through. Every other row holds a sign, kept in ``a`` as its loss slope
+    ``psi`` (``level`` above, ``level - 1`` below the fit): its residual's sign,
     or for a zero residual the sign the last step left it with. The basis
     rows' duals solve the equality ``q'a = (1 - level) q'1`` with ``a = 1`` on
     the rows above and ``0`` below, and the vertex is optimal once they lie in
@@ -112,16 +115,17 @@ def _simplex(q: np.ndarray, y: np.ndarray, level: float, a: np.ndarray,
     fitted value moves the way the loss falls, and the other basis rows stay
     on the fit. The loss is piecewise linear along that edge, and its slope
     rises by ``|move|`` at each row whose residual reaches zero; the step
-    ends at the breakpoint where the slope turns non-negative, the weighted
-    median of the breakpoints. That row enters the basis, and the rows passed
-    on the way change sign. The median is read off a sorted prefix of the
-    breakpoints, picked by ``np.partition`` and grown until it holds the
-    median, so a pivot is O(n). One inverse of the basis rows per pivot gives
-    the fit, the duals and the edge direction. Zero residuals are breakpoints
-    at the step's start, and equal breakpoints are passed in row order. The
-    start is the least-squares fit (residuals ``ls_resid``) shifted to the
-    level's quantile of its residuals, and the first basis is ``rank``
-    independent rows among the ``_LP_START_ROWS * rank`` rows nearest to it.
+    ends at the weighted median of the breakpoints, where the slope turns
+    non-negative, read off a sorted prefix of them grown until it holds the
+    median, so a pivot is O(n). That row enters the basis, the rows passed
+    on the way change sign, and equal breakpoints (zero residuals are
+    breakpoints at the start) are passed in row order. The residuals move
+    along the edge by the step and the basis inverse by a rank-one update, or
+    is taken afresh after a pivot element below ``_LP_PIVOT_TOL``; a vertex
+    the updates call optimal is confirmed, and its duals taken, on a fresh
+    inverse. The start is the least-squares fit (residuals ``ls_resid``)
+    shifted to the level's quantile of its residuals, and the first basis is
+    ``rank`` independent rows among the ``_LP_START_ROWS * rank`` nearest it.
     """
     n, rank = q.shape
     k = min(int(level * n), n - 1)
@@ -131,34 +135,37 @@ def _simplex(q: np.ndarray, y: np.ndarray, level: float, a: np.ndarray,
     basis = _spanning_rows(q, np.flatnonzero(near <= np.partition(near, m)[m]))
     if basis is None:  # the nearest rows do not span the column space
         basis = _spanning_rows(q, np.arange(n))
-    resid, move, psi = near, np.empty(n), None
+    inv = np.linalg.inv(q[basis])
+    resid = np.subtract(y, np.matmul(q, inv @ y[basis], out=near), out=near)
+    psi, move, fresh, pivots = np.subtract(level, resid <= 0.0, out=a), np.empty(n), True, 0
     # A box violation within tol keeps the clipped dual's residual in the stop rule.
     tol = _LP_GAP_TOL * math.sqrt(n) / (2 * rank)
-    for pivot in range(_LP_MAX_PIVOTS + 1):
-        inv = np.linalg.inv(q[basis])
-        np.subtract(y, np.matmul(q, inv @ y[basis], out=resid), out=resid)
-        if psi is None:
-            psi = np.where(resid > 0.0, level, level - 1.0)
+    while True:
         psi[basis] = 0.0
-        a_b = (1.0 - level) - (q.T @ psi) @ inv
-        j = int(np.argmax(np.maximum(-a_b, a_b - 1.0)))
+        a_b = ((1.0 - level) - (q.T @ psi) @ inv).tolist()
+        out = [max(-v, v - 1.0) for v in a_b]
+        j = out.index(max(out))
         if -tol <= a_b[j] <= 1.0 + tol:
-            break
-        if pivot == _LP_MAX_PIVOTS:
+            if fresh:
+                break
+            inv, fresh = np.linalg.inv(q[basis]), True  # confirm the vertex on a fresh inverse
+            continue
+        if pivots == _LP_MAX_PIVOTS:
             raise ValueError(f"affine quantile fit at level {level}: no optimal basis "
                              f"within {_LP_MAX_PIVOTS} pivots")
+        pivots += 1
         # Along the edge the loss falls at rate ``need`` until breakpoints stop it.
         sign, need = (1.0, -a_b[j]) if a_b[j] < 0.0 else (-1.0, a_b[j] - 1.0)
         np.matmul(q, sign * inv[:, j], out=move)
-        rows = np.flatnonzero(psi * move > _LP_EDGE_TOL)
+        rows = (psi * move > _LP_EDGE_TOL).nonzero()[0]
         t = resid[rows]
         np.maximum(np.divide(t, move[rows], out=t), 0.0, out=t)
         size = 16
         while True:
-            prefix = np.flatnonzero(t <= np.partition(t, size - 1)[size - 1]) \
+            prefix = (t <= np.partition(t, size - 1)[size - 1]).nonzero()[0] \
                 if size < t.size else np.arange(t.size)
-            prefix = prefix[np.argsort(t[prefix], kind="stable")]
-            stop = int(np.searchsorted(np.cumsum(np.abs(move[rows[prefix]])), need))
+            prefix = prefix[t[prefix].argsort(kind="stable")]
+            stop = int(np.abs(move[rows[prefix]]).cumsum().searchsorted(need))
             if stop < prefix.size:
                 break
             if prefix.size == t.size:
@@ -166,11 +173,16 @@ def _simplex(q: np.ndarray, y: np.ndarray, level: float, a: np.ndarray,
                                  "without bound along an edge")
             size *= 4
         passed = rows[prefix[:stop]]
-        psi[passed] = np.where(psi[passed] > 0.0, level - 1.0, level)
+        psi[passed] = level - (psi[passed] > 0.0)  # exactly level - 1 where it was level
         psi[basis[j]] = level - 1.0 if sign > 0.0 else level
-        basis[j] = rows[prefix[stop]]
-    np.copyto(a, psi > 0.0)
-    a[basis] = np.clip(a_b, 0.0, 1.0)
+        basis[j] = enter = rows[prefix[stop]]
+        resid -= np.multiply(move, t[prefix[stop]], out=move)
+        u = q[enter] @ inv  # Sherman-Morrison: row j of the basis is now q[enter]
+        element, u[j] = u[j], u[j] - 1.0
+        fresh = abs(element) < _LP_PIVOT_TOL
+        inv = np.linalg.inv(q[basis]) if fresh else inv - (inv[:, j] / element)[:, None] * u
+    np.greater(psi, 0.0, out=a)
+    a[basis] = [min(max(v, 0.0), 1.0) for v in a_b]
     return basis
 
 
@@ -180,23 +192,24 @@ def _spanning_rows(q: np.ndarray, rows: np.ndarray) -> np.ndarray | None:
     projected out. ``None`` once a remainder's norm falls below 1e-8 of the
     first's."""
     rest, taken, floor = q[rows], [], 0.0
-    for _ in range(q.shape[1]):
-        norms = (rest * rest).sum(axis=1)
-        i = int(np.argmax(norms))
+    while True:
+        norms = np.add.reduce(rest * rest, axis=1)
+        i = int(norms.argmax())
         if norms[i] <= floor:
             return None
-        floor = floor or 1e-16 * norms[i]
         taken.append(i)
-        rest = rest - np.outer(rest @ rest[i], rest[i] / norms[i])
-    return rows[taken]
+        if len(taken) == q.shape[1]:
+            return rows[taken]
+        floor = floor or 1e-16 * norms[i]
+        rest = rest - (rest @ rest[i])[:, None] * (rest[i] / norms[i])
 
 
 def _basis(contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(q, sv, vt)``: the thin SVD of the affine design (an intercept column,
     then the contexts) cut to its numerical rank."""
-    design = np.hstack([np.ones((contexts.shape[0], 1)), contexts])
+    design = np.concatenate([np.ones((contexts.shape[0], 1)), contexts], axis=1)
     u, sv, vt = np.linalg.svd(design, full_matrices=False)
-    rank = int(np.sum(sv > sv[0] * max(u.shape[0], vt.shape[1]) * np.finfo(float).eps))
+    rank = int((sv > sv[0] * max(u.shape[0], vt.shape[1]) * np.finfo(float).eps).sum())
     return np.ascontiguousarray(u[:, :rank]), sv[:rank], vt[:rank]
 
 

@@ -215,19 +215,19 @@ def target_reward_cdf(
     return out if r_arr.ndim else float(out)
 
 
-def _bvn_cdf(h: np.ndarray, k: float, rho: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _bvn_cdf(h: np.ndarray, k, rho: np.ndarray, r: np.ndarray) -> np.ndarray:
     """``P(X <= h, Y <= k)`` for standard normals with correlation ``rho``.
 
-    Owen's (1956) T-function form; ``r = sqrt(1 - rho**2)`` is passed in,
-    so it stays positive where ``rho`` rounds to +-1. At ``h = 0`` (or
-    ``k = 0``) the formula takes its limit from the positive side, which
-    ``+ 0.0`` makes of a negative zero; at ``h = k = 0`` it is
-    ``1/4 + asin(rho) / (2 pi)``.
+    Owen's (1956) T-function form, elementwise over the broadcast arguments;
+    ``r = sqrt(1 - rho**2)`` is passed in, so it stays positive where ``rho``
+    rounds to +-1. At ``h = 0`` (or ``k = 0``) the formula takes its limit
+    from the positive side, which ``+ 0.0`` makes of a negative zero; at
+    ``h = k = 0`` it is ``1/4 + asin(rho) / (2 pi)``.
     """
     from scipy.special import ndtr, owens_t
 
     h = h + 0.0
-    k = k + 0.0
+    k = np.add(k, 0.0)
     with np.errstate(all="ignore"):  # an argument of T may be +-inf, its limit
         out = (
             0.5 * (ndtr(h) + ndtr(k))
@@ -235,14 +235,12 @@ def _bvn_cdf(h: np.ndarray, k: float, rho: np.ndarray, r: np.ndarray) -> np.ndar
             - owens_t(k, (h - rho * k) / (k * r))
             - 0.5 * ((h < 0) != (k < 0))
         )
-    if k == 0:
-        out = np.where(h == 0, 0.25 + np.arcsin(rho) / (2.0 * np.pi), out)
+    if (k == 0).any():
+        out = np.where((h == 0) & (k == 0), 0.25 + np.arcsin(rho) / (2.0 * np.pi), out)
     return out
 
 
-def exact_interval_metrics(
-    w_lo, w_up, threshold: float, env: SynthEnvSpec = DEFAULT_ENV
-) -> tuple[float, float]:
+def exact_interval_metrics(w_lo, w_up, threshold, env: SynthEnvSpec = DEFAULT_ENV):
     """Exact miscoverage and mean length of an affine interval map.
 
     The map is the one a calibrated predictor gives: the quantile lines
@@ -253,7 +251,9 @@ def exact_interval_metrics(
     and ``R | s`` the target law of :func:`target_reward_cdf`; an empty
     interval misses with probability 1. A threshold of ``+inf`` gives
     ``(0.0, inf)`` and one of ``-inf``, empty everywhere, ``(1.0, 0.0)``; a
-    NaN threshold or a non-finite weight raises ``ValueError``.
+    NaN threshold or a non-finite weight raises ``ValueError``. Given a 1-d
+    array of thresholds it returns a list of such pairs, one per threshold,
+    each with the bits of the scalar call.
 
     The gap ``up - lo`` is affine in ``s``. Where it is at least
     ``c = max(0, -2 tau)`` the interval is ``[lo - tau, up + tau]``; elsewhere
@@ -268,11 +268,10 @@ def exact_interval_metrics(
     w_up = np.asarray(w_up, dtype=float)
     if w_lo.shape != (2,) or w_up.shape != (2,):
         raise ValueError("exact metrics need 1-d contexts: affine weights of length 2")
-    tau = float(threshold)
-    if math.isnan(tau) or not np.all(np.isfinite([w_lo, w_up])):
-        raise ValueError("exact metrics need finite weights and a threshold that is not NaN")
-    if math.isinf(tau):
-        return (0.0, math.inf) if tau > 0 else (1.0, 0.0)
+    taus = np.asarray(threshold, dtype=float)
+    tau_list = taus.reshape(-1).tolist()
+    if taus.ndim > 1 or any(map(math.isnan, tau_list)) or not np.all(np.isfinite([w_lo, w_up])):
+        raise ValueError("exact metrics need finite weights and scalar or 1-d thresholds, not NaN")
     var = env.context_variance
     sd_s = math.sqrt(var)
     mean_slope = 1.0 + env.target_slope
@@ -280,46 +279,51 @@ def exact_interval_metrics(
     weights = np.asarray(env.mixture_weights, dtype=float)
 
     (a_lo, b_lo), (a_up, b_up) = w_lo.tolist(), w_up.tolist()
-    c = max(0.0, -2.0 * tau)
-    gap, gap_slope = a_up - a_lo - c, b_up - b_lo
+    finite = [tau for tau in tau_list if not math.isinf(tau)]
+    gaps = [a_up - a_lo - max(0.0, -2.0 * tau) for tau in finite]  # gap - c, tau by tau
+    gap_slope = b_up - b_lo
     spread = abs(gap_slope) * sd_s
-    if spread > 0:
-        z = gap / spread
-        length = gap * ndtr(z) + spread * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    else:
-        length = max(gap, 0.0)
-    length += max(2.0 * tau, 0.0)
-
     # The band holds on {S > t}, or on {S < t} when the gap falls with s.
     band_below = gap_slope < 0
-    if gap_slope != 0:
-        t = -gap / gap_slope
-    else:
-        t = -math.inf if gap >= 0 else math.inf
+    ts = [-gap / gap_slope if gap_slope else -math.inf if gap >= 0 else math.inf for gap in gaps]
     # Miss terms Phi((alpha + beta s) / sigma_j), one row per end: the band's
     # two ends, then the midpoint interval's (used off the band when
-    # tau >= 0; off the band an interval with tau < 0 is empty).
+    # tau >= 0; off the band an interval with tau < 0 is empty), per threshold.
     a_mid, b_mid = 0.5 * (a_lo + a_up), 0.5 * (b_lo + b_up)
-    alpha = np.array([a_lo - tau, -a_up - tau, a_mid - tau, -a_mid - tau])[:, None] / sigma
+    alpha = np.array(
+        [[a_lo - tau, -a_up - tau, a_mid - tau, -a_mid - tau] for tau in finite]
+    ).reshape(-1, 4, 1) / sigma
     beta = np.array(
         [b_lo - mean_slope, mean_slope - b_up, b_mid - mean_slope, mean_slope - b_mid]
     )[:, None] / sigma
     root = np.sqrt(1.0 + beta * beta * var)
     h = alpha / root
     whole = ndtr(h)
-    if math.isinf(t):
-        below = whole if t > 0 else np.zeros_like(whole)
+    k = np.array(ts).reshape(-1, 1, 1) / sd_s
+    if gap_slope != 0:
+        below = _bvn_cdf(h, k, -beta * sd_s / root, 1.0 / root)
     else:
-        below = _bvn_cdf(h, t / sd_s, -beta * sd_s / root, 1.0 / root)
+        below = np.where(k > 0, whole, 0.0)
     above = whole - below
-    band, rest = (below, above) if band_below else (above, below)
-    miss = float(weights @ (band[0] + band[1]))
-    if tau >= 0:
-        miss += float(weights @ (rest[2] + rest[3]))
-    else:
-        k = t / sd_s
-        miss += float(ndtr(-k if band_below else k))
-    return min(max(miss, 0.0), 1.0), float(length)
+    out, blocks = [], iter(zip(gaps, ts, *((below, above) if band_below else (above, below))))
+    for tau in tau_list:
+        if math.isinf(tau):
+            out.append((0.0, math.inf) if tau > 0 else (1.0, 0.0))
+            continue
+        gap, t, band, rest = next(blocks)
+        if spread > 0:
+            z = gap / spread
+            length = gap * ndtr(z) + spread * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        else:
+            length = max(gap, 0.0)
+        length += max(2.0 * tau, 0.0)
+        miss = float(weights @ (band[0] + band[1]))
+        if tau >= 0:
+            miss += float(weights @ (rest[2] + rest[3]))
+        else:
+            miss += float(ndtr(-t / sd_s if band_below else t / sd_s))
+        out.append((min(max(miss, 0.0), 1.0), float(length)))
+    return out if taus.ndim else out[0]
 
 
 # Absolute tolerance of the bisection in :func:`_oracle_offset`.

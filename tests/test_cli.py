@@ -389,6 +389,17 @@ def test_empty_grid_or_zero_n_reports_error(tmp_path, capsys, command, line, mes
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_reports_error(tmp_path, capsys, jobs):
+    # A worker count below one used to run serially and exit 0.
+    path = tmp_path / "config.txt"
+    path.write_text(FAST_CONFIG)
+    args = ["figure2", "--config", str(path), "--out", str(tmp_path), "--runs", "2", "--jobs", jobs]
+    assert cli(args) == 2
+    assert "n_jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "figure2.csv").exists()
+
+
 def test_bad_policy_spec_reports_error(tmp_path, capsys):
     data = sample_logged(50, child_rng(24))
     csv_path = tmp_path / "logged.csv"

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -292,6 +294,113 @@ class TestSharedSolve:
         for level, w, a in zip(levels, pair, duals):
             solo, solo_duals = quantile._fit_levels(ctx, y, (level,))
             assert w.tobytes() == solo[0].tobytes() and a.tobytes() == solo_duals[0].tobytes()
+
+
+def _reference_simplex(q, y, level, a, ls_resid, pivots=None):
+    """``quantile._simplex`` with its pivot rule, start and duals, but a fresh
+    basis inverse and fresh residuals ``y - q inv y_B`` at every pivot, in
+    place of the residual and rank-one updates along each edge. Each level's
+    pivot count is appended to ``pivots``, if given."""
+    n, rank = q.shape
+    k = min(int(level * n), n - 1)
+    near = ls_resid - np.partition(ls_resid, k)[k]
+    m = min(quantile._LP_START_ROWS * rank, n) - 1
+    np.abs(near, out=near)
+    basis = quantile._spanning_rows(q, np.flatnonzero(near <= np.partition(near, m)[m]))
+    if basis is None:
+        basis = quantile._spanning_rows(q, np.arange(n))
+    resid, move, psi = near, np.empty(n), None
+    tol = quantile._LP_GAP_TOL * math.sqrt(n) / (2 * rank)
+    for pivot in range(quantile._LP_MAX_PIVOTS + 1):
+        inv = np.linalg.inv(q[basis])
+        np.subtract(y, np.matmul(q, inv @ y[basis], out=resid), out=resid)
+        if psi is None:
+            psi = np.where(resid > 0.0, level, level - 1.0)
+        psi[basis] = 0.0
+        a_b = (1.0 - level) - (q.T @ psi) @ inv
+        j = int(np.argmax(np.maximum(-a_b, a_b - 1.0)))
+        if -tol <= a_b[j] <= 1.0 + tol:
+            if pivots is not None:
+                pivots.append(pivot)
+            break
+        if pivot == quantile._LP_MAX_PIVOTS:
+            raise ValueError(f"affine quantile fit at level {level}: no optimal basis "
+                             f"within {quantile._LP_MAX_PIVOTS} pivots")
+        sign, need = (1.0, -a_b[j]) if a_b[j] < 0.0 else (-1.0, a_b[j] - 1.0)
+        np.matmul(q, sign * inv[:, j], out=move)
+        rows = np.flatnonzero(psi * move > quantile._LP_EDGE_TOL)
+        t = resid[rows]
+        np.maximum(np.divide(t, move[rows], out=t), 0.0, out=t)
+        size = 16
+        while True:
+            prefix = np.flatnonzero(t <= np.partition(t, size - 1)[size - 1]) \
+                if size < t.size else np.arange(t.size)
+            prefix = prefix[np.argsort(t[prefix], kind="stable")]
+            stop = int(np.searchsorted(np.cumsum(np.abs(move[rows[prefix]])), need))
+            if stop < prefix.size:
+                break
+            if prefix.size == t.size:
+                raise ValueError(f"affine quantile fit at level {level}: the loss falls "
+                                 "without bound along an edge")
+            size *= 4
+        passed = rows[prefix[:stop]]
+        psi[passed] = np.where(psi[passed] > 0.0, level - 1.0, level)
+        psi[basis[j]] = level - 1.0 if sign > 0.0 else level
+        basis[j] = rows[prefix[stop]]
+    np.copyto(a, psi > 0.0)
+    a[basis] = np.clip(a_b, 0.0, 1.0)
+    return basis
+
+
+class TestPivotUpdates:
+    """The pivots update the residuals along each edge and the basis inverse
+    by rank one; the fresh-inverse reference must reach the same vertex."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 2000),
+        dim=st.integers(1, 2),
+        equal_contexts=st.booleans(),
+        ties=st.booleans(),
+        cauchy=st.booleans(),
+        levels=st.sampled_from([(0.01, 0.99), (0.45, 0.55), (0.1, 0.9)]),
+    )
+    def test_matches_fresh_inverse_reference(self, seed, n, dim, equal_contexts, ties, cauchy,
+                                             levels):
+        rng = np.random.default_rng(seed)
+        ctx = rng.normal(size=(n, dim))
+        if equal_contexts:
+            ctx[:] = ctx[0]
+        y = 2.0 * ctx[:, 0] + (rng.standard_cauchy(n) if cauchy else 3.0 * rng.normal(size=n))
+        if ties:
+            y = np.round(y)
+        _assert_certified(ctx, y, levels)
+        if equal_contexts or ties or n <= dim:
+            return
+        # Continuous rewards and a full-rank design: the same pivots, the same bytes.
+        weights, duals = quantile._fit_levels(ctx, y, levels)
+        pivots = []
+        with mock.patch.object(quantile, "_simplex", partial(_reference_simplex, pivots=pivots)):
+            reference, reference_duals = quantile._fit_levels(ctx, y, levels)
+        assert weights.tobytes() == reference.tobytes()
+        assert duals.tobytes() == reference_duals.tobytes()
+        for level, count in zip(levels, pivots):
+            with mock.patch.object(quantile, "_LP_MAX_PIVOTS", count):
+                quantile._fit_levels(ctx, y, (level,))
+            if count:
+                with mock.patch.object(quantile, "_LP_MAX_PIVOTS", count - 1), \
+                        pytest.raises(ValueError, match="no optimal basis"):
+                    quantile._fit_levels(ctx, y, (level,))
+
+    def test_fresh_inverse_at_every_pivot_gives_the_same_fit(self):
+        # A pivot element below _LP_PIVOT_TOL takes a fresh inverse and
+        # residuals; with an infinite tolerance every pivot does.
+        ctx, y = _tall_problem(5, n=3000, dim=2)
+        weights, duals = quantile._fit_levels(ctx, y, (0.1, 0.9))
+        with mock.patch.object(quantile, "_LP_PIVOT_TOL", math.inf):
+            fresh, fresh_duals = quantile._fit_levels(ctx, y, (0.1, 0.9))
+        assert weights.tobytes() == fresh.tobytes() and duals.tobytes() == fresh_duals.tobytes()
 
 
 class TestSimplexFit:

@@ -189,6 +189,29 @@ class TestExactIntervalMetrics:
         with pytest.raises(ValueError):
             exact_interval_metrics([0.0, 1.0, 0.5], [1.0, 1.0, 0.5], 0.3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        w=st.tuples(*[st.floats(-4.0, 4.0) for _ in range(4)]),
+        parallel=st.booleans(),
+        taus=st.lists(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, math.inf, -math.inf])),
+                      max_size=6),
+    )
+    def test_threshold_array_gives_the_scalar_bits(self, w, parallel, taus):
+        # One call over many thresholds (figure 2's PAC rows and COPP-RS)
+        # returns each threshold's scalar result, bit for bit.
+        w_lo, w_up = w[:2], (w[2], w[1]) if parallel else w[2:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = exact_interval_metrics(w_lo, w_up, taus)
+        scalar = [exact_interval_metrics(w_lo, w_up, tau) for tau in taus]
+        assert repr(batch) == repr(scalar)
+
+    def test_threshold_matrix_and_nan_entry_rejected(self):
+        with pytest.raises(ValueError):
+            exact_interval_metrics([0.0, 1.0], [1.0, 1.0], [[0.1, 0.2]])
+        with pytest.raises(ValueError):
+            exact_interval_metrics([0.0, 1.0], [1.0, 1.0], [0.1, math.nan])
+
 
 class TestMixtureNoise:
     @pytest.mark.parametrize("weights", [(0.2, 0.8), (0.5, 0.3, 0.2)])
