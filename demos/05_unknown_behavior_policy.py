@@ -14,7 +14,6 @@ contains the truth, where the degradation admits an explicit bound.
 from pacope import (
     DEFAULT_ENV,
     PacParams,
-    PolicyFitConfig,
     child_rng,
     estimate_behavior,
     mle_policy,
@@ -34,7 +33,7 @@ logged = sample_logged(2000, child_rng(SEED, 0), env)
 d1, _ = split_dataset(logged, 0.5)
 
 print("true behavior policy: mean slope 0.25, variance 4")
-pbhat, _ = estimate_behavior(d1, pe, PolicyFitConfig())
+pbhat, _ = estimate_behavior(d1, pe)
 print(f"fitted from {len(d1)} samples: slope {pbhat.slope[0]:+.4f}, "
       f"intercept {pbhat.intercept:+.4f}, variance {pbhat.variance:.4f}")
 
@@ -43,7 +42,7 @@ print(f"mean absolute weight error (vs truth): {delta_w_hat:.4f}")
 print("-> nominal miscoverage 0.2 is guaranteed with slack of that size\n")
 
 params = PacParams(0.2, 0.1, 0.5)
-pred = pacopp_unknown(logged, pe, params, PolicyFitConfig(), child_rng(SEED, 2))
+pred = pacopp_unknown(logged, pe, params, child_rng(SEED, 2))
 miss, _ = exact_interval_metrics(pred.model.w_lo, pred.model.w_up, pred.threshold, env)
 print(f"estimated-policy pipeline: accepted {pred.diagnostics.n_rs} samples, "
       f"threshold {pred.threshold:+.4f}, exact miscoverage {miss:.4f}")

@@ -49,8 +49,8 @@ from .baselines import (
     fit_reward_model,
 )
 from .behavior import (
+    VARIANCE_MARGIN,
     FinitePolicyClass,
-    PolicyFitConfig,
     estimate_behavior,
     finite_policy_class,
     mle_policy,

@@ -40,6 +40,8 @@ from .core import (
     LoggedDataset,
     StochasticPolicy,
     _as_context_matrix,
+    _gaussian_log_ratio,
+    _superlevel_ends,
 )
 from ._gd import fit_gaussian_affine
 from .quantile import QuantilePairModel
@@ -239,31 +241,6 @@ def _log_weight_levels(calib: CoppCalibration, level: float) -> np.ndarray:
     return np.minimum(shifted, _LOG_FLOAT_MAX) + calib.log_shift
 
 
-def _superlevel_ends(a: float, b: np.ndarray, c: np.ndarray, levels: np.ndarray):
-    """Ends ``(p, q)`` of ``{r : a r^2 + b r + c > L}`` for each row and level.
-
-    For ``a <= 0`` the set is the interval ``(p, q)``; for ``a > 0`` it is
-    the complement of ``[p, q]``. An empty interval (or a complement of one
-    point) has ``p = q``. With ``a = 0`` one end is infinite and the other is
-    the linear root, or ``-inf`` / ``+inf`` for a constant that is above /
-    not above ``L``. ``levels`` may hold ``-inf`` and ``+inf``.
-    """
-    b = b[:, None]
-    g = c[:, None] - levels
-    if a == 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root = np.where(b == 0.0, np.where(g > 0.0, -math.inf, math.inf), -g / b)
-        return np.where(b < 0.0, -math.inf, root), np.where(b < 0.0, root, math.inf)
-    # The roots are vertex -+ half-width; an infinite level gives an infinite
-    # or zero half-width, as the set is then everything or nothing.
-    vertex = -b / (2.0 * a)
-    width = np.multiply(g, -4.0 * a, out=g)
-    width += b * b
-    np.sqrt(np.maximum(width, 0.0, out=width), out=width)
-    width /= 2.0 * abs(a)
-    return vertex - width, np.add(width, vertex, out=width)
-
-
 def copp_sets(calib: CoppCalibration, contexts, epsilon: float) -> CoppSets:
     """COPP's accepted reward sets at a batch of contexts, in closed form.
 
@@ -291,9 +268,7 @@ def copp_sets(calib: CoppCalibration, contexts, epsilon: float) -> CoppSets:
     ctx = _as_context_matrix(contexts)
     mean_e, var_e = _reward_marginal(calib.rm, calib.pe, ctx)
     mean_b, var_b = _reward_marginal(calib.rm, calib.pbhat, ctx)
-    a = 0.5 / var_b - 0.5 / var_e
-    b = mean_e / var_e - mean_b / var_b
-    c = 0.5 * (mean_b * mean_b / var_b - mean_e * mean_e / var_e + math.log(var_b / var_e))
+    a, b, c = _gaussian_log_ratio(mean_e, var_e, mean_b, var_b)
     levels = _log_weight_levels(calib, 1.0 - epsilon)
     # The shells below the first finite level are empty: skip their scores.
     skip = int(np.count_nonzero(levels == -math.inf))

@@ -3,11 +3,11 @@
 When the logging policy is unknown it is estimated on a first data split and
 the density-ratio weights are formed against the estimate.
 :func:`estimate_behavior` is the one place that fits or selects the policy.
-Given a ``PolicyFitConfig.finite_class``, it selects by maximum likelihood
-over that class (total log density, ties broken by list order); without one,
-it fits a parametric Gaussian (affine mean, constant variance, with the
-fitted variance clamped away from the target policy's variance so the
-downstream weight bound exists). A known policy is a one-member class.
+Given a ``finite_class``, it selects by maximum likelihood over that class
+(total log density, ties broken by list order); without one, it fits a
+parametric Gaussian (affine mean, constant variance, with the fitted
+variance clamped ``VARIANCE_MARGIN`` above the target policy's variance so
+the downstream weight bound exists). A known policy is a one-member class.
 :func:`rs_split_unknown` is the one home of the pipeline's sampling stage:
 split, estimate, bound, and rejection-sample both halves.
 :func:`pacopp_unknown` hands its ``RsSplit`` to
@@ -35,9 +35,12 @@ from .core import (
 )
 from .rejection import RsDataset, RsSplit, gaussian_ratio_bound, rejection_sample
 
+# The Gaussian fit's variance floor is pe.variance * (1 + VARIANCE_MARGIN).
+VARIANCE_MARGIN = 0.05
+
 __all__ = [
+    "VARIANCE_MARGIN",
     "FinitePolicyClass",
-    "PolicyFitConfig",
     "finite_policy_class",
     "mle_policy",
     "estimate_behavior",
@@ -92,27 +95,8 @@ def mle_policy(pclass: FinitePolicyClass, d1: LoggedDataset) -> StochasticPolicy
     return pclass.policies[int(np.argmax(totals))]
 
 
-@dataclass(frozen=True)
-class PolicyFitConfig:
-    """How the unknown behavior policy is estimated.
-
-    Without a ``finite_class`` the policy is the exact affine-mean Gaussian
-    MLE (least squares and the mean squared residual), whose variance clamp
-    ``min_variance_margin`` sets (see :func:`estimate_behavior`). With one, it
-    is the maximum-likelihood member of the class; a one-member class takes a
-    policy as given.
-    """
-
-    finite_class: FinitePolicyClass | None = None
-    min_variance_margin: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.min_variance_margin < 0:
-            raise ValueError("min_variance_margin must be nonnegative")
-
-
 def estimate_behavior(
-    d1: LoggedDataset, pe: GaussianLinearPolicy, pcfg: PolicyFitConfig
+    d1: LoggedDataset, pe: GaussianLinearPolicy, finite_class: FinitePolicyClass | None = None
 ) -> tuple[GaussianLinearPolicy, float]:
     """Fit or select the behavior policy on the training half ``d1``.
 
@@ -120,22 +104,22 @@ def estimate_behavior(
     the affine-mean constant-variance Gaussian MLE, computed exactly
     (least-squares mean, minimum-norm when all contexts are equal, and the
     mean squared residual as variance); its variance is clamped to at
-    least ``pe.variance * (1 + min_variance_margin)``, because the
+    least ``pe.variance * (1 + VARIANCE_MARGIN)``, because the
     rejection-sampling weight is bounded only when the estimated behavior
     variance exceeds the target's. ``raw_variance`` is the variance before the
-    clamp, so the clamp fired iff ``raw_variance < policy.variance``. A class
-    member is returned unclamped, with its own variance as ``raw_variance``.
-    The estimate must be Gaussian: automatic weight bounds exist only for
-    Gaussian policies.
+    clamp, so the clamp fired iff ``raw_variance < policy.variance``. With a
+    class, its maximum-likelihood member is returned unclamped, with its own
+    variance as ``raw_variance``. The estimate must be Gaussian: automatic
+    weight bounds exist only for Gaussian policies.
     """
-    if pcfg.finite_class is None:
+    if finite_class is None:
         if len(d1) < 2:
             raise ValueError("insufficient data: need at least 2 samples")
         x1 = np.hstack([np.ones((len(d1), 1)), d1.contexts])
         w, raw_variance = fit_gaussian_affine(x1, d1.actions)
-        floor = pe.variance * (1.0 + pcfg.min_variance_margin)
+        floor = pe.variance * (1.0 + VARIANCE_MARGIN)
         return GaussianLinearPolicy(w[1:], float(w[0]), max(raw_variance, floor)), raw_variance
-    policy = mle_policy(pcfg.finite_class, d1)
+    policy = mle_policy(finite_class, d1)
     if not isinstance(policy, GaussianLinearPolicy):
         raise ValueError("automatic weight bounds require a Gaussian behavior estimate")
     return policy, policy.variance
@@ -145,8 +129,8 @@ def rs_split_unknown(
     d: LoggedDataset,
     pe: GaussianLinearPolicy,
     gamma: float,
-    pcfg: PolicyFitConfig,
     rng: np.random.Generator,
+    finite_class: FinitePolicyClass | None = None,
 ) -> RsSplit:
     """Sampling stage of the unknown-policy pipeline.
 
@@ -162,10 +146,10 @@ def rs_split_unknown(
     for the calibration half (the estimators draw nothing).
     """
     d1, d2 = split_dataset(d, gamma)
-    if len(d) == 0 or (pcfg.finite_class is None and len(d1) < 2):
+    if len(d) == 0 or (finite_class is None and len(d1) < 2):
         empty = RsDataset.empty(d.context_dim)
         return RsSplit(empty, empty, violations=0, bound=1.0)
-    pbhat, raw_variance = estimate_behavior(d1, pe, pcfg)
+    pbhat, raw_variance = estimate_behavior(d1, pe, finite_class)
     bound = gaussian_ratio_bound(pe, pbhat, d.contexts)
     rs1 = rejection_sample(d1, pe, pbhat, bound, rng)
     rs2 = rejection_sample(d2, pe, pbhat, bound, rng)
@@ -179,8 +163,8 @@ def pacopp_unknown(
     d: LoggedDataset,
     pe: GaussianLinearPolicy,
     params: PacParams,
-    pcfg: PolicyFitConfig,
     rng: np.random.Generator,
+    finite_class: FinitePolicyClass | None = None,
 ) -> CalibratedPredictor:
     """Full pipeline with an estimated behavior policy.
 
@@ -189,4 +173,4 @@ def pacopp_unknown(
     :func:`rs_split_unknown`) gives the trivial predictor of the data's
     context dimension.
     """
-    return calibrate_split(rs_split_unknown(d, pe, params.gamma, pcfg, rng), params)
+    return calibrate_split(rs_split_unknown(d, pe, params.gamma, rng, finite_class), params)

@@ -10,9 +10,10 @@ Trials call the library pipelines and add no statistics of their own: known
 trials run ``pacopp_known``; unknown trials and figure 2 build the
 unknown-policy sampling stage with ``behavior.rs_split_unknown`` and hand it
 to ``calibrate.calibrate_split``, so they compute exactly what
-``pacopp_unknown`` does on the same streams. Every PAC row is one
-``CalibratedPredictor`` through ``_report``: figure 2 fits the split's
-quantile pair once and calibrates it once, scoring and sorting the
+``pacopp_unknown`` does on the same streams (figure 2 with the Gaussian fit,
+unknown trials with the estimator ``BenchConfig.finite_class`` picks). Every
+PAC row is one ``CalibratedPredictor`` through ``_report``: figure 2 fits the
+split's quantile pair once and calibrates it once, scoring and sorting the
 calibration half a single time for all its deltas (``calibrate_deltas``'
 pass). Its COPP-RS row takes the split-CP threshold from the same sorted
 scores, and its COPP row comes from the public COPP API of ``baselines``
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,8 +49,8 @@ from .baselines import (
     fit_reward_model,
 )
 from .behavior import (
+    VARIANCE_MARGIN,
     FinitePolicyClass,
-    PolicyFitConfig,
     finite_policy_class,
     rs_split_unknown,
 )
@@ -133,10 +135,11 @@ class BenchConfig:
     length_subsample: int = 500
     theorem4_n_grid: tuple[int, ...] = (500, 2000, 8000)
     theorem4_runs: int = 40
-    policy_margin: float = 0.05
     policy_epochs: int = 600
     n_jobs: int = 1
     env: SynthEnvSpec = DEFAULT_ENV
+    # The behavior fit's variance-clamp margin; a constant, not a config key.
+    policy_margin: ClassVar[float] = VARIANCE_MARGIN
 
     def __post_init__(self) -> None:
         for name in ("runs", "theorem4_runs", "n_jobs"):
@@ -155,15 +158,12 @@ class BenchConfig:
     def pac_params(self) -> PacParams:
         return PacParams(self.epsilon, self.delta, self.gamma)
 
-    def policy_fit_config(self, method: str = "gaussian") -> PolicyFitConfig:
-        """Behavior-policy estimator: ``gaussian`` fits one, ``mle`` selects from
-        :func:`default_finite_class`; any other method raises ``ValueError``."""
+    def finite_class(self, method: str) -> FinitePolicyClass | None:
+        """Behavior-policy estimator: ``None`` (the Gaussian fit) for ``gaussian``,
+        :func:`default_finite_class` for ``mle``; any other method raises ``ValueError``."""
         if method not in ("gaussian", "mle"):
             raise ValueError("method must be 'gaussian' or 'mle'")
-        return PolicyFitConfig(
-            finite_class=default_finite_class(self.env) if method == "mle" else None,
-            min_variance_margin=self.policy_margin,
-        )
+        return default_finite_class(self.env) if method == "mle" else None
 
     @staticmethod
     def from_mapping(mapping: dict[str, str]) -> "BenchConfig":
@@ -439,7 +439,7 @@ def _figure2_trial(args) -> list[TrialReport]:
     # config.delta would be pacopp_unknown's predictor on these streams.
     # COPP-RS takes the split-CP threshold of the same sorted scores. Every
     # row is trivial when the split is degenerate.
-    split = rs_split_unknown(d, pe, gamma, config.policy_fit_config(), rng_algo)
+    split = rs_split_unknown(d, pe, gamma, rng_algo)
     model = _fit_split(split, params)
     preds, ordered = _calibration_pass(model, split, params, config.figure2_deltas)
     threshold = _split_cp_sorted(ordered, 1.0 - eps)
@@ -578,7 +578,7 @@ def _unknown_trial(args) -> TrialReport:
     rng_data = child_rng(master_seed, _TAG_UNKNOWN, subtag, run, 0)
     rng_algo = child_rng(master_seed, _TAG_UNKNOWN, subtag, run, 1)
     d = sample_logged(config.n, rng_data, env)
-    split = rs_split_unknown(d, pe, params.gamma, config.policy_fit_config(method), rng_algo)
+    split = rs_split_unknown(d, pe, params.gamma, rng_algo, config.finite_class(method))
     pred = calibrate_split(split, params)
     delta_w = float("nan") if split.behavior is None else weight_error(split.behavior, env)
     return _report(f"PACOPP-{method}", run, config.n, pred, env, delta_w_hat=delta_w)
@@ -593,7 +593,7 @@ def run_unknown_sweep(
     finite class). Each run reports the mean absolute weight error of its
     estimate (``synthenv.weight_error``), or NaN when the run estimated none.
     """
-    config.policy_fit_config(method)  # raises for an unknown method
+    config.finite_class(method)  # raises for an unknown method
     subtag = 0 if method == "gaussian" else 1
     args = [(config, master_seed, run, method, subtag) for run in range(config.runs)]
     trials = _map_trials(_unknown_trial, args, config.n_jobs)

@@ -204,7 +204,7 @@ def _cmd_calibrate(args) -> int:
         pb = _parse_policy_spec(args.pb)
         predictor = pacopp_known(data, pb, pe, params, rng)
     else:
-        predictor = pacopp_unknown(data, pe, params, config.policy_fit_config(), rng)
+        predictor = pacopp_unknown(data, pe, params, rng)
     Path(args.model).write_text(predictor.dump())
     d = predictor.diagnostics
     print(f"calibrated on {len(data)} rows: accepted={d.n_rs} m={d.m_cal} "

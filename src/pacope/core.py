@@ -71,6 +71,39 @@ def ceil_scaled(x: float) -> int:
     return int(math.ceil(x - 1e-9 * max(1.0, abs(x))))
 
 
+def _gaussian_log_ratio(m1, v1, m2, v2):
+    """``(a, b, c)`` of ``log N(x; m1, v1) - log N(x; m2, v2) = a x^2 + b x + c``."""
+    a = 0.5 / v2 - 0.5 / v1
+    b = m1 / v1 - m2 / v2
+    c = 0.5 * (m2 * m2 / v2 - m1 * m1 / v1 + math.log(v2 / v1))
+    return a, b, c
+
+
+def _superlevel_ends(a: float, b: np.ndarray, c: np.ndarray, levels: np.ndarray):
+    """Ends ``(p, q)`` of ``{r : a r^2 + b r + c > L}`` for each row and level.
+
+    For ``a <= 0`` the set is the interval ``(p, q)``; for ``a > 0`` it is
+    the complement of ``[p, q]``. An empty interval (or a complement of one
+    point) has ``p = q``. With ``a = 0`` one end is infinite and the other is
+    the linear root, or ``-inf`` / ``+inf`` for a constant that is above /
+    not above ``L``. ``levels`` may hold ``-inf`` and ``+inf``.
+    """
+    b = b[:, None]
+    g = c[:, None] - levels
+    if a == 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.where(b == 0.0, np.where(g > 0.0, -math.inf, math.inf), -g / b)
+        return np.where(b < 0.0, -math.inf, root), np.where(b < 0.0, root, math.inf)
+    # The roots are vertex -+ half-width; an infinite level gives an infinite
+    # or zero half-width, as the set is then everything or nothing.
+    vertex = -b / (2.0 * a)
+    width = np.multiply(g, -4.0 * a, out=g)
+    width += b * b
+    np.sqrt(np.maximum(width, 0.0, out=width), out=width)
+    width /= 2.0 * abs(a)
+    return vertex - width, np.add(width, vertex, out=width)
+
+
 def _as_context_matrix(values: np.ndarray | Sequence[float] | float) -> np.ndarray:
     """Promote a scalar, vector, or matrix of contexts to shape ``(n, d)``."""
     arr = np.asarray(values, dtype=float)
@@ -192,6 +225,10 @@ class GaussianLinearPolicy(StochasticPolicy):
 
     def mean(self, contexts: np.ndarray) -> np.ndarray:
         ctx = _as_context_matrix(contexts)
+        if ctx.shape[1] != self.slope.size:
+            raise ValueError(
+                f"contexts have dimension {ctx.shape[1]}, the policy takes {self.slope.size}"
+            )
         return ctx @ self.slope + self.intercept
 
     def density(self, contexts: np.ndarray, actions: np.ndarray) -> np.ndarray:

@@ -32,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .baselines import _superlevel_ends
-from .core import GaussianLinearPolicy, LoggedDataset, _as_context_matrix
+from .core import (
+    GaussianLinearPolicy, LoggedDataset, _as_context_matrix, _gaussian_log_ratio, _superlevel_ends,
+)
 
 __all__ = [
     "SynthEnvSpec",
@@ -160,8 +161,7 @@ def weight_error(pbhat: GaussianLinearPolicy, env: SynthEnvSpec = DEFAULT_ENV) -
     (m_e, v_e), (m_b, v_b), (m_h, v_h) = ((pol.mean(ctx), pol.variance) for pol in (pe, pb, pbhat))
     # log pi_b - log pbhat = a x^2 + b x + c in the action x; t is g's
     # precision over pi_e's, and K = E[exp(a X^2 + b X + c)] for X ~ pi_e.
-    a, b = 0.5 / v_h - 0.5 / v_b, m_b / v_b - m_h / v_h
-    c = 0.5 * (m_h * m_h / v_h - m_b * m_b / v_b + math.log(v_h / v_b))
+    a, b, c = _gaussian_log_ratio(m_b, v_b, m_h, v_h)
     t = 1.0 - 2.0 * a * v_e
     with np.errstate(all="ignore"):  # t <= 0 gives a NaN or infinite K
         k = np.exp(c + (b + a * m_e) * m_e + (b + 2.0 * a * m_e) ** 2 * v_e / (2.0 * t)

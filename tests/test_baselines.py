@@ -15,7 +15,7 @@ from pacope.baselines import (
     copp_sets,
     fit_reward_model,
 )
-from pacope.behavior import PolicyFitConfig, estimate_behavior, rs_split_unknown
+from pacope.behavior import estimate_behavior, rs_split_unknown
 from pacope.calibrate import nonconformity, split_cp_threshold
 from pacope.core import (
     GaussianLinearPolicy,
@@ -513,7 +513,7 @@ class TestCoppHullBatch:
 
     def _fitted(self, seed=30, n=800):
         d1, d2 = split_dataset(sample_logged(n, child_rng(seed, 0)), 0.5)
-        pbhat, _ = estimate_behavior(d1, PE, PolicyFitConfig())
+        pbhat, _ = estimate_behavior(d1, PE)
         rm = fit_reward_model(d1)
         model = fit_quantile_pair(
             rejection_sample(d1, PE, PB, 2.5, child_rng(seed, 1)),
@@ -571,7 +571,7 @@ class TestCoppRsPredict:
         for i in range(1000):
             seed = 10000 + i
             d = sample_logged(2000, child_rng(seed, 0))
-            split = rs_split_unknown(d, PE, 0.5, PolicyFitConfig(), child_rng(seed, 2))
+            split = rs_split_unknown(d, PE, 0.5, child_rng(seed, 2))
             qm = fit_quantile_pair(split.train, params)
             scores = nonconformity(qm, split.cal.contexts, split.cal.rewards)
             thr = split_cp_threshold(scores, 0.8)

@@ -6,7 +6,6 @@ import pytest
 
 from pacope.behavior import (
     FinitePolicyClass,
-    PolicyFitConfig,
     estimate_behavior,
     finite_policy_class,
     mle_policy,
@@ -24,8 +23,8 @@ PROBE = np.linspace(-10.0, 10.0, 41).reshape(-1, 1)
 
 
 def _given(policy, pe=PE):
-    """Estimator that takes ``policy`` as given: its one-member class under mle."""
-    return PolicyFitConfig(finite_class=finite_policy_class((policy,), pe, PROBE))
+    """One-member class: selecting from it takes ``policy`` as given."""
+    return finite_policy_class((policy,), pe, PROBE)
 
 
 class TestMlePolicy:
@@ -74,7 +73,7 @@ class TestMlePolicy:
 class TestFitGaussianPolicy:
     def test_recovers_behavior_policy(self):
         d = sample_logged(5000, child_rng(88, 0))
-        policy, raw_variance = estimate_behavior(d, PE, PolicyFitConfig())
+        policy, raw_variance = estimate_behavior(d, PE)
         # Oracle: closed-form least squares plus residual variance.
         x1 = np.hstack([np.ones((len(d), 1)), d.contexts])
         w_ols, *_ = np.linalg.lstsq(x1, d.actions, rcond=None)
@@ -88,14 +87,14 @@ class TestFitGaussianPolicy:
     def test_variance_clamp_on_constant_actions(self):
         contexts = np.linspace(-1, 1, 50).reshape(-1, 1)
         d = LoggedDataset(contexts, np.zeros(50), np.zeros(50))
-        policy, raw_variance = estimate_behavior(d, PE, PolicyFitConfig())
+        policy, raw_variance = estimate_behavior(d, PE)
         assert policy.variance == pytest.approx(1.05 * PE.variance)
         assert raw_variance < policy.variance
 
     def test_two_samples_fit(self):
         # Two samples fit the line exactly, so the variance clamp fires.
         d = LoggedDataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), np.zeros(2))
-        policy, raw_variance = estimate_behavior(d, PE, PolicyFitConfig())
+        policy, raw_variance = estimate_behavior(d, PE)
         assert policy.slope[0] == pytest.approx(1.0, abs=1e-12)
         assert policy.intercept == pytest.approx(0.0, abs=1e-12)
         assert raw_variance < 1e-20
@@ -108,7 +107,7 @@ class TestFitGaussianPolicy:
         contexts = rng.normal(size=(500, 3))
         actions = contexts @ np.array([0.5, -1.0, 2.0]) + 0.3 + rng.normal(size=500)
         d = LoggedDataset(contexts, actions, np.zeros(500))
-        policy, raw_variance = estimate_behavior(d, PE, PolicyFitConfig())
+        policy, raw_variance = estimate_behavior(d, PE)
         x1 = np.hstack([np.ones((500, 1)), contexts])
         resid = actions - x1 @ np.concatenate([[policy.intercept], policy.slope])
         assert np.linalg.norm(x1.T @ resid) <= (
@@ -122,7 +121,7 @@ class TestFitGaussianPolicy:
         # minimum-norm solution puts it along (1, 2).
         actions = np.array([0.0, 1.0, 5.0, 2.0])
         d = LoggedDataset(np.full((4, 1), 2.0), actions, np.zeros(4))
-        policy, raw_variance = estimate_behavior(d, PE, PolicyFitConfig())
+        policy, raw_variance = estimate_behavior(d, PE)
         mean = actions.mean()
         assert policy.intercept == pytest.approx(mean / 5.0, rel=1e-12)
         assert policy.slope[0] == pytest.approx(2.0 * mean / 5.0, rel=1e-12)
@@ -134,7 +133,7 @@ class TestFitGaussianPolicy:
         # relative in the variance, a tolerance fixed before measuring.
         d = sample_logged(2000, child_rng(90, 0))
         shifted = LoggedDataset(d.contexts, d.actions + 1e6, d.rewards)
-        policy, raw_variance = estimate_behavior(shifted, PE, PolicyFitConfig())
+        policy, raw_variance = estimate_behavior(shifted, PE)
         slope, intercept = np.polyfit(d.contexts[:, 0], shifted.actions, 1)
         resid = shifted.actions - (slope * d.contexts[:, 0] + intercept)
         assert abs(policy.slope[0] - slope) <= 1e-6
@@ -144,7 +143,7 @@ class TestFitGaussianPolicy:
     def test_too_small(self):
         d = LoggedDataset(np.array([[0.0]]), np.array([0.0]), np.array([0.0]))
         with pytest.raises(ValueError):
-            estimate_behavior(d, PE, PolicyFitConfig())
+            estimate_behavior(d, PE)
 
 
 class TestEstimateBehavior:
@@ -153,8 +152,7 @@ class TestEstimateBehavior:
         # variance is the raw variance, so no clamp is reported.
         narrow = GaussianLinearPolicy(np.array([0.25]), 0.0, 0.5 * PE.variance)
         d = sample_logged(50, child_rng(5))
-        pcfg = PolicyFitConfig(finite_class=FinitePolicyClass((narrow,), 2.0))
-        policy, raw_variance = estimate_behavior(d, PE, pcfg)
+        policy, raw_variance = estimate_behavior(d, PE, FinitePolicyClass((narrow,), 2.0))
         assert policy is narrow
         assert raw_variance == policy.variance
 
@@ -164,9 +162,9 @@ class TestEstimateBehavior:
             def density(self, contexts, actions):
                 return 0.5 * np.exp(-np.abs(np.asarray(actions, dtype=float)))
 
-        pcfg = PolicyFitConfig(finite_class=FinitePolicyClass((_Laplace(),), 2.0))
+        pclass = FinitePolicyClass((_Laplace(),), 2.0)
         with pytest.raises(ValueError, match="Gaussian"):
-            estimate_behavior(sample_logged(10, child_rng(6)), PE, pcfg)
+            estimate_behavior(sample_logged(10, child_rng(6)), PE, pclass)
 
 
 class TestFinitePolicyClass:
@@ -244,7 +242,7 @@ class TestPacoppUnknown:
         # algorithms accept every sample, and their split/fit/threshold
         # stages coincide exactly.
         d = sample_logged(1000, child_rng(40, 0))
-        unknown = pacopp_unknown(d, PB, PARAMS, _given(PB, pe=PB), child_rng(40, 1))
+        unknown = pacopp_unknown(d, PB, PARAMS, child_rng(40, 1), _given(PB, pe=PB))
         known = pacopp_known(d, PB, PB, PARAMS, child_rng(40, 1))
         assert unknown.threshold == known.threshold
         assert unknown.diagnostics.n_rs == known.diagnostics.n_rs == 1000
@@ -261,10 +259,10 @@ class TestPacoppUnknown:
 
         hits = 0
         runs = 80
-        pcfg = _given(PB)
+        pclass = _given(PB)
         for seed in range(runs):
             d = sample_logged(2000, child_rng(6000 + seed, 0))
-            pred = pacopp_unknown(d, PE, PARAMS, pcfg, child_rng(6000 + seed, 1))
+            pred = pacopp_unknown(d, PE, PARAMS, child_rng(6000 + seed, 1), pclass)
             miss, _ = exact_interval_metrics(pred.model.w_lo, pred.model.w_up, pred.threshold)
             hits += miss <= PARAMS.epsilon
         assert hits / runs >= 0.9 - 3 * math.sqrt(0.09 / runs)
@@ -275,9 +273,7 @@ class TestPacoppUnknown:
         )
         for dim in (1, 2):
             pe = GaussianLinearPolicy(np.zeros(dim), 0.0, 1.0)
-            pred = pacopp_unknown(
-                LoggedDataset.empty(dim), pe, PARAMS, PolicyFitConfig(), child_rng(0)
-            )
+            pred = pacopp_unknown(LoggedDataset.empty(dim), pe, PARAMS, child_rng(0))
             assert pred.diagnostics == expected
             assert pred.model.context_dim == dim
             iv = pred.predict(np.zeros(dim))
@@ -286,12 +282,8 @@ class TestPacoppUnknown:
     def test_gaussian_estimate_records_clamp(self):
         contexts = np.linspace(-1, 1, 200).reshape(-1, 1)
         d = LoggedDataset(contexts, np.zeros(200), np.zeros(200))
-        pred = pacopp_unknown(d, PE, PARAMS, PolicyFitConfig(), child_rng(41))
+        pred = pacopp_unknown(d, PE, PARAMS, child_rng(41))
         assert pred.diagnostics.variance_clamped
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PolicyFitConfig(min_variance_margin=-0.01)
 
 
 class TestTheorem5Frequency:

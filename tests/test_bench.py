@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,11 +10,12 @@ from scipy.stats import norm
 
 from pacope import bench
 from pacope.baselines import copp_calibrate, copp_sets, fit_reward_model
-from pacope.behavior import PolicyFitConfig, estimate_behavior, pacopp_unknown, rs_split_unknown
+from pacope.behavior import VARIANCE_MARGIN, estimate_behavior, pacopp_unknown, rs_split_unknown
 from pacope.bench import (
     BenchConfig,
     TrialReport,
     check_theorem_bounds,
+    default_finite_class,
     figure1_trials_table,
     run_figure1,
     run_figure2,
@@ -157,7 +158,7 @@ class TestFigure2:
             for delta in cfg.figure2_deltas:
                 pred = pacopp_unknown(
                     d, cfg.env.target_policy(), replace(cfg.pac_params(), delta=delta),
-                    cfg.policy_fit_config(), child_rng(7, _TAG_FIGURE2, run, 2),
+                    child_rng(7, _TAG_FIGURE2, run, 2),
                 )
                 (row,) = [
                     t for t in table.trials
@@ -186,7 +187,7 @@ class TestFigure2:
         table = run_figure2(cfg, 7)
         for run in range(cfg.runs):
             d = sample_logged(cfg.n, child_rng(7, _TAG_FIGURE2, run, 0), cfg.env)
-            split = rs_split_unknown(d, cfg.env.target_policy(), cfg.gamma, cfg.policy_fit_config(),
+            split = rs_split_unknown(d, cfg.env.target_policy(), cfg.gamma,
                                      child_rng(7, _TAG_FIGURE2, run, 2))
             model = fit_quantile_pair(split.train, cfg.pac_params())
             scores = nonconformity(model, split.cal.contexts, split.cal.rewards)
@@ -204,8 +205,7 @@ class TestFigure2:
         for run in range(cfg.runs):
             d = sample_logged(cfg.n, child_rng(7, _TAG_FIGURE2, run, 0), cfg.env)
             model = pacopp_unknown(
-                d, cfg.env.target_policy(), cfg.pac_params(), cfg.policy_fit_config(),
-                child_rng(7, _TAG_FIGURE2, run, 2),
+                d, cfg.env.target_policy(), cfg.pac_params(), child_rng(7, _TAG_FIGURE2, run, 2)
             ).model
             rows = [t for t in table.trials if t.run == run and t.method != "COPP"]
             assert len(rows) == len(cfg.figure2_deltas) + 1
@@ -222,7 +222,7 @@ class TestFigure2:
         # lies within 3 sigma of both.
         d1, d2 = split_dataset(sample_logged(2000, child_rng(41, 0)), 0.5)
         pe = DEFAULT_ENV.target_policy()
-        pbhat, _ = estimate_behavior(d1, pe, PolicyFitConfig())
+        pbhat, _ = estimate_behavior(d1, pe)
         model = fit_quantile_pair(d1, PacParams(0.2, 0.1, 0.5))
         calib = copp_calibrate(d2, model, fit_reward_model(d1), pbhat, pe)
         coverage, length = _copp_metrics(calib, 0.2, DEFAULT_ENV)
@@ -300,8 +300,7 @@ class TestFigure2:
         for run in range(cfg.runs):
             pred = pacopp_unknown(
                 sample_logged(cfg.n, child_rng(11, _TAG_FIGURE2, run, 0), cfg.env),
-                cfg.env.target_policy(), cfg.pac_params(), cfg.policy_fit_config(),
-                child_rng(11, _TAG_FIGURE2, run, 2),
+                cfg.env.target_policy(), cfg.pac_params(), child_rng(11, _TAG_FIGURE2, run, 2),
             )
             assert pred.diagnostics.trivial
             if math.isinf(pred.diagnostics.bound):
@@ -319,8 +318,7 @@ class TestFigure2:
         for run in range(cfg.runs):
             pred = pacopp_unknown(
                 sample_logged(n, child_rng(11, _TAG_FIGURE2, run, 0), cfg.env),
-                cfg.env.target_policy(), cfg.pac_params(), cfg.policy_fit_config(),
-                child_rng(11, _TAG_FIGURE2, run, 2),
+                cfg.env.target_policy(), cfg.pac_params(), child_rng(11, _TAG_FIGURE2, run, 2),
             )
             assert pred.diagnostics.trivial and pred.diagnostics.n_rs == 0
 
@@ -474,8 +472,7 @@ class TestUnknownSweep:
         bounds = [
             pacopp_unknown(
                 sample_logged(cfg.n, child_rng(11, _TAG_UNKNOWN, 0, run, 0), cfg.env),
-                cfg.env.target_policy(), cfg.pac_params(), cfg.policy_fit_config(),
-                child_rng(11, _TAG_UNKNOWN, 0, run, 1),
+                cfg.env.target_policy(), cfg.pac_params(), child_rng(11, _TAG_UNKNOWN, 0, run, 1),
             ).diagnostics.bound
             for run in range(cfg.runs)
         ]
@@ -530,9 +527,18 @@ class TestConfig:
         assert metrics[0] == metrics[1]
 
     @pytest.mark.parametrize("method", ["bogus", "", "Gaussian"])
-    def test_policy_fit_config_rejects_unknown_method(self, method):
+    def test_finite_class_rejects_unknown_method(self, method):
         with pytest.raises(ValueError, match="method must be 'gaussian' or 'mle'"):
-            BenchConfig().policy_fit_config(method)
+            BenchConfig().finite_class(method)
+
+    def test_finite_class_by_method_and_fixed_margin(self):
+        cfg = BenchConfig()
+        assert cfg.finite_class("gaussian") is None
+        mle, expected = cfg.finite_class("mle"), default_finite_class(cfg.env)
+        assert (len(mle), mle.ratio_bound) == (len(expected), expected.ratio_bound)
+        # The clamp margin is a class constant, read by the traced benchmark run.
+        assert cfg.policy_margin == VARIANCE_MARGIN == 0.05
+        assert "policy_margin" not in {f.name for f in fields(BenchConfig)}
 
     @pytest.mark.parametrize("key", ["learning_rate", "hidden_width", "model_kind"])
     def test_quantile_network_keys_rejected(self, key):

@@ -11,7 +11,7 @@ from scipy.special import gammaln
 from scipy.stats import binom
 
 from pacope import calibrate
-from pacope.behavior import PolicyFitConfig, rs_split_unknown
+from pacope.behavior import rs_split_unknown
 from pacope.calibrate import (
     CalibratedPredictor,
     CalibrationDiagnostics,
@@ -465,8 +465,7 @@ def _known_split(seed):
 
 def _unknown_split(seed):
     d = sample_logged(2000, child_rng(seed, 0))
-    return rs_split_unknown(d, DEFAULT_ENV.target_policy(), PARAMS.gamma, PolicyFitConfig(),
-                            child_rng(seed, 1))
+    return rs_split_unknown(d, DEFAULT_ENV.target_policy(), PARAMS.gamma, child_rng(seed, 1))
 
 
 class TestCalibrateModel:

@@ -189,6 +189,35 @@ def test_calibrate_header_only_csv_keeps_context_dimension(tmp_path, capsys, kno
     assert capsys.readouterr().out.strip() == "(-inf, inf)"
 
 
+@pytest.mark.parametrize("policies", [
+    ["--pe", "gaussian:slope=0.25 0.1,variance=1"],
+    ["--pe", "gaussian:slope=,variance=1"],
+    ["--pe", "gaussian:slope=0.25,variance=1", "--pb", "gaussian:slope=0.25 0.1,variance=4"],
+], ids=["pe", "pe-empty-slope", "pb"])
+def test_calibrate_policy_of_wrong_dimension_reports_error(tmp_path, capsys, policies):
+    # A 1-d CSV with a policy of another dimension used to exit 2 with
+    # numpy's matmul message.
+    csv_path = tmp_path / "logged.csv"
+    save_csv(sample_logged(200, child_rng(25)), str(csv_path))
+    model_path = tmp_path / "predictor.txt"
+    assert cli(["calibrate", "--data", str(csv_path), *policies, "--model", str(model_path)]) == 2
+    err = capsys.readouterr().err
+    assert "dimension" in err and "matmul" not in err
+    assert not model_path.exists()
+
+
+def test_policy_margin_config_key_reports_error(tmp_path, capsys):
+    # The variance-clamp margin is a constant, not a config key.
+    csv_path = tmp_path / "logged.csv"
+    save_csv(sample_logged(200, child_rng(26)), str(csv_path))
+    path = tmp_path / "config.txt"
+    path.write_text("policy_margin=0.1\n")
+    argv = ["calibrate", "--data", str(csv_path), "--pe", "gaussian:slope=0.25,variance=1",
+            "--model", str(tmp_path / "predictor.txt"), "--config", str(path)]
+    assert cli(argv) == 2
+    assert "unknown config key: policy_margin" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("header, body, line", [
     ("s{big},a,r", "0,0,0", 1),
     ("s,a,r", "0,0,0\n{big},0,0\nnan,0,0", 3),

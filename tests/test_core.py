@@ -318,6 +318,19 @@ class TestGaussianLinearPolicy:
         actions = np.array([0.1, 2.2])
         assert np.allclose(np.exp(policy.log_density(ctx, actions)), policy.density(ctx, actions))
 
+    @pytest.mark.parametrize("slope, dim", [([0.25, 0.1], 1), ([], 1), ([0.25], 2)])
+    def test_context_dimension_mismatch_rejected(self, slope, dim):
+        # Checked once in ``mean``, which density and sampling go through.
+        policy = GaussianLinearPolicy(np.array(slope), 0.0, 1.0)
+        ctx = np.zeros((3, dim))
+        message = f"contexts have dimension {dim}, the policy takes {len(slope)}"
+        with pytest.raises(ValueError, match=message):
+            policy.mean(ctx)
+        with pytest.raises(ValueError, match=message):
+            policy.density(ctx, np.zeros(3))
+        with pytest.raises(ValueError, match=message):
+            policy.sample(ctx, child_rng(0))
+
     def test_sampling_moments(self):
         policy = GaussianLinearPolicy(np.array([0.25]), 0.0, 4.0)
         rng = child_rng(42)
