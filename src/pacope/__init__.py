@@ -72,7 +72,7 @@ from .bench import (
     AggregateTable,
     BenchConfig,
     TrialReport,
-    check_theorem_bounds,
+    bounds_table,
     default_finite_class,
     run_figure1,
     run_figure2,

@@ -140,11 +140,13 @@ def rs_split_unknown(
     logged context. An empty dataset, or a training half too small for the
     Gaussian fit, gives an empty split with no estimate and bound 1. An
     estimate whose ratio bound overflows to ``inf`` gives an empty split too,
-    since every acceptance probability is then 0.
+    since every acceptance probability is then 0. A target policy of another
+    context dimension raises ``ValueError``, rows or none.
 
     Stream consumption order: acceptance variates for the training half, then
     for the calibration half (the estimators draw nothing).
     """
+    pe.mean(d.contexts[:0])  # raises on a context-dimension mismatch, rows or none
     d1, d2 = split_dataset(d, gamma)
     if len(d) == 0 or (finite_class is None and len(d1) < 2):
         empty = RsDataset.empty(d.context_dim)

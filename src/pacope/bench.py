@@ -1,5 +1,5 @@
 """Experiment harness: seeded trial sweeps, coverage metrics, figure tables,
-and theorem-bound checks.
+and the theorem-bound check, a pure function of figure 1's trials.
 
 Every sweep derives one child stream per (tag, grid point, run, substream)
 from the master seed, so results are bit-identical across reruns and across
@@ -90,7 +90,7 @@ __all__ = [
     "simulate_trial",
     "run_figure1",
     "run_figure2",
-    "check_theorem_bounds",
+    "bounds_table",
     "run_theorem4_convergence",
     "run_unknown_sweep",
     "default_finite_class",
@@ -322,7 +322,7 @@ def _map_trials(fn, argslist, n_jobs: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# known-policy trials (figure 1 and bound checks share these streams)
+# known-policy trials (figure 1 and theorem 4 share these streams)
 # ---------------------------------------------------------------------------
 
 def _known_predictor(config, master_seed, n, run) -> CalibratedPredictor:
@@ -338,11 +338,6 @@ def _known_trial(args) -> TrialReport:
     return _report("PACOPP", run, n, _known_predictor(*args), config.env)
 
 
-def _known_sweep(config: BenchConfig, master_seed: int, n_values) -> list[TrialReport]:
-    args = [(config, master_seed, n, run) for n in n_values for run in range(config.runs)]
-    return _map_trials(_known_trial, args, config.n_jobs)
-
-
 def run_figure1(config: BenchConfig, master_seed: int) -> AggregateTable:
     """Band frequencies of the known-policy pipeline over the (n, half-width) grid.
 
@@ -350,7 +345,8 @@ def run_figure1(config: BenchConfig, master_seed: int) -> AggregateTable:
     reports the empirical frequency of ``eps - delta_eps < miscoverage <= eps``
     with its binomial standard error.
     """
-    trials = _known_sweep(config, master_seed, config.n_grid)
+    args = [(config, master_seed, n, run) for n in config.n_grid for run in range(config.runs)]
+    trials = _map_trials(_known_trial, args, config.n_jobs)
     rows = []
     for n in config.n_grid:
         l_hat = np.array([t.miscoverage for t in trials if t.n == n])
@@ -370,14 +366,14 @@ def figure1_trials_table(table: AggregateTable) -> AggregateTable:
     return AggregateTable(FIGURE1_TRIALS_HEADER, rows)
 
 
-def check_theorem_bounds(config: BenchConfig, master_seed: int) -> AggregateTable:
-    """Empirical PAC frequency against the finite-sample frequency bounds.
+def bounds_table(config: BenchConfig, figure1: AggregateTable) -> AggregateTable:
+    """Empirical PAC frequency of figure 1's trials against the finite-sample bounds.
 
     For each ``n`` the frequency of ``miscoverage <= eps`` must lie in
     ``[1 - delta - c_band/sqrt(n) - 3s, 1 - delta + c_upper/sqrt(n) + 3s]``
     where ``s`` is the binomial Monte Carlo error at the nominal level. A side
     of the bound outside ``[0, 1]`` carries no information; such rows are
-    flagged vacuous (they cannot fail on that side).
+    flagged vacuous (they cannot fail on that side). Runs no trials.
     """
     env = config.env
     probe = np.linspace(-10.0, 10.0, 21).reshape(-1, 1)
@@ -386,17 +382,16 @@ def check_theorem_bounds(config: BenchConfig, master_seed: int) -> AggregateTabl
         bound, config.gamma, config.epsilon, config.delta, config.delta_eps
     )
     sigma_mc = math.sqrt(config.delta * (1.0 - config.delta) / config.runs)
-    trials = _known_sweep(config, master_seed, config.n_grid)
     rows = []
     for n in config.n_grid:
-        l_hat = np.array([t.miscoverage for t in trials if t.n == n])
+        l_hat = np.array([t.miscoverage for t in figure1.trials if t.n == n])
         freq = float(np.mean(l_hat <= config.epsilon))
         lower = 1.0 - config.delta - constants.c_band / math.sqrt(n) - 3.0 * sigma_mc
         upper = 1.0 - config.delta + constants.c_upper / math.sqrt(n) + 3.0 * sigma_mc
         vacuous = lower < 0.0 or upper > 1.0
         passed = lower <= freq <= upper
         rows.append((n, freq, lower, upper, vacuous, passed))
-    return AggregateTable(BOUNDS_HEADER, tuple(rows), tuple(trials))
+    return AggregateTable(BOUNDS_HEADER, tuple(rows), figure1.trials)
 
 
 # ---------------------------------------------------------------------------
@@ -571,14 +566,14 @@ def default_finite_class(env: SynthEnvSpec) -> FinitePolicyClass:
 
 
 def _unknown_trial(args) -> TrialReport:
-    config, master_seed, run, method, subtag = args
+    config, master_seed, run, method, subtag, finite_class = args
     env = config.env
     pe = env.target_policy()
     params = config.pac_params()
     rng_data = child_rng(master_seed, _TAG_UNKNOWN, subtag, run, 0)
     rng_algo = child_rng(master_seed, _TAG_UNKNOWN, subtag, run, 1)
     d = sample_logged(config.n, rng_data, env)
-    split = rs_split_unknown(d, pe, params.gamma, rng_algo, config.finite_class(method))
+    split = rs_split_unknown(d, pe, params.gamma, rng_algo, finite_class)
     pred = calibrate_split(split, params)
     delta_w = float("nan") if split.behavior is None else weight_error(split.behavior, env)
     return _report(f"PACOPP-{method}", run, config.n, pred, env, delta_w_hat=delta_w)
@@ -593,9 +588,9 @@ def run_unknown_sweep(
     finite class). Each run reports the mean absolute weight error of its
     estimate (``synthenv.weight_error``), or NaN when the run estimated none.
     """
-    config.finite_class(method)  # raises for an unknown method
+    finite_class = config.finite_class(method)  # raises for an unknown method
     subtag = 0 if method == "gaussian" else 1
-    args = [(config, master_seed, run, method, subtag) for run in range(config.runs)]
+    args = [(config, master_seed, run, method, subtag, finite_class) for run in range(config.runs)]
     trials = _map_trials(_unknown_trial, args, config.n_jobs)
     rows = tuple(
         (t.method, t.run, t.n, t.miscoverage, t.mean_length, t.trivial, t.delta_w_hat)
@@ -614,5 +609,5 @@ def simulate_trial(config: BenchConfig, master_seed: int, algo: str = "known") -
     if algo == "known":
         return _known_trial((config, master_seed, config.n, 0))
     if algo == "unknown":
-        return _unknown_trial((config, master_seed, 0, "gaussian", 9))
+        return _unknown_trial((config, master_seed, 0, "gaussian", 9, None))
     raise ValueError("algo must be 'known' or 'unknown'")

@@ -500,18 +500,21 @@ def pacopp_known(
     accepted pairs into a training prefix and calibration tail, and hand both
     to :func:`calibrate_split`. An empty dataset gives an empty split with
     bound 1, and so the trivial predictor of the data's context dimension.
+    Policies of another context dimension raise ``ValueError``, rows or none.
 
     The stream supplies the acceptance variates, one per sample in dataset
     index order.
     """
-    if len(d) == 0:
-        empty = RsDataset.empty(d.context_dim)
-        return calibrate_split(RsSplit(empty, empty, violations=0, bound=1.0), params)
     if not isinstance(pb, GaussianLinearPolicy) or not isinstance(pe, GaussianLinearPolicy):
         raise ValueError(
             "automatic weight bounds are available for Gaussian policies only; "
             "use rejection.rejection_sample with an explicit bound"
         )
+    for policy in (pe, pb):
+        policy.mean(d.contexts[:0])  # raises on a context-dimension mismatch, rows or none
+    if len(d) == 0:
+        empty = RsDataset.empty(d.context_dim)
+        return calibrate_split(RsSplit(empty, empty, violations=0, bound=1.0), params)
     bound = gaussian_ratio_bound(pe, pb, d.contexts)
     rs = rejection_sample(d, pe, pb, bound, rng)
     train, cal = rs.split(params.gamma)

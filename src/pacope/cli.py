@@ -3,17 +3,18 @@
 Subcommands::
 
     simulate   one seeded trial, prints the trial report
-    figure1    band-frequency sweep -> figure1.csv, figure1_trials.csv, panels
+    figure1    band-frequency sweep and its frequency-bound check
+               -> figure1.csv, figure1_trials.csv, panels, bounds.csv
+               (exits 1 when a bound fails)
     figure2    method comparison   -> figure2.csv, panels
-    bounds     frequency-bound check -> bounds.csv
     theorem4   oracle-interval convergence -> theorem4.csv
     calibrate  fit a predictor from a logged-data CSV, dump it to a file
     predict    load a predictor file and print the interval at a context
                (``empty`` where the interval is empty)
 
 Flags: every subcommand but ``predict`` takes ``--seed`` and ``--config FILE``
-(flat ``key=value`` lines; CLI flags win); ``figure1``, ``figure2`` and
-``bounds`` add ``--out DIR``, ``--jobs`` and ``--runs``; ``theorem4`` adds
+(flat ``key=value`` lines; CLI flags win); ``figure1`` and ``figure2`` add
+``--out DIR``, ``--jobs`` and ``--runs``; ``theorem4`` adds
 ``--out DIR`` and ``--jobs`` (its run count is the config key
 ``theorem4_runs``). Tables are CSV with fixed headers; each figure panel also
 gets a plot-data CSV with ``x,y,yerr`` columns so any external plotter can
@@ -34,7 +35,7 @@ from .bench import (
     AggregateTable,
     BenchConfig,
     TrialReport,
-    check_theorem_bounds,
+    bounds_table,
     figure1_trials_table,
     run_figure1,
     run_figure2,
@@ -132,7 +133,13 @@ def _cmd_figure1(args) -> int:
     _write_panel(out / "figure1_panel_right.csv",
                  [r[1] for r in right], [r[3] for r in right], [r[4] for r in right])
     print(f"wrote {out / 'figure1.csv'} ({len(table.rows)} rows)")
-    return 0
+    bounds = bounds_table(config, table)
+    bounds.write_csv(out / "bounds.csv")
+    for n, freq, lower, upper, vacuous, passed in bounds.rows:
+        tag = "pass" if passed else "FAIL"
+        note = " (vacuous)" if vacuous else ""
+        print(f"n={n}: freq={freq:.4f} in [{lower:.4f}, {upper:.4f}] -> {tag}{note}")
+    return 0 if all(row[5] for row in bounds.rows) else 1
 
 
 def _figure2_panel_rows(table: AggregateTable, deltas):
@@ -168,19 +175,6 @@ def _cmd_figure2(args) -> int:
     print("method order:", ", ".join(f"{x}={lab}" for x, lab in zip(xs, labels)))
     print(f"wrote {out / 'figure2.csv'} ({len(table.rows)} rows)")
     return 0
-
-
-def _cmd_bounds(args) -> int:
-    config = _build_config(args)
-    out = _out_dir(args)
-    table = check_theorem_bounds(config, args.seed)
-    table.write_csv(out / "bounds.csv")
-    for row in table.rows:
-        n, freq, lower, upper, vacuous, passed = row
-        tag = "pass" if passed else "FAIL"
-        note = " (vacuous)" if vacuous else ""
-        print(f"n={n}: freq={freq:.4f} in [{lower:.4f}, {upper:.4f}] -> {tag}{note}")
-    return 0 if all(row[5] for row in table.rows) else 1
 
 
 def _cmd_theorem4(args) -> int:
@@ -246,17 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("known", "unknown"), default="known")
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("figure1", help="band-frequency sweep over n and band width")
+    p = sub.add_parser("figure1", help="band-frequency sweep and its frequency-bound check")
     _add_common(p, sweep=True, runs=True)
     p.set_defaults(fn=_cmd_figure1)
 
     p = sub.add_parser("figure2", help="method comparison at fixed n")
     _add_common(p, sweep=True, runs=True)
     p.set_defaults(fn=_cmd_figure2)
-
-    p = sub.add_parser("bounds", help="check the frequency bounds")
-    _add_common(p, sweep=True, runs=True)
-    p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("theorem4", help="oracle-interval convergence trend")
     _add_common(p, sweep=True)

@@ -12,9 +12,11 @@ from pacope import bench
 from pacope.baselines import copp_calibrate, copp_sets, fit_reward_model
 from pacope.behavior import VARIANCE_MARGIN, estimate_behavior, pacopp_unknown, rs_split_unknown
 from pacope.bench import (
+    FIGURE1_HEADER,
+    AggregateTable,
     BenchConfig,
     TrialReport,
-    check_theorem_bounds,
+    bounds_table,
     default_finite_class,
     figure1_trials_table,
     run_figure1,
@@ -342,19 +344,60 @@ class TestFigure2:
             assert (delta == "") == (method in ("COPP", "COPP-RS"))
 
 
+def fake_figure1(config: BenchConfig, n_misses: int) -> AggregateTable:
+    """A figure-1 table whose trials at each ``n`` miss ``epsilon`` in ``n_misses`` of the runs."""
+    trials = tuple(
+        TrialReport(
+            method="PACOPP", run=run, n=n, epsilon=config.epsilon, delta=config.delta,
+            gamma=config.gamma, miscoverage=config.epsilon + (0.1 if run < n_misses else -0.1),
+            mean_length=1.0, trivial=False, threshold=0.5, n_rs=n // 4, m_cal=n // 8, k=1,
+            tie_flag=False, weight_violations=0,
+        )
+        for n in config.n_grid for run in range(config.runs)
+    )
+    return AggregateTable(FIGURE1_HEADER, (), trials)
+
+
+# At n = 10^7 and 200 runs both sides of the bound are informative:
+# the band is [0.778, 0.982] (c_band = 184, c_upper = 56.8, 3s = 0.064).
+INFORMATIVE = replace(BenchConfig(), n_grid=(10**7,), runs=200)
+
+
 class TestBounds:
     def test_rows_pass_and_flag_vacuous(self):
-        table = check_theorem_bounds(replace(SMALL, runs=20), 31)
+        config = replace(SMALL, runs=20)
+        table = bounds_table(config, run_figure1(config, 31))
         assert [row[0] for row in table.rows] == list(SMALL.n_grid)
         for n, freq, lower, upper, vacuous, passed in table.rows:
             assert passed
             # Desk-scale n with B=2 makes both sides vacuous.
             assert vacuous and lower < 0.0 and upper > 1.0
 
-    def test_shares_trial_streams_with_figure1(self):
+    def test_informative_row_fails_when_every_run_misses(self):
+        (row,) = bounds_table(INFORMATIVE, fake_figure1(INFORMATIVE, INFORMATIVE.runs)).rows
+        n, freq, lower, upper, vacuous, passed = row
+        assert 0.0 < lower < upper < 1.0
+        assert (n, freq, vacuous, passed) == (10**7, 0.0, False, False)
+
+    def test_informative_row_passes_at_the_nominal_frequency(self):
+        misses = round(INFORMATIVE.delta * INFORMATIVE.runs)
+        (row,) = bounds_table(INFORMATIVE, fake_figure1(INFORMATIVE, misses)).rows
+        n, freq, lower, upper, vacuous, passed = row
+        assert freq == pytest.approx(1.0 - INFORMATIVE.delta)
+        assert (vacuous, passed) == (False, True)
+
+    def test_runs_no_trials(self, monkeypatch):
         fig1 = run_figure1(SMALL, 99)
-        bounds = check_theorem_bounds(SMALL, 99)
-        assert fig1.trials == bounds.trials
+
+        def no_trial(args):
+            raise AssertionError("bounds_table ran a trial")
+
+        monkeypatch.setattr(bench, "_known_trial", no_trial)
+        table = bounds_table(SMALL, fig1)
+        assert table.trials == fig1.trials
+        for n, freq, *_ in table.rows:
+            l_hat = [t.miscoverage for t in fig1.trials if t.n == n]
+            assert freq == np.mean(np.array(l_hat) <= SMALL.epsilon)
 
 
 class TestTheorem4:
@@ -447,6 +490,17 @@ class TestUnknownSweep:
     def test_method_validation(self):
         with pytest.raises(ValueError):
             run_unknown_sweep(SMALL, 17, method="nn")
+
+    def test_finite_class_built_once_per_sweep(self, monkeypatch):
+        built = []
+
+        def counting(env):
+            built.append(env)
+            return default_finite_class(env)
+
+        monkeypatch.setattr(bench, "default_finite_class", counting)
+        table = run_unknown_sweep(replace(SMALL, runs=3), 17, method="mle")
+        assert len(table.trials) == 3 and len(built) == 1
 
     def test_weight_error_reported_whenever_a_policy_is_estimated(self):
         # At n = 3 the mle estimator still selects a member, so the weight

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import math
 import os
 import subprocess
@@ -16,6 +17,7 @@ from pacope.core import PacParams, child_rng, save_csv
 from pacope.quantile import QuantilePairModel
 from pacope.rejection import RsDataset, RsSplit
 from pacope.synthenv import sample_logged
+from test_bench import fake_figure1
 
 FAST_CONFIG = """
 runs=3
@@ -108,11 +110,51 @@ def test_figure1_and_bounds_and_theorem4_write_tables(tmp_path, fast_config):
     assert (out / "figure1.csv").exists()
     assert (out / "figure1_trials.csv").exists()
     assert (out / "figure1_panel_left.csv").read_text().splitlines()[0] == "x,y,yerr"
-    assert cli(["bounds", "--seed", "3", "--config", fast_config, "--out", str(out)]) == 0
     header = (out / "bounds.csv").read_text().splitlines()[0]
     assert header == "n,freq,lower,upper,vacuous,pass"
     assert cli(["theorem4", "--seed", "3", "--config", fast_config, "--out", str(out)]) == 0
     assert (out / "theorem4.csv").exists()
+
+
+def test_figure1_jobs_flag_keeps_bounds_bytes(tmp_path, fast_config):
+    serial, parallel = tmp_path / "j1", tmp_path / "j2"
+    for jobs, out in (("1", serial), ("2", parallel)):
+        assert cli(["figure1", "--runs", "4", "--jobs", jobs, "--seed", "7",
+                    "--config", fast_config, "--out", str(out)]) == 0
+    assert (serial / "bounds.csv").read_bytes() == (parallel / "bounds.csv").read_bytes()
+
+
+def test_figure1_runs_each_known_trial_once(tmp_path, fast_config, monkeypatch):
+    bench = importlib.import_module("pacope.bench")
+    calls = []
+
+    def counting(args):
+        calls.append(args[2:])
+        return known_trial(args)
+
+    known_trial = bench._known_trial
+    monkeypatch.setattr(bench, "_known_trial", counting)
+    assert cli(["figure1", "--seed", "3", "--config", fast_config, "--out", str(tmp_path)]) == 0
+    assert calls == [(n, run) for n in (150, 300) for run in range(3)]
+
+
+def test_figure1_exits_1_on_a_failed_bound(tmp_path, capsys, monkeypatch):
+    # Every fabricated trial misses at n = 10^7, where both sides of the bound are informative.
+    path = tmp_path / "config.txt"
+    path.write_text("n_grid=10000000\n")
+    monkeypatch.setattr(importlib.import_module("pacope.cli"), "run_figure1",
+                        lambda config, seed: fake_figure1(config, config.runs))
+    out = tmp_path / "out"
+    assert cli(["figure1", "--runs", "200", "--config", str(path), "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "n=10000000: freq=0.0000" in printed and printed.endswith("-> FAIL\n")
+    assert (out / "bounds.csv").read_text().splitlines()[1].endswith(",0,0")
+
+
+def test_bounds_subcommand_is_gone(capsys):
+    # figure1 writes bounds.csv from its own trials.
+    assert cli(["bounds", "--runs", "3"]) == 2
+    assert "invalid choice: 'bounds'" in capsys.readouterr().err
 
 
 def test_calibrate_then_predict_round_trip(tmp_path, fast_config):
@@ -180,25 +222,34 @@ def test_calibrate_header_only_csv_keeps_context_dimension(tmp_path, capsys, kno
     csv_path.write_text("s1,s2,a,r\n")
     model_path = tmp_path / "predictor.txt"
     argv = ["calibrate", "--data", str(csv_path),
-            "--pe", "gaussian:slope=0.25,intercept=0,variance=1", "--model", str(model_path)]
+            "--pe", "gaussian:slope=0.25 0.1,intercept=0,variance=1", "--model", str(model_path)]
     if known:
-        argv += ["--pb", "gaussian:slope=0.25,intercept=0,variance=4"]
+        argv += ["--pb", "gaussian:slope=0.25 0.1,intercept=0,variance=4"]
     assert cli(argv) == 0
     capsys.readouterr()
     assert cli(["predict", "--model", str(model_path), "--s", "0.5 0.7"]) == 0
     assert capsys.readouterr().out.strip() == "(-inf, inf)"
 
 
-@pytest.mark.parametrize("policies", [
-    ["--pe", "gaussian:slope=0.25 0.1,variance=1"],
-    ["--pe", "gaussian:slope=,variance=1"],
-    ["--pe", "gaussian:slope=0.25,variance=1", "--pb", "gaussian:slope=0.25 0.1,variance=4"],
-], ids=["pe", "pe-empty-slope", "pb"])
-def test_calibrate_policy_of_wrong_dimension_reports_error(tmp_path, capsys, policies):
+ONE_D_PE = ["--pe", "gaussian:slope=0.25,variance=1"]
+
+
+@pytest.mark.parametrize("policies, text", [
+    (["--pe", "gaussian:slope=0.25 0.1,variance=1"], None),
+    (["--pe", "gaussian:slope=,variance=1"], None),
+    (ONE_D_PE + ["--pb", "gaussian:slope=0.25 0.1,variance=4"], None),
+    (ONE_D_PE + ["--pb", "gaussian:slope=0.25,variance=4"], "s1,s2,a,r\n"),
+    (ONE_D_PE, "s1,s2,a,r\n"),
+    (ONE_D_PE, "s1,s2,a,r\n0.1,0.2,0.3,0.4\n0.5,0.6,0.7,0.8\n"),
+], ids=["pe", "pe-empty-slope", "pb", "header-only-known", "header-only", "two-rows"])
+def test_calibrate_policy_of_wrong_dimension_reports_error(tmp_path, capsys, policies, text):
     # A 1-d CSV with a policy of another dimension used to exit 2 with
-    # numpy's matmul message.
+    # numpy's matmul message; a 2-d CSV too small to fit on used to exit 0.
     csv_path = tmp_path / "logged.csv"
-    save_csv(sample_logged(200, child_rng(25)), str(csv_path))
+    if text is None:
+        save_csv(sample_logged(200, child_rng(25)), str(csv_path))
+    else:
+        csv_path.write_text(text)
     model_path = tmp_path / "predictor.txt"
     assert cli(["calibrate", "--data", str(csv_path), *policies, "--model", str(model_path)]) == 2
     err = capsys.readouterr().err
@@ -407,7 +458,7 @@ def test_removed_monte_carlo_keys_report_error(tmp_path, capsys, line):
     ("figure1", "n_grid=", "n_grid must be non-empty"),
     ("figure1", "delta_eps_grid=", "delta_eps_grid must be non-empty"),
     ("figure2", "figure2_deltas=", "figure2_deltas must be non-empty"),
-    ("bounds", "n_grid=0", "n_grid entries must be >= 1"),
+    ("figure1", "n_grid=0", "n_grid entries must be >= 1"),
     ("theorem4", "theorem4_n_grid=", "theorem4_n_grid must be non-empty"),
     ("theorem4", "theorem4_n_grid=0", "theorem4_n_grid entries must be >= 1"),
 ])
