@@ -300,7 +300,7 @@ def _report(
         gamma=params.gamma,
         miscoverage=miscoverage,
         mean_length=length,
-        trivial=d.trivial or math.isinf(pred.threshold),
+        trivial=d.trivial,
         threshold=pred.threshold,
         n_rs=d.n_rs,
         m_cal=d.m_cal,
@@ -448,7 +448,7 @@ def _figure2_trial(args) -> list[TrialReport]:
         threshold=threshold, n_rs=diag.n_rs, m_cal=diag.m_cal, k=-1,
         tie_flag=diag.tie_flag, weight_violations=diag.weight_violations,
     )
-    if diag.trivial:
+    if split.degenerate:
         return reports + [copp_rs, replace(copp_rs, method="COPP", weight_violations=0)]
 
     # COPP: weighted CP on the raw calibration half, no rejection sampling.

@@ -14,15 +14,16 @@ head and a Stirling series), so calibrating and predicting import no scipy.
 it fits the quantile pair and hands it to :func:`calibrate_model`, which
 scores the calibration pairs and picks the threshold; that stage alone
 recalibrates a fitted band at another ``delta``, and :func:`calibrate_deltas`
-at many from one scoring and sort. A degenerate split, an empty
-dataset's included, gets a zero model and an infinite threshold: the one home
-of the trivial predictor. The known-policy pipeline :func:`pacopp_known`
-rejection-samples with the oracle ratio, then splits the accepted pairs. The
-estimated-policy pipeline is ``behavior.pacopp_unknown``, whose sampling
-stage is ``behavior.rs_split_unknown``.
+at many from one scoring and sort. A predictor is trivial exactly when its
+cutoff is ``k = -1``; a degenerate split (``RsSplit.degenerate``, an empty
+dataset's included) gets a zero model and that cutoff. The known-policy
+pipeline :func:`pacopp_known` rejection-samples with the oracle ratio, then
+splits the accepted pairs. The estimated-policy pipeline is
+``behavior.pacopp_unknown``, whose sampling stage is ``behavior.rs_split_unknown``.
 
 The fitted :class:`CalibratedPredictor` is the practitioner's artifact; its
-``dump``/``load`` pair is the one home of the predictor file format.
+``dump``/``load`` pair is the one home of the predictor file format, whose
+keys are the fields of the objects they restore.
 
 The split-conformal comparator (plain ``1 - eps`` empirical quantile with an
 appended infinity atom) lives here too, along with the inflated level it would
@@ -263,16 +264,20 @@ def split_cp_min_calibration_size(epsilon: float, delta: float) -> int:
 
 @dataclass(frozen=True)
 class CalibrationDiagnostics:
-    """Run metadata attached to a calibrated predictor."""
+    """Run metadata attached to a calibrated predictor; ``trivial`` is derived from ``k``."""
 
     n_rs: int
     m_cal: int
     k: int
     tie_flag: bool
     weight_violations: int
-    trivial: bool
     bound: float
     variance_clamped: bool = False
+
+    @property
+    def trivial(self) -> bool:
+        """``k = -1``: the threshold is infinite and the interval the whole line."""
+        return self.k == -1
 
 
 def _parse_flag(text: str) -> bool:
@@ -289,27 +294,21 @@ def _parse_weights(text: str) -> np.ndarray:
 
 
 _FLOAT = (repr, float)
-_INT = (str, int)
 _WEIGHTS = (lambda w: " ".join(repr(float(v)) for v in np.asarray(w, dtype=float)), _parse_weights)
-_BY_TYPE = {"float": _FLOAT, "float | None": _FLOAT, "int": _INT,
+_BY_TYPE = {"float": _FLOAT, "float | None": _FLOAT, "int": (str, int),
             "bool": (lambda flag: str(int(flag)), _parse_flag)}
 
 # The predictor file, one ``key=value`` line per key in this order, each with
 # its (format, parse) pair: the PAC parameters, the threshold, the
-# diagnostics, then the quantile model. ``model.kind`` and the
-# ``model.{lo,up}.0.shape`` lines are kept from an older format that had
-# several model kinds and weight blocks.
+# diagnostics, then the quantile model's weights. Each key is a field of the
+# object it restores; the model's levels are the parameters' ``eps_lo`` and
+# ``eps_up``.
 _FILE_KEYS = {
     **{f.name: _BY_TYPE[f.type] for f in fields(PacParams)},
     "threshold": _FLOAT,
     **{f.name: _BY_TYPE[f.type] for f in fields(CalibrationDiagnostics)},
-    "model.kind": (str, str),
-    "model.eps_lo": _FLOAT,
-    "model.eps_up": _FLOAT,
-    "model.lo.0.shape": _INT,
-    "model.lo.0.values": _WEIGHTS,
-    "model.up.0.shape": _INT,
-    "model.up.0.values": _WEIGHTS,
+    "w_lo": _WEIGHTS,
+    "w_up": _WEIGHTS,
 }
 
 
@@ -317,10 +316,10 @@ _FILE_KEYS = {
 class CalibratedPredictor:
     """Quantile pair plus threshold: maps a context to a prediction interval.
 
-    The threshold is ``+inf`` exactly when the cutoff is -1 or the calibration
-    set is empty, in which case every interval is the whole real line, and
-    finite otherwise. The model's quantile levels are the parameters'
-    ``(eps_lo, eps_up)``, and the diagnostics agree with themselves.
+    The threshold is ``+inf`` exactly when the cutoff is -1 (the diagnostics'
+    ``trivial``), in which case every interval is the whole real line, and
+    finite otherwise; an empty calibration set forces ``k = -1``. The model's
+    quantile levels are the parameters' ``(eps_lo, eps_up)``.
     """
 
     model: QuantilePairModel
@@ -330,13 +329,11 @@ class CalibratedPredictor:
 
     def __post_init__(self) -> None:
         d = self.diagnostics
-        if not (0 <= d.m_cal <= d.n_rs and -1 <= d.k < d.m_cal and (d.k == -1 or not d.trivial)):
-            raise ValueError("diagnostics must have 0 <= m_cal <= n_rs, -1 <= k < m_cal, and k == -1 when "
-                             f"trivial; got n_rs={d.n_rs}, m_cal={d.m_cal}, k={d.k}, trivial={d.trivial}")
-        degenerate = d.k == -1 or d.m_cal == 0
-        if not (self.threshold == math.inf if degenerate else math.isfinite(self.threshold)):
-            raise ValueError("threshold must be +inf iff k == -1 or the calibration set "
-                             f"is empty, and finite otherwise; got {self.threshold!r}")
+        if not (0 <= d.m_cal <= d.n_rs and -1 <= d.k < d.m_cal):
+            raise ValueError("diagnostics must have 0 <= m_cal <= n_rs and -1 <= k < m_cal; "
+                             f"got n_rs={d.n_rs}, m_cal={d.m_cal}, k={d.k}")
+        if not (self.threshold == math.inf if d.trivial else math.isfinite(self.threshold)):
+            raise ValueError(f"threshold must be +inf iff k == -1, else finite; got {self.threshold!r}")
         levels = (self.params.eps_lo, self.params.eps_up)
         if tuple(self.model.levels) != levels:
             raise ValueError(f"model levels {self.model.levels} differ from (eps_lo, eps_up) {levels}")
@@ -352,24 +349,27 @@ class CalibratedPredictor:
         ``None`` is the empty interval, which a negative threshold gives
         wherever the band is narrower than twice its magnitude, as it is where
         the fitted quantiles cross: no reward scores at most the threshold.
+        A NaN or infinite context raises ``ValueError``, and so does one at
+        which an end overflows: to NaN, or to infinity under a finite threshold.
         """
-        lo, hi = self.interval_batch(np.asarray(s, dtype=float).reshape(1, -1))
+        ctx = np.asarray(s, dtype=float).reshape(1, -1)
+        if not np.all(np.isfinite(ctx)):
+            raise ValueError(f"context {ctx[0].tolist()} is NaN or infinite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, hi = self.interval_batch(ctx)
+        ends = np.concatenate((lo, hi))
+        if np.isnan(ends).any() or math.isfinite(self.threshold) and np.isinf(ends).any():
+            raise ValueError(f"the interval at context {ctx[0].tolist()} overflows")
         return None if lo[0] > hi[0] else PredictionInterval(float(lo[0]), float(hi[0]))
 
     def dump(self) -> str:
         """The predictor file: one ``key=value`` line per key, round-trip exact."""
-        model = self.model
         values = {
             **asdict(self.params),
             "threshold": self.threshold,
             **asdict(self.diagnostics),
-            "model.kind": "affine",
-            "model.eps_lo": model.levels[0],
-            "model.eps_up": model.levels[1],
-            "model.lo.0.shape": len(model.w_lo),
-            "model.lo.0.values": model.w_lo,
-            "model.up.0.shape": len(model.w_up),
-            "model.up.0.values": model.w_up,
+            "w_lo": self.model.w_lo,
+            "w_up": self.model.w_up,
         }
         return "".join(f"{key}={fmt(values[key])}\n" for key, (fmt, _) in _FILE_KEYS.items())
 
@@ -378,7 +378,8 @@ class CalibratedPredictor:
         """Inverse of ``dump``; blank lines are skipped.
 
         A missing, repeated, unknown or malformed line, a non-finite weight,
-        and values that make no valid predictor raise ``ValueError``.
+        weight vectors of unequal or too short length, and values that make
+        no valid predictor raise ``ValueError``.
         """
         raw: dict[str, str] = {}
         for line in text.splitlines():
@@ -399,33 +400,24 @@ class CalibratedPredictor:
                 parsed[key] = parse(raw[key])
             except ValueError:
                 raise ValueError(f"predictor file: malformed field {key}={raw[key]!r}") from None
-        if parsed["model.kind"] != "affine":
-            raise ValueError(f"predictor file: unknown model kind {parsed['model.kind']!r}")
-        w_lo, w_up = parsed["model.lo.0.values"], parsed["model.up.0.values"]
-        shapes = (parsed["model.lo.0.shape"], parsed["model.up.0.shape"])
-        if (w_lo.size, w_up.size) != shapes:
-            raise ValueError(f"predictor file: weight values do not fill shapes {shapes}")
+        w_lo, w_up = parsed["w_lo"], parsed["w_up"]
         if w_lo.size != w_up.size or w_lo.size < 2:
-            raise ValueError(f"predictor file: weight sizes {shapes} do not fit an affine model")
+            raise ValueError(f"predictor file: weight sizes {w_lo.size}, {w_up.size} fit no affine model")
         try:
+            params = PacParams(**{f.name: parsed[f.name] for f in fields(PacParams)})
             return CalibratedPredictor(
-                QuantilePairModel(w_lo, w_up, (parsed["model.eps_lo"], parsed["model.eps_up"])),
+                QuantilePairModel(w_lo, w_up, (params.eps_lo, params.eps_up)),
                 parsed["threshold"],
-                PacParams(**{f.name: parsed[f.name] for f in fields(PacParams)}),
+                params,
                 CalibrationDiagnostics(**{f.name: parsed[f.name] for f in fields(CalibrationDiagnostics)}),
             )
         except ValueError as exc:
             raise ValueError(f"predictor file: {exc}") from None
 
 
-def _degenerate(split: RsSplit) -> bool:
-    """The trivial predictor's split: fewer than two training pairs or no calibration pairs."""
-    return len(split.train) < 2 or len(split.cal) == 0
-
-
 def _fit_split(split: RsSplit, params: PacParams) -> QuantilePairModel:
     """The quantile pair fitted on ``split.train``, or the zero model of a degenerate split."""
-    if _degenerate(split):
+    if split.degenerate:
         return trivial_quantile_model((params.eps_lo, params.eps_up), split.train.contexts.shape[1])
     return fit_quantile_pair(split.train, params)
 
@@ -460,9 +452,9 @@ def calibrate_deltas(model: QuantilePairModel, split: RsSplit, params: PacParams
 def _calibration_pass(model: QuantilePairModel, split: RsSplit, params: PacParams,
                       deltas) -> tuple[list[CalibratedPredictor], np.ndarray]:
     """:func:`calibrate_deltas` and the stably sorted scores it read, empty for a degenerate split."""
-    cal, trivial = split.cal, _degenerate(split)
+    cal = split.cal
     ordered = log_cdf = np.empty(0)
-    if not trivial:
+    if not split.degenerate:
         scores = nonconformity(model, cal.contexts, cal.rewards)
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores must be finite")
@@ -479,7 +471,6 @@ def _calibration_pass(model: QuantilePairModel, split: RsSplit, params: PacParam
             k=k,
             tie_flag=tie_flag,
             weight_violations=split.violations,
-            trivial=trivial,
             bound=split.bound,
             variance_clamped=split.variance_clamped,
         )

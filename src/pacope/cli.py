@@ -117,6 +117,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_figure1(args) -> int:
     config = _build_config(args)
+    if not 0.0 < config.delta_eps < config.epsilon:  # the bound check's condition, before the sweep
+        raise ValueError("delta_eps must lie in (0, epsilon)")
     out = _out_dir(args)
     table = run_figure1(config, args.seed)
     table.write_csv(out / "figure1.csv")

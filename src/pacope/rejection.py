@@ -137,6 +137,11 @@ class RsSplit:
     def n_rs(self) -> int:
         return len(self.train) + len(self.cal)
 
+    @property
+    def degenerate(self) -> bool:
+        """Too small to calibrate: fewer than two training pairs, or no calibration pairs."""
+        return len(self.train) < 2 or len(self.cal) == 0
+
 
 def rejection_sample(
     d: LoggedDataset,

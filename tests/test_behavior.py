@@ -269,7 +269,7 @@ class TestPacoppUnknown:
 
     def test_empty_dataset_trivial(self):
         expected = CalibrationDiagnostics(
-            n_rs=0, m_cal=0, k=-1, tie_flag=False, weight_violations=0, trivial=True, bound=1.0,
+            n_rs=0, m_cal=0, k=-1, tie_flag=False, weight_violations=0, bound=1.0,
         )
         for dim in (1, 2):
             pe = GaussianLinearPolicy(np.zeros(dim), 0.0, 1.0)

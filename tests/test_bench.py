@@ -86,7 +86,7 @@ class TestPredictorMetrics:
         # threshold -0.5: empty (a sure miss) for S < 0.5 and [1/2 - s, s - 1/2]
         # above, so the mean length is E[(2 S - 1)^+] with 2 S - 1 ~ N(-1, 16).
         model = QuantilePairModel(np.array([0.0, -1.0]), np.array([0.0, 1.0]), (0.1, 0.9))
-        diag = CalibrationDiagnostics(20, 10, 0, False, 0, False, 2.0)
+        diag = CalibrationDiagnostics(n_rs=20, m_cal=10, k=0, tie_flag=False, weight_violations=0, bound=2.0)
         pred = CalibratedPredictor(model, -0.5, PacParams(0.2, 0.5, 0.5), diag)
         miscoverage, length = _predictor_metrics(pred, DEFAULT_ENV)
         assert length == pytest.approx(-ndtr(-0.25) + 4.0 * norm.pdf(0.25), rel=1e-12)
@@ -455,7 +455,7 @@ class TestTheorem4:
     ], ids=["tau-positive", "tau-negative-empty", "crossing-band", "parallel"])
     def test_exact_mean_matches_trapezoid_rule(self, w_lo, w_up, threshold):
         model = QuantilePairModel(np.array(w_lo), np.array(w_up), (0.1, 0.9))
-        diag = CalibrationDiagnostics(20, 10, 0, False, 0, False, 2.0)
+        diag = CalibrationDiagnostics(n_rs=20, m_cal=10, k=0, tie_flag=False, weight_violations=0, bound=2.0)
         pred = CalibratedPredictor(model, threshold, PacParams(0.2, 0.1, 0.5), diag)
         s = np.linspace(-40.0, 40.0, 800001)
         lo, hi = pred.interval_batch(s)

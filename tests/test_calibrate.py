@@ -26,6 +26,7 @@ from pacope.calibrate import (
     split_cp_min_calibration_size,
     split_cp_threshold,
 )
+from pacope.cli import cli
 from pacope.core import PacParams, PredictionInterval, child_rng
 from pacope.quantile import QuantilePairModel
 from pacope.rejection import RsDataset, RsSplit, gaussian_ratio_bound, rejection_sample
@@ -318,8 +319,7 @@ class TestSplitCp:
 class TestPredict:
     def _predictor(self, threshold, k=0, m=10):
         diag = CalibrationDiagnostics(
-            n_rs=20, m_cal=m, k=k, tie_flag=False, weight_violations=0,
-            trivial=math.isinf(threshold), bound=2.0,
+            n_rs=20, m_cal=m, k=k, tie_flag=False, weight_violations=0, bound=2.0,
         )
         return CalibratedPredictor(_band_model(), threshold, PARAMS, diag)
 
@@ -328,7 +328,7 @@ class TestPredict:
         assert p.predict(0.0) == PredictionInterval(-1.0, 1.0)
 
     def test_infinite_threshold(self):
-        diag = CalibrationDiagnostics(0, 0, -1, False, 0, True, 1.0)
+        diag = CalibrationDiagnostics(n_rs=0, m_cal=0, k=-1, tie_flag=False, weight_violations=0, bound=1.0)
         p = CalibratedPredictor(_band_model(), math.inf, PARAMS, diag)
         iv = p.predict(0.0)
         assert iv.lo == -math.inf and iv.hi == math.inf
@@ -338,10 +338,10 @@ class TestPredict:
         assert p.predict(0.0) == PredictionInterval(-1.5, 1.5)
 
     def test_threshold_infinity_invariant(self):
-        diag = CalibrationDiagnostics(10, 5, 2, False, 0, False, 2.0)
+        diag = CalibrationDiagnostics(n_rs=10, m_cal=5, k=2, tie_flag=False, weight_violations=0, bound=2.0)
         with pytest.raises(ValueError):
             CalibratedPredictor(_band_model(), math.inf, PARAMS, diag)
-        diag_deg = CalibrationDiagnostics(10, 0, -1, False, 0, True, 2.0)
+        diag_deg = CalibrationDiagnostics(n_rs=10, m_cal=0, k=-1, tie_flag=False, weight_violations=0, bound=2.0)
         with pytest.raises(ValueError):
             CalibratedPredictor(_band_model(), 1.0, PARAMS, diag_deg)
 
@@ -373,7 +373,7 @@ class TestPredict:
         ctx = np.array(data.draw(st.lists(
             st.lists(values, min_size=dim, max_size=dim), min_size=1, max_size=80,
         )))
-        diag = CalibrationDiagnostics(20, 10, 0, False, 0, False, 2.0)
+        diag = CalibrationDiagnostics(n_rs=20, m_cal=10, k=0, tie_flag=False, weight_violations=0, bound=2.0)
         model = QuantilePairModel(w_lo, w_up, (0.1, 0.9))
         p = CalibratedPredictor(model, data.draw(st.floats(-10.0, 10.0)), PARAMS, diag)
         lo, hi = p.interval_batch(ctx)
@@ -391,7 +391,7 @@ class TestPredict:
         model = QuantilePairModel(
             np.array([-1.0, 1.0, 2.0]), np.array([1.0, 1.0, 2.0]), (0.1, 0.9)
         )
-        diag = CalibrationDiagnostics(20, 10, 0, False, 0, False, 2.0)
+        diag = CalibrationDiagnostics(n_rs=20, m_cal=10, k=0, tie_flag=False, weight_violations=0, bound=2.0)
         p = CalibratedPredictor(model, 0.5, PARAMS, diag)
         assert p.predict([0.5, 0.25]) == PredictionInterval(-0.5, 2.5)
         for s in (0.5, [0.5, 0.25, 1.0], [[0.5, 0.25], [0.0, 0.0]]):
@@ -426,13 +426,15 @@ class TestCalibrateSplitProperties:
         train = _random_rs(rng, n_train, dim, ties)
         cal = _random_rs(rng, m_cal, dim, ties)
         params = PacParams(epsilon, delta)
-        pred = calibrate_split(RsSplit(train, cal, violations=violations, bound=2.0), params)
+        split = RsSplit(train, cal, violations=violations, bound=2.0)
+        pred = calibrate_split(split, params)
         diag = pred.diagnostics
         assert diag.weight_violations == violations
         assert diag.m_cal == m_cal
-        assert diag.trivial == (n_train < 2 or m_cal == 0)
-        assert math.isinf(pred.threshold) == (diag.k == -1 or m_cal == 0)
-        if not diag.trivial:
+        assert split.degenerate == (n_train < 2 or m_cal == 0)
+        assert diag.trivial == (diag.k == -1) == math.isinf(pred.threshold)
+        assert diag.trivial or not split.degenerate
+        if not split.degenerate:
             scores = nonconformity(pred.model, cal.contexts, cal.rewards)
             assert pred.threshold == pac_threshold_argmin_oracle(scores, epsilon, delta)
             assert diag.k == binomial_quantile_k(m_cal, epsilon, delta)
@@ -547,7 +549,8 @@ class TestCalibrateDeltas:
                                   (params.eps_lo, params.eps_up))
         preds = calibrate_deltas(model, split, params, deltas)
         assert len(preds) == len(deltas)
-        trivial = n_train < 2
+        degenerate = n_train < 2
+        assert split.degenerate == degenerate
         scores = nonconformity(model, split.cal.contexts, split.cal.rewards)
         for delta, pred in zip(deltas, preds):
             alone = calibrate_model(model, split, replace(params, delta=delta))
@@ -556,8 +559,8 @@ class TestCalibrateDeltas:
             assert pred.diagnostics == alone.diagnostics
             assert np.float64(pred.threshold).tobytes() == np.float64(alone.threshold).tobytes()
             diag = pred.diagnostics
-            assert diag.trivial == trivial
-            if trivial:
+            assert diag.trivial == math.isinf(pred.threshold)
+            if degenerate:
                 assert diag.k == -1 and pred.threshold == math.inf and not diag.tie_flag
                 continue
             assert diag.k == binomial_quantile_k(m_cal, epsilon, delta)
@@ -591,7 +594,7 @@ class TestPacoppKnown:
         from pacope.core import GaussianLinearPolicy, LoggedDataset
 
         expected = CalibrationDiagnostics(
-            n_rs=0, m_cal=0, k=-1, tie_flag=False, weight_violations=0, trivial=True, bound=1.0,
+            n_rs=0, m_cal=0, k=-1, tie_flag=False, weight_violations=0, bound=1.0,
         )
         for dim in (1, 2):
             pb = GaussianLinearPolicy(np.zeros(dim), 0.0, 4.0)
@@ -678,7 +681,7 @@ class TestPredictorSerialization:
         params=st.builds(PacParams, _OPEN_UNIT, _OPEN_UNIT, _OPEN_UNIT),
         m_cal=st.integers(0, 10**6),
         counts=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
-        flags=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        flags=st.tuples(st.booleans(), st.booleans()),
         bound=st.floats(1.0, allow_nan=False),
     )
     def test_round_trip_is_bit_exact(self, data, dim, params, m_cal, counts, flags, bound):
@@ -688,12 +691,12 @@ class TestPredictorSerialization:
         w_lo, w_up = np.array(data.draw(weights)), np.array(data.draw(weights))
         model = QuantilePairModel(w_lo, w_up, (params.eps_lo, params.eps_up))
         k = data.draw(st.integers(-1, m_cal - 1))
-        degenerate = k == -1 or m_cal == 0
-        threshold = math.inf if degenerate else data.draw(st.floats(0.0, allow_infinity=False))
-        # Consistent diagnostics: n_rs >= m_cal, and trivial only with k = -1.
-        tie_flag, trivial, clamped = flags
+        threshold = math.inf if k == -1 else data.draw(st.floats(0.0, allow_infinity=False))
+        # Consistent diagnostics: n_rs >= m_cal.
+        tie_flag, clamped = flags
         diag = CalibrationDiagnostics(
-            m_cal + counts[0], m_cal, k, tie_flag, counts[1], trivial and k == -1, bound, clamped
+            n_rs=m_cal + counts[0], m_cal=m_cal, k=k, tie_flag=tie_flag, weight_violations=counts[1],
+            bound=bound, variance_clamped=clamped,
         )
         pred = CalibratedPredictor(model, threshold, params, diag)
         back = CalibratedPredictor.load(pred.dump())
@@ -704,6 +707,15 @@ class TestPredictorSerialization:
         assert back.dump() == pred.dump()
 
     GOLDEN = (
+        "epsilon=0.2\ndelta=0.05\ngamma=0.4\neps_lo=0.1\neps_up=0.9\n"
+        "threshold=0.4375\n"
+        "n_rs=1234\nm_cal=494\nk=85\ntie_flag=1\nweight_violations=3\n"
+        "bound=2.5\nvariance_clamped=1\n"
+        "w_lo=-1.5 0.25 -0.125\nw_up=2.0 0.5 0.001\n"
+    )
+    # The same predictor in the format before ``trivial`` was derived from
+    # ``k``: its derived lines make it a file of unknown fields.
+    OLD_FORMAT = (
         "epsilon=0.2\ndelta=0.05\ngamma=0.4\neps_lo=0.1\neps_up=0.9\n"
         "threshold=0.4375\n"
         "n_rs=1234\nm_cal=494\nk=85\ntie_flag=1\nweight_violations=3\ntrivial=0\n"
@@ -719,7 +731,8 @@ class TestPredictorSerialization:
             np.array([-1.5, 0.25, -0.125]), np.array([2.0, 0.5, 0.001]),
             (params.eps_lo, params.eps_up),
         )
-        diag = CalibrationDiagnostics(1234, 494, 85, True, 3, False, 2.5, True)
+        diag = CalibrationDiagnostics(n_rs=1234, m_cal=494, k=85, tie_flag=True, weight_violations=3,
+                                      bound=2.5, variance_clamped=True)
         pred = CalibratedPredictor(model, 0.4375, params, diag)
         assert pred.dump() == self.GOLDEN
         back = CalibratedPredictor.load(self.GOLDEN)
@@ -727,6 +740,14 @@ class TestPredictorSerialization:
         assert back.model.levels == model.levels
         assert back.model.w_lo.tobytes() == model.w_lo.tobytes()
         assert back.model.w_up.tobytes() == model.w_up.tobytes()
+
+    def test_old_format_rejected(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="predictor file: unknown field 'trivial'"):
+            CalibratedPredictor.load(self.OLD_FORMAT)
+        path = tmp_path / "old.txt"
+        path.write_text(self.OLD_FORMAT)
+        assert cli(["predict", "--model", str(path), "--s", "0.5"]) == 2
+        assert "unknown field 'trivial'" in capsys.readouterr().err
 
     def test_trivial_round_trip(self):
         empty = RsDataset.empty(1)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,19 @@ def test_figure1_exits_1_on_a_failed_bound(tmp_path, capsys, monkeypatch):
     assert (out / "bounds.csv").read_text().splitlines()[1].endswith(",0,0")
 
 
+def test_figure1_rejects_delta_eps_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def no_trial(args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(importlib.import_module("pacope.bench"), "_known_trial", no_trial)
+    path = tmp_path / "config.txt"
+    path.write_text(FAST_CONFIG + "delta_eps=0.3\n")
+    out = tmp_path / "out"
+    assert cli(["figure1", "--config", str(path), "--out", str(out)]) == 2
+    assert "delta_eps must lie in (0, epsilon)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bounds_subcommand_is_gone(capsys):
     # figure1 writes bounds.csv from its own trials.
     assert cli(["bounds", "--runs", "3"]) == 2
@@ -200,6 +214,22 @@ def test_calibrate_and_predict_load_no_scipy(tmp_path, fast_config, known):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_calibrate_reports_trivial_at_cutoff_minus_one(tmp_path, capsys):
+    # 30 rows leave a calibration half too small for any cutoff at the defaults.
+    csv_path = tmp_path / "logged.csv"
+    save_csv(sample_logged(30, child_rng(1)), str(csv_path))
+    rc = cli([
+        "calibrate", "--data", str(csv_path),
+        "--pe", "gaussian:slope=0.25,intercept=0,variance=1",
+        "--pb", "gaussian:slope=0.25,intercept=0,variance=4",
+        "--model", str(tmp_path / "p.txt"),
+    ])
+    assert rc == 0
+    assert "k=-1 threshold=inf trivial=1" in capsys.readouterr().out
+    assert cli(["predict", "--model", str(tmp_path / "p.txt"), "--s", "0.5"]) == 0
+    assert capsys.readouterr().out == "(-inf, inf)\n"
 
 
 def test_calibrate_estimates_behavior_policy_when_omitted(tmp_path, fast_config, capsys):
@@ -308,7 +338,7 @@ def test_predict_prints_interval(tmp_path, capsys):
 def _crossing_predictor(tmp_path):
     # Threshold -0.5 on a band whose lines cross near s = 28: empty at s = 1000.
     model = QuantilePairModel(np.array([-4.9, 1.49]), np.array([5.23, 1.13]), (0.1, 0.9))
-    diag = CalibrationDiagnostics(20, 10, 0, False, 0, False, 2.0)
+    diag = CalibrationDiagnostics(n_rs=20, m_cal=10, k=0, tie_flag=False, weight_violations=0, bound=2.0)
     predictor = CalibratedPredictor(model, -0.5, PacParams(0.2, 0.5, 0.5), diag)
     path = tmp_path / "p.txt"
     path.write_text(predictor.dump())
@@ -330,6 +360,20 @@ def test_predict_rejects_nan_context(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "NaN" in captured.err
+
+
+@pytest.mark.parametrize(("s", "message"), [
+    ("inf", "NaN or infinite"), ("-inf", "NaN or infinite"), ("1e308", "overflows"),
+])
+def test_predict_rejects_non_finite_context_or_interval(tmp_path, capsys, s, message):
+    # Finite threshold: an infinite context, or one whose band overflows, has no interval.
+    _, path = _crossing_predictor(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli(["predict", "--model", str(path), f"--s={s}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def _trivial_predictor():
@@ -373,39 +417,22 @@ def test_predict_rejects_malformed_predictor_field(tmp_path, capsys):
     assert "m_cal" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old, new", [
-    ("model.kind=affine", "model.kind=mlp"),
-    ("model.up.0.values=0.0 0.0",
-     "model.up.0.values=0.0 0.0\nmodel.lo.1.shape=2\nmodel.lo.1.values=0.0 0.0"),
-    ("model.up.0.shape=2\nmodel.up.0.values=0.0 0.0",
-     "model.up.0.shape=3\nmodel.up.0.values=0.0 0.0 0.0"),
-], ids=["mlp-kind", "extra-parameter", "shape-mismatch"])
-def test_predict_rejects_model_it_cannot_build(tmp_path, capsys, old, new):
-    text = _trivial_predictor().dump()
-    assert old in text
-    path = tmp_path / "p.txt"
-    path.write_text(text.replace(old, new))
-    assert cli(["predict", "--model", str(path), "--s", "0.5"]) == 2
-    assert "predictor file" in capsys.readouterr().err
-
-
 def _fitted_predictor_text():
     model = QuantilePairModel(np.array([-1.0, 0.5]), np.array([1.0, 0.5]), (0.1, 0.9))
-    diag = CalibrationDiagnostics(20, 10, 0, False, 0, False, 2.0)
+    diag = CalibrationDiagnostics(n_rs=20, m_cal=10, k=0, tie_flag=False, weight_violations=0, bound=2.0)
     return CalibratedPredictor(model, 0.5, PacParams(0.2, 0.1, 0.5), diag).dump()
 
 
 @pytest.mark.parametrize("trivial, old, new", [
     (False, "threshold=0.5", "threshold=nan"),
     (True, "threshold=inf", "threshold=-inf"),
-    (False, "model.lo.0.values=-1.0 0.5", "model.lo.0.values=-1.0 nan"),
-    (False, "model.up.0.values=1.0 0.5", "model.up.0.values=1.0 inf"),
+    (False, "w_lo=-1.0 0.5", "w_lo=-1.0 nan"),
+    (False, "w_up=1.0 0.5", "w_up=1.0 inf"),
     (False, "threshold=0.5", "threshold=0.5\nthreshold=0.25"),
     (False, "bound=2.0", "bound=2.0\nextra=1"),
-    (False, "model.eps_lo=0.1", "model.eps_lo=0.2"),
-    (False, "model.eps_up=0.9", "model.eps_up=0.8"),
+    (False, "w_up=1.0 0.5", "w_up=1.0 0.5 0.25"),
 ], ids=["nan-threshold", "minus-inf-threshold", "nan-weight", "inf-weight",
-        "repeated-key", "unknown-key", "model-eps-lo", "model-eps-up"])
+        "repeated-key", "unknown-key", "unequal-weights"])
 def test_predict_rejects_invalid_predictor_file(tmp_path, capsys, trivial, old, new):
     if trivial:
         text = _trivial_predictor().dump()
@@ -419,12 +446,11 @@ def test_predict_rejects_invalid_predictor_file(tmp_path, capsys, trivial, old, 
 
 
 @pytest.mark.parametrize("old, new", [
-    ("trivial=0", "trivial=1"),
     ("k=0", "k=10"),
     ("k=0", "k=-2"),
     ("n_rs=20", "n_rs=3"),
     ("m_cal=10", "m_cal=-1"),
-], ids=["trivial-with-cutoff", "k-not-below-m-cal", "k-below-minus-one",
+], ids=["k-not-below-m-cal", "k-below-minus-one",
         "m-cal-above-n-rs", "negative-m-cal"])
 def test_predict_rejects_inconsistent_diagnostics(tmp_path, capsys, old, new):
     text = _fitted_predictor_text()
