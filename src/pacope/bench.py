@@ -154,6 +154,10 @@ class BenchConfig:
         for name in ("n_grid", "theorem4_n_grid"):
             if min(getattr(self, name)) < 1:
                 raise ValueError(f"{name} entries must be >= 1")
+        if not all(d > 0.0 for d in self.delta_eps_grid):
+            raise ValueError("delta_eps_grid entries must be > 0")
+        if not all(0.0 < d < 1.0 for d in self.figure2_deltas):
+            raise ValueError("figure2_deltas entries must lie in (0, 1)")
 
     def pac_params(self) -> PacParams:
         return PacParams(self.epsilon, self.delta, self.gamma)
@@ -504,10 +508,10 @@ def _theorem4_measure(pred: CalibratedPredictor, env: SynthEnvSpec) -> float:
     ``lo - tau``, ``up + tau``, ``mid -+ tau`` (where the band crosses) and the two
     oracle lines, so the measure is affine between the lines' pairwise crossings.
     """
-    tau, slope = pred.threshold, 1.0 + env.target_slope
+    tau, slope, p = pred.threshold, 1.0 + env.target_slope, pred.params
     (a_lo, b_lo), (a_up, b_up) = pred.model.w_lo.tolist(), pred.model.w_up.tolist()
     a_mid, b_mid = 0.5 * (a_lo + a_up), 0.5 * (b_lo + b_up)
-    o_lo, o_up = (float(oracle_quantiles(np.zeros(1), q, env)[0]) for q in pred.model.levels)
+    o_lo, o_up = (float(oracle_quantiles(np.zeros(1), q, env)[0]) for q in (p.eps_lo, p.eps_up))
     c = np.array([a_lo - tau, a_up + tau, a_mid - tau, a_mid + tau, o_lo, o_up])
     d = np.array([b_lo, b_up, b_mid, b_mid, slope, slope])
     with np.errstate(divide="ignore", invalid="ignore"):

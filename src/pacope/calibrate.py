@@ -295,14 +295,12 @@ def _parse_weights(text: str) -> np.ndarray:
 
 _FLOAT = (repr, float)
 _WEIGHTS = (lambda w: " ".join(repr(float(v)) for v in np.asarray(w, dtype=float)), _parse_weights)
-_BY_TYPE = {"float": _FLOAT, "float | None": _FLOAT, "int": (str, int),
-            "bool": (lambda flag: str(int(flag)), _parse_flag)}
+_BY_TYPE = {"float": _FLOAT, "int": (str, int), "bool": (lambda flag: str(int(flag)), _parse_flag)}
 
 # The predictor file, one ``key=value`` line per key in this order, each with
 # its (format, parse) pair: the PAC parameters, the threshold, the
 # diagnostics, then the quantile model's weights. Each key is a field of the
-# object it restores; the model's levels are the parameters' ``eps_lo`` and
-# ``eps_up``.
+# object it restores; the quantile levels follow from ``epsilon``.
 _FILE_KEYS = {
     **{f.name: _BY_TYPE[f.type] for f in fields(PacParams)},
     "threshold": _FLOAT,
@@ -318,8 +316,8 @@ class CalibratedPredictor:
 
     The threshold is ``+inf`` exactly when the cutoff is -1 (the diagnostics'
     ``trivial``), in which case every interval is the whole real line, and
-    finite otherwise; an empty calibration set forces ``k = -1``. The model's
-    quantile levels are the parameters' ``(eps_lo, eps_up)``.
+    finite otherwise; an empty calibration set forces ``k = -1``. The model
+    was fitted at the parameters' levels ``(eps_lo, eps_up)``.
     """
 
     model: QuantilePairModel
@@ -334,14 +332,25 @@ class CalibratedPredictor:
                              f"got n_rs={d.n_rs}, m_cal={d.m_cal}, k={d.k}")
         if not (self.threshold == math.inf if d.trivial else math.isfinite(self.threshold)):
             raise ValueError(f"threshold must be +inf iff k == -1, else finite; got {self.threshold!r}")
-        levels = (self.params.eps_lo, self.params.eps_up)
-        if tuple(self.model.levels) != levels:
-            raise ValueError(f"model levels {self.model.levels} differ from (eps_lo, eps_up) {levels}")
 
     def interval_batch(self, contexts) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized interval endpoints for an array of contexts."""
-        lo, up = self.model.quantiles(contexts)
-        return lo - self.threshold, up + self.threshold
+        """Vectorized interval endpoints ``(lo, hi)``; ``(-inf, +inf)`` at every row if trivial.
+
+        A NaN or infinite context raises ``ValueError``, and so does one at
+        which an end of a finite-threshold interval overflows."""
+        ctx = _as_context_matrix(contexts)
+        if not np.isfinite(ctx).all():
+            bad = ctx[~np.isfinite(ctx).all(axis=1)][0]
+            raise ValueError(f"context {bad.tolist()} is NaN or infinite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, up = self.model.quantiles(ctx)
+            if self.diagnostics.trivial:
+                return np.full_like(lo, -math.inf), np.full_like(up, math.inf)
+            lo, hi = lo - self.threshold, up + self.threshold
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            bad = ctx[~(np.isfinite(lo) & np.isfinite(hi))][0]
+            raise ValueError(f"the interval at context {bad.tolist()} overflows")
+        return lo, hi
 
     def predict(self, s) -> PredictionInterval | None:
         """Interval at one context: a scalar, or a vector of the model's dimension.
@@ -349,18 +358,10 @@ class CalibratedPredictor:
         ``None`` is the empty interval, which a negative threshold gives
         wherever the band is narrower than twice its magnitude, as it is where
         the fitted quantiles cross: no reward scores at most the threshold.
-        A NaN or infinite context raises ``ValueError``, and so does one at
-        which an end overflows: to NaN, or to infinity under a finite threshold.
+        It raises where :meth:`interval_batch` does.
         """
-        ctx = np.asarray(s, dtype=float).reshape(1, -1)
-        if not np.all(np.isfinite(ctx)):
-            raise ValueError(f"context {ctx[0].tolist()} is NaN or infinite")
-        with np.errstate(over="ignore", invalid="ignore"):
-            lo, hi = self.interval_batch(ctx)
-        ends = np.concatenate((lo, hi))
-        if np.isnan(ends).any() or math.isfinite(self.threshold) and np.isinf(ends).any():
-            raise ValueError(f"the interval at context {ctx[0].tolist()} overflows")
-        return None if lo[0] > hi[0] else PredictionInterval(float(lo[0]), float(hi[0]))
+        (lo,), (hi,) = self.interval_batch(np.asarray(s, dtype=float).reshape(1, -1))
+        return None if lo > hi else PredictionInterval(float(lo), float(hi))
 
     def dump(self) -> str:
         """The predictor file: one ``key=value`` line per key, round-trip exact."""
@@ -406,7 +407,7 @@ class CalibratedPredictor:
         try:
             params = PacParams(**{f.name: parsed[f.name] for f in fields(PacParams)})
             return CalibratedPredictor(
-                QuantilePairModel(w_lo, w_up, (params.eps_lo, params.eps_up)),
+                QuantilePairModel(w_lo, w_up),
                 parsed["threshold"],
                 params,
                 CalibrationDiagnostics(**{f.name: parsed[f.name] for f in fields(CalibrationDiagnostics)}),
@@ -418,7 +419,7 @@ class CalibratedPredictor:
 def _fit_split(split: RsSplit, params: PacParams) -> QuantilePairModel:
     """The quantile pair fitted on ``split.train``, or the zero model of a degenerate split."""
     if split.degenerate:
-        return trivial_quantile_model((params.eps_lo, params.eps_up), split.train.contexts.shape[1])
+        return trivial_quantile_model(split.train.contexts.shape[1])
     return fit_quantile_pair(split.train, params)
 
 

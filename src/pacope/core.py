@@ -250,23 +250,18 @@ class GaussianLinearPolicy(StochasticPolicy):
 # PAC parameters and intervals
 # ---------------------------------------------------------------------------
 
-_LEVEL_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class PacParams:
-    """Miscoverage/confidence pair plus quantile levels and calibration ratio.
+    """Miscoverage/confidence pair plus calibration ratio.
 
-    ``eps_up - eps_lo`` must equal ``1 - epsilon`` (to within 1e-12). When the
-    quantile levels are omitted, the symmetric pair
-    ``(epsilon / 2, 1 - epsilon / 2)`` is used.
+    The quantile levels follow from ``epsilon``: they are the read-only pair
+    ``(eps_lo, eps_up) = (epsilon / 2, 1 - epsilon / 2)``, in (0, 1/2) and
+    (1/2, 1), whose gap is ``1 - epsilon``.
     """
 
     epsilon: float
     delta: float
     gamma: float = 0.5
-    eps_lo: float | None = None
-    eps_up: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
@@ -275,14 +270,14 @@ class PacParams:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        eps_lo = self.epsilon / 2.0 if self.eps_lo is None else float(self.eps_lo)
-        eps_up = 1.0 - self.epsilon / 2.0 if self.eps_up is None else float(self.eps_up)
-        if not 0.0 <= eps_lo < eps_up <= 1.0:
-            raise ValueError("quantile levels must satisfy 0 <= eps_lo < eps_up <= 1")
-        if abs((eps_up - eps_lo) - (1.0 - self.epsilon)) > _LEVEL_TOL:
-            raise ValueError("quantile levels must satisfy eps_up - eps_lo = 1 - epsilon")
-        object.__setattr__(self, "eps_lo", eps_lo)
-        object.__setattr__(self, "eps_up", eps_up)
+
+    @property
+    def eps_lo(self) -> float:
+        return self.epsilon / 2.0
+
+    @property
+    def eps_up(self) -> float:
+        return 1.0 - self.epsilon / 2.0
 
 
 @dataclass(frozen=True)

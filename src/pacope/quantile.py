@@ -218,13 +218,13 @@ class QuantilePairModel:
     """Fitted lower/upper affine conditional-quantile functions.
 
     ``w_lo`` / ``w_up`` are the weight vectors, intercept first, of the
-    levels ``levels``. Evaluation applies the midpoint crossing fix, so
+    quantiles at the levels ``(eps_lo, eps_up)`` of the ``PacParams`` they
+    were fitted at. Evaluation applies the midpoint crossing fix, so
     ``quantiles`` always returns ``lo <= up`` pointwise.
     """
 
     w_lo: np.ndarray
     w_up: np.ndarray
-    levels: tuple[float, float]
 
     @property
     def context_dim(self) -> int:
@@ -253,10 +253,10 @@ class QuantilePairModel:
         return lo, up
 
 
-def trivial_quantile_model(levels: tuple[float, float], context_dim: int = 1) -> QuantilePairModel:
+def trivial_quantile_model(context_dim: int = 1) -> QuantilePairModel:
     """Constant-zero quantile pair, used by degenerate calibration paths."""
     w = np.zeros(context_dim + 1)
-    return QuantilePairModel(w, w.copy(), levels)
+    return QuantilePairModel(w, w.copy())
 
 
 def fit_quantile_pair(train, params: PacParams) -> QuantilePairModel:
@@ -268,11 +268,7 @@ def fit_quantile_pair(train, params: PacParams) -> QuantilePairModel:
     """
     if len(train) < 2:
         raise ValueError("insufficient training data: need at least 2 samples")
-    eps_lo, eps_up = params.eps_lo, params.eps_up
-    for level in (eps_lo, eps_up):
-        if not 0.0 < level < 1.0:
-            raise ValueError("quantile levels must lie in (0, 1)")
     ctx = _as_context_matrix(train.contexts)
     y = np.asarray(train.rewards, dtype=float)
-    (w_lo, w_up), _ = _fit_levels(ctx, y, (eps_lo, eps_up))
-    return QuantilePairModel(w_lo, w_up, (eps_lo, eps_up))
+    (w_lo, w_up), _ = _fit_levels(ctx, y, (params.eps_lo, params.eps_up))
+    return QuantilePairModel(w_lo, w_up)

@@ -48,7 +48,7 @@ class _ConstantActionPolicy(StochasticPolicy):
 
 
 def _band_model(lo=-1.0, up=1.0, slope=0.0):
-    return QuantilePairModel(np.array([lo, slope]), np.array([up, slope]), (0.1, 0.9))
+    return QuantilePairModel(np.array([lo, slope]), np.array([up, slope]))
 
 
 def _policy(intercept, variance=1e-6):
@@ -403,7 +403,7 @@ def _far_target_calibration():
     # has a vanishing weight and meets the calibration score 4, while
     # candidates near 1000 carry enough weight to reach the infinity atom.
     cal = LoggedDataset(np.full((4, 1), -1.0), np.zeros(4), np.zeros(4))
-    model = QuantilePairModel(np.array([5.0, 10.0]), np.array([6.0, 10.0]), (0.1, 0.9))
+    model = QuantilePairModel(np.array([5.0, 10.0]), np.array([6.0, 10.0]))
     rm = RewardModelGaussian(np.array([0.0, 0.0, 1.0]), 1.0)
     pe = GaussianLinearPolicy(np.array([1000.0]), 1000.0, 1e-6)
     return copp_calibrate(cal, model, rm, _policy(0.0, 1.0), pe)
@@ -461,7 +461,7 @@ class TestCoppPredict:
         # weight, so the threshold is -1 for every candidate. At context 1
         # the band [-1, 0] is narrower than 2: no candidate is accepted.
         cal = LoggedDataset(np.zeros((4, 1)), np.zeros(4), np.zeros(4))
-        model = QuantilePairModel(np.array([-1.0, 0.0]), np.array([1.0, -1.0]), (0.1, 0.9))
+        model = QuantilePairModel(np.array([-1.0, 0.0]), np.array([1.0, -1.0]))
         rm = RewardModelGaussian(np.array([0.0, 0.0, 1.0]), 1.0)
         calib = copp_calibrate(cal, model, rm, _policy(0.0, 1.0), _policy(0.0))
         sets = copp_sets(calib, [[1.0]], 0.2)

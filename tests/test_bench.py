@@ -85,7 +85,7 @@ class TestPredictorMetrics:
         # Band [-s, s], collapsed to 0 for s < 0 by the crossing fix, with
         # threshold -0.5: empty (a sure miss) for S < 0.5 and [1/2 - s, s - 1/2]
         # above, so the mean length is E[(2 S - 1)^+] with 2 S - 1 ~ N(-1, 16).
-        model = QuantilePairModel(np.array([0.0, -1.0]), np.array([0.0, 1.0]), (0.1, 0.9))
+        model = QuantilePairModel(np.array([0.0, -1.0]), np.array([0.0, 1.0]))
         diag = CalibrationDiagnostics(n_rs=20, m_cal=10, k=0, tie_flag=False, weight_violations=0, bound=2.0)
         pred = CalibratedPredictor(model, -0.5, PacParams(0.2, 0.5, 0.5), diag)
         miscoverage, length = _predictor_metrics(pred, DEFAULT_ENV)
@@ -271,7 +271,7 @@ class TestFigure2:
         # Figure 2 fits through bench._fit_split and calibrates through
         # bench._calibration_pass, whose sorted scores give COPP-RS's threshold.
         monkeypatch.setattr(bench, "_fit_split", lambda split, params: QuantilePairModel(
-            np.array([-1.0, 0.0]), np.array([1.0, 1.0]), (params.eps_lo, params.eps_up)))
+            np.array([-1.0, 0.0]), np.array([1.0, 1.0])))
         calibration_pass = bench._calibration_pass
 
         def at_minus_half(model, split, params, deltas):
@@ -454,7 +454,7 @@ class TestTheorem4:
         ((-1.7, 1.25), (1.9, 1.25), 0.1),
     ], ids=["tau-positive", "tau-negative-empty", "crossing-band", "parallel"])
     def test_exact_mean_matches_trapezoid_rule(self, w_lo, w_up, threshold):
-        model = QuantilePairModel(np.array(w_lo), np.array(w_up), (0.1, 0.9))
+        model = QuantilePairModel(np.array(w_lo), np.array(w_up))
         diag = CalibrationDiagnostics(n_rs=20, m_cal=10, k=0, tie_flag=False, weight_violations=0, bound=2.0)
         pred = CalibratedPredictor(model, threshold, PacParams(0.2, 0.1, 0.5), diag)
         s = np.linspace(-40.0, 40.0, 800001)

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -37,7 +38,7 @@ _OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
 def _band_model(lo=-1.0, up=1.0):
-    return QuantilePairModel(np.array([lo, 0.0]), np.array([up, 0.0]), (0.1, 0.9))
+    return QuantilePairModel(np.array([lo, 0.0]), np.array([up, 0.0]))
 
 
 def pac_threshold_argmin_oracle(scores, epsilon, delta):
@@ -374,7 +375,7 @@ class TestPredict:
             st.lists(values, min_size=dim, max_size=dim), min_size=1, max_size=80,
         )))
         diag = CalibrationDiagnostics(n_rs=20, m_cal=10, k=0, tie_flag=False, weight_violations=0, bound=2.0)
-        model = QuantilePairModel(w_lo, w_up, (0.1, 0.9))
+        model = QuantilePairModel(w_lo, w_up)
         p = CalibratedPredictor(model, data.draw(st.floats(-10.0, 10.0)), PARAMS, diag)
         lo, hi = p.interval_batch(ctx)
         for i, row in enumerate(ctx):
@@ -387,10 +388,39 @@ class TestPredict:
             else:
                 assert (iv.lo, iv.hi) == (lo[i], hi[i])
 
+    @staticmethod
+    def _wide_band(threshold, k):
+        """A band of weights [-4.9, 1.49] and [5.23, 1.13], whose ends overflow at 1e308."""
+        model = QuantilePairModel(np.array([-4.9, 1.49]), np.array([5.23, 1.13]))
+        diag = CalibrationDiagnostics(n_rs=20, m_cal=10, k=k, tie_flag=False, weight_violations=0, bound=2.0)
+        return CalibratedPredictor(model, threshold, PARAMS, diag)
+
+    @pytest.mark.parametrize(("s", "message"), [
+        (math.inf, "NaN or infinite"), (math.nan, "NaN or infinite"), (1e308, "overflows"),
+    ])
+    def test_batch_rejects_non_finite_context_or_interval(self, s, message):
+        p = self._wide_band(-0.5, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                p.interval_batch([[0.0], [s]])
+            with pytest.raises(ValueError, match=message):
+                p.predict(s)
+
+    def test_trivial_batch_is_whole_line_where_band_overflows(self):
+        p = self._wide_band(math.inf, -1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = p.interval_batch([[0.0], [1e308], [-1e308]])
+            assert p.predict(1e308) == PredictionInterval(-math.inf, math.inf)
+        assert np.all(lo == -math.inf) and np.all(hi == math.inf)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            p.interval_batch([[math.nan]])
+        with pytest.raises(ValueError, match="dimension"):
+            p.interval_batch([[0.0, 1.0]])
+
     def test_context_dimension_must_match_model(self):
-        model = QuantilePairModel(
-            np.array([-1.0, 1.0, 2.0]), np.array([1.0, 1.0, 2.0]), (0.1, 0.9)
-        )
+        model = QuantilePairModel(np.array([-1.0, 1.0, 2.0]), np.array([1.0, 1.0, 2.0]))
         diag = CalibrationDiagnostics(n_rs=20, m_cal=10, k=0, tie_flag=False, weight_violations=0, bound=2.0)
         p = CalibratedPredictor(model, 0.5, PARAMS, diag)
         assert p.predict([0.5, 0.25]) == PredictionInterval(-0.5, 2.5)
@@ -499,7 +529,7 @@ class TestCalibrateModel:
         rng = np.random.default_rng(5)
         split = RsSplit(_random_rs(rng, n_train, 1, ties=False), _random_rs(rng, m_cal, 1, ties=False),
                         violations=2, bound=3.0)
-        model = QuantilePairModel(np.array([-1.5, 0.3]), np.array([2.0, 1.1]), (0.1, 0.9))
+        model = QuantilePairModel(np.array([-1.5, 0.3]), np.array([2.0, 1.1]))
         pred = calibrate_model(model, split, PARAMS)
         diag = pred.diagnostics
         assert pred.model is model
@@ -545,8 +575,7 @@ class TestCalibrateDeltas:
                         violations=3, bound=2.5)
         params = PacParams(epsilon, 0.5)
         # A flat band scores rounded rewards with ties.
-        model = QuantilePairModel(np.array([-1.0, 0.0]), np.array([1.0, 0.0]),
-                                  (params.eps_lo, params.eps_up))
+        model = QuantilePairModel(np.array([-1.0, 0.0]), np.array([1.0, 0.0]))
         preds = calibrate_deltas(model, split, params, deltas)
         assert len(preds) == len(deltas)
         degenerate = n_train < 2
@@ -689,7 +718,7 @@ class TestPredictorSerialization:
             st.floats(allow_nan=False, allow_infinity=False), min_size=dim + 1, max_size=dim + 1
         )
         w_lo, w_up = np.array(data.draw(weights)), np.array(data.draw(weights))
-        model = QuantilePairModel(w_lo, w_up, (params.eps_lo, params.eps_up))
+        model = QuantilePairModel(w_lo, w_up)
         k = data.draw(st.integers(-1, m_cal - 1))
         threshold = math.inf if k == -1 else data.draw(st.floats(0.0, allow_infinity=False))
         # Consistent diagnostics: n_rs >= m_cal.
@@ -702,20 +731,27 @@ class TestPredictorSerialization:
         back = CalibratedPredictor.load(pred.dump())
         assert back.model.w_lo.tobytes() == w_lo.tobytes()
         assert back.model.w_up.tobytes() == w_up.tobytes()
-        assert back.model.levels == model.levels
         assert (back.threshold, back.params, back.diagnostics) == (threshold, params, diag)
         assert back.dump() == pred.dump()
 
     GOLDEN = (
+        "epsilon=0.2\ndelta=0.05\ngamma=0.4\n"
+        "threshold=0.4375\n"
+        "n_rs=1234\nm_cal=494\nk=85\ntie_flag=1\nweight_violations=3\n"
+        "bound=2.5\nvariance_clamped=1\n"
+        "w_lo=-1.5 0.25 -0.125\nw_up=2.0 0.5 0.001\n"
+    )
+    # The same predictor in the two older formats: with the quantile levels
+    # stored, and before that with every derived line too. Either is a file
+    # of unknown fields, the first of them ``eps_lo``.
+    STORED_LEVELS_FORMAT = (
         "epsilon=0.2\ndelta=0.05\ngamma=0.4\neps_lo=0.1\neps_up=0.9\n"
         "threshold=0.4375\n"
         "n_rs=1234\nm_cal=494\nk=85\ntie_flag=1\nweight_violations=3\n"
         "bound=2.5\nvariance_clamped=1\n"
         "w_lo=-1.5 0.25 -0.125\nw_up=2.0 0.5 0.001\n"
     )
-    # The same predictor in the format before ``trivial`` was derived from
-    # ``k``: its derived lines make it a file of unknown fields.
-    OLD_FORMAT = (
+    DERIVED_LINES_FORMAT = (
         "epsilon=0.2\ndelta=0.05\ngamma=0.4\neps_lo=0.1\neps_up=0.9\n"
         "threshold=0.4375\n"
         "n_rs=1234\nm_cal=494\nk=85\ntie_flag=1\nweight_violations=3\ntrivial=0\n"
@@ -727,27 +763,25 @@ class TestPredictorSerialization:
 
     def test_golden_bytes(self):
         params = PacParams(0.2, 0.05, 0.4)
-        model = QuantilePairModel(
-            np.array([-1.5, 0.25, -0.125]), np.array([2.0, 0.5, 0.001]),
-            (params.eps_lo, params.eps_up),
-        )
+        model = QuantilePairModel(np.array([-1.5, 0.25, -0.125]), np.array([2.0, 0.5, 0.001]))
         diag = CalibrationDiagnostics(n_rs=1234, m_cal=494, k=85, tie_flag=True, weight_violations=3,
                                       bound=2.5, variance_clamped=True)
         pred = CalibratedPredictor(model, 0.4375, params, diag)
         assert pred.dump() == self.GOLDEN
         back = CalibratedPredictor.load(self.GOLDEN)
         assert (back.threshold, back.params, back.diagnostics) == (0.4375, params, diag)
-        assert back.model.levels == model.levels
         assert back.model.w_lo.tobytes() == model.w_lo.tobytes()
         assert back.model.w_up.tobytes() == model.w_up.tobytes()
 
-    def test_old_format_rejected(self, tmp_path, capsys):
-        with pytest.raises(ValueError, match="predictor file: unknown field 'trivial'"):
-            CalibratedPredictor.load(self.OLD_FORMAT)
+    @pytest.mark.parametrize("name", ["STORED_LEVELS_FORMAT", "DERIVED_LINES_FORMAT"])
+    def test_old_format_rejected(self, name, tmp_path, capsys):
+        text = getattr(self, name)
+        with pytest.raises(ValueError, match="predictor file: unknown field 'eps_lo'"):
+            CalibratedPredictor.load(text)
         path = tmp_path / "old.txt"
-        path.write_text(self.OLD_FORMAT)
+        path.write_text(text)
         assert cli(["predict", "--model", str(path), "--s", "0.5"]) == 2
-        assert "unknown field 'trivial'" in capsys.readouterr().err
+        assert "unknown field 'eps_lo'" in capsys.readouterr().err
 
     def test_trivial_round_trip(self):
         empty = RsDataset.empty(1)

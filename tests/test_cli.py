@@ -335,11 +335,11 @@ def test_predict_prints_interval(tmp_path, capsys):
     assert float(lo) == iv.lo and float(hi) == iv.hi
 
 
-def _crossing_predictor(tmp_path):
+def _crossing_predictor(tmp_path, threshold=-0.5, k=0):
     # Threshold -0.5 on a band whose lines cross near s = 28: empty at s = 1000.
-    model = QuantilePairModel(np.array([-4.9, 1.49]), np.array([5.23, 1.13]), (0.1, 0.9))
-    diag = CalibrationDiagnostics(n_rs=20, m_cal=10, k=0, tie_flag=False, weight_violations=0, bound=2.0)
-    predictor = CalibratedPredictor(model, -0.5, PacParams(0.2, 0.5, 0.5), diag)
+    model = QuantilePairModel(np.array([-4.9, 1.49]), np.array([5.23, 1.13]))
+    diag = CalibrationDiagnostics(n_rs=20, m_cal=10, k=k, tie_flag=False, weight_violations=0, bound=2.0)
+    predictor = CalibratedPredictor(model, threshold, PacParams(0.2, 0.5, 0.5), diag)
     path = tmp_path / "p.txt"
     path.write_text(predictor.dump())
     return predictor, path
@@ -390,6 +390,15 @@ def test_predict_trivial_model_prints_infinite_interval(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "(-inf, inf)"
 
 
+def test_predict_trivial_prints_whole_line_where_band_overflows(tmp_path, capsys):
+    # k = -1 on the crossing band: the whole line, although the band is infinite at 1e308.
+    _, path = _crossing_predictor(tmp_path, math.inf, k=-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli(["predict", "--model", str(path), "--s", "1e308"]) == 0
+    assert capsys.readouterr().out.strip() == "(-inf, inf)"
+
+
 def test_predict_rejects_context_of_wrong_dimension(tmp_path, capsys):
     predictor = _trivial_predictor()
     path = tmp_path / "p.txt"
@@ -418,7 +427,7 @@ def test_predict_rejects_malformed_predictor_field(tmp_path, capsys):
 
 
 def _fitted_predictor_text():
-    model = QuantilePairModel(np.array([-1.0, 0.5]), np.array([1.0, 0.5]), (0.1, 0.9))
+    model = QuantilePairModel(np.array([-1.0, 0.5]), np.array([1.0, 0.5]))
     diag = CalibrationDiagnostics(n_rs=20, m_cal=10, k=0, tie_flag=False, weight_violations=0, bound=2.0)
     return CalibratedPredictor(model, 0.5, PacParams(0.2, 0.1, 0.5), diag).dump()
 
@@ -487,12 +496,19 @@ def test_removed_monte_carlo_keys_report_error(tmp_path, capsys, line):
     ("figure1", "n_grid=0", "n_grid entries must be >= 1"),
     ("theorem4", "theorem4_n_grid=", "theorem4_n_grid must be non-empty"),
     ("theorem4", "theorem4_n_grid=0", "theorem4_n_grid entries must be >= 1"),
+    # Entries that give no valid row: no band frequency at delta_eps <= 0,
+    # no PacParams at a figure-2 delta outside (0, 1).
+    ("figure1", "delta_eps_grid=-0.1,0,0.05", "delta_eps_grid entries must be > 0"),
+    ("figure1", "delta_eps_grid=0.05,nan", "delta_eps_grid entries must be > 0"),
+    ("figure2", "figure2_deltas=0.1,1.5", "figure2_deltas entries must lie in (0, 1)"),
+    ("figure2", "figure2_deltas=0,0.1", "figure2_deltas entries must lie in (0, 1)"),
 ])
 def test_empty_grid_or_zero_n_reports_error(tmp_path, capsys, command, line, message):
     path = tmp_path / "config.txt"
     path.write_text(FAST_CONFIG + line + "\n")
     assert cli([command, "--config", str(path), "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -35,18 +35,12 @@ class TestPacParams:
         assert p.eps_up == pytest.approx(0.9, abs=1e-15)
         assert abs((p.eps_up - p.eps_lo) - 0.8) <= 1e-12
 
-    def test_custom_levels_must_match_epsilon(self):
-        PacParams(0.2, 0.1, eps_lo=0.05, eps_up=0.85)
-        with pytest.raises(ValueError):
-            PacParams(0.2, 0.1, eps_lo=0.05, eps_up=0.9)
-
     @pytest.mark.parametrize("kwargs", [
         dict(epsilon=0.0, delta=0.1),
         dict(epsilon=1.0, delta=0.1),
         dict(epsilon=0.2, delta=0.0),
         dict(epsilon=0.2, delta=1.0),
         dict(epsilon=0.2, delta=0.1, gamma=0.0),
-        dict(epsilon=0.2, delta=0.1, eps_lo=-0.1, eps_up=0.7),
     ])
     def test_invalid_params_raise(self, kwargs):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from pacope.quantile import (
 from pacope.rejection import RsDataset
 from pacope.synthenv import oracle_quantiles, sample_target
 
-PARAMS_10_90 = PacParams(0.2, 0.1, eps_lo=0.1, eps_up=0.9)
+PARAMS_10_90 = PacParams(0.2, 0.1)
 
 
 def pinball_loss(u, level):
@@ -123,13 +123,6 @@ class TestAffineFit:
         with pytest.raises(ValueError, match="insufficient training data"):
             fit_quantile_pair(train, PARAMS_10_90)
 
-    @pytest.mark.parametrize("levels", [(0.0, 0.8), (0.2, 1.0)])
-    def test_level_domain(self, levels):
-        train = _as_train(sample_target(10, child_rng(5, 0)))
-        params = PacParams(0.2, 0.1, eps_lo=levels[0], eps_up=levels[1])
-        with pytest.raises(ValueError, match="quantile levels must lie in"):
-            fit_quantile_pair(train, params)
-
     def test_exact_optimum_and_level_condition(self):
         # With a 1-d context some optimum of the two-parameter pinball LP
         # interpolates two data points, so trying every pair finds the optimum.
@@ -140,7 +133,7 @@ class TestAffineFit:
         i, j = np.triu_indices(len(y), k=1)
         slope = (y[j] - y[i]) / (x[j] - x[i])
         lines = (y[i] - slope * x[i])[:, None] + slope[:, None] * x[None, :]
-        for level, fit in zip(model.levels, fitted):
+        for level, fit in zip((PARAMS_10_90.eps_lo, PARAMS_10_90.eps_up), fitted):
             oracle = pinball_loss(y[None, :] - lines, level).mean(axis=1).min()
             resid = y - fit
             loss = float(pinball_loss(resid, level).mean())
@@ -150,7 +143,7 @@ class TestAffineFit:
     def test_all_equal_contexts_give_empirical_quantile(self):
         y = sample_target(11, child_rng(10, 0)).rewards
         train = RsDataset(np.full((11, 1), 0.7), y, np.arange(11))
-        params = PacParams(0.6, 0.1, eps_lo=0.3, eps_up=0.7)
+        params = PacParams(0.6, 0.1)
         model = fit_quantile_pair(train, params)
         ordered = np.sort(y)
         # 11 * 0.3 = 3.3 and 11 * 0.7 = 7.7: the 4th and 8th order statistics.
@@ -170,7 +163,8 @@ class TestAffineFit:
         y = np.round(target.rewards)
         train = RsDataset(target.contexts, y, np.arange(300))
         model = fit_quantile_pair(train, PARAMS_10_90)
-        for level, fit in zip(model.levels, model.quantiles(target.contexts)):
+        levels = (PARAMS_10_90.eps_lo, PARAMS_10_90.eps_up)
+        for level, fit in zip(levels, model.quantiles(target.contexts)):
             resid = y - fit
             assert np.mean(resid < -1e-7) <= level <= np.mean(resid <= 1e-7)
 
@@ -193,7 +187,7 @@ class TestAffineFit:
         assert np.array_equal(m1.quantiles(grid)[0], m2.quantiles(grid)[0])
 
     def test_trivial_model_is_zero(self):
-        model = trivial_quantile_model((0.1, 0.9))
+        model = trivial_quantile_model()
         lo, up = model.quantiles(np.array([[5.0]]))
         assert lo[0] == 0.0 and up[0] == 0.0
 
@@ -484,7 +478,7 @@ class TestCrossingFix:
 
     def test_midpoint_replacement(self):
         # Force crossing affine weights; both sides must collapse to the mean.
-        model = QuantilePairModel(np.array([1.0, 0.0]), np.array([-1.0, 0.0]), (0.1, 0.9))
+        model = QuantilePairModel(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
         lo, up = model.quantiles(np.array([[0.0]]))
         assert lo[0] == up[0] == 0.0
 
@@ -497,7 +491,7 @@ class TestCrossingFix:
         ctx = np.array(data.draw(st.lists(
             st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim), min_size=1, max_size=20,
         )))
-        lo, up = QuantilePairModel(w_lo, w_up, (0.1, 0.9)).quantiles(ctx)
+        lo, up = QuantilePairModel(w_lo, w_up).quantiles(ctx)
         assert np.all(lo <= up)
         ref_lo = w_lo[0] + (ctx * w_lo[1:]).sum(axis=1)
         ref_up = w_up[0] + (ctx * w_up[1:]).sum(axis=1)

@@ -60,7 +60,7 @@ def _endpoint_gap(a: float, b: float) -> float:
 
 def _interval_predictor(w_lo, w_up, threshold) -> CalibratedPredictor:
     """A predictor with the given affine quantile lines and threshold."""
-    model = QuantilePairModel(np.asarray(w_lo, float), np.asarray(w_up, float), (0.1, 0.9))
+    model = QuantilePairModel(np.asarray(w_lo, float), np.asarray(w_up, float))
     diag = CalibrationDiagnostics(n_rs=20, m_cal=10, k=0, tie_flag=False, weight_violations=0, bound=2.0)
     return CalibratedPredictor(model, threshold, PacParams(0.2, 0.5, 0.5), diag)
 
